@@ -25,7 +25,6 @@ from homspace.dyadic import (
     build_nets,
     default_constants,
     max_single_child_chain,
-    verify_cube_axioms,
 )
 from homspace.embed import EmbedParams, characterize
 from homspace.seqnorm import NormParams
@@ -57,8 +56,6 @@ def _add_cube_args(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker cap hint (computation is vectorized; recorded in the report)")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -163,9 +160,8 @@ def _resolve_omega(args, sp) -> float:
 
 
 def _resolve_cubes(args, sp):
-    a0 = args.A0 if args.A0 is not None else None
     if args.delta is None:
-        delta, c0, C0 = default_constants(sp, c0=args.c0, C0=args.C0, a0=a0, seed=args.seed)
+        delta, c0, C0 = default_constants(sp, c0=args.c0, C0=args.C0, a0=args.A0)
     else:
         delta, c0, C0 = args.delta, args.c0, args.C0
     k_range = None
@@ -173,7 +169,7 @@ def _resolve_cubes(args, sp):
         if args.k_min is None or args.k_max is None:
             raise ValueError("pass both --k-min and --k-max or neither")
         k_range = (args.k_min, args.k_max)
-    net = build_nets(sp, delta, c0, C0, k_range=k_range, seed=args.seed, a0=a0)
+    net = build_nets(sp, delta, c0, C0, k_range=k_range, seed=args.seed, a0=args.A0)
     return build_cubes(net, sp)
 
 
@@ -214,13 +210,12 @@ def cmd_analyze(args) -> dict:
 def cmd_cubes(args) -> dict:
     sp = _resolve_space(args)
     cubes = _resolve_cubes(args, sp)
-    axioms = verify_cube_axioms(cubes)
     chain = max_single_child_chain(cubes)
     return {
         "schema": SCHEMA,
         "command": "cubes",
         "config": _config_echo(args),
-        "axioms": axioms.to_dict(),
+        "axioms": cubes.axioms.to_dict(),
         "chain": chain.to_dict(),
         "system": cubes.to_dict(),
     }

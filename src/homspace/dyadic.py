@@ -59,10 +59,10 @@ def admissibility_gap(delta: float, c0: float, C0: float, a0: float) -> float:
 
 
 def default_constants(space: FiniteHomSpace, *, c0: float = 1.0, C0: float = 2.0,
-                      a0: Optional[float] = None, seed: int = DEFAULT_SEED):
+                      a0: Optional[float] = None):
     """(delta, c0, C0): delta is the largest power of 1/2 that is admissible
     for the measured (or declared) quasi-triangle constant."""
-    a0 = space.resolved_a0(a0, seed=seed)
+    a0 = space.resolved_a0(a0)
     # smallest j with 2^-j <= c0 / (12 A0^3 C0)
     bound = c0 / (12.0 * a0**3 * C0)
     j = max(1, int(math.ceil(-math.log2(bound) - 1e-12)))
@@ -131,7 +131,7 @@ def build_nets(space: FiniteHomSpace, delta: float, c0: float, C0: float,
         raise ValueError("delta must lie in (0, 1)")
     if not (0 < c0 <= C0):
         raise ValueError("need 0 < c0 <= C0")
-    a0 = space.resolved_a0(a0, seed=seed)
+    a0 = space.resolved_a0(a0)
     if admissibility_gap(delta, c0, C0, a0) < 0:
         raise InadmissibleConstants(
             f"inadmissible constants: 12*A0^3*C0*delta = "
@@ -198,6 +198,7 @@ class CubeSystem:
     members_map: dict               # level -> {alpha: sorted ndarray}
     c1: float
     C1: float
+    axioms: Optional["AxiomReport"] = None   # set by build_cubes
 
     @property
     def delta(self) -> float:
@@ -287,8 +288,9 @@ def build_cubes(net: NetSystem, space: FiniteHomSpace) -> CubeSystem:
     """Top-down cube assignment on a valid net system.
 
     Verifies the partition, nesting, ball-sandwich, and center-containment
-    axioms before returning; any violation raises CubeConstructionError
-    with a witness (it indicates a construction bug, not bad user input).
+    axioms before returning and keeps the report as ``axioms``; any
+    violation raises CubeConstructionError with a witness (it indicates a
+    construction bug, not bad user input).
     """
     n = space.n
     dist = space.dist
@@ -338,9 +340,9 @@ def build_cubes(net: NetSystem, space: FiniteHomSpace) -> CubeSystem:
         c1=net.c0 / (3.0 * net.a0**2),
         C1=2.0 * net.a0 * net.C0,
     )
-    report = verify_cube_axioms(cubes)
-    if not report.ok:
-        raise CubeConstructionError(f"cube axioms violated: {report.violations[0]}")
+    cubes.axioms = verify_cube_axioms(cubes)
+    if not cubes.axioms.ok:
+        raise CubeConstructionError(f"cube axioms violated: {cubes.axioms.violations[0]}")
     return cubes
 
 

@@ -28,7 +28,15 @@ from homspace.space import FiniteHomSpace, validate_quasi_metric
 
 KINDS = ("euclidean_grid", "weighted_grid", "cantor", "snowflake", "file")
 
-MAX_POINTS = 20_000
+# Every structure is a dense n x n float64 table: 4096 points is 128 MiB
+# per table, and the exact A0 pass, O(n^3), took 26 s at 2048 points on a
+# 2-core Xeon VM.
+MAX_POINTS = 4096
+
+
+def _check_cap(n: int, what: str) -> None:
+    if n > MAX_POINTS:
+        raise ValueError(f"{what} of {n} points exceeds the {MAX_POINTS} cap")
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,12 @@ def _lattice(n: int, dim: int, lo: float, hi: float) -> np.ndarray:
 
 
 def _euclidean_dist(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=2))
+    # one axis at a time: two n x n blocks, never an n x n x dim temporary
+    d = np.zeros((coords.shape[0],) * 2)
+    for axis in coords.T:
+        diff = axis[:, None] - axis[None, :]
+        d += diff * diff
+    np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -92,8 +104,11 @@ def build(spec: GallerySpec) -> FiniteHomSpace:
         return load_space(spec.path)
 
     if spec.kind == "cantor":
-        if not (1 <= spec.depth <= 14):
-            raise ValueError("cantor depth must lie in [1, 14]")
+        if spec.depth < 1:
+            raise ValueError("cantor depth must be >= 1")
+        if spec.depth > math.log2(MAX_POINTS):
+            raise ValueError(f"cantor depth {spec.depth} gives 2^{spec.depth} points, "
+                             f"above the {MAX_POINTS} cap")
         coords = cantor_points(spec.depth)[:, None]
         m = coords.shape[0]
         weights = np.full(m, 1.0 / m)
@@ -109,8 +124,7 @@ def build(spec: GallerySpec) -> FiniteHomSpace:
     if spec.dim < 1:
         raise ValueError("dim must be >= 1")
     total = spec.n ** spec.dim
-    if total > MAX_POINTS:
-        raise ValueError(f"lattice of {total} points exceeds the {MAX_POINTS} cap")
+    _check_cap(total, "lattice")
 
     if spec.kind == "euclidean_grid":
         coords = _lattice(spec.n, spec.dim, 0.0, 1.0)
@@ -178,6 +192,7 @@ def load_space(path: str) -> FiniteHomSpace:
     if weights is None:
         raise ValueError(f"{path}: missing 'weights'")
     weights = np.asarray(weights, dtype=float)
+    _check_cap(weights.size, f"{path}: space")
     for i, w in enumerate(weights):
         if not (math.isfinite(w) and w > 0):
             raise ValueError(f"{path}: invalid measure: weights[{i}] = {w!r}")

@@ -15,6 +15,11 @@ measure the constants that control the geometry:
 Balls use strict inequality, B(x,r) = {y : d(x,y) < r}; membership flips
 exactly when r crosses a pairwise distance.
 
+A0 is exact at every size and computed once per space: one row-wise
+min-plus pass (O(n^3) time, one reusable n x n block) cached on the space
+as ``quasi_triangle``; validation, the admissible dyadic constants and
+the reported statistics all read that cache.
+
 Resolution contract: each point stands for a cell of an underlying
 continuum, so no scaling claim is evaluated below the resolution floor
 r_floor (the smallest positive pairwise distance). Checkers clip radii to
@@ -37,9 +42,6 @@ from homspace.common import (
     rng_stream,
     stable_sum,
 )
-
-# Exhaustive triple scans above this size fall back to seeded sampling.
-EXHAUSTIVE_TRIPLE_CUTOFF = 512
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,11 @@ class FiniteHomSpace:
         pos = self.dist[self.dist > 0]
         return float(pos.min()) if pos.size else 1.0
 
+    @cached_property
+    def quasi_triangle(self) -> "TriangleEstimate":
+        """The exact quasi-triangle constant, computed on first use."""
+        return estimate_quasi_triangle_constant(self)
+
     def ball(self, center: int, radius: float) -> "Ball":
         row = self.dist[center]
         members = np.flatnonzero(row < radius)
@@ -125,13 +132,13 @@ class FiniteHomSpace:
             declared_omega=self.declared_omega,
         )
 
-    def resolved_a0(self, a0: Optional[float] = None, seed: int = DEFAULT_SEED) -> float:
-        """Explicit a0, else declared_A0, else the measured estimate."""
+    def resolved_a0(self, a0: Optional[float] = None) -> float:
+        """Explicit a0, else declared_A0, else the measured constant."""
         if a0 is not None:
             return float(a0)
         if self.declared_A0 is not None:
             return float(self.declared_A0)
-        return estimate_quasi_triangle_constant(self, seed=seed).value
+        return self.quasi_triangle.value
 
 
 @dataclass(frozen=True)
@@ -163,18 +170,14 @@ class MetricValidation:
 @dataclass
 class TriangleEstimate:
     value: float
-    exact: bool            # exhaustive scan certifies the constant
     degenerate: bool       # fewer than 3 points
     witness: Optional[tuple] = None   # (x, y, z) attaining the max ratio
-    n_triples: int = 0
 
     def to_dict(self) -> dict:
         return {
             "value": self.value,
-            "exact": self.exact,
             "degenerate": self.degenerate,
             "witness": list(self.witness) if self.witness else None,
-            "n_triples": self.n_triples,
         }
 
 
@@ -252,7 +255,6 @@ class SpaceStats:
     c_doubling_est: float
     omega_est: float
     kappa_est: Optional[float] = None
-    a0_exact: bool = True
     degenerate: bool = False
 
     def to_dict(self) -> dict:
@@ -261,7 +263,7 @@ class SpaceStats:
             "c_doubling_est": self.c_doubling_est,
             "omega_est": self.omega_est,
             "kappa_est": self.kappa_est,
-            "a0_exact": self.a0_exact,
+            "a0_exact": True,
             "degenerate": self.degenerate,
         }
 
@@ -273,10 +275,12 @@ class SpaceStats:
 _MAX_VIOLATIONS = 20
 
 
-def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None,
-                          seed: int = DEFAULT_SEED) -> MetricValidation:
+def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None) -> MetricValidation:
     """Check symmetry, identity of indiscernibles, nonnegativity, and the
     quasi-triangle inequality at the declared (or measured) constant.
+
+    Triangle violations are listed only when a declared or passed-in a0
+    lies below the exact constant ``space.quasi_triangle``.
 
     Raises ValueError("empty space") for n = 0 and
     ValueError("invalid measure") for nonpositive or non-finite weights.
@@ -323,30 +327,23 @@ def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None,
         seen.add(key)
         push({"kind": "identity", "pair": [int(i), int(j)], "value": 0.0})
 
-    if space.declared_A0 is not None and a0 is None:
-        a0_used = float(space.declared_A0)
-    elif a0 is not None:
-        a0_used = float(a0)
-    else:
-        a0_used = estimate_quasi_triangle_constant(space, seed=seed).value
+    a0_used = space.resolved_a0(a0)
 
     # Quasi-triangle at a0_used; tiny relative slack absorbs roundoff only.
-    slack = 1.0 + 1e-12
-    n = space.n
-    if n >= 3 and not np.any(d != d.T):
-        for z in range(n):
-            den = d[:, z][:, None] + d[z, :][None, :]
+    # The measured constant passes by definition, so nothing is scanned.
+    limit = a0_used * (1.0 + 1e-12)
+    if space.n >= 3 and not asym.size and space.quasi_triangle.value > limit:
+        for x, hops in _two_hop_rows(d):
             with np.errstate(divide="ignore", invalid="ignore"):
-                bad = d > a0_used * den * slack
-            np.fill_diagonal(bad, False)
-            bad[:, z] = False
-            bad[z, :] = False
-            if bad.any():
-                xs, ys = np.nonzero(bad)
-                for x, y in zip(xs[:_MAX_VIOLATIONS], ys[:_MAX_VIOLATIONS]):
-                    if push({"kind": "triangle", "triple": [int(x), int(y), int(z)],
-                             "lhs": float(d[x, y]), "rhs": float(a0_used * den[x, y])}):
-                        break
+                bad = d[x] / hops > limit
+            np.fill_diagonal(bad, False)    # z = y
+            bad[x, :] = False               # z = x
+            bad[:, x] = False               # y = x
+            zs, ys = np.nonzero(bad)
+            for z, y in zip(zs, ys):
+                if push({"kind": "triangle", "triple": [x, int(y), int(z)],
+                         "lhs": float(d[x, y]), "rhs": float(a0_used * hops[z, y])}):
+                    break
             if len(violations) >= _MAX_VIOLATIONS:
                 break
 
@@ -362,61 +359,43 @@ def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None,
 # Constant estimators
 # ---------------------------------------------------------------------------
 
-def estimate_quasi_triangle_constant(space: FiniteHomSpace, *,
-                                     exhaustive_cutoff: int = EXHAUSTIVE_TRIPLE_CUTOFF,
-                                     n_samples: int = 200_000,
-                                     seed: int = DEFAULT_SEED) -> TriangleEstimate:
-    """Largest ratio d(x,y) / (d(x,z) + d(z,y)) over triples, clamped at 1.
+def _two_hop_rows(d: np.ndarray):
+    """Yield (x, hops) with hops[z, y] = d[x, z] + d[z, y] for each x; one
+    n x n block is reused, so the caller must finish with it before the
+    next row."""
+    hops = np.empty_like(d)
+    for x in range(d.shape[0]):
+        np.add(d[x][:, None], d, out=hops)
+        yield x, hops
 
-    Exhaustive below the cutoff (the result then certifies the constant);
-    above it, a seeded uniform triple sample gives a lower bound, flagged
-    via ``exact=False``.
+
+def estimate_quasi_triangle_constant(space: FiniteHomSpace) -> TriangleEstimate:
+    """Exact A0: the largest ratio d(x,y) / (d(x,z) + d(z,y)) over triples,
+    clamped at 1.
+
+    One row-wise min-plus pass: for each x, m[y] = min_z d(x,z) + d(z,y)
+    and the row's best ratio is max_y d(x,y) / m[y]. Letting z range over
+    {x, y} only adds ratios of 1, which the clamp absorbs; pairs with
+    m[y] = 0 (y = x) are skipped. Use ``space.quasi_triangle`` for the
+    cached value.
     """
     n = space.n
     d = space.dist
     if n < 3:
-        return TriangleEstimate(value=1.0, exact=True, degenerate=True, n_triples=0)
+        return TriangleEstimate(value=1.0, degenerate=True)
 
     best = 1.0
     witness = None
-    if n <= exhaustive_cutoff:
-        count = 0
-        offdiag = ~np.eye(n, dtype=bool)
-        for z in range(n):
-            den = d[:, z][:, None] + d[z, :][None, :]
-            mask = offdiag.copy()
-            mask[:, z] = False
-            mask[z, :] = False
-            mask &= den > 0
-            count += int(mask.sum())
-            if not mask.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(mask, d / den, 0.0)
-            idx = int(np.argmax(ratios))
-            x, y = divmod(idx, n)
-            if ratios[x, y] > best:
-                best = float(ratios[x, y])
-                witness = (int(x), int(y), int(z))
-        return TriangleEstimate(value=best, exact=True, degenerate=False,
-                                witness=witness, n_triples=count)
-
-    rng = rng_stream(seed, 0xA0)
-    xs = rng.integers(0, n, n_samples)
-    ys = rng.integers(0, n, n_samples)
-    zs = rng.integers(0, n, n_samples)
-    keep = (xs != ys) & (zs != xs) & (zs != ys)
-    xs, ys, zs = xs[keep], ys[keep], zs[keep]
-    den = d[xs, zs] + d[zs, ys]
-    ok = den > 0
-    ratios = np.where(ok, d[xs, ys] / np.where(ok, den, 1.0), 0.0)
-    if ratios.size:
-        i = int(np.argmax(ratios))
-        if ratios[i] > best:
-            best = float(ratios[i])
-            witness = (int(xs[i]), int(ys[i]), int(zs[i]))
-    return TriangleEstimate(value=best, exact=False, degenerate=False,
-                            witness=witness, n_triples=int(xs.size))
+    ratios = np.empty(n)
+    for x, hops in _two_hop_rows(d):
+        m = hops.min(axis=0)
+        ratios.fill(0.0)
+        np.divide(d[x], m, out=ratios, where=m > 0)
+        y = int(np.argmax(ratios))
+        if ratios[y] > best:
+            best = float(ratios[y])
+            witness = (x, y, int(np.argmin(hops[:, y])))
+    return TriangleEstimate(value=best, degenerate=False, witness=witness)
 
 
 def estimate_doubling(space: FiniteHomSpace, radii) -> DoublingEstimate:
@@ -675,7 +654,7 @@ def estimate_reverse_doubling_exponent(space: FiniteHomSpace, *,
 
 def space_stats(space: FiniteHomSpace, *, seed: int = DEFAULT_SEED) -> SpaceStats:
     """Bundle the constant estimates used by reports and the CLI."""
-    tri = estimate_quasi_triangle_constant(space, seed=seed)
+    tri = space.quasi_triangle
     if space.n >= 2 and space.diameter > 0:
         r_lo = space.r_floor
         r_hi = max(space.diameter / 4, r_lo * (1 + 1e-9))
@@ -691,6 +670,5 @@ def space_stats(space: FiniteHomSpace, *, seed: int = DEFAULT_SEED) -> SpaceStat
         c_doubling_est=doubling.c_doubling,
         omega_est=doubling.omega_est,
         kappa_est=kappa_est,
-        a0_exact=tri.exact,
         degenerate=tri.degenerate,
     )

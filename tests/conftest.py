@@ -10,7 +10,7 @@ from helpers import unit_spaced_grid
 
 def build_system(space, seed=0xD1AD1C, **kwargs):
     delta, c0, C0 = default_constants(space, **kwargs)
-    net = build_nets(space, delta, c0, C0, seed=seed)
+    net = build_nets(space, delta, c0, C0, seed=seed, a0=kwargs.get("a0"))
     return build_cubes(net, space)
 
 

@@ -1,10 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from homspace import dyadic, space as space_mod
 from homspace.cli import main
-from homspace.gallery import load_space
+from homspace.gallery import MAX_POINTS, load_space
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -193,3 +195,68 @@ def test_maximal_random_mode(tmp_path):
 def test_usage_error_exit_2():
     assert main(["analyze"]) == 2          # no space given
     assert main(["nonsense"]) == 2         # argparse rejects the command
+
+
+def test_analyze_squared_line_above_512_points(tmp_path):
+    # (a + b)^2 <= 2 (a^2 + b^2): squared distances on a line have A0 <= 2
+    pts = np.sort(np.random.default_rng(1).random(520))
+    path = tmp_path / "squared520.json"
+    path.write_text(json.dumps({"metric": "explicit",
+                                "dist": ((pts[:, None] - pts[None, :]) ** 2).tolist(),
+                                "weights": [1.0] * pts.size}))
+    code, text = run(tmp_path, "analyze", "--space", str(path))
+    assert code == 0
+    stats = json.loads(text)["stats"]
+    assert stats["a0_exact"] is True
+    assert 1.0 < stats["a0_est"] <= 2.0 * (1 + 1e-12)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_a0_pass_per_command(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, space_mod, "estimate_quasi_triangle_constant")
+    code, _ = run(tmp_path, "embed-test", "--gallery", "euclidean_grid", "--n", "32",
+                  "--omega", "1.0", "--s1", "0.5", "--p1", "2", "--s2", "1.0",
+                  "--p2", "1", "--q", "1", "--n-sequences", "16")
+    assert code == 0
+    assert len(calls) == 1
+    code, _ = run(tmp_path, "analyze", "--gallery", "cantor", "--depth", "5",
+                  "--check-lower-bound")
+    assert code == 0
+    assert len(calls) == 2
+
+
+def test_cubes_verifies_axioms_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, dyadic, "verify_cube_axioms")
+    code, text = run(tmp_path, "cubes", "--gallery", "cantor", "--depth", "5")
+    assert code == 0
+    assert json.loads(text)["axioms"]["ok"] is True
+    assert len(calls) == 1
+
+
+def test_point_cap_exits_2_before_building(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    m = MAX_POINTS + 1
+    path.write_text(json.dumps({"points": [[float(i)] for i in range(m)],
+                                "weights": [1.0] * m}))
+    for argv in (["analyze", "--gallery", "cantor", "--depth", "13"],
+                 ["analyze", "--space", str(path)]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 10.0
+        assert "cap" in capsys.readouterr().err
+
+
+def test_threads_flag_removed():
+    assert main(["maximal", "--gallery", "euclidean_grid", "--n", "8",
+                 "--random", "1", "--threads", "2"]) == 2

@@ -204,7 +204,8 @@ def test_inhomogeneous_ignores_negative_levels():
     from helpers import unit_spaced_grid
 
     sp = unit_spaced_grid(2500)
-    cubes = conftest.build_system(sp)
+    # a line is a metric: passing A0 = 1 spares the exact O(n^3) pass
+    cubes = conftest.build_system(sp, a0=1.0)
     neg = [key for key in cubes.index_cubes("homogeneous", "fresh") if key[0] < 0]
     assert neg
     seq = CoefSequence(cubes, {neg[0]: 2.5})
