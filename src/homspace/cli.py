@@ -260,7 +260,7 @@ def cmd_embed_test(args) -> dict:
     )
     result = characterize(sp, cubes, params, n_sequences=args.n_sequences, seed=args.seed)
     witnesses = []
-    if result.necessity and result.necessity.witness:
+    if result.necessity and result.necessity.verdict == "FAIL":
         witnesses.append({"kind": "necessity", **result.necessity.witness})
     if result.scan:
         witnesses.extend({"kind": "scan", **v} for v in result.scan.violations)
@@ -342,19 +342,15 @@ def cmd_maximal(args) -> dict:
 
 
 def cmd_gallery(args) -> dict:
+    """The report is itself a space file: --space reads it back."""
     sp = _resolve_space(args)
-    metric = "euclidean"
-    if args.gallery == "snowflake":
-        metric = f"snowflake:{args.e}"
-    if args.space:
-        metric = "explicit"
     return {
         "schema": SCHEMA,
         "command": "gallery",
         "config": _config_echo(args),
         "n_points": sp.n,
         "total_mass": sp.total_mass,
-        "space": gallery.space_to_dict(sp, metric=metric),
+        **gallery.space_to_dict(sp),
     }
 
 

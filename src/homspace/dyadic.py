@@ -6,10 +6,12 @@ Construction contract (all of it re-verified on every build):
   * nets: nested maximal nets, one per level k, separated by c0*delta^k
     and covering within C0*delta^k, grown greedily in a seed-keyed order
     so that coarse centers persist at every finer level;
-  * cubes: top-down assignment. At the coarsest level each point joins
-    its nearest center; below that, the nearest center lying inside its
-    current cube (ties break to the lowest center id). Nested nets
-    guarantee each cube contains at least one next-level center (its own);
+  * cubes: bottom-up nearest-parent construction (Hytonen-Kairema 2012,
+    after Christ 1990). At the finest level each point joins its nearest
+    center; each level-(k+1) center takes itself as parent if it lies in
+    X^k, else its nearest level-k center (ties break to the lowest id).
+    A level-k cube is the union of its descendants, so cubes nest by
+    construction;
   * every level partitions the space, cubes nest across levels, and each
     cube sits between the balls B(z, c1*delta^k) and B(z, C1*delta^k)
     around its center z, with c1 = c0 / (3 A0^2) and C1 = 2 A0 C0;
@@ -17,7 +19,9 @@ Construction contract (all of it re-verified on every build):
     12 * A0^3 * C0 * delta <= c0.
 
 Cube indices are center point ids, so level-k cube alpha is the set of
-points whose level-k assignment equals alpha. A cube is "fresh" at the
+points whose level-k assignment equals alpha; per-level arrays indexed by
+point id hold the members (as contiguous slices) and the masses. A cube
+is "fresh" at the
 first level where its center enters the net; fresh cubes are the index
 set carried by coefficient sequences.
 
@@ -187,18 +191,22 @@ def _verify_net(net: NetSystem, space: FiniteHomSpace) -> None:
 class CubeSystem:
     """Partition hierarchy built on a net system.
 
-    assignment[k][x] is the id of the level-k center whose cube holds x;
-    cube_mass[k][alpha] the total weight of that cube.
+    assignment[k][x] is the id of the level-k center whose cube holds x.
+    order[k] lists the points grouped by cube (ascending within a cube),
+    and cube alpha is the slice order[k][bounds[k][alpha]:bounds[k][alpha + 1]];
+    cube_mass[k][alpha] is its total weight (0 at non-centers).
     """
 
     space: FiniteHomSpace
     net: NetSystem
     assignment: dict                # level -> ndarray (n,) of center ids
-    cube_mass: dict                 # level -> {alpha: mass}
-    members_map: dict               # level -> {alpha: sorted ndarray}
+    order: dict                     # level -> ndarray (n,) of point ids
+    bounds: dict                    # level -> ndarray (n + 1,) of offsets into order
+    cube_mass: dict                 # level -> ndarray (n,) of masses by center id
     c1: float
     C1: float
     axioms: Optional["AxiomReport"] = None   # set by build_cubes
+    _index_sets: dict = field(default_factory=dict, init=False, repr=False)   # mode -> frozenset
 
     @property
     def delta(self) -> float:
@@ -215,10 +223,11 @@ class CubeSystem:
         return self.net.centers[k]
 
     def members(self, k: int, alpha: int) -> np.ndarray:
-        return self.members_map[k][int(alpha)]
+        alpha = int(alpha)
+        return self.order[k][self.bounds[k][alpha]:self.bounds[k][alpha + 1]]
 
     def mass(self, k: int, alpha: int) -> float:
-        return self.cube_mass[k][int(alpha)]
+        return float(self.cube_mass[k][int(alpha)])
 
     def parent(self, k: int, alpha: int) -> int:
         """Id of the level-(k-1) cube containing cube (k, alpha)."""
@@ -258,6 +267,13 @@ class CubeSystem:
             out.extend((k, int(a)) for a in ids)
         return out
 
+    def index_set(self, mode: str = "fresh") -> frozenset:
+        """The homogeneous ``index_cubes`` of ``mode`` as a set, built once
+        per system (coefficient sequences check their keys against it)."""
+        if mode not in self._index_sets:
+            self._index_sets[mode] = frozenset(self.index_cubes("homogeneous", mode))
+        return self._index_sets[mode]
+
     def resolved_levels(self) -> list:
         """Levels whose nominal scale delta^k stays at or above r_floor."""
         rf = self.space.r_floor
@@ -285,7 +301,12 @@ class CubeSystem:
 
 
 def build_cubes(net: NetSystem, space: FiniteHomSpace) -> CubeSystem:
-    """Top-down cube assignment on a valid net system.
+    """Bottom-up nearest-parent cubes on a valid net system.
+
+    Points join their nearest finest-level center; a level-(k+1) center's
+    parent is itself when it stays in X^k, else its nearest level-k center,
+    and assignment[k] = parent[assignment[k+1]]. Argmin over the sorted ids
+    breaks ties toward the lowest id.
 
     Verifies the partition, nesting, ball-sandwich, and center-containment
     axioms before returning and keeps the report as ``axioms``; any
@@ -294,52 +315,30 @@ def build_cubes(net: NetSystem, space: FiniteHomSpace) -> CubeSystem:
     """
     n = space.n
     dist = space.dist
-    assignment: dict = {}
-    for k in net.levels:
-        ids = net.centers[k]
-        assign = np.empty(n, dtype=int)
-        if k == net.k_min:
-            # nearest center overall; argmin on the sorted id list breaks
-            # ties toward the lowest id
-            assign[:] = ids[np.argmin(dist[:, ids], axis=1)]
-        else:
-            prev = assignment[k - 1]
-            center_parent = prev[ids]
-            for alpha in net.centers[k - 1]:
-                members = np.flatnonzero(prev == alpha)
-                if members.size == 0:
-                    raise CubeConstructionError(f"level {k - 1}: empty cube {int(alpha)}")
-                cands = ids[center_parent == alpha]
-                if cands.size == 0:
-                    # impossible under nested nets: the parent center itself
-                    # is a level-k center sitting in its own cube
-                    raise CubeConstructionError(
-                        f"level {k}: cube {int(alpha)} contains no next-level center"
-                    )
-                assign[members] = cands[np.argmin(dist[np.ix_(members, cands)], axis=1)]
-        assignment[k] = assign
-
-    members_map: dict = {}
-    cube_mass: dict = {}
-    for k in net.levels:
-        per = {}
-        mass = {}
-        for alpha in net.centers[k]:
-            m = np.flatnonzero(assignment[k] == alpha)
-            per[int(alpha)] = m
-            mass[int(alpha)] = stable_sum(space.weight[m])
-        members_map[k] = per
-        cube_mass[k] = mass
+    ids = net.centers[net.k_max]
+    assignment = {net.k_max: ids[np.argmin(dist[:, ids], axis=1)]}
+    for k in reversed(range(net.k_min, net.k_max)):
+        fine, coarse = net.centers[k + 1], net.centers[k]
+        parent = fine.copy()
+        new = ~np.isin(fine, coarse)
+        parent[new] = coarse[np.argmin(dist[np.ix_(fine[new], coarse)], axis=1)]
+        assignment[k] = parent[np.searchsorted(fine, assignment[k + 1])]
 
     cubes = CubeSystem(
         space=space,
         net=net,
         assignment=assignment,
-        cube_mass=cube_mass,
-        members_map=members_map,
+        order={k: np.argsort(assignment[k], kind="stable") for k in net.levels},
+        bounds={k: np.concatenate(([0], np.cumsum(np.bincount(assignment[k], minlength=n))))
+                for k in net.levels},
+        cube_mass={k: np.zeros(n) for k in net.levels},
         c1=net.c0 / (3.0 * net.a0**2),
         C1=2.0 * net.a0 * net.C0,
     )
+    for k in net.levels:
+        for alpha in net.centers[k]:
+            # stable_sum per cube, not a weighted bincount: masses stay exact
+            cubes.cube_mass[k][alpha] = stable_sum(space.weight[cubes.members(k, alpha)])
     cubes.axioms = verify_cube_axioms(cubes)
     if not cubes.axioms.ok:
         raise CubeConstructionError(f"cube axioms violated: {cubes.axioms.violations[0]}")
@@ -378,12 +377,12 @@ def verify_cube_axioms(cubes: CubeSystem) -> AxiomReport:
         if not np.all(np.isin(assign, ids)):
             violations.append({"axiom": "partition", "level": k,
                                "detail": "assignment to a non-center"})
-        total = stable_sum([cubes.cube_mass[k][int(a)] for a in ids])
+        total = stable_sum([cubes.mass(k, a) for a in ids])
         if abs(total - space.total_mass) > 1e-12 * max(1.0, abs(space.total_mass)):
             violations.append({"axiom": "partition", "level": k,
                                "detail": f"mass sum {total!r} != total {space.total_mass!r}"})
         for alpha in ids:
-            if cubes.members_map[k][int(alpha)].size == 0:
+            if cubes.members(k, alpha).size == 0:
                 violations.append({"axiom": "partition", "level": k, "cube": int(alpha),
                                    "detail": "empty cube"})
             elif assign[alpha] != alpha:
@@ -414,7 +413,7 @@ def verify_cube_axioms(cubes: CubeSystem) -> AxiomReport:
         rk_out = cubes.C1 * net.delta**k
         for alpha in net.centers[k]:
             row = space.dist[alpha]
-            members = cubes.members_map[k][int(alpha)]
+            members = cubes.members(k, alpha)
             inner = np.flatnonzero(row < rk_in)
             if not np.all(np.isin(inner, members)):
                 bad = int(np.setdiff1d(inner, members)[0])
@@ -483,7 +482,7 @@ def max_single_child_chain(cubes: CubeSystem) -> ChainReport:
     asserts max_chain_len <= bound_N.
     """
     net = cubes.net
-    all_singleton = all(cubes.members_map[k][int(a)].size == 1
+    all_singleton = all(cubes.members(k, a).size == 1
                         for k in net.levels for a in net.centers[k])
     if net.k_max - net.k_min < 1:
         bound = chain_length_bound(net.delta, cubes.c1, cubes.C1)
@@ -494,9 +493,11 @@ def max_single_child_chain(cubes: CubeSystem) -> ChainReport:
         )
 
     branching: dict = {}
-    for k in list(net.levels)[:-1]:
-        branching[k] = {int(a): len(cubes.children(k, a)) for a in net.centers[k]}
+    for k in range(net.k_min, net.k_max):
+        kids = np.bincount(cubes.assignment[k][net.centers[k + 1]], minlength=cubes.space.n)
+        branching[k] = {int(a): int(kids[a]) for a in net.centers[k]}
 
+    # a lone child is the cube itself: its center persists to level k + 1
     run: dict = {}
     for k in reversed(list(net.levels)):
         for alpha in net.centers[k]:
@@ -504,15 +505,14 @@ def max_single_child_chain(cubes: CubeSystem) -> ChainReport:
             if k == net.k_max or branching[k][alpha] != 1:
                 run[(k, alpha)] = 0
             else:
-                child = cubes.children(k, alpha)[0]
-                run[(k, alpha)] = 1 + run[(k + 1, child)]
+                run[(k, alpha)] = 1 + run[(k + 1, alpha)]
 
     bound = chain_length_bound(net.delta, cubes.c1, cubes.C1)
     best = 0
     atomic_best = 0
     witnesses = []
     for (k, alpha), length in run.items():
-        if cubes.members_map[k][alpha].size > 1:
+        if cubes.members(k, alpha).size > 1:
             if length > best:
                 best = length
                 witnesses = [{"level": k, "cube": alpha, "length": length}]
@@ -600,13 +600,7 @@ def propagate_cube_lower_bound(cubes: CubeSystem, C: float, omega: float,
                 )
 
     chain = max_single_child_chain(cubes)
-    m_end = []
-    for k in list(net.levels)[:-1]:
-        for alpha in net.centers[k]:
-            m = chain.branching[k][int(alpha)]
-            if m >= 2:
-                m_end.append(m)
-    notes = []
+    m_end = [m for per in chain.branching.values() for m in per.values() if m >= 2]
     if not m_end:
         # single chain down the whole window: nothing ever branches
         return PropagationReport(
@@ -632,7 +626,7 @@ def propagate_cube_lower_bound(cubes: CubeSystem, C: float, omega: float,
     return PropagationReport(
         verdict=verdict, c_input=C, c_tilde=c_tilde, m_min=m_min,
         bound_N=chain.bound_N, omega=omega, index_set=index_set,
-        witness=witness, notes=notes,
+        witness=witness,
     )
 
 
@@ -705,11 +699,11 @@ def ball_lower_bound_from_cubes(cubes: CubeSystem, space: FiniteHomSpace,
     small = row < alpha_shrink * r
     big = row < r
     meeting = [int(b) for b in cubes.cubes(level)
-               if np.any(small[cubes.members_map[level][int(b)]])]
+               if np.any(small[cubes.members(level, b)])]
     containment_ok = True
     witness = None
     for beta in meeting:
-        members = cubes.members_map[level][beta]
+        members = cubes.members(level, beta)
         escaped = members[~big[members]]
         if escaped.size:
             containment_ok = False

@@ -114,7 +114,7 @@ def build(spec: GallerySpec) -> FiniteHomSpace:
         weights = np.full(m, 1.0 / m)
         space = FiniteHomSpace(
             dist=_euclidean_dist(coords), weight=weights, coords=coords,
-            declared_omega=math.log(2) / math.log(3),
+            declared_omega=math.log(2) / math.log(3), metric="euclidean",
         )
         _check_gallery(space)
         return space
@@ -130,7 +130,8 @@ def build(spec: GallerySpec) -> FiniteHomSpace:
         coords = _lattice(spec.n, spec.dim, 0.0, 1.0)
         weights = np.full(total, 1.0 / total)
         space = FiniteHomSpace(dist=_euclidean_dist(coords), weight=weights,
-                               coords=coords, declared_omega=float(spec.dim))
+                               coords=coords, declared_omega=float(spec.dim),
+                               metric="euclidean")
         _check_gallery(space)
         return space
 
@@ -141,7 +142,8 @@ def build(spec: GallerySpec) -> FiniteHomSpace:
         weights = np.full(total, 1.0 / total)
         space = FiniteHomSpace(dist=_euclidean_dist(coords) ** spec.e,
                                weight=weights, coords=coords,
-                               declared_omega=float(spec.dim) / spec.e)
+                               declared_omega=float(spec.dim) / spec.e,
+                               metric=f"snowflake:{spec.e}")
         _check_gallery(space)
         return space
 
@@ -158,7 +160,8 @@ def build(spec: GallerySpec) -> FiniteHomSpace:
     h = 2.0 * spec.extent / (spec.n - 1)
     weights = radial_density(radii, spec.alpha, spec.beta) * h**spec.dim
     space = FiniteHomSpace(dist=_euclidean_dist(coords), weight=weights,
-                           coords=coords, declared_omega=float(spec.dim))
+                           coords=coords, declared_omega=float(spec.dim),
+                           metric="euclidean")
     _check_gallery(space)
     return space
 
@@ -238,7 +241,7 @@ def load_space(path: str) -> FiniteHomSpace:
     space = FiniteHomSpace(
         dist=dist, weight=weights, coords=coords,
         declared_A0=data.get("declared_A0"),
-        declared_omega=data.get("declared_omega"),
+        declared_omega=data.get("declared_omega"), metric=metric,
     )
     result = validate_quasi_metric(space)
     if not result.ok:
@@ -247,14 +250,15 @@ def load_space(path: str) -> FiniteHomSpace:
     return space
 
 
-def space_to_dict(space: FiniteHomSpace, metric: str = "explicit") -> dict:
-    """Serialize a space back to the space-file schema."""
+def space_to_dict(space: FiniteHomSpace) -> dict:
+    """Serialize a space back to the space-file schema: points under the
+    space's metric when its coordinates generate the table, else the table."""
     out: dict = {"weights": [float(w) for w in space.weight]}
-    if metric == "explicit" or space.coords is None:
+    if space.metric == "explicit" or space.coords is None:
         out["metric"] = "explicit"
         out["dist"] = [[float(v) for v in row] for row in space.dist]
     else:
-        out["metric"] = metric
+        out["metric"] = space.metric
         out["points"] = [[float(v) for v in row] for row in space.coords]
     if space.declared_A0 is not None:
         out["declared_A0"] = float(space.declared_A0)

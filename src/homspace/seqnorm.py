@@ -100,7 +100,7 @@ class CoefSequence:
     def __post_init__(self):
         if self.index_mode not in ("fresh", "all"):
             raise ValueError(f"unknown index mode {self.index_mode!r}")
-        valid = set(self.system.index_cubes("homogeneous", self.index_mode))
+        valid = self.system.index_set(self.index_mode)
         clean = {}
         for key, value in self.entries.items():
             k, alpha = int(key[0]), int(key[1])

@@ -49,8 +49,9 @@ class FiniteHomSpace:
     """Point cloud with a symmetric distance table and positive masses.
 
     Point identifiers are 0..n-1. ``coords`` is optional geometry kept by
-    the gallery constructors; every estimator consumes only ``dist`` and
-    ``weight``.
+    the gallery constructors and ``metric`` names how it generates
+    ``dist`` ("euclidean" or "snowflake:<e>"; "explicit" when the table
+    stands alone); every estimator consumes only ``dist`` and ``weight``.
     """
 
     dist: np.ndarray
@@ -58,6 +59,7 @@ class FiniteHomSpace:
     coords: Optional[np.ndarray] = None
     declared_A0: Optional[float] = None
     declared_omega: Optional[float] = None
+    metric: str = "explicit"
 
     def __post_init__(self):
         dist = np.asarray(self.dist, dtype=float)

@@ -122,13 +122,52 @@ def test_norms_layer_cake_flag(tmp_path, grid64_cubes):
 
 
 def test_gallery_space_file_roundtrip(tmp_path):
-    code, text = run(tmp_path, "gallery", "--gallery", "cantor", "--depth", "5")
+    # the report is itself a space file, as `gallery --out space.json` promises
+    code, _ = run(tmp_path, "gallery", "--gallery", "cantor", "--depth", "5", name="space.json")
+    assert code == 0
+    sp = load_space(str(tmp_path / "space.json"))
+    assert sp.n == 32
+    assert main(["analyze", "--space", str(tmp_path / "space.json"),
+                 "--out", str(tmp_path / "a.json")]) == 0
+
+
+def test_gallery_keeps_points_of_a_coordinate_file(tmp_path):
+    path = tmp_path / "flake.json"
+    path.write_text(json.dumps({"metric": "snowflake:0.5", "points": [[0.0], [1.0], [3.0]],
+                                "weights": [1.0, 2.0, 1.0]}))
+    code, text = run(tmp_path, "gallery", "--space", str(path))
     assert code == 0
     report = json.loads(text)
-    space_path = tmp_path / "space.json"
-    space_path.write_text(json.dumps(report["space"]))
-    sp = load_space(str(space_path))
-    assert sp.n == 32
+    assert report["metric"] == "snowflake:0.5"
+    assert report["points"] == [[0.0], [1.0], [3.0]]
+    assert "dist" not in report
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "256"],
+    ["--n", "200", "--dim", "1", "--seed", "1570764153"],
+])
+def test_cubes_one_dimensional_grids_build(tmp_path, argv):
+    # both builds broke the sandwich axiom under the top-down assignment
+    code, text = run(tmp_path, "cubes", "--gallery", "euclidean_grid", *argv)
+    assert code == 0
+    assert json.loads(text)["axioms"]["ok"] is True
+
+
+def test_embed_test_pass_has_no_witnesses(tmp_path):
+    args = ["embed-test", "--gallery", "euclidean_grid", "--n", "64", "--omega", "1.0",
+            "--s1", "0.5", "--p1", "2", "--s2", "1.0", "--p2", "1", "--q", "1",
+            "--n-sequences", "64"]
+    code, text = run(tmp_path, *args)
+    assert code == 0
+    report = json.loads(text)
+    assert report["verdict"] == "PASS"
+    assert report["result"]["necessity"]["witness"] is not None
+    assert report["witnesses"] == []
+    code, text = run(tmp_path, *args, "--format", "csv", name="out.csv")
+    assert code == 0
+    assert len(text.strip().splitlines()) == 2
+    assert "witness.kind" not in text.splitlines()[0]
 
 
 def test_maximal_values(tmp_path):
@@ -234,6 +273,15 @@ def test_one_a0_pass_per_command(tmp_path, monkeypatch):
                   "--check-lower-bound")
     assert code == 0
     assert len(calls) == 2
+
+
+def test_index_set_built_once_per_system(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, dyadic.CubeSystem, "index_cubes")
+    code, _ = run(tmp_path, "embed-test", "--gallery", "euclidean_grid", "--n", "32",
+                  "--omega", "1.0", "--s1", "0.5", "--p1", "2", "--s2", "1.0",
+                  "--p2", "1", "--q", "1", "--n-sequences", "64")
+    assert code == 0
+    assert len(calls) <= 2          # the scan's index list and the validity set
 
 
 def test_cubes_verifies_axioms_once(tmp_path, monkeypatch):

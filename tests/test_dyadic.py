@@ -1,7 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from homspace.common import rng_stream
+from homspace import gallery
+from homspace.common import DEFAULT_SEED, rng_stream
 from homspace.dyadic import (
     HypothesisViolated,
     InadmissibleConstants,
@@ -188,6 +192,61 @@ def test_assignment_chain_consistency(grid64_cubes):
         for x in range(grid64_cubes.space.n):
             child = grid64_cubes.point_cube(k, x)
             assert grid64_cubes.parent(k, child) == grid64_cubes.point_cube(k - 1, x)
+
+
+def squared_line(m, seed):
+    pts = np.sort(np.random.default_rng(seed).random(m))
+    return FiniteHomSpace(dist=(pts[:, None] - pts[None, :]) ** 2, weight=np.ones(m))
+
+
+@lru_cache(maxsize=None)
+def sweep_space(kind, size):
+    """A space of about ``size`` points; "squared_line:<s>" is a quasi-metric table."""
+    if kind.startswith("squared_line:"):
+        return squared_line(size, int(kind.split(":")[1]))
+    spec = {
+        "grid": gallery.GallerySpec(kind="euclidean_grid", n=size),
+        "grid2d": gallery.GallerySpec(kind="euclidean_grid", n=int(size**0.5), dim=2),
+        "cantor": gallery.GallerySpec(kind="cantor", depth=int(np.log2(size))),
+        "snowflake": gallery.GallerySpec(kind="snowflake", n=size, e=0.5),
+        "weighted": gallery.GallerySpec(kind="weighted_grid", n=size + 1, alpha=2.0, extent=2.0),
+    }[kind]
+    return gallery.build(spec)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(kind=st.sampled_from(["grid", "grid2d", "cantor", "snowflake", "weighted"]
+                            + [f"squared_line:{s}" for s in range(8)]),
+       size=st.sampled_from([16, 32, 64, 128, 256]),
+       seed=st.integers(0, 2**31 - 1))
+@example(kind="grid", size=256, seed=DEFAULT_SEED)
+@example(kind="grid", size=200, seed=1570764153)
+def test_build_never_raises_sweep(kind, size, seed):
+    # build_cubes raises CubeConstructionError on any axiom violation
+    sp = sweep_space(kind, size)
+    build_cubes(build_nets(sp, *default_constants(sp), seed=seed), sp)
+
+
+def test_squared_line_32_builds():
+    # the top-down builder put member 26 of level-2 cube 27 outside its outer ball
+    sp = squared_line(32, 3)
+    cubes = build_cubes(build_nets(sp, *default_constants(sp)), sp)
+    assert cubes.axioms.ok
+
+
+def test_members_are_ascending_slices(grid64_cubes):
+    for k in grid64_cubes.levels:
+        assign = grid64_cubes.assignment[k]
+        for alpha in grid64_cubes.cubes(k):
+            assert np.array_equal(grid64_cubes.members(k, alpha), np.flatnonzero(assign == alpha))
+
+
+def test_index_cubes_returns_a_fresh_list(grid16_cubes):
+    first = grid16_cubes.index_cubes()
+    first.clear()
+    assert grid16_cubes.index_cubes()
+    assert grid16_cubes.index_set() == frozenset(grid16_cubes.index_cubes())
+    assert grid16_cubes.index_set() is grid16_cubes.index_set()
 
 
 def test_exactly_one_child_shares_center(grid64_cubes):

@@ -14,6 +14,7 @@ from homspace.gallery import (
     unit_dyadic_lattice,
 )
 from homspace.space import (
+    FiniteHomSpace,
     check_local_lower_bound,
     estimate_quasi_triangle_constant,
     fit_mass_exponent,
@@ -154,17 +155,20 @@ def test_load_schema_errors(tmp_path):
 def test_space_roundtrip(tmp_path):
     sp = build(GallerySpec(kind="snowflake", n=16, dim=1, e=0.8))
     path = tmp_path / "round.json"
-    path.write_text(json.dumps(space_to_dict(sp, metric="snowflake:0.8")))
+    path.write_text(json.dumps(space_to_dict(sp)))
     back = load_space(str(path))
+    assert back.metric == "snowflake:0.8"
     assert np.allclose(back.dist, sp.dist)
     assert np.allclose(back.weight, sp.weight)
 
 
 def test_space_roundtrip_explicit(tmp_path):
-    sp = build(GallerySpec(kind="cantor", depth=4))
+    cantor = build(GallerySpec(kind="cantor", depth=4))
+    sp = FiniteHomSpace(dist=cantor.dist, weight=cantor.weight)
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps(space_to_dict(sp, metric="explicit")))
+    path.write_text(json.dumps(space_to_dict(sp)))
     back = load_space(str(path))
+    assert back.metric == "explicit"
     assert np.allclose(back.dist, sp.dist)
 
 
