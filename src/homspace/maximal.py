@@ -5,7 +5,9 @@ kernel, and the maximal-function bound used in the embedding machinery.
 On finite data the maximal function is exact: ball averages only change
 when the radius crosses a pairwise distance, so M f(x) is the maximum of
 the prefix averages of |f| along the distance-sorted point list (the
-singleton prefix makes M f >= |f| pointwise).
+singleton prefix makes M f >= |f| pointwise). Those lists are the rows of
+the space's cached ``ball_index``, so a call sorts nothing, and M f is
+evaluated only at the points asked for.
 
 The kernel value mirrors the almost-orthogonality bound for wavelet pairs
 at cubes (k, alpha), (j, tau) with centers x_a, x_t:
@@ -36,7 +38,7 @@ import numpy as np
 from homspace.common import DEFAULT_SEED, rng_stream, stable_sum
 from homspace.dyadic import CubeSystem
 from homspace.seqnorm import CoefSequence
-from homspace.space import FiniteHomSpace
+from homspace.space import ROW_BLOCK, FiniteHomSpace
 
 
 @dataclass(frozen=True)
@@ -76,33 +78,25 @@ def default_r_exp(p2: float) -> float:
 # Maximal operator
 # ---------------------------------------------------------------------------
 
-def hl_maximal(space: FiniteHomSpace, f, *, n_radii: Optional[int] = None) -> np.ndarray:
-    """M f(x) = max over ball radii of the weighted average of |f| on B(x, r).
-
-    Exact by default (every prefix of the distance-sorted list is some
-    ball); pass ``n_radii`` to decimate to that many prefix positions for
-    large spaces.
-    """
+def hl_maximal(space: FiniteHomSpace, f, points=None) -> np.ndarray:
+    """M f(x), the largest weighted average of |f| over balls B(x, r), for
+    each x in ``points`` (default: every point, in order). Exact: every
+    prefix of a ``space.ball_index`` row that ends a tie group is a ball."""
     f = np.asarray(f, dtype=float)
     if f.shape != (space.n,):
         raise ValueError("f must assign one value per point")
+    points = np.arange(space.n) if points is None else np.asarray(points, dtype=int)
     af = np.abs(f)
-    w = space.weight
-    out = np.empty(space.n)
-    for x in range(space.n):
-        order = np.argsort(space.dist[x], kind="stable")
-        cw = np.cumsum(w[order])
-        cs = np.cumsum((w * af)[order])
-        d_sorted = space.dist[x][order]
+    weighted = space.weight * af
+    index = space.ball_index
+    out = np.empty(points.size)
+    for lo in range(0, points.size, ROW_BLOCK):
+        rows = points[lo:lo + ROW_BLOCK]
         # complete tie groups: prefix ends where the next distance differs
-        ends = np.flatnonzero(np.r_[d_sorted[1:] != d_sorted[:-1], True])
-        if n_radii is not None and ends.size > n_radii:
-            pick = np.linspace(0, ends.size - 1, n_radii).astype(int)
-            ends = np.unique(np.r_[ends[pick], ends[0]])
-        averages = cs[ends] / cw[ends]
-        best = float(averages.max())
-        out[x] = max(best, af[x])   # the singleton ball average, exactly
-    return out
+        ends = np.diff(index.dist[rows], axis=1, append=np.inf) != 0
+        averages = np.cumsum(weighted[index.order[rows]], axis=1) / index.cum_weight[rows, 1:]
+        out[lo:lo + ROW_BLOCK] = averages.max(axis=1, where=ends, initial=0.0)
+    return np.maximum(out, af[points])   # the singleton ball average, exactly
 
 
 def fs_vector_maximal_check(space: FiniteHomSpace, fns, p: float, q: float,
@@ -146,11 +140,12 @@ def _weighted_lp(g: np.ndarray, w: np.ndarray, p: float) -> float:
 # Almost-orthogonality kernel
 # ---------------------------------------------------------------------------
 
-def _symmetrized_v(space: FiniteHomSpace, x: int, y: int) -> float:
-    d = space.dist[x, y]
-    if d == 0.0:
-        return 0.0
-    return float((space.dist[x] < d) @ space.weight + (space.dist[y] < d) @ space.weight)
+def _v_denominators(space: FiniteHomSpace, alphas, tau: int, s: float) -> np.ndarray:
+    """V_s(x_a) + V_s(tau) + V(x_a, tau) for each x_a in ``alphas``, from ball masses."""
+    centers = np.append(np.asarray(alphas, dtype=int), tau)
+    v_s = space.ball_mass(centers, [s])[:, 0]
+    v_d = space.ball_mass(centers, space.dist[centers[:-1], tau])
+    return v_s[:-1] + v_s[-1] + (np.diagonal(v_d) + v_d[-1])
 
 
 def almost_orth_kernel(cubes: CubeSystem, k: int, alpha: int, j: int, tau: int,
@@ -167,10 +162,7 @@ def almost_orth_kernel(cubes: CubeSystem, k: int, alpha: int, j: int, tau: int,
     x_t = int(tau)
     m_a = cubes.mass(k, alpha)
     m_t = cubes.mass(j, tau)
-    va = float((space.dist[x_a] < s) @ space.weight)
-    vt = float((space.dist[x_t] < s) @ space.weight)
-    vxy = _symmetrized_v(space, x_a, x_t)
-    denom = va + vt + vxy
+    denom = _v_denominators(space, [x_a], x_t, s)[0]
     d = space.dist[x_a, x_t]
     decay = (s / (s + d)) ** params.gamma
     return (cubes.delta ** (abs(k - j) * params.epsilon)
@@ -178,7 +170,7 @@ def almost_orth_kernel(cubes: CubeSystem, k: int, alpha: int, j: int, tau: int,
 
 
 def _require_fresh(cubes: CubeSystem, k: int, alpha: int) -> None:
-    if k == cubes.net.k_min or int(alpha) not in set(int(a) for a in cubes.fresh_cubes(k)):
+    if (k, int(alpha)) not in cubes.index_set("fresh"):
         raise ValueError(f"(k={k}, alpha={int(alpha)}) is not a fresh cube of the system")
 
 
@@ -224,35 +216,26 @@ def kernel_maximal_bound_check(cubes: CubeSystem, seq: CoefSequence, k: int, j: 
     r = params.r_exp
     s = cubes.delta ** min(k, j)
 
-    fresh_j = set(int(a) for a in cubes.fresh_cubes(j))
+    level_k = [(int(alpha), value) for (kk, alpha), value in seq.entries.items()
+               if kk == k and value != 0.0]
     tau = cubes.point_cube(j, x)
     lhs = 0.0
-    if tau in fresh_j:
+    if (j, tau) in cubes.index_set("fresh"):
+        denoms = _v_denominators(space, [x_a for x_a, _ in level_k], tau, s)
         terms = []
-        for (kk, alpha), value in seq.entries.items():
-            if kk != k or value == 0.0:
-                continue
-            x_a = int(alpha)
-            m_a = cubes.mass(k, alpha)
-            va = float((space.dist[x_a] < s) @ space.weight)
-            vt = float((space.dist[tau] < s) @ space.weight)
-            vxy = _symmetrized_v(space, x_a, tau)
+        for (x_a, value), denom in zip(level_k, denoms):
             d = space.dist[x_a, tau]
             decay = (s / (s + d)) ** params.gamma
-            terms.append(math.sqrt(m_a) / (va + vt + vxy) * decay * abs(value))
+            terms.append(math.sqrt(cubes.mass(k, x_a)) / denom * decay * abs(value))
         lhs = stable_sum(terms)
 
     u = np.zeros(space.n)
-    for (kk, alpha), value in seq.entries.items():
-        if kk != k or value == 0.0:
-            continue
-        members = cubes.members(k, alpha)
-        u[members] += cubes.mass(k, alpha) ** (-r / 2.0) * abs(value) ** r
+    for alpha, value in level_k:
+        u[cubes.members(k, alpha)] += cubes.mass(k, alpha) ** (-r / 2.0) * abs(value) ** r
     mu_ball = space.ball(int(x), s)
     if mu_ball.members.size == 0:
         raise ValueError("empty comparison ball; radius below resolution")
-    m_of_u = hl_maximal(space, u)
-    inf_m = float(m_of_u[mu_ball.members].min())
+    inf_m = float(hl_maximal(space, u, mu_ball.members).min())
     rhs = (cubes.delta ** (k * params.omega * (1 - 1.0 / r))
            * mu_ball.mass ** (1.0 / r - 1.0)
            * inf_m ** (1.0 / r))
@@ -319,12 +302,8 @@ def calibrate_kernel_bound(cubes: CubeSystem, params: KernelParams, *,
             res = kernel_maximal_bound_check(cubes, seq, k, j, x, params)
             if res.ratio is not None and math.isfinite(res.ratio):
                 worst = max(worst, res.ratio)
-    consts = []
-    for k in cubes.levels:
-        if k == cubes.net.k_min:
-            continue
-        for alpha in cubes.fresh_cubes(k):
-            consts.append(cubes.mass(k, alpha) / cubes.delta ** (k * params.omega))
+    consts = [cubes.mass(k, alpha) / cubes.delta ** (k * params.omega)
+              for k, alpha in cubes.index_set("fresh")]
     return KernelCalibration(
         c_report=worst,
         n_samples=n_sequences * len(probes),

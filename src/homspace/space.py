@@ -20,6 +20,9 @@ min-plus pass (O(n^3) time, one reusable n x n block) cached on the space
 as ``quasi_triangle``; validation, the admissible dyadic constants and
 the reported statistics all read that cache.
 
+Ball masses and the maximal operator read one sorted-row index per space,
+``ball_index`` (built on first use, 20 bytes per table entry).
+
 Resolution contract: each point stands for a cell of an underlying
 continuum, so no scaling claim is evaluated below the resolution floor
 r_floor (the smallest positive pairwise distance). Checkers clip radii to
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -102,6 +105,11 @@ class FiniteHomSpace:
         """The exact quasi-triangle constant, computed on first use."""
         return estimate_quasi_triangle_constant(self)
 
+    @cached_property
+    def ball_index(self) -> "BallIndex":
+        """The sorted-row ball index, built on first use."""
+        return build_ball_index(self)
+
     def ball(self, center: int, radius: float) -> "Ball":
         row = self.dist[center]
         members = np.flatnonzero(row < radius)
@@ -116,11 +124,11 @@ class FiniteHomSpace:
         """Masses of B(x, r) for every center x and radius r: (c, r) table."""
         centers = np.asarray(centers, dtype=int)
         radii = np.asarray(radii, dtype=float)
-        rows = self.dist[centers]
-        out = np.empty((centers.size, radii.size), dtype=float)
-        for j, r in enumerate(radii):
-            out[:, j] = (rows < r) @ self.weight
-        return out
+        index = self.ball_index
+        counts = np.empty((centers.size, radii.size), dtype=np.intp)
+        for i, x in enumerate(centers):
+            counts[i] = index.dist[x].searchsorted(radii)   # #{y : d(x, y) < r}
+        return index.cum_weight[centers[:, None], counts]
 
     def scaled(self, dist_factor: float = 1.0, weight_factor: float = 1.0) -> "FiniteHomSpace":
         """Copy with distances and/or weights rescaled by positive factors."""
@@ -141,6 +149,31 @@ class FiniteHomSpace:
         if self.declared_A0 is not None:
             return float(self.declared_A0)
         return self.quasi_triangle.value
+
+
+class BallIndex(NamedTuple):
+    """Each row of a space's table sorted once (stable, ties by ascending id)."""
+
+    order: np.ndarray         # (n, n) int32: order[x] = argsort of dist[x]
+    dist: np.ndarray          # (n, n): dist[x][order[x]]
+    cum_weight: np.ndarray    # (n, n + 1): [x, c] = weight of the c nearest, so [x, 0] = 0
+
+
+# Rows sorted (or read, in the maximal operator) per block: temporaries
+# stay at a few ROW_BLOCK x n arrays instead of n x n.
+ROW_BLOCK = 64
+
+
+def build_ball_index(space: FiniteHomSpace) -> BallIndex:
+    """Sort the rows of ``space.dist``; ``space.ball_index`` caches the result."""
+    n = space.n
+    index = BallIndex(np.empty((n, n), dtype=np.int32), np.empty((n, n)), np.zeros((n, n + 1)))
+    for lo in range(0, n, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        index.order[rows] = np.argsort(space.dist[rows], axis=1, kind="stable")
+        index.dist[rows] = np.take_along_axis(space.dist[rows], index.order[rows], axis=1)
+        np.cumsum(space.weight[index.order[rows]], axis=1, out=index.cum_weight[rows, 1:])
+    return index
 
 
 @dataclass(frozen=True)
@@ -412,8 +445,7 @@ def estimate_doubling(space: FiniteHomSpace, radii) -> DoublingEstimate:
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
     centers = np.arange(space.n)
-    m1 = space.ball_mass(centers, radii)
-    m2 = space.ball_mass(centers, [2 * r for r in radii])
+    m1, m2 = np.hsplit(space.ball_mass(centers, radii + [2 * r for r in radii]), 2)
     ratios = m2 / m1  # denominators are positive: balls contain their center
     i = int(np.argmax(ratios))
     ci, rj = divmod(i, len(radii))
@@ -606,8 +638,8 @@ def check_reverse_doubling(space: FiniteHomSpace, kappa: float, *,
         if lam_max <= 1.0:
             continue
         lams = np.geomspace(1.0, lam_max * (1 - 1e-12), n_lambdas)
-        base = space.ball_mass(centers, [r])[:, 0]
-        grown = space.ball_mass(centers, lams * r)
+        masses = space.ball_mass(centers, np.r_[r, lams * r])
+        base, grown = masses[:, 0], masses[:, 1:]
         ratios = grown / (lams[None, :] ** kappa * base[:, None])
         sampled = True
         i = int(np.argmin(ratios))
@@ -646,8 +678,7 @@ def estimate_reverse_doubling_exponent(space: FiniteHomSpace, *,
         lam = diam / (2 * r)
         if lam <= 1.5:
             continue
-        base = space.ball_mass(centers, [r])[:, 0]
-        grown = space.ball_mass(centers, [lam * r])[:, 0]
+        base, grown = space.ball_mass(centers, [r, lam * r]).T
         slopes = np.log(grown / base) / np.log(lam)
         low = float(slopes.min())
         worst = low if worst is None else min(worst, low)

@@ -111,6 +111,17 @@ def unit_spaced_grid(n, weights=None):
     return FiniteHomSpace(dist=dist, weight=w, coords=coords)
 
 
+def integer_grid_table(side, seed):
+    """Distances of the side x side integer lattice in the plane and uneven
+    seeded weights. Equal sums of squares give equal square roots, so every
+    tie of the lattice is an exact tie of the table."""
+    ij = np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
+    diff = ij[:, None, :] - ij[None, :, :]
+    dist = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    weight = np.random.default_rng(seed).uniform(0.2, 2.0, side * side)
+    return dist, weight
+
+
 def box_count_dimension(points, sizes):
     """Independent box-counting slope for a 1-D point set."""
     points = np.asarray(points, dtype=float).ravel()

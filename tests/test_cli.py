@@ -284,6 +284,15 @@ def test_index_set_built_once_per_system(tmp_path, monkeypatch):
     assert len(calls) <= 2          # the scan's index list and the validity set
 
 
+def test_ball_index_built_once_per_space(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, space_mod, "build_ball_index")
+    code, _ = run(tmp_path, "kernel-check", "--gallery", "euclidean_grid",
+                  "--n", "16", "--omega", "1.0", "--p2", "1",
+                  "--calibration", "4", "--trials", "4")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_cubes_verifies_axioms_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, dyadic, "verify_cube_axioms")
     code, text = run(tmp_path, "cubes", "--gallery", "cantor", "--depth", "5")

@@ -17,7 +17,7 @@ from homspace.maximal import (
 from homspace.seqnorm import CoefSequence
 from homspace.space import FiniteHomSpace
 
-from helpers import brute_maximal, unit_spaced_grid
+from helpers import brute_maximal, integer_grid_table, unit_spaced_grid
 
 
 def kernel_params(omega=1.0, gamma=3.0, eps=0.5, p2=1.0):
@@ -64,22 +64,36 @@ def test_maximal_sublinear_and_homogeneous(grid64):
         assert np.allclose(hl_maximal(grid64, -2.5 * f), 2.5 * mf, rtol=1e-12)
 
 
-def test_maximal_matches_brute_force():
+def _random_line():
     rng = rng_stream(9, 1)
     pts = np.sort(rng.uniform(0, 4, 14))
     dist = np.abs(pts[:, None] - pts[None, :])
-    sp = FiniteHomSpace(dist=dist, weight=rng.uniform(0.2, 2.0, 14))
-    f = rng.standard_normal(14)
-    assert np.allclose(hl_maximal(sp, f), brute_maximal(dist, sp.weight, f), rtol=1e-12)
+    return dist, rng.uniform(0.2, 2.0, 14), rng.standard_normal(14)
 
 
-def test_maximal_decimated_mode_is_lower_bound(grid64):
-    rng = rng_stream(12, 3)
-    f = rng.standard_normal(grid64.n)
-    exact = hl_maximal(grid64, f)
-    rough = hl_maximal(grid64, f, n_radii=6)
-    assert np.all(rough <= exact * (1 + 1e-12))
-    assert np.all(rough >= np.abs(f))
+def _tied_grid():
+    dist, weight = integer_grid_table(7, seed=11)
+    return dist, weight, np.random.default_rng(12).standard_normal(dist.shape[0])
+
+
+@pytest.mark.parametrize("table", [_random_line, _tied_grid], ids=["random_line", "tied_grid"])
+def test_maximal_matches_brute_force(table):
+    dist, weight, f = table()
+    sp = FiniteHomSpace(dist=dist, weight=weight)
+    assert np.allclose(hl_maximal(sp, f), brute_maximal(dist, weight, f), rtol=1e-12)
+
+
+@pytest.mark.parametrize("table", [_random_line, _tied_grid], ids=["random_line", "tied_grid"])
+def test_maximal_at_points_equals_full_evaluation(table):
+    dist, weight, f = table()
+    sp = FiniteHomSpace(dist=dist, weight=weight)
+    full = hl_maximal(sp, f)
+    rng = np.random.default_rng(3)
+    # unsorted, with repeats, and longer than one block of rows
+    points = np.r_[rng.permutation(sp.n), rng.integers(0, sp.n, 70), [0, 0, sp.n - 1]]
+    assert np.array_equal(hl_maximal(sp, f, points), full[points])
+    assert np.array_equal(hl_maximal(sp, f, [4]), full[[4]])
+    assert hl_maximal(sp, f, []).size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from homspace.space import (
     validate_quasi_metric,
 )
 
-from helpers import brute_a0, brute_ball_mass, unit_spaced_grid
+from helpers import brute_a0, brute_ball_mass, integer_grid_table, unit_spaced_grid
 
 
 def explicit_space(dist, weights=None, **kw):
@@ -225,6 +225,24 @@ def test_ball_monotonicity():
             assert prev_members <= members
             assert ball.mass >= prev_mass - 1e-15
             prev_members, prev_mass = members, ball.mass
+
+
+def test_ball_mass_matches_brute_force_with_ties():
+    dist, weight = integer_grid_table(6, seed=5)
+    sp = explicit_space(dist, weights=weight)
+    # radius 0, a radius below r_floor, every pairwise distance (exact ties:
+    # strict balls must leave the whole sphere out) and one above the diameter
+    radii = np.r_[0.0, sp.r_floor / 2, np.unique(dist), 1.5 * sp.diameter]
+    masses = sp.ball_mass(np.arange(sp.n), radii)
+    brute = np.array([[brute_ball_mass(dist, weight, x, r) for r in radii]
+                      for x in range(sp.n)])
+    np.testing.assert_allclose(masses, brute, rtol=1e-12, atol=0)
+    assert np.all(masses[:, 0] == 0.0)
+    assert np.array_equal(masses[:, 1], weight)        # below r_floor: the center alone
+    np.testing.assert_allclose(masses[:, -1], weight.sum(), rtol=1e-12)
+    # any order of centers, with repeats
+    centers = [7, 0, 7, 35]
+    assert np.array_equal(sp.ball_mass(centers, radii), masses[centers])
 
 
 # ---------------------------------------------------------------------------
