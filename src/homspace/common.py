@@ -39,12 +39,9 @@ def rng_stream(seed: int, *salt: int) -> np.random.Generator:
 
 
 def stable_sum(values) -> float:
-    """Sum with fsum over magnitude-ascending order (stable for q < 1 piles)."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        return 0.0
-    order = np.argsort(np.abs(arr), kind="stable")
-    return math.fsum(arr[order])
+    """Correctly rounded sum (fsum), so the order of the terms does not
+    matter (stable for q < 1 piles)."""
+    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
 def lp_aggregate(values, p: float) -> float:
@@ -85,14 +82,22 @@ def decay_span(values) -> float:
 # same config + seed, and floats carry 17 significant digits.
 # ---------------------------------------------------------------------------
 
+def _plain_floats(obj) -> bool:
+    """True for a nonempty list whose items are all plain ``float``."""
+    return type(obj) is list and bool(obj) and set(map(type, obj)) == {float}
+
+
 def sanitize(obj):
-    """Convert numpy containers/scalars to plain Python for serialization."""
+    """Convert numpy containers/scalars to plain Python for serialization.
+    A list of plain floats is returned as it is."""
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
+    if _plain_floats(obj):
+        return obj
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
+        return sanitize(obj.tolist())
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -134,6 +139,10 @@ def _encode(obj, indent: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if _plain_floats(obj) and all(map(math.isfinite, obj)):
+            # same text as the generic path below, in one join
+            body = (",\n" + pad_in).join(map("{:.17g}".format, obj))
+            return "[\n" + pad_in + body + "\n" + pad + "]"
         items = [f"{pad_in}{_encode(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"unserializable report value of type {type(obj)!r}")

@@ -206,7 +206,7 @@ class CubeSystem:
     c1: float
     C1: float
     axioms: Optional["AxiomReport"] = None   # set by build_cubes
-    _index_sets: dict = field(default_factory=dict, init=False, repr=False)   # mode -> frozenset
+    _indexes: dict = field(default_factory=dict, init=False, repr=False)   # mode -> (tuple, frozenset)
 
     @property
     def delta(self) -> float:
@@ -267,12 +267,21 @@ class CubeSystem:
             out.extend((k, int(a)) for a in ids)
         return out
 
+    def _index(self, mode: str) -> tuple:
+        if mode not in self._indexes:
+            ordered = tuple(self.index_cubes("homogeneous", mode))
+            self._indexes[mode] = (ordered, frozenset(ordered))
+        return self._indexes[mode]
+
+    def index_list(self, mode: str = "fresh") -> tuple:
+        """The homogeneous ``index_cubes`` of ``mode``, in order, built once
+        per system."""
+        return self._index(mode)[0]
+
     def index_set(self, mode: str = "fresh") -> frozenset:
-        """The homogeneous ``index_cubes`` of ``mode`` as a set, built once
-        per system (coefficient sequences check their keys against it)."""
-        if mode not in self._index_sets:
-            self._index_sets[mode] = frozenset(self.index_cubes("homogeneous", mode))
-        return self._index_sets[mode]
+        """``index_list`` as a set (coefficient sequences check their keys
+        against it)."""
+        return self._index(mode)[1]
 
     def resolved_levels(self) -> list:
         """Levels whose nominal scale delta^k stays at or above r_floor."""

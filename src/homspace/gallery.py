@@ -29,8 +29,9 @@ from homspace.space import FiniteHomSpace, validate_quasi_metric
 KINDS = ("euclidean_grid", "weighted_grid", "cantor", "snowflake", "file")
 
 # Every structure is a dense n x n float64 table: 4096 points is 128 MiB
-# per table, and the exact A0 pass, O(n^3), took 26 s at 2048 points on a
-# 2-core Xeon VM.
+# per table, and the sorted-row ball index adds about 20 bytes per entry.
+# Gallery spaces are metrics, so building one runs no A0 pass; an explicit
+# table still needs the exact O(n^3) pass on first use of A0.
 MAX_POINTS = 4096
 
 
@@ -253,13 +254,13 @@ def load_space(path: str) -> FiniteHomSpace:
 def space_to_dict(space: FiniteHomSpace) -> dict:
     """Serialize a space back to the space-file schema: points under the
     space's metric when its coordinates generate the table, else the table."""
-    out: dict = {"weights": [float(w) for w in space.weight]}
+    out: dict = {"weights": space.weight.tolist()}
     if space.metric == "explicit" or space.coords is None:
         out["metric"] = "explicit"
-        out["dist"] = [[float(v) for v in row] for row in space.dist]
+        out["dist"] = space.dist.tolist()
     else:
         out["metric"] = space.metric
-        out["points"] = [[float(v) for v in row] for row in space.coords]
+        out["points"] = space.coords.tolist()
     if space.declared_A0 is not None:
         out["declared_A0"] = float(space.declared_A0)
     if space.declared_omega is not None:

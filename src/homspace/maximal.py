@@ -280,7 +280,7 @@ def _probe_points(cubes: CubeSystem, rng) -> list:
 
 
 def random_sequence(cubes: CubeSystem, rng, scale: float = 1.0) -> CoefSequence:
-    index = cubes.index_cubes("homogeneous", "fresh")
+    index = cubes.index_list("fresh")
     take = index if len(index) <= 12 else \
         [index[i] for i in rng.choice(len(index), size=12, replace=False)]
     entries = {key: scale * float(v) for key, v in zip(take, rng.standard_normal(len(take)))}

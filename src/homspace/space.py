@@ -15,10 +15,16 @@ measure the constants that control the geometry:
 Balls use strict inequality, B(x,r) = {y : d(x,y) < r}; membership flips
 exactly when r crosses a pairwise distance.
 
-A0 is exact at every size and computed once per space: one row-wise
-min-plus pass (O(n^3) time, one reusable n x n block) cached on the space
-as ``quasi_triangle``; validation, the admissible dyadic constants and
-the reported statistics all read that cache.
+A0 is computed at most once per space, on first use, and cached as
+``quasi_triangle``; the admissible dyadic constants, the nets and the
+reported statistics read that cache. When the coordinates generate the
+table as a Euclidean metric or a snowflake d^e with 0 < e <= 1, A0 = 1 is
+a theorem and no pass runs (source "analytic"). Any other table gets one
+exact row-wise min-plus pass (O(n^3) time, source "exact") that takes the
+minimum over z in blocks of ROW_BLOCK table rows, so its working block
+stays in cache. Validation checks the structure of the table and compares
+a declared or passed-in A0 with the cached one; with neither, it needs no
+A0 at all.
 
 Ball masses and the maximal operator read one sorted-row index per space,
 ``ball_index`` (built on first use, 20 bytes per table entry).
@@ -54,7 +60,8 @@ class FiniteHomSpace:
     Point identifiers are 0..n-1. ``coords`` is optional geometry kept by
     the gallery constructors and ``metric`` names how it generates
     ``dist`` ("euclidean" or "snowflake:<e>"; "explicit" when the table
-    stands alone); every estimator consumes only ``dist`` and ``weight``.
+    stands alone); every estimator consumes only ``dist`` and ``weight``,
+    and only ``quasi_triangle`` trusts ``metric``.
     """
 
     dist: np.ndarray
@@ -102,7 +109,10 @@ class FiniteHomSpace:
 
     @cached_property
     def quasi_triangle(self) -> "TriangleEstimate":
-        """The exact quasi-triangle constant, computed on first use."""
+        """The quasi-triangle constant, found on first use: 1 by theorem
+        when the coordinates generate a metric, else the exact pass."""
+        if self.n >= 3 and self.coords is not None and _is_metric(self.metric):
+            return TriangleEstimate(value=1.0, degenerate=False, source="analytic")
         return estimate_quasi_triangle_constant(self)
 
     @cached_property
@@ -151,6 +161,18 @@ class FiniteHomSpace:
         return self.quasi_triangle.value
 
 
+def _is_metric(metric: str) -> bool:
+    """True for "euclidean" and "snowflake:<e>" with 0 < e <= 1: d^e of a
+    metric is a metric for e <= 1."""
+    if metric == "euclidean":
+        return True
+    kind, _, e = metric.partition(":")
+    try:
+        return kind == "snowflake" and 0 < float(e) <= 1
+    except ValueError:
+        return False
+
+
 class BallIndex(NamedTuple):
     """Each row of a space's table sorted once (stable, ties by ascending id)."""
 
@@ -159,8 +181,8 @@ class BallIndex(NamedTuple):
     cum_weight: np.ndarray    # (n, n + 1): [x, c] = weight of the c nearest, so [x, 0] = 0
 
 
-# Rows sorted (or read, in the maximal operator) per block: temporaries
-# stay at a few ROW_BLOCK x n arrays instead of n x n.
+# Rows sorted (or read, in the maximal operator and the A0 pass) per
+# block: temporaries stay at a few ROW_BLOCK x n arrays instead of n x n.
 ROW_BLOCK = 64
 
 
@@ -189,7 +211,7 @@ class Ball:
 @dataclass
 class MetricValidation:
     ok: bool
-    a0_used: float
+    a0_used: Optional[float]    # the declared or passed-in A0; None: not checked
     violations: list = field(default_factory=list)
     truncated: bool = False
 
@@ -207,12 +229,14 @@ class TriangleEstimate:
     value: float
     degenerate: bool       # fewer than 3 points
     witness: Optional[tuple] = None   # (x, y, z) attaining the max ratio
+    source: str = "exact"  # "exact" (measured) | "analytic" (a metric by theorem)
 
     def to_dict(self) -> dict:
         return {
             "value": self.value,
             "degenerate": self.degenerate,
             "witness": list(self.witness) if self.witness else None,
+            "source": self.source,
         }
 
 
@@ -291,6 +315,7 @@ class SpaceStats:
     omega_est: float
     kappa_est: Optional[float] = None
     degenerate: bool = False
+    a0_source: str = "exact"
 
     def to_dict(self) -> dict:
         return {
@@ -298,7 +323,7 @@ class SpaceStats:
             "c_doubling_est": self.c_doubling_est,
             "omega_est": self.omega_est,
             "kappa_est": self.kappa_est,
-            "a0_exact": True,
+            "a0_source": self.a0_source,
             "degenerate": self.degenerate,
         }
 
@@ -312,10 +337,12 @@ _MAX_VIOLATIONS = 20
 
 def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None) -> MetricValidation:
     """Check symmetry, identity of indiscernibles, nonnegativity, and the
-    quasi-triangle inequality at the declared (or measured) constant.
+    quasi-triangle inequality at a declared or passed-in constant.
 
-    Triangle violations are listed only when a declared or passed-in a0
-    lies below the exact constant ``space.quasi_triangle``.
+    With neither, the triangle check is vacuous (the measured constant
+    holds by definition), so no A0 is computed and ``a0_used`` is None.
+    Otherwise triangle violations are listed when that constant lies
+    below ``space.quasi_triangle``.
 
     Raises ValueError("empty space") for n = 0 and
     ValueError("invalid measure") for nonpositive or non-finite weights.
@@ -362,25 +389,10 @@ def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None) -> 
         seen.add(key)
         push({"kind": "identity", "pair": [int(i), int(j)], "value": 0.0})
 
-    a0_used = space.resolved_a0(a0)
-
-    # Quasi-triangle at a0_used; tiny relative slack absorbs roundoff only.
-    # The measured constant passes by definition, so nothing is scanned.
-    limit = a0_used * (1.0 + 1e-12)
-    if space.n >= 3 and not asym.size and space.quasi_triangle.value > limit:
-        for x, hops in _two_hop_rows(d):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bad = d[x] / hops > limit
-            np.fill_diagonal(bad, False)    # z = y
-            bad[x, :] = False               # z = x
-            bad[:, x] = False               # y = x
-            zs, ys = np.nonzero(bad)
-            for z, y in zip(zs, ys):
-                if push({"kind": "triangle", "triple": [x, int(y), int(z)],
-                         "lhs": float(d[x, y]), "rhs": float(a0_used * hops[z, y])}):
-                    break
-            if len(violations) >= _MAX_VIOLATIONS:
-                break
+    a0_used = a0 if a0 is not None else space.declared_A0
+    if a0_used is not None:
+        a0_used = float(a0_used)
+        _push_triangle_violations(space, a0_used, asym.size > 0, push)
 
     return MetricValidation(
         ok=not violations,
@@ -390,29 +402,56 @@ def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None) -> 
     )
 
 
+def _push_triangle_violations(space: FiniteHomSpace, a0: float, asymmetric: bool, push) -> None:
+    """Push the triples that break the quasi-triangle inequality at ``a0``,
+    in (x, z, y) order, until ``push`` reports the list full. A tiny
+    relative slack absorbs roundoff only; nothing is scanned when ``a0``
+    is at least the space's own constant."""
+    limit = a0 * (1.0 + 1e-12)
+    if space.n < 3 or asymmetric or space.quasi_triangle.value <= limit:
+        return
+    d = space.dist
+    block = np.empty((min(ROW_BLOCK, space.n), space.n))
+    for x in range(space.n):
+        for lo, hops in _two_hop_blocks(d, x, block):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bad = d[x] / hops > limit
+            for i, y in zip(*np.nonzero(bad)):
+                z = lo + int(i)
+                if len({x, int(y), z}) < 3:
+                    continue
+                if push({"kind": "triangle", "triple": [x, int(y), z],
+                         "lhs": float(d[x, y]), "rhs": float(a0 * hops[i, y])}):
+                    return
+
+
 # ---------------------------------------------------------------------------
 # Constant estimators
 # ---------------------------------------------------------------------------
 
-def _two_hop_rows(d: np.ndarray):
-    """Yield (x, hops) with hops[z, y] = d[x, z] + d[z, y] for each x; one
-    n x n block is reused, so the caller must finish with it before the
-    next row."""
-    hops = np.empty_like(d)
-    for x in range(d.shape[0]):
-        np.add(d[x][:, None], d, out=hops)
-        yield x, hops
+def _two_hop_blocks(d: np.ndarray, x: int, block: np.ndarray):
+    """Yield (lo, hops) with hops[i, y] = d[x, lo + i] + d[lo + i, y] for
+    each block of ROW_BLOCK table rows from lo. Every block is written into
+    ``block`` (min(ROW_BLOCK, n) x n), so the caller must finish with one
+    before the next."""
+    n = d.shape[0]
+    for lo in range(0, n, ROW_BLOCK):
+        hops = block[:min(ROW_BLOCK, n - lo)]
+        np.add(d[x, lo:lo + ROW_BLOCK, None], d[lo:lo + ROW_BLOCK], out=hops)
+        yield lo, hops
 
 
 def estimate_quasi_triangle_constant(space: FiniteHomSpace) -> TriangleEstimate:
     """Exact A0: the largest ratio d(x,y) / (d(x,z) + d(z,y)) over triples,
     clamped at 1.
 
-    One row-wise min-plus pass: for each x, m[y] = min_z d(x,z) + d(z,y)
-    and the row's best ratio is max_y d(x,y) / m[y]. Letting z range over
-    {x, y} only adds ratios of 1, which the clamp absorbs; pairs with
-    m[y] = 0 (y = x) are skipped. Use ``space.quasi_triangle`` for the
-    cached value.
+    One row-wise min-plus pass: for each x, m[y] = min_z d(x,z) + d(z,y),
+    taken over blocks of ROW_BLOCK rows z, and the row's best ratio is
+    max_y d(x,y) / m[y]. Letting z range over {x, y} only adds ratios of 1,
+    which the clamp absorbs; pairs with m[y] = 0 (y = x) are skipped. The
+    witness z is the first argmin of d(x,z) + d(z,y). Use
+    ``space.quasi_triangle`` for the cached value, which skips the pass
+    where A0 = 1 is a theorem.
     """
     n = space.n
     d = space.dist
@@ -421,15 +460,19 @@ def estimate_quasi_triangle_constant(space: FiniteHomSpace) -> TriangleEstimate:
 
     best = 1.0
     witness = None
+    block = np.empty((min(ROW_BLOCK, n), n))
+    m = np.empty(n)
     ratios = np.empty(n)
-    for x, hops in _two_hop_rows(d):
-        m = hops.min(axis=0)
+    for x in range(n):
+        m.fill(np.inf)
+        for _, hops in _two_hop_blocks(d, x, block):
+            np.minimum(m, hops.min(axis=0), out=m)
         ratios.fill(0.0)
         np.divide(d[x], m, out=ratios, where=m > 0)
         y = int(np.argmax(ratios))
         if ratios[y] > best:
             best = float(ratios[y])
-            witness = (x, y, int(np.argmin(hops[:, y])))
+            witness = (x, y, int(np.argmin(d[x] + d[:, y])))
     return TriangleEstimate(value=best, degenerate=False, witness=witness)
 
 
@@ -704,4 +747,5 @@ def space_stats(space: FiniteHomSpace, *, seed: int = DEFAULT_SEED) -> SpaceStat
         omega_est=doubling.omega_est,
         kappa_est=kappa_est,
         degenerate=tri.degenerate,
+        a0_source=tri.source,
     )

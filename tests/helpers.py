@@ -32,6 +32,30 @@ def brute_a0(dist):
     return best
 
 
+def brute_a0_witness(dist):
+    """(A0, (x, y, z)): the first pair (x, y) in row-major order attaining
+    the largest ratio, and the first z of least d(x, z) + d(z, y) for it;
+    the witness is None when A0 = 1."""
+    d = np.asarray(dist, dtype=float).tolist()
+    n = len(d)
+    best, pair = 1.0, None
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            for z in range(n):
+                if z == x or z == y:
+                    continue
+                den = d[x][z] + d[z][y]
+                if den > 0 and d[x][y] / den > best:
+                    best, pair = d[x][y] / den, (x, y)
+    if pair is None:
+        return best, None
+    x, y = pair
+    sums = [d[x][z] + d[z][y] for z in range(n)]
+    return best, (x, y, sums.index(min(sums)))
+
+
 def brute_besov(entries, masses, delta, s, p, q, level_ok):
     """entries: {(k, alpha): value}; masses: {(k, alpha): mass}."""
     levels = sorted({k for k, _ in entries})

@@ -246,7 +246,7 @@ def test_analyze_squared_line_above_512_points(tmp_path):
     code, text = run(tmp_path, "analyze", "--space", str(path))
     assert code == 0
     stats = json.loads(text)["stats"]
-    assert stats["a0_exact"] is True
+    assert stats["a0_source"] == "exact"
     assert 1.0 < stats["a0_est"] <= 2.0 * (1 + 1e-12)
 
 
@@ -262,17 +262,63 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+EMBED_ARGS = ["--omega", "1.0", "--s1", "0.5", "--p1", "2", "--s2", "1.0",
+              "--p2", "1", "--q", "1", "--n-sequences", "16"]
+
+
+def _explicit_file(tmp_path, name, pts):
+    """A space file holding only the table of a point set in the plane."""
+    pts = np.asarray(pts, dtype=float)
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    path = tmp_path / name
+    path.write_text(json.dumps({"metric": "explicit", "dist": dist.tolist(),
+                                "weights": [1.0 / len(pts)] * len(pts)}))
+    return str(path)
+
+
 def test_one_a0_pass_per_command(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, space_mod, "estimate_quasi_triangle_constant")
-    code, _ = run(tmp_path, "embed-test", "--gallery", "euclidean_grid", "--n", "32",
-                  "--omega", "1.0", "--s1", "0.5", "--p1", "2", "--s2", "1.0",
-                  "--p2", "1", "--q", "1", "--n-sequences", "16")
+    line = _explicit_file(tmp_path, "line32.json", [[i / 31, 0.0] for i in range(32)])
+    code, _ = run(tmp_path, "embed-test", "--space", line, *EMBED_ARGS)
     assert code == 0
     assert len(calls) == 1
-    code, _ = run(tmp_path, "analyze", "--gallery", "cantor", "--depth", "5",
-                  "--check-lower-bound")
+    plane = _explicit_file(tmp_path, "plane40.json", np.random.default_rng(5).random((40, 2)))
+    code, _ = run(tmp_path, "analyze", "--space", plane, "--check-lower-bound")
     assert code == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--gallery", "euclidean_grid", "--n", "12", "--dim", "2"],
+    ["embed-test", "--gallery", "euclidean_grid", "--n", "32", *EMBED_ARGS],
+    ["cubes", "--gallery", "snowflake", "--n", "8", "--dim", "2", "--snowflake-e", "0.5"],
+    ["analyze", "--gallery", "cantor", "--depth", "6", "--check-lower-bound"],
+    ["cubes", "--gallery", "cantor", "--depth", "5"],
+    ["kernel-check", "--gallery", "weighted_grid", "--n", "17", "--alpha", "1",
+     "--omega", "1.0", "--calibration", "2", "--trials", "2"],
+    ["analyze", "--gallery", "weighted_grid", "--n", "33", "--alpha", "0", "--beta", "-0.5",
+     "--extent", "4"],
+])
+def test_gallery_metrics_make_no_a0_pass(tmp_path, monkeypatch, argv):
+    calls = _count_calls(monkeypatch, space_mod, "estimate_quasi_triangle_constant")
+    code, text = run(tmp_path, *argv)
+    assert code == 0
+    assert calls == []
+    if argv[0] == "analyze":
+        stats = json.loads(text)["stats"]
+        assert (stats["a0_est"], stats["a0_source"]) == (1.0, "analytic")
+
+
+def test_gallery_of_explicit_file_makes_no_a0_pass(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, space_mod, "estimate_quasi_triangle_constant")
+    table = _explicit_file(tmp_path, "plane30.json", np.random.default_rng(3).random((30, 2)))
+    code, _ = run(tmp_path, "gallery", "--space", table, name="copy.json")
+    assert code == 0
+    assert calls == []          # validation without a declared A0 needs none
+    code, text = run(tmp_path, "analyze", "--space", str(tmp_path / "copy.json"))
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(text)["stats"]["a0_source"] == "exact"
 
 
 def test_index_set_built_once_per_system(tmp_path, monkeypatch):
@@ -282,6 +328,11 @@ def test_index_set_built_once_per_system(tmp_path, monkeypatch):
                   "--p2", "1", "--q", "1", "--n-sequences", "64")
     assert code == 0
     assert len(calls) <= 2          # the scan's index list and the validity set
+    # random_sequence reads the cached ordered index, once per system
+    code, _ = run(tmp_path, "kernel-check", "--gallery", "euclidean_grid", "--n", "16",
+                  "--omega", "1.0", "--calibration", "4", "--trials", "4")
+    assert code == 0
+    assert len(calls) <= 3
 
 
 def test_ball_index_built_once_per_space(tmp_path, monkeypatch):

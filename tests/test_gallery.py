@@ -64,6 +64,39 @@ def test_snowflake_distances_and_measured_a0():
     assert fit_mass_exponent(sp) == pytest.approx(2.0, rel=0.3)
 
 
+GALLERY_KINDS = [
+    GallerySpec(kind="euclidean_grid", n=96, dim=1),
+    GallerySpec(kind="euclidean_grid", n=12, dim=2),
+    GallerySpec(kind="cantor", depth=7),
+    GallerySpec(kind="snowflake", n=64, dim=1, e=0.5),
+    GallerySpec(kind="snowflake", n=10, dim=2, e=0.3),
+    GallerySpec(kind="weighted_grid", n=65, dim=1, alpha=2.0, extent=2.0),
+    GallerySpec(kind="weighted_grid", n=11, dim=2, alpha=0.0, beta=-0.5, extent=3.0),
+]
+
+
+@pytest.mark.parametrize("spec", GALLERY_KINDS, ids=lambda s: f"{s.kind}-{s.dim}d")
+def test_analytic_a0_agrees_with_exact_pass(spec):
+    sp = build(spec)
+    assert (sp.quasi_triangle.value, sp.quasi_triangle.source) == (1.0, "analytic")
+    # the exact pass on the bare table stays the oracle
+    table_only = FiniteHomSpace(dist=sp.dist, weight=sp.weight)
+    exact = table_only.quasi_triangle
+    assert exact.source == "exact"
+    assert abs(exact.value - 1.0) <= 1e-12
+
+
+def test_load_space_certifies_coordinate_metrics(tmp_path):
+    pts = [[0.0], [0.3], [1.0], [2.5]]
+    for metric in ("euclidean", "snowflake:0.5"):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps({"points": pts, "weights": [1.0] * 4, "metric": metric}))
+        assert load_space(str(path)).quasi_triangle.source == "analytic"
+    table = np.abs(np.asarray(pts) - np.asarray(pts).T)
+    path.write_text(json.dumps({"dist": table.tolist(), "weights": [1.0] * 4}))
+    assert load_space(str(path)).quasi_triangle.source == "exact"
+
+
 def test_snowflake_exponent_out_of_range():
     with pytest.raises(ValueError):
         build(GallerySpec(kind="snowflake", n=16, e=1.5))

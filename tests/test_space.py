@@ -13,7 +13,13 @@ from homspace.space import (
     validate_quasi_metric,
 )
 
-from helpers import brute_a0, brute_ball_mass, integer_grid_table, unit_spaced_grid
+from helpers import (
+    brute_a0,
+    brute_a0_witness,
+    brute_ball_mass,
+    integer_grid_table,
+    unit_spaced_grid,
+)
 
 
 def explicit_space(dist, weights=None, **kw):
@@ -30,7 +36,9 @@ def test_validate_metric_line_ok():
     sp = unit_spaced_grid(3)
     result = validate_quasi_metric(sp)
     assert result.ok
-    assert result.a0_used == 1.0
+    assert result.a0_used is None       # nothing declared: A0 is not checked
+    assert sp.metric == "explicit"
+    assert sp.quasi_triangle.value == 1.0
 
 
 def test_validate_asymmetry_violation():
@@ -141,6 +149,49 @@ def test_a0_row_pass_matches_brute_force():
             assert dist[x, y] / (dist[x, z] + dist[z, y]) == est.value
         else:
             assert est.witness is None
+
+
+@pytest.mark.parametrize("n", [3, 64, 65, 130])
+def test_a0_blocked_pass_matches_brute_witness(n):
+    # n = 64, 65 and 130 put the row blocks of the pass at, past and across
+    # their edges; the witness z must be the first of least two-hop length.
+    # The reversed table moves the witnesses into the last block.
+    rng = rng_stream(n, 0xB10C)
+    raw = rng.uniform(0.01, 5.0, (n, n))
+    dist = np.triu(raw, 1) + np.triu(raw, 1).T
+    for table in (dist, dist[::-1, ::-1]):
+        est = estimate_quasi_triangle_constant(explicit_space(table))
+        value, witness = brute_a0_witness(table)
+        assert est.value == value
+        assert est.witness == witness
+
+
+def test_a0_analytic_only_for_coordinate_metrics():
+    pts = np.sort(rng_stream(4, 0xA1).uniform(0, 10, 24))[:, None]
+    line = np.abs(pts - pts.T)
+    for metric, dist in (("euclidean", line), ("snowflake:0.5", line**0.5),
+                         ("snowflake:1", line)):
+        est = explicit_space(dist, coords=pts, metric=metric).quasi_triangle
+        assert (est.value, est.source) == (1.0, "analytic")
+    # a power above 1 is no metric, and a table without coordinates (or a
+    # rescaled copy) is measured
+    est = explicit_space(line**1.5, coords=pts, metric="snowflake:1.5").quasi_triangle
+    assert est.source == "exact" and est.value == brute_a0(line**1.5) > 1.0
+    assert explicit_space(line, metric="euclidean").quasi_triangle.source == "exact"
+    flake = explicit_space(line**0.5, coords=pts, metric="snowflake:0.5")
+    assert flake.scaled(dist_factor=2.0).quasi_triangle.source == "exact"
+
+
+def test_validate_declared_a0_on_coordinate_metric():
+    pts = np.arange(5.0)[:, None]
+    line = np.abs(pts - pts.T)
+    assert validate_quasi_metric(explicit_space(line, coords=pts, metric="euclidean",
+                                                declared_A0=1.0)).ok
+    # below the certified A0 = 1: the collinear triples are listed
+    bad = validate_quasi_metric(explicit_space(line, coords=pts, metric="euclidean"), a0=0.9)
+    assert bad.a0_used == 0.9 and not bad.ok
+    x, y, z = bad.violations[0]["triple"]
+    assert line[x, y] > 0.9 * (line[x, z] + line[z, y])
 
 
 def test_a0_declared_below_exact_lists_true_violations():
