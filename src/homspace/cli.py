@@ -32,6 +32,17 @@ from homspace.seqnorm import NormParams
 SCHEMA = 1
 
 
+def _count(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_space_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", help="path to a JSON space file")
     p.add_argument("--gallery", choices=[k for k in gallery.KINDS if k != "file"],
@@ -105,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=1.0, help="shared q (besov)")
     p.add_argument("--q1", type=float)
     p.add_argument("--q2", type=float)
-    p.add_argument("--n-sequences", type=int, default=256)
+    p.add_argument("--n-sequences", type=_count, default=256)
 
     p = sub.add_parser("kernel-check", help="kernel bound calibration and stability")
     _add_space_args(p)
@@ -117,14 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", type=float, default=1.0,
                    help="source integrability fixing r = p2/(1+p2)")
     p.add_argument("--r-exp", type=float, help="override the sub-exponent r")
-    p.add_argument("--calibration", type=int, default=32)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--calibration", type=_count, default=32)
+    p.add_argument("--trials", type=_count, default=50)
 
     p = sub.add_parser("maximal", help="Hardy-Littlewood maximal function values")
     _add_space_args(p)
     _add_common(p)
     p.add_argument("--values", help="JSON array of per-point values")
-    p.add_argument("--random", type=int, metavar="COUNT",
+    p.add_argument("--random", type=_count, metavar="COUNT",
                    help="evaluate on COUNT seeded random functions and report ratios")
 
     p = sub.add_parser("gallery", help="construct a space and write its space file")

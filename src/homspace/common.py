@@ -44,16 +44,6 @@ def stable_sum(values) -> float:
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
-def lp_aggregate(values, p: float) -> float:
-    """(sum |v|^p)^(1/p); sup for p = inf; 0 for an empty pile."""
-    arr = np.abs(np.asarray(values, dtype=float)).ravel()
-    if arr.size == 0:
-        return 0.0
-    if math.isinf(p):
-        return float(arr.max())
-    return float(stable_sum(arr**p) ** (1.0 / p))
-
-
 def fit_loglog(x, y):
     """OLS (slope, intercept) of log y on log x; None when degenerate."""
     x = np.asarray(x, dtype=float)

@@ -206,7 +206,7 @@ class CubeSystem:
     c1: float
     C1: float
     axioms: Optional["AxiomReport"] = None   # set by build_cubes
-    _indexes: dict = field(default_factory=dict, init=False, repr=False)   # mode -> (tuple, frozenset)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def delta(self) -> float:
@@ -267,11 +267,18 @@ class CubeSystem:
             out.extend((k, int(a)) for a in ids)
         return out
 
+    def memo(self, key, build):
+        """``build()``, computed once per system and key (tables derived from
+        the system: indexes, per-cube constants)."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def _index(self, mode: str) -> tuple:
-        if mode not in self._indexes:
+        def build():
             ordered = tuple(self.index_cubes("homogeneous", mode))
-            self._indexes[mode] = (ordered, frozenset(ordered))
-        return self._indexes[mode]
+            return ordered, frozenset(ordered)
+        return self.memo(("index", mode), build)
 
     def index_list(self, mode: str = "fresh") -> tuple:
         """The homogeneous ``index_cubes`` of ``mode``, in order, built once

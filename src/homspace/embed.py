@@ -36,7 +36,7 @@ import numpy as np
 from homspace.common import DEFAULT_SEED, TrendConfig, decay_span, fit_loglog, rng_stream
 from homspace.dyadic import CubeSystem
 from homspace.gallery import RnDyadicGrid
-from homspace.seqnorm import CoefSequence, NormParams, sequence_norm
+from homspace.seqnorm import CoefSequence, NormParams, SequenceBatch, batch_norms
 from homspace.space import (
     FiniteHomSpace,
     LowerBoundReport,
@@ -140,9 +140,25 @@ class NecessityReport:
         }
 
 
-def implied_constant(cubes: CubeSystem, k: int, alpha: int, omega: float) -> float:
-    """mass(Q) / delta^{k * omega}, the constant a uniform embedding forces."""
-    return cubes.mass(k, alpha) / cubes.delta ** (k * omega)
+def implied_constant(cubes: CubeSystem, k: int, alpha, omega: float):
+    """mass(Q) / delta^{k * omega}, the constant a uniform embedding forces;
+    ``alpha`` is a cube id of level k or an array of them."""
+    return cubes.cube_mass[k][alpha] / cubes.delta ** (k * omega)
+
+
+def fresh_constants(cubes: CubeSystem, omega: float, variant: str) -> tuple:
+    """(level, alpha, constant) arrays: ``implied_constant`` of every fresh
+    cube in the variant window, by level then cube id; one table per
+    (system, omega, variant)."""
+    def build():
+        levels = [k for k in cubes.levels if k != cubes.net.k_min
+                  and (variant == "homogeneous" or k >= 0)]
+        ids = [cubes.fresh_cubes(k) for k in levels]
+        return (np.repeat(np.array(levels, dtype=int), [a.size for a in ids]),
+                np.concatenate([np.zeros(0, dtype=int), *ids]),
+                np.concatenate([np.zeros(0)] + [implied_constant(cubes, k, a, omega)
+                                                for k, a in zip(levels, ids)]))
+    return cubes.memo(("fresh_constants", omega, variant), build)
 
 
 def delta_ratio(cubes: CubeSystem, k0: int, alpha0: int, params: EmbedParams) -> float:
@@ -179,30 +195,22 @@ def delta_necessity_test(cubes: CubeSystem, params: EmbedParams, *,
         )
 
     omega = params.omega
-    window = [k for k in cubes.levels
-              if params.variant == "homogeneous" or k >= 0]
-    resolved = [k for k in cubes.resolved_levels() if k in window]
-
-    constants: dict = {}
-    for k in window:
-        if k == cubes.net.k_min:
-            continue
-        for alpha in cubes.fresh_cubes(k):
-            constants[(k, int(alpha))] = implied_constant(cubes, k, int(alpha), omega)
-
-    if not constants:
+    resolved = [k for k in cubes.resolved_levels()
+                if params.variant == "homogeneous" or k >= 0]
+    levels, cube_ids, const = fresh_constants(cubes, omega, params.variant)
+    if not const.size:
         return NecessityReport(
             verdict="VACUOUS", min_constant=None, witness=None, per_level_min={},
             worst_chain=None, constants={}, resolved_levels=resolved,
             notes=["no fresh cubes in the variant window"],
         )
-
-    min_key = min(constants, key=lambda key: constants[key])
-    per_level_min = {}
-    for k in window:
-        vals = [c for (kk, _), c in constants.items() if kk == k]
-        if vals:
-            per_level_min[k] = min(vals)
+    constants = dict(zip(zip(levels.tolist(), cube_ids.tolist()), const.tolist()))
+    first = np.flatnonzero(np.r_[True, levels[1:] != levels[:-1]])
+    per_level_min = dict(zip(levels[first].tolist(),
+                             np.minimum.reduceat(const, first).tolist()))
+    at_min = int(np.argmin(const))
+    witness = {"level": int(levels[at_min]), "cube": int(cube_ids[at_min]),
+               "constant": float(const[at_min])}
 
     # ancestry-chain trend over resolved levels (all cubes, not only fresh:
     # the chain tracks one spatial location across scales)
@@ -240,9 +248,8 @@ def delta_necessity_test(cubes: CubeSystem, params: EmbedParams, *,
 
     return NecessityReport(
         verdict="FAIL" if failing else "PASS",
-        min_constant=float(constants[min_key]),
-        witness={"level": min_key[0], "cube": min_key[1],
-                 "constant": float(constants[min_key])},
+        min_constant=witness["constant"],
+        witness=witness,
         per_level_min=per_level_min,
         worst_chain=worst_chain,
         constants=constants,
@@ -281,108 +288,116 @@ class ScanReport:
 
 
 def generate_batch(cubes: CubeSystem, variant: str, n_sequences: int,
-                   seed: int) -> list:
+                   seed: int) -> SequenceBatch:
     """Deterministic scan batch: every fresh-cube delta first, then equal
     thirds of single-level, multi-level, and adversarial draws (the latter
-    concentrate coefficients on the smallest-mass cubes per level)."""
+    concentrate coefficients on the smallest-mass cubes per level), up to
+    ``n_sequences`` in all."""
     index = cubes.index_cubes(variant, "fresh")
-    batch = []
-    for k, alpha in index:
-        batch.append((f"delta:{k}:{alpha}",
-                      CoefSequence(cubes, {(k, alpha): 1.0})))
-    if not index:
-        return batch
-    rng = rng_stream(seed, 0xBA7C4)
-    levels = sorted({k for k, _ in index})
-    by_level = {k: [a for kk, a in index if kk == k] for k in levels}
-    smallest = {
-        k: min(by_level[k], key=lambda a: cubes.mass(k, a))
-        for k in levels
-    }
-    i = 0
-    while len(batch) < n_sequences:
-        mode = i % 3
-        if mode == 0:
-            k = levels[int(rng.integers(len(levels)))]
-            ids = by_level[k]
-            take = ids if len(ids) <= 6 else list(rng.choice(ids, size=6, replace=False))
-            entries = {(k, int(a)): float(v)
-                       for a, v in zip(take, rng.standard_normal(len(take)))}
-            batch.append((f"single-level:{i}", CoefSequence(cubes, entries)))
-        elif mode == 1:
-            entries = {}
-            for k in levels:
-                ids = by_level[k]
-                take = ids if len(ids) <= 3 else list(rng.choice(ids, size=3, replace=False))
-                for a, v in zip(take, rng.standard_normal(len(take))):
-                    entries[(k, int(a))] = float(v)
-            batch.append((f"multi-level:{i}", CoefSequence(cubes, entries)))
-        else:
-            entries = {(k, int(smallest[k])): float(abs(v) + 0.5)
-                       for k, v in zip(levels, rng.standard_normal(len(levels)))}
-            batch.append((f"adversarial:{i}", CoefSequence(cubes, entries)))
-        i += 1
-    return batch[:max(n_sequences, len(index))]
+    labels = [f"delta:{k}:{alpha}" for k, alpha in index]
+    takes = [np.array([alpha for _, alpha in index], dtype=int)]
+    values = [np.ones(len(index))]
+    counts = [1] * len(index)
+    if index:
+        rng = rng_stream(seed, 0xBA7C4)
+        levels = sorted({k for k, _ in index})
+        by_level = {k: np.array([a for kk, a in index if kk == k]) for k in levels}
+        smallest = np.array([ids[np.argmin(cubes.cube_mass[k][ids])]
+                             for k, ids in by_level.items()])
+        for i in range(n_sequences - len(index)):
+            mode = i % 3
+            if mode == 0:
+                ids = by_level[levels[int(rng.integers(len(levels)))]]
+                take = ids if ids.size <= 6 else rng.choice(ids, size=6, replace=False)
+                draws = [(take, rng.standard_normal(take.size))]
+                labels.append(f"single-level:{i}")
+            elif mode == 1:
+                draws = []
+                for k in levels:
+                    ids = by_level[k]
+                    take = ids if ids.size <= 3 else rng.choice(ids, size=3, replace=False)
+                    draws.append((take, rng.standard_normal(take.size)))
+                labels.append(f"multi-level:{i}")
+            else:
+                draws = [(smallest, np.abs(rng.standard_normal(len(levels))) + 0.5)]
+                labels.append(f"adversarial:{i}")
+            for take, value in draws:
+                takes.append(take)
+                values.append(value)
+            counts.append(sum(take.size for take, _ in draws))
+    alpha = np.concatenate(takes)
+    value = np.concatenate(values)
+    # a center enters the net at one level only, so a fresh cube's id fixes its level
+    birth = np.zeros(cubes.space.n, dtype=int)
+    birth[takes[0]] = [k for k, _ in index]
+    level = birth[alpha]
+    seq = np.repeat(np.arange(len(counts)), counts)
+    order = np.lexsort((alpha, level, seq))
+    return SequenceBatch(system=cubes, labels=labels,
+                         offsets=np.concatenate(([0], np.cumsum(counts, dtype=int))),
+                         level=level[order], alpha=alpha[order], value=value[order])
 
 
 def proof_constant_besov(cubes: CubeSystem, params: EmbedParams) -> tuple:
     """(c_min, constant): c_min is the minimal fresh-cube constant in the
     window; the explicit Besov chain gives target <= c_min^{1/p1 - 1/p2} * source
     (the exponent is <= 0, so a smaller c_min weakens the bound)."""
-    window = [k for k in cubes.levels
-              if params.variant == "homogeneous" or k >= 0]
-    consts = []
-    for k in window:
-        if k == cubes.net.k_min:
-            continue
-        for alpha in cubes.fresh_cubes(k):
-            consts.append(implied_constant(cubes, k, int(alpha), params.omega))
-    if not consts:
+    const = fresh_constants(cubes, params.omega, params.variant)[2]
+    if not const.size:
         return None, None
-    c_min = min(consts)
+    c_min = float(const.min())
     expo = _inv(params.target.p) - _inv(params.source.p)
-    return float(c_min), float(c_min**expo)
+    return c_min, float(c_min**expo)
+
+
+def _ratios(batch: SequenceBatch, params: EmbedParams) -> tuple:
+    """(positions, ratios): the target/source norm ratio of every sequence
+    but the zero ones, whose 0/0 is neutral, with their batch positions. A
+    vanishing source with a nonzero target is impossible (the supports
+    coincide) and is asserted."""
+    src = batch_norms(batch, params.source)
+    tgt = batch_norms(batch, params.target)
+    vanished = np.flatnonzero((src == 0.0) & (tgt != 0.0))
+    if vanished.size:
+        raise AssertionError(
+            f"source norm vanished with target norm {float(tgt[vanished[0]])!r}; "
+            "impossible since the supports coincide"
+        )
+    nonzero = np.flatnonzero((src != 0.0) | (tgt != 0.0))
+    return nonzero, tgt[nonzero] / src[nonzero]
 
 
 def sequence_ratio(seq: CoefSequence, params: EmbedParams) -> Optional[float]:
-    """target/source norm ratio; None for the neutral 0/0 of a zero
-    sequence. A vanishing source with a nonzero target is impossible (the
-    supports coincide) and is asserted."""
-    src = sequence_norm(seq, params.source)
-    tgt = sequence_norm(seq, params.target)
-    if src == 0.0 and tgt == 0.0:
-        return None
-    if src == 0.0:
-        raise AssertionError(
-            f"source norm vanished with target norm {tgt!r}; impossible "
-            "since the supports coincide"
-        )
-    return tgt / src
+    """target/source norm ratio of one sequence; None for the neutral 0/0
+    of a zero sequence."""
+    nonzero, ratios = _ratios(SequenceBatch.of([seq]), params)
+    return float(ratios[0]) if nonzero.size else None
 
 
 def embedding_ratio_scan(cubes: CubeSystem, params: EmbedParams, *,
                          n_sequences: int = 256, seed: int = DEFAULT_SEED,
                          lower_bound_holds: Optional[bool] = None) -> ScanReport:
-    """Scan target/source ratios over a seeded batch.
+    """Scan target/source ratios over the seeded batch of ``generate_batch``."""
+    return scan_batch(generate_batch(cubes, params.variant, n_sequences, seed), params,
+                      lower_bound_holds=lower_bound_holds)
 
-    Zero sequences are skipped as neutral. For Besov pairs, when the lower
-    bound holds every ratio must stay below the constructive constant;
-    violations carry the witness sequence id.
+
+def scan_batch(batch: SequenceBatch, params: EmbedParams, *,
+               lower_bound_holds: Optional[bool] = None) -> ScanReport:
+    """Scan target/source ratios over a batch.
+
+    Zero sequences are skipped as neutral. The witness is the first
+    sequence, in batch order, of the largest ratio. For Besov pairs, when
+    the lower bound holds every ratio must stay below the constructive
+    constant; violations carry the witness sequence id, in batch order.
     """
-    batch = generate_batch(cubes, params.variant, n_sequences, seed)
+    nonzero, ratios = _ratios(batch, params)
     sup_ratio = 0.0
     witness_id = None
-    n_nonzero = 0
-    ratios = []
-    for label, seq in batch:
-        ratio = sequence_ratio(seq, params)
-        if ratio is None:
-            continue
-        n_nonzero += 1
-        ratios.append((label, ratio))
-        if ratio > sup_ratio:
-            sup_ratio = ratio
-            witness_id = label
+    above = ratios > 0.0        # NaN compares False, as it never wins a running max
+    if above.any():
+        sup_ratio = float(ratios[above].max())
+        witness_id = batch.labels[nonzero[np.flatnonzero(ratios == sup_ratio)[0]]]
 
     c_min = None
     proof_c = None
@@ -390,24 +405,23 @@ def embedding_ratio_scan(cubes: CubeSystem, params: EmbedParams, *,
     verdict = "OK"
     exploratory = False
     if params.family == "besov":
-        c_min, proof_c = proof_constant_besov(cubes, params)
+        c_min, proof_c = proof_constant_besov(batch.system, params)
         if lower_bound_holds is False:
             exploratory = True
         elif proof_c is not None:
-            for label, ratio in ratios:
-                if ratio > proof_c * (1 + 1e-9):
-                    violations.append({"id": label, "ratio": float(ratio),
-                                       "bound": proof_c})
+            for j in np.flatnonzero(ratios > proof_c * (1 + 1e-9)).tolist():
+                violations.append({"id": batch.labels[nonzero[j]], "ratio": float(ratios[j]),
+                                   "bound": proof_c})
             if violations:
                 verdict = "BOUND_VIOLATED"
     else:
         exploratory = True
 
     return ScanReport(
-        sup_ratio=float(sup_ratio),
+        sup_ratio=sup_ratio,
         witness_id=witness_id,
         n_sequences=len(batch),
-        n_nonzero=n_nonzero,
+        n_nonzero=int(nonzero.size),
         proof_constant=proof_c,
         c_min=c_min,
         violations=violations,

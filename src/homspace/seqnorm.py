@@ -16,6 +16,34 @@ constant on cells). p = inf or q = inf replace the corresponding sum by a
 sup; empty aggregates evaluate to 0; the inhomogeneous variant keeps
 levels k >= 0 (a flag controls whether k = 0 itself counts, default yes).
 
+Every norm goes through one kernel, ``batch_norms``, which scores a whole
+``SequenceBatch``: sequence i owns the entries offsets[i]:offsets[i + 1]
+of the flat arrays level, alpha and value, sorted by (k, alpha) as
+``CoefSequence`` sorts them. ``besov_norm``, ``triebel_lizorkin_norm`` and
+``weighted_rn_norm`` are one-sequence calls of it. Zero coefficients and
+levels outside the variant window are dropped first. The Besov norm is
+then an l^p over each (sequence, level) segment and an l^q over each
+sequence. The Triebel-Lizorkin norm scatter-adds each entry's term onto
+its cube's members, the slice order[k][bounds[k][alpha]:bounds[k][alpha + 1]],
+and takes a weighted L^p per sequence; sequences go through a dense
+sequence x point accumulator BLOCK_ELEMENTS entries at a time.
+
+The kernel gives the same bits as a one-sequence-at-a-time evaluation
+because it keeps these rules:
+
+  * scalar powers: the per-cube factors m^(1/p - 1/2) and m^(-1/2), the
+    per-level factors d^(-ks) and d^(-ksq), the per-entry
+    Triebel-Lizorkin term d^(-ksq) (m^(-1/2) |lam|)^q, and every final
+    (sum)^(1/p) use Python's scalar ``**``;
+  * array powers: |t|^p, |t|^q, acc^(1/q) and g^p use numpy's ``**`` on
+    whole arrays, whose elementwise result does not depend on the length
+    of the array (Python's ``**`` differs from it by an ulp on some
+    values, so the two are never mixed on one quantity);
+  * sums are ``math.fsum`` per segment (correctly rounded, so the order of
+    the terms does not matter); p = inf and q = inf are segment maxima;
+  * the scatter is ``np.bincount``, which adds in input order, entry after
+    entry, as a sequential ``acc[members] += term`` does.
+
 layer_cake_tl_norm recomputes the same L^p integral through the
 distribution function of g: since g takes finitely many values the
 integral is an exact sum over sorted level sets, giving an independent
@@ -30,12 +58,17 @@ from typing import Optional
 
 import numpy as np
 
-from homspace.common import lp_aggregate, stable_sum
+from homspace.common import stable_sum
 from homspace.dyadic import CubeSystem
 from homspace.gallery import RnDyadicGrid
 
 FAMILIES = ("besov", "triebel_lizorkin")
 VARIANTS = ("homogeneous", "inhomogeneous")
+
+# Most entries the dense sequence x point accumulator of a Triebel-Lizorkin
+# batch holds at once (64 KiB of float64); a batch is scored in blocks of
+# whole sequences under it, one sequence at least.
+BLOCK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -66,7 +99,8 @@ class NormParams:
         if not (0 < self.delta < 1):
             raise ValueError("delta must lie in (0, 1)")
 
-    def level_in_window(self, k: int) -> bool:
+    def level_in_window(self, k):
+        """Whether level k counts; k may be an array of levels."""
         if self.variant == "homogeneous":
             return True
         return k >= (0 if self.include_zero_level else 1)
@@ -126,6 +160,37 @@ class CoefSequence:
         return sorted({k for k, _ in self.entries})
 
 
+@dataclass(frozen=True)
+class SequenceBatch:
+    """Coefficient sequences on one cube system as flat arrays.
+
+    Sequence i is labelled labels[i] and owns entries offsets[i]:offsets[i + 1]
+    of level, alpha and value, sorted by (k, alpha) within the sequence.
+    """
+
+    system: CubeSystem
+    labels: list
+    offsets: np.ndarray             # (n_sequences + 1,) int
+    level: np.ndarray               # (n_entries,) int
+    alpha: np.ndarray               # (n_entries,) int
+    value: np.ndarray               # (n_entries,) float
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @classmethod
+    def of(cls, seqs: list, labels: Optional[list] = None) -> "SequenceBatch":
+        """The batch of ``seqs``, CoefSequences on one system, in order."""
+        keys = [key for seq in seqs for key in seq.entries]
+        return cls(system=seqs[0].system,
+                   labels=list(labels) if labels is not None else [None] * len(seqs),
+                   offsets=np.cumsum([0] + [len(seq.entries) for seq in seqs]),
+                   level=np.array([k for k, _ in keys], dtype=int),
+                   alpha=np.array([a for _, a in keys], dtype=int),
+                   value=np.array([v for seq in seqs for v in seq.entries.values()],
+                                  dtype=float))
+
+
 def load_sequence(path: str, system: CubeSystem, index_mode: str = "fresh") -> CoefSequence:
     """Read a JSON list of {"k": int, "alpha": int, "value": real}."""
     with open(path) as fh:
@@ -143,59 +208,145 @@ def load_sequence(path: str, system: CubeSystem, index_mode: str = "fresh") -> C
     return CoefSequence(system=system, entries=entries, index_mode=index_mode)
 
 
-def _check_backing(seq: CoefSequence, params: NormParams) -> None:
-    if abs(params.delta - seq.system.delta) > 1e-12:
+def _check_backing(delta: float, params: NormParams) -> None:
+    if abs(params.delta - delta) > 1e-12:
         raise ValueError(
             f"params.delta = {params.delta!r} does not match the backing "
-            f"system's delta = {seq.system.delta!r}"
+            f"system's delta = {delta!r}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Core aggregations (shared by the cube-backed and R^n-grid-backed norms)
-# ---------------------------------------------------------------------------
-
-def _besov_core(groups: dict, params: NormParams) -> float:
-    """groups: level -> list of (mass, |coefficient|)."""
-    s, p, q, delta = params.s, params.p, params.q, params.delta
-    per_level = []
-    for k, rows in sorted(groups.items()):
-        if not params.level_in_window(k):
-            continue
-        terms = [m ** (_inv(p) - 0.5) * a for m, a in rows if a != 0.0]
-        inner = lp_aggregate(terms, p)
-        per_level.append(delta ** (-k * s) * inner)
-    return lp_aggregate(per_level, q)
 
 
 def _inv(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
-def _tl_pointwise(n_points: int, contributions, params: NormParams) -> np.ndarray:
-    """g(x) from per-entry contributions (k, mass, |lam|, member ids)."""
+# ---------------------------------------------------------------------------
+# The batch kernel
+# ---------------------------------------------------------------------------
+
+def batch_norms(batch: SequenceBatch, params: NormParams) -> np.ndarray:
+    """The ``params.family`` norm of every sequence of ``batch``."""
+    system = batch.system
+    _check_backing(system.delta, params)
+    return _norms(batch.offsets, batch.level, batch.alpha, batch.value, params,
+                  system.cube_mass, system.order, system.bounds, system.space.weight)
+
+
+def _norms(offsets, level, alpha, value, params: NormParams,
+           cube_mass, order, bounds, weight) -> np.ndarray:
+    """Norms of the flat sequences (offsets, level, alpha, value) over a cube
+    table: cube_mass[k][alpha] is a mass, order[k]/bounds[k] slice out a
+    cube's points and weight holds the point masses."""
+    n_seq = len(offsets) - 1
+    entries = _counted(offsets, level, alpha, value, params)
+    if params.family == "besov":
+        return _besov(n_seq, *entries, params, cube_mass)
+    p = params.p
+    out = np.zeros(n_seq)
+    for first, g in _tl_functions(n_seq, *entries, params, cube_mass, order, bounds, weight.size):
+        rows = (weight * g ** p).tolist()
+        out[first:first + len(rows)] = [math.fsum(row) ** (1.0 / p) for row in rows]
+    return out
+
+
+def _counted(offsets, level, alpha, value, params: NormParams) -> tuple:
+    """(sequence, level, alpha, |value|) of the entries a norm counts: the
+    nonzero ones at levels in the variant window."""
+    keep = (value != 0.0) & params.level_in_window(level)
+    seq = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    return seq[keep], level[keep], alpha[keep], np.abs(value[keep])
+
+
+def _per_key(keys, fn) -> np.ndarray:
+    """fn(key), evaluated once per distinct key, for each entry of ``keys``."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array([fn(key) for key in distinct.tolist()], dtype=float)[inverse]
+
+
+def _per_cube(level, alpha, cube_mass, fn) -> np.ndarray:
+    """fn(mass of the entry's cube), evaluated once per distinct cube."""
+    out = np.empty(level.size)
+    for k in np.unique(level).tolist():
+        at = level == k
+        out[at] = _per_key(alpha[at], lambda a: fn(float(cube_mass[k][a])))
+    return out
+
+
+def _segment_starts(*keys) -> np.ndarray:
+    """First position of each run of equal keys (the arrays are grouped)."""
+    change = np.zeros(keys[0].size, dtype=bool)
+    change[:1] = True
+    for key in keys:
+        change[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(change)
+
+
+def _segment_lp(values, starts, p: float) -> np.ndarray:
+    """l^p of each segment values[starts[j]:starts[j + 1]]."""
+    if math.isinf(p):
+        return np.maximum.reduceat(values, starts)
+    powered = (values ** p).tolist()
+    ends = starts[1:].tolist() + [len(powered)]
+    return np.array([math.fsum(powered[i:j]) ** (1.0 / p)
+                     for i, j in zip(starts.tolist(), ends)])
+
+
+def _besov(n_seq, seq, level, alpha, a, params: NormParams, cube_mass) -> np.ndarray:
+    s, p, q, delta = params.s, params.p, params.q, params.delta
+    out = np.zeros(n_seq)
+    if not a.size:
+        return out
+    expo = _inv(p) - 0.5
+    terms = _per_cube(level, alpha, cube_mass, lambda m: m ** expo) * a
+    inner = _segment_starts(seq, level)
+    per_level = (_per_key(level[inner], lambda k: delta ** (-k * s))
+                 * _segment_lp(terms, inner, p))
+    outer = _segment_starts(seq[inner])
+    out[seq[inner][outer]] = _segment_lp(per_level, outer, q)
+    return out
+
+
+def _tl_functions(n_seq, seq, level, alpha, a, params: NormParams,
+                  cube_mass, order, bounds, n_points):
+    """Yield (first sequence, g) for consecutive blocks of sequences, g the
+    (sequences, points) array of the pointwise l^q aggregates."""
     s, q, delta = params.s, params.q, params.delta
     if math.isinf(q):
-        g = np.zeros(n_points)
-        for k, mass, a, members in contributions:
-            if not params.level_in_window(k) or a == 0.0:
-                continue
-            value = delta ** (-k * s) * mass ** (-0.5) * a
-            np.maximum.at(g, members, value)
-        return g
-    acc = np.zeros(n_points)
-    for k, mass, a, members in contributions:
-        if not params.level_in_window(k) or a == 0.0:
-            continue
-        acc[members] += delta ** (-k * s * q) * (mass ** (-0.5) * a) ** q
-    return acc ** (1.0 / q)
+        term = (_per_key(level, lambda k: delta ** (-k * s))
+                * _per_cube(level, alpha, cube_mass, lambda m: m ** (-0.5)) * a)
+    else:
+        term = np.array([f * (m * x) ** q for f, m, x in zip(
+            _per_key(level, lambda k: delta ** (-k * s * q)).tolist(),
+            _per_cube(level, alpha, cube_mass, lambda m: m ** (-0.5)).tolist(),
+            a.tolist())])
+    # each cube as a slice of the levels' orders laid end to end
+    levels = np.unique(level).tolist()
+    base = np.cumsum([0] + [order[k].size for k in levels])
+    stacked = np.concatenate([np.zeros(0, dtype=int)] + [order[k] for k in levels])
+    start = np.empty(level.size, dtype=int)
+    count = np.empty(level.size, dtype=int)
+    for k, b in zip(levels, base.tolist()):
+        at = level == k
+        start[at] = bounds[k][alpha[at]] + b
+        count[at] = bounds[k][alpha[at] + 1] - bounds[k][alpha[at]]
 
-
-def _lp_integral(g: np.ndarray, weights: np.ndarray, p: float) -> float:
-    nz = g > 0
-    if not np.any(nz):
-        return 0.0
-    return float(stable_sum(weights[nz] * g[nz] ** p) ** (1.0 / p))
+    block = max(1, BLOCK_ELEMENTS // n_points)
+    for first in range(0, n_seq, block):
+        size = min(block, n_seq - first)
+        lo, hi = np.searchsorted(seq, [first, first + size]).tolist()
+        reps = count[lo:hi]
+        ends = np.cumsum(reps)
+        # the members of entry after entry
+        points = stacked[np.arange(reps.sum()) + np.repeat(start[lo:hi] - (ends - reps), reps)]
+        flat = np.repeat((seq[lo:hi] - first) * n_points, reps) + points
+        values = np.repeat(term[lo:hi], reps)
+        if math.isinf(q):
+            acc = np.zeros(size * n_points)
+            np.maximum.at(acc, flat, values)
+            yield first, acc.reshape(size, n_points)
+        else:
+            acc = np.bincount(flat, weights=values, minlength=size * n_points)
+            yield first, acc.reshape(size, n_points) ** (1.0 / q)
 
 
 def _layer_cake_integral(g: np.ndarray, weights: np.ndarray, p: float,
@@ -241,30 +392,19 @@ def _layer_cake_integral(g: np.ndarray, weights: np.ndarray, p: float,
 
 
 # ---------------------------------------------------------------------------
-# Cube-backed norms
+# One-sequence norms
 # ---------------------------------------------------------------------------
 
 def besov_norm(seq: CoefSequence, params: NormParams) -> float:
     if params.family != "besov":
         raise ValueError("params.family must be 'besov'")
-    _check_backing(seq, params)
-    groups: dict = {}
-    for (k, alpha), value in seq.entries.items():
-        groups.setdefault(k, []).append((seq.system.mass(k, alpha), abs(value)))
-    return _besov_core(groups, params)
+    return float(batch_norms(SequenceBatch.of([seq]), params)[0])
 
 
 def triebel_lizorkin_norm(seq: CoefSequence, params: NormParams) -> float:
     if params.family != "triebel_lizorkin":
         raise ValueError("params.family must be 'triebel_lizorkin'")
-    _check_backing(seq, params)
-    g = _tl_pointwise(
-        seq.system.space.n,
-        ((k, seq.system.mass(k, alpha), abs(v), seq.system.members(k, alpha))
-         for (k, alpha), v in seq.entries.items()),
-        params,
-    )
-    return _lp_integral(g, seq.system.space.weight, params.p)
+    return float(batch_norms(SequenceBatch.of([seq]), params)[0])
 
 
 def layer_cake_tl_norm(seq: CoefSequence, params: NormParams,
@@ -272,14 +412,13 @@ def layer_cake_tl_norm(seq: CoefSequence, params: NormParams,
     """Triebel-Lizorkin norm through the distribution function of g."""
     if params.family != "triebel_lizorkin":
         raise ValueError("params.family must be 'triebel_lizorkin'")
-    _check_backing(seq, params)
-    g = _tl_pointwise(
-        seq.system.space.n,
-        ((k, seq.system.mass(k, alpha), abs(v), seq.system.members(k, alpha))
-         for (k, alpha), v in seq.entries.items()),
-        params,
-    )
-    return _layer_cake_integral(g, seq.system.space.weight, params.p, quadrature)
+    system = seq.system
+    _check_backing(system.delta, params)
+    batch = SequenceBatch.of([seq])
+    entries = _counted(batch.offsets, batch.level, batch.alpha, batch.value, params)
+    _, g = next(_tl_functions(1, *entries, params, system.cube_mass, system.order,
+                              system.bounds, system.space.n))
+    return _layer_cake_integral(g[0], system.space.weight, params.p, quadrature)
 
 
 def sequence_norm(seq: CoefSequence, params: NormParams) -> float:
@@ -305,7 +444,10 @@ def delta_sequence_norm(system: CubeSystem, k0: int, alpha0: int,
 def weighted_rn_norm(entries: dict, grid: RnDyadicGrid, params: NormParams) -> float:
     """Norm of a sequence over standard dyadic cubes Q(j, k) on a box in
     R^n, with cube masses given by the grid's weighted sums. Entries map
-    (j, kvec) -> coefficient; delta must be 1/2."""
+    (j, kvec) -> coefficient; delta must be 1/2.
+
+    The grid's cubes of level j are numbered in sorted order, which makes
+    each level a cube table for the batch kernel."""
     if abs(params.delta - 0.5) > 1e-12:
         raise ValueError("the standard dyadic grid has delta = 1/2")
     norm_entries = {}
@@ -318,19 +460,20 @@ def weighted_rn_norm(entries: dict, grid: RnDyadicGrid, params: NormParams) -> f
         grid.mass(j, kvec)  # raises for cubes off the box
         norm_entries[(j, kvec)] = norm_entries.get((j, kvec), 0.0) + float(value)
 
-    if params.family == "besov":
-        groups: dict = {}
-        for (j, kvec), value in sorted(norm_entries.items()):
-            groups.setdefault(j, []).append((grid.mass(j, kvec), abs(value)))
-        return _besov_core(groups, params)
-
-    g = _tl_pointwise(
-        grid.points.shape[0],
-        ((j, grid.mass(j, kvec), abs(v), grid.members(j, kvec))
-         for (j, kvec), v in sorted(norm_entries.items())),
-        params,
-    )
-    return _lp_integral(g, grid.weights, params.p)
+    cube_mass, order, bounds = {}, {}, {}
+    for j in {j for j, _ in norm_entries}:
+        cubes = grid.cubes(j)
+        cube_mass[j] = np.array([grid.masses[j][kvec] for kvec in cubes])
+        _, cube_of = np.unique(grid.cell[j], axis=0, return_inverse=True)
+        cube_of = cube_of.ravel()
+        order[j] = np.argsort(cube_of, kind="stable")
+        bounds[j] = np.concatenate(([0], np.cumsum(np.bincount(cube_of, minlength=len(cubes)))))
+    keys = sorted(norm_entries)
+    level = np.array([j for j, _ in keys], dtype=int)
+    alpha = np.array([grid.cubes(j).index(kvec) for j, kvec in keys], dtype=int)
+    value = np.array([norm_entries[key] for key in keys], dtype=float)
+    return float(_norms(np.array([0, len(keys)]), level, alpha, value, params,
+                        cube_mass, order, bounds, grid.weights)[0])
 
 
 def params_for(family: str, s: float, p: float, q: float, system: CubeSystem,

@@ -236,6 +236,45 @@ def test_usage_error_exit_2():
     assert main(["nonsense"]) == 2         # argparse rejects the command
 
 
+EMBED = ["embed-test", "--gallery", "euclidean_grid", "--n", "16",
+         "--s1", "0.5", "--p1", "2", "--s2", "1", "--p2", "1"]
+KERNEL = ["kernel-check", "--gallery", "euclidean_grid", "--n", "16"]
+MAXIMAL = ["maximal", "--gallery", "euclidean_grid", "--n", "16"]
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (EMBED, "--n-sequences", "-3"),
+    (EMBED, "--n-sequences", "0"),
+    (KERNEL, "--calibration", "0"),
+    (KERNEL, "--trials", "-2"),
+    (MAXIMAL, "--random", "-1"),
+    (MAXIMAL, "--random", "0"),
+    (MAXIMAL, "--random", "two"),
+])
+def test_counts_below_one_exit_2(tmp_path, capsys, argv, flag, value):
+    code, text = run(tmp_path, *argv, flag, value)
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    expected = f"got {value}" if value.lstrip("-").isdigit() else f"got {value!r}"
+    assert f"argument {flag}: must be" in err and expected in err
+
+
+def test_python_m_homspace_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "homspace", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "embed-test" in done.stdout
+
+
 def test_analyze_squared_line_above_512_points(tmp_path):
     # (a + b)^2 <= 2 (a^2 + b^2): squared distances on a line have A0 <= 2
     pts = np.sort(np.random.default_rng(1).random(520))

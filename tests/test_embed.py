@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,11 +12,14 @@ from homspace.embed import (
     delta_necessity_test,
     delta_ratio,
     embedding_ratio_scan,
+    generate_batch,
     implied_constant,
     proof_constant_besov,
+    scan_batch,
+    sequence_ratio,
 )
 from homspace.gallery import unit_dyadic_lattice
-from homspace.seqnorm import CoefSequence, NormParams, sequence_norm
+from homspace.seqnorm import CoefSequence, NormParams, SequenceBatch, sequence_norm
 from homspace.space import FiniteHomSpace
 
 from conftest import build_system
@@ -145,13 +149,104 @@ def test_scan_sound_on_uniform_grid(grid64_cubes):
     assert proof == pytest.approx(c_min ** (1 / 2 - 1 / 1))
 
 
+@pytest.fixture(scope="module")
+def singular_cubes():
+    sp = gallery.build(gallery.GallerySpec(kind="weighted_grid", n=129, dim=1,
+                                           alpha=2.0, beta=0.0, extent=2.0))
+    return build_system(sp)
+
+
 def test_zero_sequence_ratio_neutral(grid64_cubes):
-    from homspace.embed import sequence_ratio
+    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    zero = CoefSequence(grid64_cubes, {index[0]: 0.0})
+    live = CoefSequence(grid64_cubes, {index[0]: 2.0})
+    assert sequence_ratio(zero, params) is None
+    assert sequence_ratio(live, params) is not None
+    # in a scan, zero sequences (with and without entries) are skipped and
+    # left out of n_nonzero
+    empty = CoefSequence(grid64_cubes, {})
+    report = scan_batch(SequenceBatch.of([zero, live, empty, zero], ["z0", "live", "e", "z1"]),
+                        params)
+    assert (report.n_sequences, report.n_nonzero) == (4, 1)
+    assert report.witness_id == "live"
+    assert report.sup_ratio == sequence_ratio(live, params)
+
+
+def test_scan_witness_is_first_maximum(grid64_cubes):
+    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    seqs = [CoefSequence(grid64_cubes, {key: 1.0}) for key in index[:12]]
+    ratios = [sequence_ratio(seq, params) for seq in seqs]
+    best = max(ratios)
+    top = ratios.index(best)
+    # the winner again at the end, under another label, and a copy of it
+    # scaled: equal ratios must not move the witness off the first one
+    seqs += [seqs[top], seqs[top].scaled(3.0)]
+    labels = [f"s{i}" for i in range(len(seqs))]
+    report = scan_batch(SequenceBatch.of(seqs, labels), params)
+    assert report.witness_id == f"s{top}"
+    assert report.sup_ratio == best
+
+
+def test_scan_violations_keep_batch_order(grid64_cubes, monkeypatch):
+    # the constructive constant holds on every batch, so lower it to the
+    # median ratio: the violations are then the sequences above it
+    from homspace import embed
 
     params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
-    key = grid64_cubes.index_cubes("homogeneous", "fresh")[0]
-    assert sequence_ratio(CoefSequence(grid64_cubes, {key: 0.0}), params) is None
-    assert sequence_ratio(CoefSequence(grid64_cubes, {key: 2.0}), params) is not None
+    batch = generate_batch(grid64_cubes, params.variant, 96, seed=3)
+    entries = np.split(np.stack([batch.level, batch.alpha, batch.value], axis=1),
+                       batch.offsets[1:-1])
+    ratios = [sequence_ratio(CoefSequence(grid64_cubes,
+                                          {(int(k), int(a)): v for k, a, v in rows}), params)
+              for rows in entries]
+    bound = float(np.median(ratios))
+    monkeypatch.setattr(embed, "proof_constant_besov", lambda cubes, params: (1.0, bound))
+    report = scan_batch(batch, params, lower_bound_holds=True)
+    assert report.verdict == "BOUND_VIOLATED"
+    expected = [{"id": label, "ratio": ratio, "bound": bound}
+                for label, ratio in zip(batch.labels, ratios) if ratio > bound * (1 + 1e-9)]
+    assert len(expected) >= 10
+    assert report.violations == expected
+
+
+def test_scan_asserts_a_vanishing_source(singular_cubes):
+    # the source leaves out level 0 and the target keeps it, so a delta at
+    # level 0 has a zero source norm and a nonzero target norm
+    params = besov_pair(singular_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0,
+                        variant="inhomogeneous")
+    params = EmbedParams(source=dataclasses.replace(params.source, include_zero_level=False),
+                         target=params.target, omega=params.omega)
+    assert any(k == 0 for k, _ in singular_cubes.index_cubes("inhomogeneous", "fresh"))
+    with pytest.raises(AssertionError, match="source norm vanished"):
+        embedding_ratio_scan(singular_cubes, params, n_sequences=16)
+
+
+@pytest.mark.parametrize("n_sequences", [-5, 0, 3, None])
+def test_short_batches_keep_every_delta(grid64_cubes, n_sequences):
+    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    n_sequences = len(index) if n_sequences is None else n_sequences
+    batch = generate_batch(grid64_cubes, "homogeneous", n_sequences, seed=1)
+    assert batch.labels == [f"delta:{k}:{a}" for k, a in index]
+    assert batch.offsets.tolist() == list(range(len(index) + 1))
+    assert list(zip(batch.level.tolist(), batch.alpha.tolist())) == index
+    assert batch.value.tolist() == [1.0] * len(index)
+    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    report = embedding_ratio_scan(grid64_cubes, params, n_sequences=n_sequences)
+    assert report.n_sequences == report.n_nonzero == len(index)
+
+
+def test_batch_sequences_are_sorted_fresh_cubes(grid64_cubes):
+    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    batch = generate_batch(grid64_cubes, "homogeneous", 300, seed=5)
+    assert len(batch) == 300 and batch.offsets[-1] == batch.level.size
+    kinds = [label.split(":")[0] for label in batch.labels[len(index):]]
+    assert kinds[:6] == ["single-level", "multi-level", "adversarial"] * 2
+    fresh = set(index)
+    for i, j in zip(batch.offsets[:-1].tolist(), batch.offsets[1:].tolist()):
+        keys = list(zip(batch.level[i:j].tolist(), batch.alpha[i:j].tolist()))
+        assert keys and keys == sorted(set(keys)) and set(keys) <= fresh
 
 
 def test_scan_deterministic(grid64_cubes):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from homspace import gallery, seqnorm
 from homspace.common import rng_stream
 from homspace.gallery import unit_dyadic_lattice
 from homspace.seqnorm import (
     CoefSequence,
     NormParams,
+    SequenceBatch,
+    batch_norms,
     besov_norm,
     delta_sequence_norm,
     layer_cake_tl_norm,
@@ -17,6 +21,7 @@ from homspace.seqnorm import (
     weighted_rn_norm,
 )
 
+import conftest
 from helpers import brute_besov, brute_tl
 
 INF = math.inf
@@ -179,6 +184,178 @@ def test_support_monotonicity(grid64_cubes):
     base = CoefSequence(grid64_cubes, {index[0]: 0.7, index[4]: -1.1})
     bigger = CoefSequence(grid64_cubes, {**base.entries, index[9]: 0.3})
     assert besov_norm(bigger, params) >= besov_norm(base, params)
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def weighted_cubes():
+    # |x|^2 density on [-2, 2]: levels -1, 0, 1 and cube masses spread over
+    # orders of magnitude
+    sp = gallery.build(gallery.GallerySpec(kind="weighted_grid", n=65, dim=1,
+                                           alpha=2.0, beta=0.0, extent=2.0))
+    return conftest.build_system(sp)
+
+
+@pytest.fixture(scope="module")
+def cantor_cubes():
+    return conftest.build_system(gallery.build(gallery.GallerySpec(kind="cantor", depth=6)))
+
+
+EXPONENTS = [1 / 3, 0.5, 1.0, 1.7, 2.0, INF]
+COEFFICIENTS = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def cube_batches(draw, cubes):
+    """Entries on any cube of any level (index mode "all"): up to five
+    sequences of up to eight entries, zero coefficients included."""
+    keys = [(k, int(a)) for k in cubes.levels for a in cubes.cubes(k)]
+    seqs = []
+    for _ in range(draw(st.integers(1, 5))):
+        support = draw(st.lists(st.sampled_from(keys), max_size=8, unique=True))
+        values = draw(st.lists(COEFFICIENTS, min_size=len(support), max_size=len(support)))
+        seqs.append(CoefSequence(cubes, dict(zip(support, values)), index_mode="all"))
+    return seqs
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), family=st.sampled_from(["besov", "triebel_lizorkin"]),
+       s=st.sampled_from([-0.6, 0.0, 0.45]), p=st.sampled_from(EXPONENTS),
+       q=st.sampled_from(EXPONENTS), variant=st.sampled_from(["homogeneous", "inhomogeneous"]),
+       include_zero_level=st.booleans())
+def test_batch_norms_match_brute_force(weighted_cubes, data, family, s, p, q, variant,
+                                       include_zero_level):
+    if family == "triebel_lizorkin" and math.isinf(p):
+        p = 1.7
+    cubes = weighted_cubes
+    seqs = data.draw(cube_batches(cubes))
+    params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family=family, variant=variant,
+                        include_zero_level=include_zero_level)
+    norms = batch_norms(SequenceBatch.of(seqs), params)
+    assert norms.shape == (len(seqs),)
+    space = cubes.space
+    floor = 0 if include_zero_level else 1
+    level_ok = lambda k: variant == "homogeneous" or k >= floor
+    for seq, got in zip(seqs, norms.tolist()):
+        masses, members = oracle_data(seq)
+        if family == "besov":
+            want = brute_besov(seq.entries, masses, cubes.delta, s, p, q, level_ok)
+        else:
+            want = brute_tl(seq.entries, masses, members, space.weight, space.n, cubes.delta,
+                            s, p, q, level_ok)
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (seq.entries, got, want)
+
+
+@pytest.mark.parametrize("family", ["besov", "triebel_lizorkin"])
+def test_batch_norms_empty_and_zero_sequences(grid64_cubes, family):
+    cubes = grid64_cubes
+    index = cubes.index_cubes("homogeneous", "fresh")
+    live = CoefSequence(cubes, {index[0]: 0.0, index[3]: -1.5, index[-1]: 0.25})
+    seqs = [CoefSequence(cubes, {}), CoefSequence(cubes, {index[2]: 0.0, index[5]: 0.0}), live,
+            CoefSequence(cubes, {})]
+    params = NormParams(s=0.3, p=1.7, q=0.5, delta=cubes.delta, family=family)
+    norms = batch_norms(SequenceBatch.of(seqs), params)
+    assert norms.tolist() == [0.0, 0.0, sequence_norm(live, params), 0.0]
+    assert batch_norms(SequenceBatch.of(seqs[:1]), params).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, INF])
+@pytest.mark.parametrize("rows", [0, 7])
+def test_tl_blocks_give_the_same_bits(grid64_cubes, monkeypatch, q, rows):
+    # a block smaller than one row still takes one sequence; blocks of 7
+    # rows leave a partial last block
+    cubes = grid64_cubes
+    seqs = random_sequences(cubes, 40, seed=606)
+    params = NormParams(s=0.2, p=0.8, q=q, delta=cubes.delta, family="triebel_lizorkin")
+    whole = batch_norms(SequenceBatch.of(seqs), params)
+    monkeypatch.setattr(seqnorm, "BLOCK_ELEMENTS", rows * cubes.space.n + cubes.space.n // 2)
+    assert batch_norms(SequenceBatch.of(seqs), params).tolist() == whole.tolist()
+    monkeypatch.undo()
+    assert whole.tolist() == [triebel_lizorkin_norm(seq, params) for seq in seqs]
+
+
+# Norms of seeded sequences, recorded with the one-sequence-at-a-time
+# evaluation that preceded the batch kernel: any moved ulp fails.
+PINNED = {
+    ("grid64", "besov", 0.3, 1.7, 1 / 3): [
+        "38.84445979303671", "5.2685652304625705", "41.50580484034167", "27.167917583305904",
+        "6.594220096276924", "76.98582159083038", "41.91616400289649", "50.70974981310445",
+        "28.298411053709163", "45.449056599393685",
+    ],
+    ("grid64", "besov", -0.4, INF, 2.5): [
+        "1.2196765129614993", "0.3376375935151184", "1.8266431064826234", "0.6850849657174569",
+        "0.5414522643828116", "2.0591707476034946", "2.542603129142901", "2.4671592028978377",
+        "2.078812724120972", "3.4660714596691187",
+    ],
+    ("grid64", "besov", 0.6, 0.5, INF): [
+        "0.39039689349499374", "0.4588185457392194", "0.41538550636021015",
+        "1.1412891078791776", "0.34536289306890305", "1.0518398890521679",
+        "1.1348964721865644", "1.3576996336703917", "0.365134628343679", "0.9765931570828051",
+    ],
+    ("grid64", "triebel_lizorkin", 0.2, 1 / 3, 1.7): [
+        "0.02291102960755899", "0.0012884964145595563", "0.004626942961958371",
+        "0.006769078103515724", "0.0006601070612146905", "0.10665763160078176",
+        "0.09375131714246172", "0.08872683288002979", "0.012289022583777521",
+        "0.07195121785872201",
+    ],
+    ("grid64", "triebel_lizorkin", -0.1, 3.0, INF): [
+        "1.6441947186329553", "0.7879860124739865", "1.985744586586664", "1.5425785845294657",
+        "1.099054924484147", "3.3247147117714446", "2.667295261428052", "2.839989054742941",
+        "2.2887458476807163", "3.2668479805231385",
+    ],
+    ("cantor", "besov", 0.3, 1.7, 1 / 3): [
+        "11.368237211958578", "5.2685652304625705", "42.525597330435275", "11.152859343270356",
+        "6.594220096276924", "67.18710660204441", "57.430234331801735", "67.39462923133027",
+        "12.878157273363415", "19.628098920882447",
+    ],
+    ("cantor", "besov", -0.4, INF, 2.5): [
+        "0.5779403805850348", "0.3376375935151184", "1.3785069996167665", "0.661035283652374",
+        "0.5414522643828116", "1.5907826055350194", "1.8594875035199734", "1.3455214313099173",
+        "0.7526578483132923", "1.0747647399446136",
+    ],
+    ("cantor", "besov", 0.6, 0.5, INF): [
+        "1.723557752772722", "0.4588185457392194", "0.41538550636021015", "1.5247927194848576",
+        "0.34536289306890305", "2.876350511227446", "2.0075234783891602", "2.325323694920527",
+        "1.2147395542970738", "5.20017485122266",
+    ],
+    ("cantor", "triebel_lizorkin", 0.2, 1 / 3, 1.7): [
+        "0.006675446412070489", "0.0012884964145595563", "0.011433445051831206",
+        "0.005773706749814651", "0.0006601070612146905", "0.1793763702354378",
+        "0.09722095850712177", "0.3951822627925628", "0.003480537312248169",
+        "0.03624123777020657",
+    ],
+    ("cantor", "triebel_lizorkin", -0.1, 3.0, INF): [
+        "1.4982434493377081", "0.7879860124739865", "1.8907674475484322", "1.5424430252584915",
+        "1.099054924484147", "3.234471303168751", "2.30844644116152", "2.3070898350017686",
+        "1.8823459016769888", "2.5863472008883264",
+    ],
+}
+
+
+@pytest.mark.parametrize("system", ["grid64", "cantor"])
+def test_pinned_norm_bits(grid64_cubes, cantor_cubes, system):
+    cubes = grid64_cubes if system == "grid64" else cantor_cubes
+    rng = rng_stream(2024, 0x919)
+    index = cubes.index_cubes("homogeneous", "fresh")
+    seqs = []
+    for _ in range(10):
+        size = int(rng.integers(1, 9))
+        picks = rng.choice(len(index), size=size, replace=False)
+        seqs.append(CoefSequence(cubes, {index[i]: float(v)
+                                         for i, v in zip(picks, rng.standard_normal(size))}))
+    batch = SequenceBatch.of(seqs)
+    checked = 0
+    for (name, family, s, p, q), want in PINNED.items():
+        if name != system:
+            continue
+        params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family=family)
+        assert [repr(v) for v in batch_norms(batch, params).tolist()] == want
+        assert [repr(sequence_norm(seq, params)) for seq in seqs] == want
+        checked += 1
+    assert checked == 5
 
 
 # ---------------------------------------------------------------------------
