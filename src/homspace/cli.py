@@ -164,7 +164,7 @@ def _resolve_omega(args, sp) -> float:
         return args.omega
     if sp.declared_omega is not None:
         return float(sp.declared_omega)
-    fitted = space_mod.fit_mass_exponent(sp, seed=args.seed)
+    fitted = space_mod.fit_mass_exponent(sp)
     if fitted is None:
         raise ValueError("cannot infer omega on this space; pass --omega")
     return fitted
@@ -191,7 +191,7 @@ def _config_echo(args) -> dict:
 
 def cmd_analyze(args) -> dict:
     sp = _resolve_space(args)
-    stats = space_mod.space_stats(sp, seed=args.seed)
+    stats = space_mod.space_stats(sp)
     report = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -207,13 +207,13 @@ def cmd_analyze(args) -> dict:
         report["omega_used"] = omega
         if args.check_lower_bound:
             lb = space_mod.check_lower_bound(
-                sp, omega, sp.r_floor, max(sp.diameter, sp.r_floor * 2), seed=args.seed)
+                sp, omega, sp.r_floor, max(sp.diameter, sp.r_floor * 2))
             report["lower_bound"] = lb.to_dict()
         if args.check_local_lower_bound:
-            lb = space_mod.check_local_lower_bound(sp, omega, seed=args.seed)
+            lb = space_mod.check_local_lower_bound(sp, omega)
             report["local_lower_bound"] = lb.to_dict()
     if args.check_reverse_doubling is not None:
-        rev = space_mod.check_reverse_doubling(sp, args.check_reverse_doubling, seed=args.seed)
+        rev = space_mod.check_reverse_doubling(sp, args.check_reverse_doubling)
         report["reverse_doubling"] = rev.to_dict()
     return report
 

@@ -20,10 +20,13 @@ Construction contract (all of it re-verified on every build):
 
 Cube indices are center point ids, so level-k cube alpha is the set of
 points whose level-k assignment equals alpha; per-level arrays indexed by
-point id hold the members (as contiguous slices) and the masses. A cube
-is "fresh" at the
-first level where its center enters the net; fresh cubes are the index
-set carried by coefficient sequences.
+point id hold the members (as contiguous slices) and the masses. The net
+records one ``birth`` array, the level at which each point enters it, and
+every level's centers are the points born by then. A cube is "fresh" at
+its center's birth level (k_min excluded: the coarsest centers are born
+before the window); fresh cubes are the index set carried by coefficient
+sequences, and ``CubeSystem.fresh_index``/``is_index`` read them off
+``birth``.
 
 Scale bookkeeping: levels whose nominal scale delta^k drops below the
 space's resolution floor exist for completeness but are excluded from
@@ -97,6 +100,7 @@ class NetSystem:
     k_min: int
     k_max: int
     centers: dict                   # level -> sorted ndarray of point ids
+    birth: np.ndarray               # (n,) level a point enters the net, k_max + 1 if none
 
     @property
     def levels(self) -> range:
@@ -112,14 +116,7 @@ class NetSystem:
         """X^{k+1} minus X^k, for k in [k_min, k_max - 1]."""
         if not (self.k_min <= k < self.k_max):
             raise KeyError(f"new centers undefined at level {k}")
-        return np.setdiff1d(self.centers[k + 1], self.centers[k])
-
-    def fresh_centers(self, k: int) -> np.ndarray:
-        """Centers entering the net at level k (k_min excluded: birth levels
-        of the coarsest centers predate the window)."""
-        if not (self.k_min < k <= self.k_max):
-            raise KeyError(f"fresh centers undefined at level {k}")
-        return self.new_centers(k - 1)
+        return np.flatnonzero(self.birth == k + 1)
 
 
 def build_nets(space: FiniteHomSpace, delta: float, c0: float, C0: float,
@@ -151,19 +148,19 @@ def build_nets(space: FiniteHomSpace, delta: float, c0: float, C0: float,
     order = rng_stream(seed, 0xD7).permutation(n)
     dist = space.dist
 
-    centers: dict = {}
-    chosen: list = []
+    birth = np.full(n, k_max + 1)
     min_dist = np.full(n, np.inf)
     for k in range(k_min, k_max + 1):
         sep = c0 * delta**k
         for i in order:
-            if min_dist[i] >= sep:
-                chosen.append(int(i))
+            if min_dist[i] >= sep:      # d(i, i) = 0 keeps a center from rejoining
+                birth[i] = k
                 np.minimum(min_dist, dist[i], out=min_dist)
-        centers[k] = np.array(sorted(chosen), dtype=int)
+    birth.flags.writeable = False
 
     net = NetSystem(delta=float(delta), c0=float(c0), C0=float(C0), a0=float(a0),
-                    k_min=k_min, k_max=k_max, centers=centers)
+                    k_min=k_min, k_max=k_max, birth=birth,
+                    centers={k: np.flatnonzero(birth <= k) for k in range(k_min, k_max + 1)})
     _verify_net(net, space)
     return net
 
@@ -243,29 +240,10 @@ class CubeSystem:
         return [int(b) for b in kids[self.assignment[k][kids] == int(alpha)]]
 
     def fresh_cubes(self, k: int) -> np.ndarray:
-        return self.net.fresh_centers(k)
-
-    def index_cubes(self, variant: str = "homogeneous", mode: str = "fresh"):
-        """Deterministic (k, alpha) index list for coefficient sequences.
-
-        ``fresh`` restricts to cubes at the level where their center enters
-        the net (the wavelet-style index set); ``all`` exposes every cube.
-        The inhomogeneous variant keeps levels k >= 0 only.
-        """
-        out = []
-        for k in self.levels:
-            if variant == "inhomogeneous" and k < 0:
-                continue
-            if mode == "fresh":
-                if k == self.net.k_min:
-                    continue
-                ids = self.fresh_cubes(k)
-            elif mode == "all":
-                ids = self.cubes(k)
-            else:
-                raise ValueError(f"unknown index mode {mode!r}")
-            out.extend((k, int(a)) for a in ids)
-        return out
+        """Cubes whose center is born at level k, for k in (k_min, k_max]."""
+        if not (self.net.k_min < k <= self.net.k_max):
+            raise KeyError(f"fresh cubes undefined at level {k}")
+        return np.flatnonzero(self.net.birth == k)
 
     def memo(self, key, build):
         """``build()``, computed once per system and key (tables derived from
@@ -274,21 +252,46 @@ class CubeSystem:
             self._memo[key] = build()
         return self._memo[key]
 
-    def _index(self, mode: str) -> tuple:
+    def fresh_index(self, variant: str = "homogeneous") -> tuple:
+        """(level, alpha): read-only arrays of every fresh cube in the
+        variant window (the inhomogeneous one keeps k >= 0), by level then
+        cube id; built once per system and variant."""
+        if variant not in ("homogeneous", "inhomogeneous"):
+            raise ValueError(f"unknown variant {variant!r}")
+
         def build():
-            ordered = tuple(self.index_cubes("homogeneous", mode))
-            return ordered, frozenset(ordered)
-        return self.memo(("index", mode), build)
+            net = self.net
+            low = net.k_min if variant == "homogeneous" else max(net.k_min, -1)
+            alpha = np.flatnonzero((net.birth > low) & (net.birth <= net.k_max))
+            alpha = alpha[np.argsort(net.birth[alpha], kind="stable")]
+            level = net.birth[alpha]
+            level.flags.writeable = alpha.flags.writeable = False
+            return level, alpha
+        return self.memo(("fresh_index", variant), build)
 
-    def index_list(self, mode: str = "fresh") -> tuple:
-        """The homogeneous ``index_cubes`` of ``mode``, in order, built once
-        per system."""
-        return self._index(mode)[0]
+    def index_cubes(self, variant: str = "homogeneous", mode: str = "fresh") -> list:
+        """A new (k, alpha) list of the coefficient-sequence index, by level
+        then cube id: ``fresh`` holds the cubes at their center's birth level
+        (the wavelet-style index set), ``all`` every cube. The inhomogeneous
+        variant keeps levels k >= 0 only."""
+        if mode == "fresh":
+            level, alpha = self.fresh_index(variant)
+            return list(zip(level.tolist(), alpha.tolist()))
+        if mode != "all":
+            raise ValueError(f"unknown index mode {mode!r}")
+        return [(k, int(a)) for k in self.levels
+                if variant != "inhomogeneous" or k >= 0 for a in self.cubes(k)]
 
-    def index_set(self, mode: str = "fresh") -> frozenset:
-        """``index_list`` as a set (coefficient sequences check their keys
-        against it)."""
-        return self._index(mode)[1]
+    def is_index(self, k: int, alpha: int, mode: str = "fresh") -> bool:
+        """Whether (k, alpha) is in the homogeneous ``index_cubes`` of ``mode``;
+        a level off the window or an id off the points is not."""
+        net = self.net
+        if mode not in ("fresh", "all"):
+            raise ValueError(f"unknown index mode {mode!r}")
+        if not (k <= net.k_max and 0 <= alpha < net.birth.size):
+            return False
+        born = net.birth[alpha]         # >= k_min, so no level below the window passes
+        return bool(born == k > net.k_min) if mode == "fresh" else bool(born <= k)
 
     def resolved_levels(self) -> list:
         """Levels whose nominal scale delta^k stays at or above r_floor."""
@@ -336,7 +339,7 @@ def build_cubes(net: NetSystem, space: FiniteHomSpace) -> CubeSystem:
     for k in reversed(range(net.k_min, net.k_max)):
         fine, coarse = net.centers[k + 1], net.centers[k]
         parent = fine.copy()
-        new = ~np.isin(fine, coarse)
+        new = net.birth[fine] == k + 1
         parent[new] = coarse[np.argmin(dist[np.ix_(fine[new], coarse)], axis=1)]
         assignment[k] = parent[np.searchsorted(fine, assignment[k + 1])]
 
@@ -602,18 +605,15 @@ def propagate_cube_lower_bound(cubes: CubeSystem, C: float, omega: float,
         raise ValueError("C must be nonnegative")
 
     slack = 1.0 - 1e-12
-    for k in net.levels:
-        if k == net.k_min:
-            continue
-        if index_set == "fresh-nonneg" and k < 0:
-            continue
-        for alpha in cubes.fresh_cubes(k):
-            need = C * net.delta ** (k * omega)
-            if cubes.mass(k, alpha) < need * slack:
-                raise HypothesisViolated(
-                    f"hypothesis violated: fresh cube (k={k}, alpha={int(alpha)}) has "
-                    f"mass {cubes.mass(k, alpha):g} < {need:g}"
-                )
+    variant = "homogeneous" if index_set == "fresh-all" else "inhomogeneous"
+    level, ids = cubes.fresh_index(variant)
+    for k, alpha in zip(level.tolist(), ids.tolist()):
+        need = C * net.delta ** (k * omega)
+        if cubes.mass(k, alpha) < need * slack:
+            raise HypothesisViolated(
+                f"hypothesis violated: fresh cube (k={k}, alpha={alpha}) has "
+                f"mass {cubes.mass(k, alpha):g} < {need:g}"
+            )
 
     chain = max_single_child_chain(cubes)
     m_end = [m for per in chain.branching.values() for m in per.values() if m >= 2]

@@ -151,13 +151,12 @@ def fresh_constants(cubes: CubeSystem, omega: float, variant: str) -> tuple:
     cube in the variant window, by level then cube id; one table per
     (system, omega, variant)."""
     def build():
-        levels = [k for k in cubes.levels if k != cubes.net.k_min
-                  and (variant == "homogeneous" or k >= 0)]
-        ids = [cubes.fresh_cubes(k) for k in levels]
-        return (np.repeat(np.array(levels, dtype=int), [a.size for a in ids]),
-                np.concatenate([np.zeros(0, dtype=int), *ids]),
-                np.concatenate([np.zeros(0)] + [implied_constant(cubes, k, a, omega)
-                                                for k, a in zip(levels, ids)]))
+        level, alpha = cubes.fresh_index(variant)
+        const = np.zeros(alpha.size)
+        for k in np.unique(level).tolist():
+            at = level == k
+            const[at] = implied_constant(cubes, k, alpha[at], omega)
+        return level, alpha, const
     return cubes.memo(("fresh_constants", omega, variant), build)
 
 
@@ -293,28 +292,27 @@ def generate_batch(cubes: CubeSystem, variant: str, n_sequences: int,
     thirds of single-level, multi-level, and adversarial draws (the latter
     concentrate coefficients on the smallest-mass cubes per level), up to
     ``n_sequences`` in all."""
-    index = cubes.index_cubes(variant, "fresh")
-    labels = [f"delta:{k}:{alpha}" for k, alpha in index]
-    takes = [np.array([alpha for _, alpha in index], dtype=int)]
-    values = [np.ones(len(index))]
-    counts = [1] * len(index)
-    if index:
+    fresh_level, fresh_alpha = cubes.fresh_index(variant)
+    labels = [f"delta:{k}:{a}" for k, a in zip(fresh_level.tolist(), fresh_alpha.tolist())]
+    takes = [fresh_alpha]
+    values = [np.ones(fresh_alpha.size)]
+    counts = [1] * fresh_alpha.size
+    if fresh_alpha.size:
         rng = rng_stream(seed, 0xBA7C4)
-        levels = sorted({k for k, _ in index})
-        by_level = {k: np.array([a for kk, a in index if kk == k]) for k in levels}
+        levels = np.unique(fresh_level).tolist()
+        by_level = [fresh_alpha[fresh_level == k] for k in levels]
         smallest = np.array([ids[np.argmin(cubes.cube_mass[k][ids])]
-                             for k, ids in by_level.items()])
-        for i in range(n_sequences - len(index)):
+                             for k, ids in zip(levels, by_level)])
+        for i in range(n_sequences - fresh_alpha.size):
             mode = i % 3
             if mode == 0:
-                ids = by_level[levels[int(rng.integers(len(levels)))]]
+                ids = by_level[int(rng.integers(len(levels)))]
                 take = ids if ids.size <= 6 else rng.choice(ids, size=6, replace=False)
                 draws = [(take, rng.standard_normal(take.size))]
                 labels.append(f"single-level:{i}")
             elif mode == 1:
                 draws = []
-                for k in levels:
-                    ids = by_level[k]
+                for ids in by_level:
                     take = ids if ids.size <= 3 else rng.choice(ids, size=3, replace=False)
                     draws.append((take, rng.standard_normal(take.size)))
                 labels.append(f"multi-level:{i}")
@@ -327,10 +325,7 @@ def generate_batch(cubes: CubeSystem, variant: str, n_sequences: int,
             counts.append(sum(take.size for take, _ in draws))
     alpha = np.concatenate(takes)
     value = np.concatenate(values)
-    # a center enters the net at one level only, so a fresh cube's id fixes its level
-    birth = np.zeros(cubes.space.n, dtype=int)
-    birth[takes[0]] = [k for k, _ in index]
-    level = birth[alpha]
+    level = cubes.net.birth[alpha]      # a fresh cube's level is its center's birth
     seq = np.repeat(np.arange(len(counts)), counts)
     order = np.lexsort((alpha, level, seq))
     return SequenceBatch(system=cubes, labels=labels,
@@ -475,10 +470,10 @@ def characterize(space: FiniteHomSpace, cubes: CubeSystem, params: EmbedParams, 
     trend = trend or TrendConfig()
     omega = params.omega
     if params.variant == "inhomogeneous":
-        lb = check_local_lower_bound(space, omega, seed=seed, trend=trend)
+        lb = check_local_lower_bound(space, omega, trend=trend)
     else:
         lb = check_lower_bound(space, omega, space.r_floor, max(space.diameter, space.r_floor * 2),
-                               seed=seed, trend=trend)
+                               trend=trend)
     necessity = delta_necessity_test(cubes, params, trend=trend)
     scan = embedding_ratio_scan(cubes, params, n_sequences=n_sequences, seed=seed,
                                 lower_bound_holds=(lb.verdict == "PASS"))

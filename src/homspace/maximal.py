@@ -37,6 +37,7 @@ import numpy as np
 
 from homspace.common import DEFAULT_SEED, rng_stream, stable_sum
 from homspace.dyadic import CubeSystem
+from homspace.embed import fresh_constants
 from homspace.seqnorm import CoefSequence
 from homspace.space import ROW_BLOCK, FiniteHomSpace
 
@@ -170,7 +171,7 @@ def almost_orth_kernel(cubes: CubeSystem, k: int, alpha: int, j: int, tau: int,
 
 
 def _require_fresh(cubes: CubeSystem, k: int, alpha: int) -> None:
-    if (k, int(alpha)) not in cubes.index_set("fresh"):
+    if not cubes.is_index(k, int(alpha)):
         raise ValueError(f"(k={k}, alpha={int(alpha)}) is not a fresh cube of the system")
 
 
@@ -220,7 +221,7 @@ def kernel_maximal_bound_check(cubes: CubeSystem, seq: CoefSequence, k: int, j: 
                if kk == k and value != 0.0]
     tau = cubes.point_cube(j, x)
     lhs = 0.0
-    if (j, tau) in cubes.index_set("fresh"):
+    if cubes.is_index(j, tau):
         denoms = _v_denominators(space, [x_a for x_a, _ in level_k], tau, s)
         terms = []
         for (x_a, value), denom in zip(level_k, denoms):
@@ -280,10 +281,11 @@ def _probe_points(cubes: CubeSystem, rng) -> list:
 
 
 def random_sequence(cubes: CubeSystem, rng, scale: float = 1.0) -> CoefSequence:
-    index = cubes.index_list("fresh")
-    take = index if len(index) <= 12 else \
-        [index[i] for i in rng.choice(len(index), size=12, replace=False)]
-    entries = {key: scale * float(v) for key, v in zip(take, rng.standard_normal(len(take)))}
+    level, alpha = cubes.fresh_index()
+    take = np.arange(alpha.size) if alpha.size <= 12 else \
+        rng.choice(alpha.size, size=12, replace=False)
+    keys = zip(level[take].tolist(), alpha[take].tolist())
+    entries = {key: scale * float(v) for key, v in zip(keys, rng.standard_normal(take.size))}
     return CoefSequence(cubes, entries)
 
 
@@ -302,11 +304,10 @@ def calibrate_kernel_bound(cubes: CubeSystem, params: KernelParams, *,
             res = kernel_maximal_bound_check(cubes, seq, k, j, x, params)
             if res.ratio is not None and math.isfinite(res.ratio):
                 worst = max(worst, res.ratio)
-    consts = [cubes.mass(k, alpha) / cubes.delta ** (k * params.omega)
-              for k, alpha in cubes.index_set("fresh")]
+    consts = fresh_constants(cubes, params.omega, "homogeneous")[2]
     return KernelCalibration(
         c_report=worst,
         n_samples=n_sequences * len(probes),
-        cube_bound_constant=min(consts) if consts else 0.0,
+        cube_bound_constant=float(consts.min()) if consts.size else 0.0,
         probes=[list(p) for p in probes],
     )

@@ -134,11 +134,10 @@ class CoefSequence:
     def __post_init__(self):
         if self.index_mode not in ("fresh", "all"):
             raise ValueError(f"unknown index mode {self.index_mode!r}")
-        valid = self.system.index_set(self.index_mode)
         clean = {}
         for key, value in self.entries.items():
             k, alpha = int(key[0]), int(key[1])
-            if (k, alpha) not in valid:
+            if not self.system.is_index(k, alpha, self.index_mode):
                 raise ValueError(
                     f"index (k={k}, alpha={alpha}) is not a {self.index_mode} cube "
                     f"of the backing system"
@@ -155,9 +154,6 @@ class CoefSequence:
             entries={key: c * value for key, value in self.entries.items()},
             index_mode=self.index_mode,
         )
-
-    def levels(self):
-        return sorted({k for k, _ in self.entries})
 
 
 @dataclass(frozen=True)
@@ -474,12 +470,3 @@ def weighted_rn_norm(entries: dict, grid: RnDyadicGrid, params: NormParams) -> f
     value = np.array([norm_entries[key] for key in keys], dtype=float)
     return float(_norms(np.array([0, len(keys)]), level, alpha, value, params,
                         cube_mass, order, bounds, grid.weights)[0])
-
-
-def params_for(family: str, s: float, p: float, q: float, system: CubeSystem,
-               variant: str = "homogeneous", omega: Optional[float] = None,
-               include_zero_level: bool = True) -> NormParams:
-    """NormParams pinned to a cube system's delta."""
-    return NormParams(s=s, p=p, q=q, delta=system.delta, omega=omega,
-                      variant=variant, family=family,
-                      include_zero_level=include_zero_level)

@@ -43,14 +43,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from homspace.common import (
-    DEFAULT_SEED,
-    TrendConfig,
-    decay_span,
-    fit_loglog,
-    rng_stream,
-    stable_sum,
-)
+from homspace.common import TrendConfig, decay_span, fit_loglog, stable_sum
 
 
 @dataclass(frozen=True)
@@ -502,10 +495,20 @@ def estimate_doubling(space: FiniteHomSpace, radii) -> DoublingEstimate:
     )
 
 
+# Radii sampled (on a geometric grid) by the mass-exponent fit and the
+# lower-bound check, by the reverse-doubling check (with as many dilations
+# lam per radius) and by the growth-exponent estimate; every estimator uses
+# every point as a center. A reverse-doubling PASS needs c above
+# REVERSE_PASS.
+N_RADII = 12
+REVERSE_N_RADII = 6
+REVERSE_N_LAMBDAS = 6
+REVERSE_PASS = 0.1
+GROWTH_N_RADII = 5
+
+
 def fit_mass_exponent(space: FiniteHomSpace, r_min: Optional[float] = None,
-                      r_max: Optional[float] = None, *, n_radii: int = 12,
-                      max_centers: Optional[int] = None,
-                      seed: int = DEFAULT_SEED) -> Optional[float]:
+                      r_max: Optional[float] = None) -> Optional[float]:
     """Pooled log-log slope of ball mass against radius (measured dimension).
 
     The default window stops at a quarter of the diameter: beyond that,
@@ -519,25 +522,15 @@ def fit_mass_exponent(space: FiniteHomSpace, r_min: Optional[float] = None,
         r_max = float(r_max)
     if r_max <= r_min or space.n < 2:
         return None
-    radii = np.geomspace(r_min * (1 + 1e-9), r_max, n_radii)
-    centers = _pick_centers(space, max_centers, seed)
-    masses = space.ball_mass(centers, radii)
+    radii = np.geomspace(r_min * (1 + 1e-9), r_max, N_RADII)
+    masses = space.ball_mass(np.arange(space.n), radii)
     rs = np.broadcast_to(radii, masses.shape).ravel()
     fit = fit_loglog(rs, masses.ravel())
     return None if fit is None else fit[0]
 
 
-def _pick_centers(space, max_centers, seed):
-    centers = np.arange(space.n)
-    if max_centers is not None and space.n > max_centers:
-        rng = rng_stream(seed, 0xCE)
-        centers = np.sort(rng.choice(space.n, size=max_centers, replace=False))
-    return centers
-
-
 def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: float, *,
-                      n_radii: int = 12, max_centers: Optional[int] = None,
-                      seed: int = DEFAULT_SEED, trend: Optional[TrendConfig] = None,
+                      trend: Optional[TrendConfig] = None,
                       variant: str = "global", scale_factor: float = 1.0) -> LowerBoundReport:
     """Empirical lower-bound constant C = min mu(B(x,r)) / r^omega with a
     per-center trend verdict.
@@ -566,8 +559,8 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
             warnings.append("radius window collapsed at the resolution floor")
             r_max = r_min * (1 + 1e-9)
 
-    radii = np.geomspace(r_min * (1 + 1e-12), r_max, n_radii)
-    centers = _pick_centers(space, max_centers, seed)
+    radii = np.geomspace(r_min * (1 + 1e-12), r_max, N_RADII)
+    centers = np.arange(space.n)
     masses = space.ball_mass(centers, radii)
     consts = masses / radii[None, :] ** omega
 
@@ -615,9 +608,7 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
 
 
 def check_local_lower_bound(space: FiniteHomSpace, omega: float, *,
-                            rescale: bool = False, n_radii: int = 12,
-                            max_centers: Optional[int] = None,
-                            seed: int = DEFAULT_SEED,
+                            rescale: bool = False,
                             trend: Optional[TrendConfig] = None) -> LowerBoundReport:
     """Lower-bound check restricted to r <= 1.
 
@@ -634,26 +625,20 @@ def check_local_lower_bound(space: FiniteHomSpace, omega: float, *,
     if r_min >= 1.0:
         # Degenerate window: everything at or above scale 1. Report on the
         # single admissible radius and warn.
-        report = check_lower_bound(target, omega, r_min * 0.5, 1.0, n_radii=n_radii,
-                                   max_centers=max_centers, seed=seed, trend=trend,
+        report = check_lower_bound(target, omega, r_min * 0.5, 1.0, trend=trend,
                                    variant="local", scale_factor=factor)
         report.warnings.append("resolution floor at or above r = 1; local window degenerate")
         return report
-    return check_lower_bound(target, omega, r_min, 1.0, n_radii=n_radii,
-                             max_centers=max_centers, seed=seed, trend=trend,
+    return check_lower_bound(target, omega, r_min, 1.0, trend=trend,
                              variant="local", scale_factor=factor)
 
 
-def check_reverse_doubling(space: FiniteHomSpace, kappa: float, *,
-                           n_radii: int = 6, n_lambdas: int = 6,
-                           max_centers: Optional[int] = None,
-                           seed: int = DEFAULT_SEED,
-                           pass_threshold: float = 0.1) -> ReverseDoublingReport:
+def check_reverse_doubling(space: FiniteHomSpace, kappa: float) -> ReverseDoublingReport:
     """Empirical reverse-doubling constant
     c = min mu(B(x, lam r)) / (lam^kappa mu(B(x, r))) over sampled
     (x, r, lam) with r below half the diameter and 1 <= lam < diam / (2r).
 
-    Verdict PASS when c stays above ``pass_threshold``. Spaces whose balls
+    Verdict PASS when c stays above REVERSE_PASS. Spaces whose balls
     cannot grow (single point, or window empty) are flagged atomic-like.
     """
     if kappa <= 0:
@@ -670,8 +655,8 @@ def check_reverse_doubling(space: FiniteHomSpace, kappa: float, *,
     r_hi = diam / 2
     if r_hi <= r_lo:
         r_hi = r_lo * (1 + 1e-9)
-    radii = np.geomspace(r_lo * (1 + 1e-12), r_hi, n_radii)
-    centers = _pick_centers(space, max_centers, seed)
+    radii = np.geomspace(r_lo * (1 + 1e-12), r_hi, REVERSE_N_RADII)
+    centers = np.arange(space.n)
 
     best = math.inf
     worst = None
@@ -680,7 +665,7 @@ def check_reverse_doubling(space: FiniteHomSpace, kappa: float, *,
         lam_max = diam / (2 * r)
         if lam_max <= 1.0:
             continue
-        lams = np.geomspace(1.0, lam_max * (1 - 1e-12), n_lambdas)
+        lams = np.geomspace(1.0, lam_max * (1 - 1e-12), REVERSE_N_LAMBDAS)
         masses = space.ball_mass(centers, np.r_[r, lams * r])
         base, grown = masses[:, 0], masses[:, 1:]
         ratios = grown / (lams[None, :] ** kappa * base[:, None])
@@ -698,15 +683,12 @@ def check_reverse_doubling(space: FiniteHomSpace, kappa: float, *,
             warnings=["atomic-like space: no admissible (r, lambda) window"],
         )
     return ReverseDoublingReport(
-        verdict="PASS" if best > pass_threshold else "FAIL",
+        verdict="PASS" if best > REVERSE_PASS else "FAIL",
         c_emp=best, kappa=kappa, worst=worst,
     )
 
 
-def estimate_reverse_doubling_exponent(space: FiniteHomSpace, *,
-                                       n_radii: int = 5,
-                                       max_centers: Optional[int] = None,
-                                       seed: int = DEFAULT_SEED) -> Optional[float]:
+def estimate_reverse_doubling_exponent(space: FiniteHomSpace) -> Optional[float]:
     """Weakest observed ball-growth exponent
     min log(mass(B(x, lam r)) / mass(B(x, r))) / log(lam) at the widest
     admissible lam per base radius. None on atomic-like spaces."""
@@ -715,9 +697,9 @@ def estimate_reverse_doubling_exponent(space: FiniteHomSpace, *,
         return None
     r_lo = space.r_floor
     r_hi = max(diam / 4, r_lo * (1 + 1e-9))
-    centers = _pick_centers(space, max_centers, seed)
+    centers = np.arange(space.n)
     worst = None
-    for r in np.geomspace(r_lo * (1 + 1e-12), r_hi, n_radii):
+    for r in np.geomspace(r_lo * (1 + 1e-12), r_hi, GROWTH_N_RADII):
         lam = diam / (2 * r)
         if lam <= 1.5:
             continue
@@ -728,7 +710,7 @@ def estimate_reverse_doubling_exponent(space: FiniteHomSpace, *,
     return worst
 
 
-def space_stats(space: FiniteHomSpace, *, seed: int = DEFAULT_SEED) -> SpaceStats:
+def space_stats(space: FiniteHomSpace) -> SpaceStats:
     """Bundle the constant estimates used by reports and the CLI."""
     tri = space.quasi_triangle
     if space.n >= 2 and space.diameter > 0:
@@ -738,7 +720,7 @@ def space_stats(space: FiniteHomSpace, *, seed: int = DEFAULT_SEED) -> SpaceStat
         doubling = estimate_doubling(space, radii)
     else:
         doubling = DoublingEstimate(c_doubling=1.0, omega_est=0.0, witness=(0, 1.0), radii=[1.0])
-    kappa_est = estimate_reverse_doubling_exponent(space, seed=seed)
+    kappa_est = estimate_reverse_doubling_exponent(space)
     if kappa_est is not None:
         kappa_est = min(max(kappa_est, 0.0), doubling.omega_est) or None
     return SpaceStats(

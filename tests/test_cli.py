@@ -108,6 +108,17 @@ def test_norms_command_matches_library(tmp_path, grid64_cubes):
     assert report["value"] == pytest.approx(expected, rel=1e-12)
 
 
+def test_norms_rejects_index_outside_the_system(tmp_path, grid64_cubes, capsys):
+    net = grid64_cubes.net
+    seq_path = tmp_path / "seq.json"
+    for k, alpha in ((net.k_max, -1), (net.k_max, 64), (net.k_min - 1, 0), (net.k_max + 1, 0)):
+        seq_path.write_text(json.dumps([{"k": k, "alpha": alpha, "value": 1.0}]))
+        code, _ = run(tmp_path, "norms", "--gallery", "euclidean_grid", "--n", "64",
+                      "--seq", str(seq_path))
+        assert code == 2
+        assert "is not a fresh cube" in capsys.readouterr().err
+
+
 def test_norms_layer_cake_flag(tmp_path, grid64_cubes):
     index = grid64_cubes.index_cubes("homogeneous", "fresh")
     rows = [{"k": k, "alpha": a, "value": 0.3} for k, a in index[:4]]
@@ -362,16 +373,29 @@ def test_gallery_of_explicit_file_makes_no_a0_pass(tmp_path, monkeypatch):
 
 def test_index_set_built_once_per_system(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, dyadic.CubeSystem, "index_cubes")
+    builds = []
+    memo = dyadic.CubeSystem.memo
+
+    def counted(self, key, build):
+        def counted_build():
+            builds.append(key)
+            return build()
+        return memo(self, key, counted_build)
+
+    monkeypatch.setattr(dyadic.CubeSystem, "memo", counted)
     code, _ = run(tmp_path, "embed-test", "--gallery", "euclidean_grid", "--n", "32",
                   "--omega", "1.0", "--s1", "0.5", "--p1", "2", "--s2", "1.0",
                   "--p2", "1", "--q", "1", "--n-sequences", "64")
     assert code == 0
-    assert len(calls) <= 2          # the scan's index list and the validity set
-    # random_sequence reads the cached ordered index, once per system
+    assert len(calls) <= 2
+    assert [key for key in builds if key[0] == "fresh_index"] == [("fresh_index", "homogeneous")]
+    # random_sequence and the kernel checks read the one cached index
+    builds.clear()
     code, _ = run(tmp_path, "kernel-check", "--gallery", "euclidean_grid", "--n", "16",
                   "--omega", "1.0", "--calibration", "4", "--trials", "4")
     assert code == 0
     assert len(calls) <= 3
+    assert [key for key in builds if key[0] == "fresh_index"] == [("fresh_index", "homogeneous")]
 
 
 def test_ball_index_built_once_per_space(tmp_path, monkeypatch):

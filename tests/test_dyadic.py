@@ -224,7 +224,13 @@ def sweep_space(kind, size):
 def test_build_never_raises_sweep(kind, size, seed):
     # build_cubes raises CubeConstructionError on any axiom violation
     sp = sweep_space(kind, size)
-    build_cubes(build_nets(sp, *default_constants(sp), seed=seed), sp)
+    net = build_nets(sp, *default_constants(sp), seed=seed)
+    cubes = build_cubes(net, sp)
+    for k in net.levels:
+        assert np.array_equal(net.centers[k], np.flatnonzero(net.birth <= k))
+        if k > net.k_min:
+            assert np.array_equal(cubes.fresh_cubes(k),
+                                  np.setdiff1d(net.centers[k], net.centers[k - 1]))
 
 
 def test_squared_line_32_builds():
@@ -241,12 +247,20 @@ def test_members_are_ascending_slices(grid64_cubes):
             assert np.array_equal(grid64_cubes.members(k, alpha), np.flatnonzero(assign == alpha))
 
 
-def test_index_cubes_returns_a_fresh_list(grid16_cubes):
+def test_index_cubes_returns_a_fresh_list(grid16_cubes, grid64_cubes):
     first = grid16_cubes.index_cubes()
     first.clear()
     assert grid16_cubes.index_cubes()
-    assert grid16_cubes.index_set() == frozenset(grid16_cubes.index_cubes())
-    assert grid16_cubes.index_set() is grid16_cubes.index_set()
+    for variant in ("homogeneous", "inhomogeneous"):
+        index = grid64_cubes.fresh_index(variant)
+        assert grid64_cubes.fresh_index(variant) is index       # built once
+        assert not any(a.flags.writeable for a in index)
+    net = grid64_cubes.net
+    for mode in ("fresh", "all"):
+        index = set(grid64_cubes.index_cubes("homogeneous", mode))
+        for k in range(net.k_min - 1, net.k_max + 2):
+            for alpha in range(-1, grid64_cubes.space.n + 1):
+                assert grid64_cubes.is_index(k, alpha, mode) == ((k, alpha) in index)
 
 
 def test_exactly_one_child_shares_center(grid64_cubes):

@@ -392,11 +392,18 @@ def test_inhomogeneous_ignores_negative_levels():
 
 
 def test_invalid_index_rejected(grid64_cubes):
-    root = int(grid64_cubes.cubes(grid64_cubes.net.k_min)[0])
+    net = grid64_cubes.net
+    root = int(grid64_cubes.cubes(net.k_min)[0])
     with pytest.raises(ValueError, match="not a fresh cube"):
-        CoefSequence(grid64_cubes, {(grid64_cubes.net.k_min, root): 1.0})
+        CoefSequence(grid64_cubes, {(net.k_min, root): 1.0})
     with pytest.raises(ValueError):
         CoefSequence(grid64_cubes, {(99, 0): 1.0})
+    # outside input: ids off the point range, levels off the window
+    n = grid64_cubes.space.n
+    for key in ((net.k_max, -1), (net.k_max, n), (net.k_min - 1, 0), (net.k_max + 1, 0)):
+        for mode in ("fresh", "all"):
+            with pytest.raises(ValueError, match=f"is not a {mode} cube"):
+                CoefSequence(grid64_cubes, {key: 1.0}, index_mode=mode)
 
 
 def test_index_mode_all_admits_root(grid64_cubes):
