@@ -21,7 +21,10 @@ mass(B(x, d(x,y))) + mass(B(y, d(x,y))) (the two orderings differ on
 quasi-metric data, so both are kept). The leading constant is treated as
 an empirical calibration: it is frozen as the largest observed
 lhs/rhs ratio on a seeded batch, and fresh draws are required to stay
-within a factor 2 of it.
+within a factor 2 of it. Both are scored by one call of
+``kernel_bound_batch``, which evaluates every sequence of a batch at every
+probe (k, j, x); the one-sequence ``kernel_maximal_bound_check`` is a call
+of it.
 
 Admissibility gate: gamma * r - omega * (1 - r) > 0 and 0 < eps < eta,
 with r in (0, 1]; the canonical choice for a source integrability p2 is
@@ -38,8 +41,12 @@ import numpy as np
 from homspace.common import DEFAULT_SEED, rng_stream, stable_sum
 from homspace.dyadic import CubeSystem
 from homspace.embed import fresh_constants
-from homspace.seqnorm import CoefSequence
-from homspace.space import ROW_BLOCK, FiniteHomSpace
+from homspace.seqnorm import CoefSequence, SequenceBatch
+from homspace.space import FiniteHomSpace
+
+# Most table entries one block of the maximal operator gathers (128 KiB of
+# float64): rows, and functions of a stack, go in blocks under it.
+BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -82,22 +89,35 @@ def default_r_exp(p2: float) -> float:
 def hl_maximal(space: FiniteHomSpace, f, points=None) -> np.ndarray:
     """M f(x), the largest weighted average of |f| over balls B(x, r), for
     each x in ``points`` (default: every point, in order). Exact: every
-    prefix of a ``space.ball_index`` row that ends a tie group is a ball."""
+    prefix of a ``space.ball_index`` row that ends a tie group is a ball.
+
+    ``f`` is one function (n,) or a stack of them (m, n); the result is
+    (len(points),) or (m, len(points)). Rows and functions go in blocks of
+    at most BLOCK_ELEMENTS gathered table entries, so the temporaries stay
+    that size however many functions are stacked."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (space.n,):
+    if f.ndim not in (1, 2) or f.shape[-1] != space.n:
         raise ValueError("f must assign one value per point")
     points = np.arange(space.n) if points is None else np.asarray(points, dtype=int)
-    af = np.abs(f)
+    af = np.abs(np.atleast_2d(f))
     weighted = space.weight * af
     index = space.ball_index
-    out = np.empty(points.size)
-    for lo in range(0, points.size, ROW_BLOCK):
-        rows = points[lo:lo + ROW_BLOCK]
-        # complete tie groups: prefix ends where the next distance differs
-        ends = np.diff(index.dist[rows], axis=1, append=np.inf) != 0
-        averages = np.cumsum(weighted[index.order[rows]], axis=1) / index.cum_weight[rows, 1:]
-        out[lo:lo + ROW_BLOCK] = averages.max(axis=1, where=ends, initial=0.0)
-    return np.maximum(out, af[points])   # the singleton ball average, exactly
+    out = np.empty((af.shape[0], points.size))
+    step = max(1, BLOCK_ELEMENTS // space.n)
+    for lo in range(0, points.size, step):
+        rows = points[lo:lo + step]
+        order, ends = index.order[rows], index.ends[rows]
+        cum_weight = index.cum_weight[rows, 1:]
+        fns = max(1, step // rows.size)
+        for first in range(0, af.shape[0], fns):
+            # prefix averages of each function along each row, then the
+            # largest one that ends a tie group
+            averages = weighted[first:first + fns][:, order]
+            np.cumsum(averages, axis=2, out=averages)
+            np.divide(averages, cum_weight, out=averages)
+            out[first:first + fns, lo:lo + step] = averages.max(axis=2, where=ends, initial=0.0)
+    out = np.maximum(out, af[:, points])   # the singleton ball average, exactly
+    return out if f.ndim == 2 else out[0]
 
 
 def fs_vector_maximal_check(space: FiniteHomSpace, fns, p: float, q: float,
@@ -114,7 +134,7 @@ def fs_vector_maximal_check(space: FiniteHomSpace, fns, p: float, q: float,
     for f in fns:
         if f.shape != (space.n,):
             raise ValueError("every f_k must assign one value per point")
-    mstack = np.stack([hl_maximal(space, f) for f in fns])
+    mstack = hl_maximal(space, np.stack(fns))
     fstack = np.abs(np.stack(fns))
     if math.isinf(q):
         gm = mstack.max(axis=0)
@@ -143,10 +163,19 @@ def _weighted_lp(g: np.ndarray, w: np.ndarray, p: float) -> float:
 
 def _v_denominators(space: FiniteHomSpace, alphas, tau: int, s: float) -> np.ndarray:
     """V_s(x_a) + V_s(tau) + V(x_a, tau) for each x_a in ``alphas``, from ball masses."""
-    centers = np.append(np.asarray(alphas, dtype=int), tau)
-    v_s = space.ball_mass(centers, [s])[:, 0]
-    v_d = space.ball_mass(centers, space.dist[centers[:-1], tau])
-    return v_s[:-1] + v_s[-1] + (np.diagonal(v_d) + v_d[-1])
+    alphas = np.asarray(alphas, dtype=int)
+    d = space.dist[alphas, tau]
+    v_s = _ball_masses(space, np.append(alphas, tau), s)
+    v_a = _ball_masses(space, alphas, d)
+    v_t = _ball_masses(space, np.full(alphas.size, tau), d)
+    return v_s[:-1] + v_s[-1] + (v_a + v_t)
+
+
+def _ball_masses(space: FiniteHomSpace, centers: np.ndarray, radii) -> np.ndarray:
+    """mass(B(centers[i], radii[i])) for each i (one radius, or one per
+    center), read off the ball index without a loop over centers."""
+    inside = np.count_nonzero(space.dist[centers] < np.reshape(radii, (-1, 1)), axis=1)
+    return space.ball_index.cum_weight[centers, inside]
 
 
 def almost_orth_kernel(cubes: CubeSystem, k: int, alpha: int, j: int, tau: int,
@@ -199,58 +228,102 @@ class KernelBoundResult:
         }
 
 
-def kernel_maximal_bound_check(cubes: CubeSystem, seq: CoefSequence, k: int, j: int,
-                               x: int, params: KernelParams,
-                               c_report: Optional[float] = None) -> KernelBoundResult:
-    """Compare the kernel-weighted coefficient sum at x (levels k against j)
-    with the maximal-function majorant
+def kernel_bound_batch(cubes: CubeSystem, batch: SequenceBatch, probes,
+                       params: KernelParams) -> tuple:
+    """(lhs, rhs), two (sequences x probes) arrays: for each sequence of
+    ``batch`` and each probe (k, j, x), the kernel-weighted coefficient sum
+    at x (levels k against j) and its maximal-function majorant
 
         delta^{k omega (1 - 1/r)} * mu(B)^{1/r - 1}
             * inf_{y in B} M( sum_a m_a^{-r/2} |lam_a|^r 1_{Q_a} )(y)^{1/r},
 
-    B = B(x, delta^{min(k,j)}). With a calibration constant the verdict is
-    lhs <= c_report * rhs; without one the result is reported uncalibrated.
+    B = B(x, delta^{min(k,j)}). The sum is 0 when x's level-j cube is not
+    fresh.
+
+    Per probe, s, tau, the ball, the majorant's prefactor and each level-k
+    cube's kernel factor sqrt(m_a) / V * decay are computed once. Cubes of
+    one level are disjoint, so u is a gather of per-cube values through
+    assignment[k], one row per sequence, and a stacked ``hl_maximal`` call
+    reads it on the ball's rows, BLOCK_ELEMENTS // n sequences at a time.
+    The bits are those of a one-sequence, one-probe evaluation: the sums
+    are ``math.fsum``, and the powers of per-entry, per-cube and
+    per-sequence scalars are Python's ``**``.
     """
-    space = cubes.space
-    if k == cubes.net.k_min or j == cubes.net.k_min:
+    space, delta, r = cubes.space, cubes.delta, params.r_exp
+    probes = [(int(k), int(j), int(x)) for k, j, x in probes]
+    if any(cubes.net.k_min in (k, j) for k, j, _ in probes):
         raise ValueError("levels must carry fresh cubes (coarsest level excluded)")
-    r = params.r_exp
-    s = cubes.delta ** min(k, j)
+    n_seq = len(batch)
+    lhs = np.zeros((n_seq, len(probes)))
+    rhs = np.zeros((n_seq, len(probes)))
+    seq = np.repeat(np.arange(n_seq), np.diff(batch.offsets))
+    block = max(1, BLOCK_ELEMENTS // space.n)
+    for k in sorted({k for k, _, _ in probes}):
+        # the nonzero level-k coefficients, sequence after sequence
+        at = (batch.level == k) & (batch.value != 0.0)
+        owner, alpha, a = seq[at], batch.alpha[at], np.abs(batch.value[at])
+        cand, cube_of = np.unique(alpha, return_inverse=True)
+        segments = np.searchsorted(owner, np.arange(n_seq + 1)).tolist()
+        mass = cubes.cube_mass[k]
+        u_value = [m ** (-r / 2.0) * v ** r for m, v in zip(mass[alpha].tolist(), a.tolist())]
+        majorants = []
+        for col, (k_probe, j, x) in enumerate(probes):
+            if k_probe != k:
+                continue
+            s = delta ** min(k, j)
+            tau = cubes.point_cube(j, x)
+            if cand.size and cubes.is_index(j, tau):
+                decay = [(s / (s + d)) ** params.gamma for d in space.dist[cand, tau].tolist()]
+                factor = np.sqrt(mass[cand]) / _v_denominators(space, cand, tau, s) * decay
+                terms = (factor[cube_of] * a).tolist()
+                lhs[:, col] = [math.fsum(terms[lo:hi])
+                               for lo, hi in zip(segments[:-1], segments[1:])]
+            ball = space.ball(x, s)
+            if ball.members.size == 0:
+                raise ValueError("empty comparison ball; radius below resolution")
+            majorants.append((col, ball.members, delta ** (k * params.omega * (1 - 1.0 / r))
+                              * ball.mass ** (1.0 / r - 1.0)))
+        for first in range(0, n_seq, block):
+            lo, hi = segments[first], segments[min(first + block, n_seq)]
+            per_cube = np.zeros((min(block, n_seq - first), space.n))
+            per_cube[owner[lo:hi] - first, alpha[lo:hi]] = u_value[lo:hi]
+            u = per_cube[:, cubes.assignment[k]]
+            for col, members, prefactor in majorants:
+                inf_m = hl_maximal(space, u, members).min(axis=1).tolist()
+                rhs[first:first + len(inf_m), col] = [prefactor * v ** (1.0 / r) for v in inf_m]
+    return lhs, rhs
 
-    level_k = [(int(alpha), value) for (kk, alpha), value in seq.entries.items()
-               if kk == k and value != 0.0]
-    tau = cubes.point_cube(j, x)
-    lhs = 0.0
-    if cubes.is_index(j, tau):
-        denoms = _v_denominators(space, [x_a for x_a, _ in level_k], tau, s)
-        terms = []
-        for (x_a, value), denom in zip(level_k, denoms):
-            d = space.dist[x_a, tau]
-            decay = (s / (s + d)) ** params.gamma
-            terms.append(math.sqrt(cubes.mass(k, x_a)) / denom * decay * abs(value))
-        lhs = stable_sum(terms)
 
-    u = np.zeros(space.n)
-    for alpha, value in level_k:
-        u[cubes.members(k, alpha)] += cubes.mass(k, alpha) ** (-r / 2.0) * abs(value) ** r
-    mu_ball = space.ball(int(x), s)
-    if mu_ball.members.size == 0:
-        raise ValueError("empty comparison ball; radius below resolution")
-    inf_m = float(hl_maximal(space, u, mu_ball.members).min())
-    rhs = (cubes.delta ** (k * params.omega * (1 - 1.0 / r))
-           * mu_ball.mass ** (1.0 / r - 1.0)
-           * inf_m ** (1.0 / r))
+def bound_ratio(lhs, rhs) -> np.ndarray:
+    """lhs / rhs: inf where only rhs vanishes, nan where both do (NEUTRAL)."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhs > 0, lhs / rhs, np.where(lhs == 0.0, np.nan, np.inf))
 
-    if lhs == 0.0 and rhs == 0.0:
+
+def bound_holds(lhs, rhs, c_report: float):
+    """lhs <= c_report * rhs, up to a 1e-12 relative slack."""
+    return lhs <= c_report * rhs * (1 + 1e-12)
+
+
+def kernel_maximal_bound_check(cubes: CubeSystem, seq: CoefSequence, k: int, j: int,
+                               x: int, params: KernelParams,
+                               c_report: Optional[float] = None) -> KernelBoundResult:
+    """``kernel_bound_batch`` for one sequence at one probe. With a
+    calibration constant the verdict is lhs <= c_report * rhs; without one
+    the result is reported uncalibrated."""
+    lhs, rhs = (float(v[0, 0]) for v in kernel_bound_batch(
+        cubes, SequenceBatch.of([seq]), [(k, j, x)], params))
+    ratio = float(bound_ratio(lhs, rhs))
+    if math.isnan(ratio):
         return KernelBoundResult(lhs=0.0, rhs=0.0, ratio=None, verdict="NEUTRAL",
                                  level_pair=(k, j), point=int(x))
-    ratio = lhs / rhs if rhs > 0 else math.inf
     if c_report is None:
         verdict = "UNCALIBRATED"
     else:
-        verdict = "PASS" if lhs <= c_report * rhs * (1 + 1e-12) else "FAIL"
-    return KernelBoundResult(lhs=float(lhs), rhs=float(rhs), ratio=float(ratio),
-                             verdict=verdict, level_pair=(k, j), point=int(x))
+        verdict = "PASS" if bound_holds(lhs, rhs, c_report) else "FAIL"
+    return KernelBoundResult(lhs=lhs, rhs=rhs, ratio=ratio, verdict=verdict,
+                             level_pair=(k, j), point=int(x))
 
 
 @dataclass
@@ -289,24 +362,24 @@ def random_sequence(cubes: CubeSystem, rng, scale: float = 1.0) -> CoefSequence:
     return CoefSequence(cubes, entries)
 
 
+def random_batch(cubes: CubeSystem, rng, count: int) -> SequenceBatch:
+    """``count`` successive ``random_sequence`` draws from ``rng`` as one batch."""
+    return SequenceBatch.of([random_sequence(cubes, rng) for _ in range(count)], system=cubes)
+
+
 def calibrate_kernel_bound(cubes: CubeSystem, params: KernelParams, *,
                            n_sequences: int = 64,
                            seed: int = DEFAULT_SEED) -> KernelCalibration:
-    """Freeze the leading constant: the largest lhs/rhs ratio over a seeded
-    batch of sequences at a fixed probe set. Also measures the cube-mass
-    lower-bound constant the majorant derivation assumes."""
+    """Freeze the leading constant: the largest finite lhs/rhs ratio over a
+    seeded batch of sequences at a fixed probe set. Also measures the
+    cube-mass lower-bound constant the majorant derivation assumes."""
     rng = rng_stream(seed, 0xCA11B)
     probes = _probe_points(cubes, rng)
-    worst = 0.0
-    for i in range(n_sequences):
-        seq = random_sequence(cubes, rng)
-        for k, j, x in probes:
-            res = kernel_maximal_bound_check(cubes, seq, k, j, x, params)
-            if res.ratio is not None and math.isfinite(res.ratio):
-                worst = max(worst, res.ratio)
+    batch = random_batch(cubes, rng, n_sequences)
+    ratio = bound_ratio(*kernel_bound_batch(cubes, batch, probes, params))
     consts = fresh_constants(cubes, params.omega, "homogeneous")[2]
     return KernelCalibration(
-        c_report=worst,
+        c_report=float(ratio[np.isfinite(ratio)].max(initial=0.0)),
         n_samples=n_sequences * len(probes),
         cube_bound_constant=float(consts.min()) if consts.size else 0.0,
         probes=[list(p) for p in probes],

@@ -175,10 +175,12 @@ class SequenceBatch:
         return len(self.labels)
 
     @classmethod
-    def of(cls, seqs: list, labels: Optional[list] = None) -> "SequenceBatch":
-        """The batch of ``seqs``, CoefSequences on one system, in order."""
+    def of(cls, seqs: list, labels: Optional[list] = None,
+           system: Optional[CubeSystem] = None) -> "SequenceBatch":
+        """The batch of ``seqs``, CoefSequences on one system (``system``,
+        by default that of the first), in order."""
         keys = [key for seq in seqs for key in seq.entries]
-        return cls(system=seqs[0].system,
+        return cls(system=seqs[0].system if system is None else system,
                    labels=list(labels) if labels is not None else [None] * len(seqs),
                    offsets=np.cumsum([0] + [len(seq.entries) for seq in seqs]),
                    level=np.array([k for k, _ in keys], dtype=int),

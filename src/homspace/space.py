@@ -27,7 +27,7 @@ a declared or passed-in A0 with the cached one; with neither, it needs no
 A0 at all.
 
 Ball masses and the maximal operator read one sorted-row index per space,
-``ball_index`` (built on first use, 20 bytes per table entry).
+``ball_index`` (built on first use, 21 bytes per table entry).
 
 Resolution contract: each point stands for a cell of an underlying
 continuum, so no scaling claim is evaluated below the resolution floor
@@ -172,9 +172,10 @@ class BallIndex(NamedTuple):
     order: np.ndarray         # (n, n) int32: order[x] = argsort of dist[x]
     dist: np.ndarray          # (n, n): dist[x][order[x]]
     cum_weight: np.ndarray    # (n, n + 1): [x, c] = weight of the c nearest, so [x, 0] = 0
+    ends: np.ndarray          # (n, n) bool: [x, c] when the c + 1 nearest are a ball (a tie group ends)
 
 
-# Rows sorted (or read, in the maximal operator and the A0 pass) per
+# Rows sorted (or read, in the A0 pass) per
 # block: temporaries stay at a few ROW_BLOCK x n arrays instead of n x n.
 ROW_BLOCK = 64
 
@@ -182,12 +183,14 @@ ROW_BLOCK = 64
 def build_ball_index(space: FiniteHomSpace) -> BallIndex:
     """Sort the rows of ``space.dist``; ``space.ball_index`` caches the result."""
     n = space.n
-    index = BallIndex(np.empty((n, n), dtype=np.int32), np.empty((n, n)), np.zeros((n, n + 1)))
+    index = BallIndex(np.empty((n, n), dtype=np.int32), np.empty((n, n)), np.zeros((n, n + 1)),
+                      np.empty((n, n), dtype=bool))
     for lo in range(0, n, ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
         index.order[rows] = np.argsort(space.dist[rows], axis=1, kind="stable")
         index.dist[rows] = np.take_along_axis(space.dist[rows], index.order[rows], axis=1)
         np.cumsum(space.weight[index.order[rows]], axis=1, out=index.cum_weight[rows, 1:])
+        np.not_equal(np.diff(index.dist[rows], axis=1, append=np.inf), 0, out=index.ends[rows])
     return index
 
 

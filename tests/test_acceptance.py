@@ -315,7 +315,7 @@ def test_criterion_9_reproducibility(tmp_path):
     ok = True
     jobs = [
         ["analyze", "--gallery", "cantor", "--depth", "6",
-         "--check-lower-bound", "--omega", "0.6309", "--seed", "31415"],
+         "--check-lower-bound", "--omega", "0.6309"],
         ["embed-test", "--gallery", "euclidean_grid", "--n", "64", "--omega", "1.0",
          "--s1", "0.5", "--p1", "2", "--s2", "1.0", "--p2", "1", "--q", "1",
          "--n-sequences", "64", "--seed", "31415"],

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import time
 
 import numpy as np
 import pytest
 
-from homspace import dyadic, space as space_mod
+from homspace import common, dyadic, gallery, maximal, space as space_mod
 from homspace.cli import main
 from homspace.gallery import MAX_POINTS, load_space
 
@@ -201,6 +202,77 @@ def test_kernel_check_small(tmp_path):
     assert report["calibration"]["c_report"] > 0
 
 
+GRID64 = ["--gallery", "euclidean_grid", "--n", "64", "--dim", "1"]
+KERNEL_CASES = {
+    "grid64 p2=1": [*GRID64, "--p2", "1"],
+    "grid64 p2=2": [*GRID64, "--p2", "2"],
+    "cantor6": ["--gallery", "cantor", "--depth", "6"],
+    "weighted_grid65": ["--gallery", "weighted_grid", "--n", "65", "--alpha", "2"],
+    "snowflake64": ["--gallery", "snowflake", "--n", "64", "--snowflake-e", "0.5",
+                    "--gamma", "8"],
+    "cantor6 calibration 1": ["--gallery", "cantor", "--depth", "6", "--calibration", "1"],
+}
+# SHA-256 of the reports written by the one-sequence-at-a-time evaluation
+# that preceded the batched one
+KERNEL_DIGESTS = {
+    ("grid64 p2=1", "1"): "64fd4b292dc18d16998b91866e2e8e820c17e318414e374986de9d0dcc451c4f",
+    ("grid64 p2=1", "7"): "490d22fa5a11a7ebb041ecdfaf54e9df3e98e9a319e7581e8de2d58fbe4ccd81",
+    ("grid64 p2=2", "1"): "92b670a9dfc56878e4e77c430e807b9b85d8dd36fd0cf8db64fb32d0242b2cef",
+    ("grid64 p2=2", "7"): "f7d8f9b7e5a71ab5a6e6871c25c29ff90ca7b71f18293c9a99580db07dd3e051",
+    ("cantor6", "1"): "a3e890e30b2349fafc3f46f241ed486d6b7d98022f49281da7a0857efb803bf0",
+    ("cantor6", "7"): "d748fbd03badf0cbc190f6cacfce6b2fd7ebccfc3ece609e0e0d01403038463c",
+    ("weighted_grid65", "1"): "8a6d77bee5d29732987daa6f946e50772c1c4bb4eac662ed9f828a2be11d39ae",
+    ("weighted_grid65", "7"): "a9b404b9d00600393c4061fefa569dd6f6536d25b9ed4eb68d602a0270cfb6a0",
+    ("snowflake64", "1"): "e202f379f472f6ae04f5aa1082393942e7240c2d38c5f65b2a943ae60af69c24",
+    ("snowflake64", "7"): "891d5926cd28e1badf43fd7c30ab80c5a1839fd40affe7885e8fd56c58a60b49",
+    # a FAIL report: 12 witnesses in trial-major, probe-minor order
+    ("cantor6 calibration 1", "1"):
+        "de070ccf735d50eb90c3f6788d07a98235412a4d16dcc77ebc153ca09f4dfd4f",
+}
+
+
+@pytest.mark.parametrize("case,seed", sorted(KERNEL_DIGESTS), ids=" seed ".join)
+def test_kernel_check_reports_are_pinned(tmp_path, case, seed):
+    code, text = run(tmp_path, "kernel-check", *KERNEL_CASES[case], "--seed", seed)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGESTS[case, seed]
+
+
+def test_kernel_check_witnesses_are_trial_major(tmp_path):
+    code, text = run(tmp_path, "kernel-check", *KERNEL_CASES["cantor6 calibration 1"],
+                     "--seed", "7")
+    report = json.loads(text)
+    assert code == 0 and report["verdict"] == "FAIL"
+    probes = maximal._probe_points(
+        _cantor6_cubes(), common.rng_stream(7, 0xCA11B))
+    keys = [(w["trial"], probes.index((*w["level_pair"], w["point"])))
+            for w in report["witnesses"]]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys) > 1
+
+
+def _cantor6_cubes():
+    sp = gallery.build(gallery.GallerySpec(kind="cantor", depth=6))
+    delta, c0, C0 = dyadic.default_constants(sp)
+    return dyadic.build_cubes(dyadic.build_nets(sp, delta, c0, C0, seed=7), sp)
+
+
+def test_kernel_check_one_sequence_each(tmp_path):
+    code, text = run(tmp_path, *KERNEL, "--calibration", "1", "--trials", "1")
+    assert code == 0
+    report = json.loads(text)
+    assert report["verdict"] in ("PASS", "FAIL")
+    assert report["calibration"]["n_samples"] > 0
+    assert all(w["trial"] == 0 for w in report["witnesses"])
+
+
+@pytest.mark.parametrize("command", ["analyze", "gallery"])
+def test_seed_is_not_an_option_of(tmp_path, command):
+    # nothing these commands run draws a random number
+    assert main([command, "--gallery", "euclidean_grid", "--n", "8", "--seed", "1"]) == 2
+    code, _ = run(tmp_path, command, "--gallery", "euclidean_grid", "--n", "8")
+    assert code == 0
+
+
 def test_csv_format(tmp_path):
     code, text = run(tmp_path, "analyze", "--gallery", "euclidean_grid", "--n", "32",
                      "--format", "csv", name="out.csv")
@@ -212,7 +284,7 @@ def test_csv_format(tmp_path):
 
 def test_reports_byte_identical(tmp_path):
     args = ["analyze", "--gallery", "cantor", "--depth", "5",
-            "--check-lower-bound", "--omega", "0.6309", "--seed", "99"]
+            "--check-lower-bound", "--omega", "0.6309"]
     _, first = run(tmp_path, *args, name="a.json")
     _, second = run(tmp_path, *args, name="b.json")
     assert first == second

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from homspace import maximal
 from homspace.common import rng_stream, stable_sum
 from homspace.maximal import (
     KernelParams,
@@ -11,10 +12,12 @@ from homspace.maximal import (
     default_r_exp,
     fs_vector_maximal_check,
     hl_maximal,
+    kernel_bound_batch,
     kernel_maximal_bound_check,
+    random_batch,
     random_sequence,
 )
-from homspace.seqnorm import CoefSequence
+from homspace.seqnorm import CoefSequence, SequenceBatch
 from homspace.space import FiniteHomSpace
 
 from helpers import brute_maximal, integer_grid_table, unit_spaced_grid
@@ -94,6 +97,32 @@ def test_maximal_at_points_equals_full_evaluation(table):
     assert np.array_equal(hl_maximal(sp, f, points), full[points])
     assert np.array_equal(hl_maximal(sp, f, [4]), full[[4]])
     assert hl_maximal(sp, f, []).size == 0
+
+
+@pytest.mark.parametrize("table", [_random_line, _tied_grid], ids=["random_line", "tied_grid"])
+@pytest.mark.parametrize("budget", [None, 1, 40])
+def test_stacked_maximal_equals_row_by_row(table, budget, monkeypatch):
+    dist, weight, f = table()
+    sp = FiniteHomSpace(dist=dist, weight=weight)
+    if budget is not None:      # one row of one function per block, then a few
+        monkeypatch.setattr(maximal, "BLOCK_ELEMENTS", budget)
+    # more functions than one block of every row holds
+    fns = np.vstack([f, np.random.default_rng(5).standard_normal((300, sp.n))])
+    assert fns.shape[0] > maximal.BLOCK_ELEMENTS // sp.n // sp.n
+    rng = np.random.default_rng(6)
+    for points in (None, np.r_[rng.permutation(sp.n), rng.integers(0, sp.n, 9)], [3], []):
+        stacked = hl_maximal(sp, fns, points)
+        rows = np.stack([hl_maximal(sp, g, points) for g in fns])
+        assert stacked.shape == rows.shape == (fns.shape[0], sp.n if points is None else len(points))
+        assert np.array_equal(stacked, rows)
+    brute = np.stack([brute_maximal(dist, weight, g) for g in fns[:4]])
+    assert np.allclose(hl_maximal(sp, fns[:4]), brute, rtol=1e-12)
+
+
+def test_maximal_rejects_bad_shapes(grid64):
+    for f in (np.ones(grid64.n - 1), np.ones((2, grid64.n + 1)), np.ones((1, 1, grid64.n))):
+        with pytest.raises(ValueError, match="one value per point"):
+            hl_maximal(grid64, f)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +245,89 @@ def test_kernel_bound_calibration_stability(grid64_cubes):
             res = kernel_maximal_bound_check(grid64_cubes, seq, k, j, x, params,
                                              c_report=2.0 * cal.c_report)
             assert res.verdict in ("PASS", "NEUTRAL")
+
+
+def _one_at_a_time(cubes, seq, k, j, x, params):
+    """(lhs, rhs) by the one-sequence, one-probe evaluation the batch replaced."""
+    space = cubes.space
+    r = params.r_exp
+    s = cubes.delta ** min(k, j)
+    level_k = [(alpha, value) for (kk, alpha), value in seq.entries.items()
+               if kk == k and value != 0.0]
+    tau = cubes.point_cube(j, x)
+    lhs = 0.0
+    if cubes.is_index(j, tau):
+        terms = []
+        for x_a, value in level_k:
+            v_s = space.ball_mass([x_a, tau], [s])[:, 0]
+            d = space.dist[x_a, tau]
+            v_d = space.ball_mass([x_a], [d])[0, 0] + space.ball_mass([tau], [d])[0, 0]
+            denom = v_s[0] + v_s[1] + v_d
+            decay = (s / (s + d)) ** params.gamma
+            terms.append(math.sqrt(cubes.mass(k, x_a)) / denom * decay * abs(value))
+        lhs = stable_sum(terms)
+    u = np.zeros(space.n)
+    for alpha, value in level_k:
+        u[cubes.members(k, alpha)] += cubes.mass(k, alpha) ** (-r / 2.0) * abs(value) ** r
+    ball = space.ball(x, s)
+    inf_m = float(hl_maximal(space, u, ball.members).min())
+    rhs = (cubes.delta ** (k * params.omega * (1 - 1.0 / r))
+           * ball.mass ** (1.0 / r - 1.0) * inf_m ** (1.0 / r))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("p2", [1.0, 2.0])
+def test_kernel_batch_matches_one_at_a_time(grid64_cubes, p2):
+    cubes = grid64_cubes
+    params = kernel_params(p2=p2)
+    rng = rng_stream(21, 4)
+    probes = maximal._probe_points(cubes, rng)
+    seqs = [random_sequence(cubes, rng) for _ in range(6)]
+    seqs.append(CoefSequence(cubes, {seqs[0].support()[0]: 0.0}))    # all zero
+    lhs, rhs = kernel_bound_batch(cubes, SequenceBatch.of(seqs), probes, params)
+    assert lhs.shape == rhs.shape == (len(seqs), len(probes))
+    for i, seq in enumerate(seqs):
+        for col, (k, j, x) in enumerate(probes):
+            assert (lhs[i, col], rhs[i, col]) == _one_at_a_time(cubes, seq, k, j, x, params)
+    assert np.all(lhs[-1] == 0) and np.all(rhs[-1] == 0)
+
+
+def test_kernel_batch_blocks_give_the_same_bits(grid64_cubes, monkeypatch):
+    params = kernel_params()
+    rng = rng_stream(8, 1)
+    probes = maximal._probe_points(grid64_cubes, rng)
+    batch = random_batch(grid64_cubes, rng, 9)
+    whole = kernel_bound_batch(grid64_cubes, batch, probes, params)
+    for budget in (1, 3 * grid64_cubes.space.n):    # 1 and 3 sequences per block
+        monkeypatch.setattr(maximal, "BLOCK_ELEMENTS", budget)
+        parts = kernel_bound_batch(grid64_cubes, batch, probes, params)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, parts))
+
+
+def test_kernel_batch_stale_cube_gives_lhs_zero(grid64_cubes):
+    cubes = grid64_cubes
+    params = kernel_params()
+    levels = [k for k in cubes.levels if k != cubes.net.k_min]
+    k, j = levels[-1], levels[0]
+    # x in a level-j cube whose center was born before level j
+    x = next(x for x in range(cubes.space.n)
+             if not cubes.is_index(j, cubes.point_cube(j, x)))
+    batch = random_batch(cubes, rng_stream(2, 2), 5)
+    owner = np.repeat(np.arange(5), np.diff(batch.offsets))
+    has_level_k = np.isin(np.arange(5), owner[batch.level == k])
+    assert has_level_k.any()
+    lhs, rhs = kernel_bound_batch(cubes, batch, [(k, j, x)], params)
+    assert np.all(lhs == 0.0)
+    assert np.all(rhs[has_level_k] > 0)
+
+
+def test_kernel_batch_of_no_sequences(grid64_cubes):
+    params = kernel_params()
+    lhs, rhs = kernel_bound_batch(grid64_cubes, random_batch(grid64_cubes, None, 0),
+                                  [(grid64_cubes.net.k_max, grid64_cubes.net.k_max, 3)], params)
+    assert lhs.shape == rhs.shape == (0, 1)
+    cal = calibrate_kernel_bound(grid64_cubes, params, n_sequences=0)
+    assert cal.c_report == 0.0 and cal.n_samples == 0
 
 
 def test_kernel_bound_rejects_root_level(grid64_cubes):

@@ -296,6 +296,17 @@ def test_ball_mass_matches_brute_force_with_ties():
     assert np.array_equal(sp.ball_mass(centers, radii), masses[centers])
 
 
+def test_ball_index_marks_the_end_of_every_tie_group():
+    dist, weight = integer_grid_table(9, seed=2)     # 81 points: two row blocks
+    index = explicit_space(dist, weights=weight).ball_index
+    assert index.ends.dtype == bool and index.ends.shape == dist.shape
+    for x in range(dist.shape[0]):
+        row = np.sort(dist[x])
+        # the c + 1 nearest points are a ball exactly when the next distance differs
+        assert np.array_equal(index.ends[x], np.r_[row[1:] != row[:-1], True])
+        assert np.count_nonzero(index.ends[x]) == np.unique(row).size
+
+
 # ---------------------------------------------------------------------------
 # lower bound
 # ---------------------------------------------------------------------------
