@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from homspace import gallery, maximal, seqnorm, space as space_mod
-from homspace.common import DEFAULT_SEED, dumps_report, report_to_csv, rng_stream
+from homspace.common import DEFAULT_SEED, dumps_report, finite_number, report_to_csv, rng_stream
 from homspace.dyadic import (
     CubeConstructionError,
     InadmissibleConstants,
@@ -320,6 +320,20 @@ def cmd_kernel_check(args) -> dict:
     }
 
 
+def _load_values(path: str, n: int) -> np.ndarray:
+    """The --values file: a flat JSON array of n finite numbers."""
+    with open(path) as fh:
+        values = json.load(fh)
+    if not isinstance(values, list):
+        raise ValueError(f"{path}: --values must be a JSON array of {n} numbers")
+    for i, v in enumerate(values):
+        if not finite_number(v):
+            raise ValueError(f"{path}: entry {i} must be a finite number, got {json.dumps(v)}")
+    if len(values) != n:
+        raise ValueError(f"{path}: {len(values)} values for {n} points")
+    return np.asarray(values, dtype=float)
+
+
 def cmd_maximal(args) -> dict:
     sp = _resolve_space(args)
     report = {
@@ -329,17 +343,18 @@ def cmd_maximal(args) -> dict:
         "n_points": sp.n,
     }
     if args.values:
-        with open(args.values) as fh:
-            values = json.load(fh)
-        mf = maximal.hl_maximal(sp, np.asarray(values, dtype=float))
+        mf = maximal.hl_maximal(sp, _load_values(args.values, sp.n))
         report["maximal"] = [float(v) for v in mf]
     elif args.random:
+        # one stacked call per chunk of functions; the (c, n) draw is the
+        # stream of c single draws
         rng = rng_stream(args.seed, 0x3A2)
+        chunk = max(1, maximal.BLOCK_ELEMENTS // sp.n)
         ratios = []
-        for _ in range(args.random):
-            f = rng.standard_normal(sp.n)
+        for first in range(0, args.random, chunk):
+            f = rng.standard_normal((min(chunk, args.random - first), sp.n))
             mf = maximal.hl_maximal(sp, f)
-            ratios.append(float(mf.max() / np.abs(f).max()))
+            ratios.extend((mf.max(axis=1) / np.abs(f).max(axis=1)).tolist())
         report["max_over_sup_ratios"] = ratios
     else:
         raise ValueError("pass --values FILE or --random COUNT")

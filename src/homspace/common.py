@@ -38,6 +38,17 @@ def rng_stream(seed: int, *salt: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0xFFFFFFFF] + [int(s) & 0xFFFFFFFF for s in salt])
 
 
+def finite_number(value) -> bool:
+    """Whether a parsed JSON value is a finite real number: not a bool, not
+    NaN or an infinity, and not an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def stable_sum(values) -> float:
     """Correctly rounded sum (fsum), so the order of the terms does not
     matter (stable for q < 1 piles)."""

@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from homspace.common import finite_number
 from homspace.space import FiniteHomSpace, validate_quasi_metric
 
 KINDS = ("euclidean_grid", "weighted_grid", "cantor", "snowflake", "file")
@@ -192,22 +193,24 @@ def load_space(path: str) -> FiniteHomSpace:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: space file must be a JSON object")
 
-    weights = data.get("weights")
-    if weights is None:
+    if data.get("weights") is None:
         raise ValueError(f"{path}: missing 'weights'")
-    weights = np.asarray(weights, dtype=float)
+    weights = _numbers(path, data, "weights")
+    if weights.ndim != 1:
+        raise ValueError(f"{path}: 'weights' must be a flat list of numbers")
     _check_cap(weights.size, f"{path}: space")
-    for i, w in enumerate(weights):
-        if not (math.isfinite(w) and w > 0):
-            raise ValueError(f"{path}: invalid measure: weights[{i}] = {w!r}")
+    bad = np.flatnonzero(weights <= 0)
+    if bad.size:
+        raise ValueError(f"{path}: invalid measure: weights[{bad[0]}] = {weights[bad[0]]!r}")
 
     metric = data.get("metric", "euclidean" if "points" in data else "explicit")
+    if not isinstance(metric, str):
+        raise ValueError(f"{path}: 'metric' must be a string, got {json.dumps(metric)}")
     coords = None
     if metric == "explicit":
-        table = data.get("dist")
-        if table is None:
+        if data.get("dist") is None:
             raise ValueError(f"{path}: metric 'explicit' requires a 'dist' table")
-        dist = np.asarray(table, dtype=float)
+        dist = _numbers(path, data, "dist")
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise ValueError(f"{path}: 'dist' must be a square table")
         if dist.shape[0] != weights.size:
@@ -219,12 +222,13 @@ def load_space(path: str) -> FiniteHomSpace:
                 f"{path}: asymmetric dist at ({i}, {j}): {dist[i, j]!r} != {dist[j, i]!r}"
             )
     else:
-        pts = data.get("points")
-        if pts is None:
+        if data.get("points") is None:
             raise ValueError(f"{path}: metric {metric!r} requires 'points'")
-        coords = np.asarray(pts, dtype=float)
+        coords = _numbers(path, data, "points")
         if coords.ndim == 1:
             coords = coords[:, None]
+        if coords.ndim != 2:
+            raise ValueError(f"{path}: 'points' must be a list of coordinate lists")
         if coords.shape[0] != weights.size:
             raise ValueError(f"{path}: {coords.shape[0]} points but {weights.size} weights")
         dist = _euclidean_dist(coords)
@@ -241,14 +245,35 @@ def load_space(path: str) -> FiniteHomSpace:
 
     space = FiniteHomSpace(
         dist=dist, weight=weights, coords=coords,
-        declared_A0=data.get("declared_A0"),
-        declared_omega=data.get("declared_omega"), metric=metric,
+        declared_A0=_declared(path, data, "declared_A0"),
+        declared_omega=_declared(path, data, "declared_omega"), metric=metric,
     )
     result = validate_quasi_metric(space)
     if not result.ok:
         v = result.violations[0]
         raise ValueError(f"{path}: invalid space: {v}")
     return space
+
+
+def _numbers(path: str, data: dict, key: str) -> np.ndarray:
+    """data[key] as a float array whose entries are all finite; checked on
+    the whole array, with no loop over entries."""
+    try:
+        arr = np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{path}: '{key}' must be a regular array of numbers") from None
+    if not np.isfinite(arr).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        raise ValueError(f"{path}: non-finite entry in '{key}' at {list(at)}: {float(arr[at])}")
+    return arr
+
+
+def _declared(path: str, data: dict, key: str):
+    """An optional declared constant: absent, null or a finite number."""
+    value = data.get(key)
+    if value is not None and not finite_number(value):
+        raise ValueError(f"{path}: '{key}' must be a finite number, got {json.dumps(value)}")
+    return value
 
 
 def space_to_dict(space: FiniteHomSpace) -> dict:

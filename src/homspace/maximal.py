@@ -7,7 +7,10 @@ when the radius crosses a pairwise distance, so M f(x) is the maximum of
 the prefix averages of |f| along the distance-sorted point list (the
 singleton prefix makes M f >= |f| pointwise). Those lists are the rows of
 the space's cached ``ball_index``, so a call sorts nothing, and M f is
-evaluated only at the points asked for.
+evaluated only at the points asked for. A stack of functions is laid out
+with the functions on the contiguous axis, so every step of a block runs
+over all of its functions at once; each addition of a prefix sum happens
+in the same order as for one function alone, so stacking changes no bit.
 
 The kernel value mirrors the almost-orthogonality bound for wavelet pairs
 at cubes (k, alpha), (j, tau) with centers x_a, x_t:
@@ -45,7 +48,8 @@ from homspace.seqnorm import CoefSequence, SequenceBatch
 from homspace.space import FiniteHomSpace
 
 # Most table entries one block of the maximal operator gathers (128 KiB of
-# float64): rows, and functions of a stack, go in blocks under it.
+# float64): rows, and functions of a stack, go in blocks under it, and
+# ``maximal --random`` scores its functions BLOCK_ELEMENTS // n at a time.
 BLOCK_ELEMENTS = 1 << 14
 
 
@@ -92,30 +96,33 @@ def hl_maximal(space: FiniteHomSpace, f, points=None) -> np.ndarray:
     prefix of a ``space.ball_index`` row that ends a tie group is a ball.
 
     ``f`` is one function (n,) or a stack of them (m, n); the result is
-    (len(points),) or (m, len(points)). Rows and functions go in blocks of
-    at most BLOCK_ELEMENTS gathered table entries, so the temporaries stay
-    that size however many functions are stacked."""
+    (len(points),) or (m, len(points)). The weighted functions are laid out
+    (n, m), functions on the contiguous axis, so one block gathers a
+    (rows, n, functions) array and its prefix sums, averages and masked
+    maxima run over every function of the block at once. A block holds at
+    most BLOCK_ELEMENTS entries, so the temporaries stay that size however
+    many functions are stacked."""
     f = np.asarray(f, dtype=float)
     if f.ndim not in (1, 2) or f.shape[-1] != space.n:
         raise ValueError("f must assign one value per point")
     points = np.arange(space.n) if points is None else np.asarray(points, dtype=int)
     af = np.abs(np.atleast_2d(f))
-    weighted = space.weight * af
+    m, n = af.shape
+    weighted = np.ascontiguousarray((space.weight * af).T)
     index = space.ball_index
-    out = np.empty((af.shape[0], points.size))
-    step = max(1, BLOCK_ELEMENTS // space.n)
-    for lo in range(0, points.size, step):
-        rows = points[lo:lo + step]
-        order, ends = index.order[rows], index.ends[rows]
-        cum_weight = index.cum_weight[rows, 1:]
-        fns = max(1, step // rows.size)
-        for first in range(0, af.shape[0], fns):
+    out = np.empty((m, points.size))
+    fns = max(1, min(m, BLOCK_ELEMENTS // n))
+    step = max(1, BLOCK_ELEMENTS // (n * fns))
+    for first in range(0, m, fns):
+        for lo in range(0, points.size, step):
+            rows = points[lo:lo + step]
             # prefix averages of each function along each row, then the
             # largest one that ends a tie group
-            averages = weighted[first:first + fns][:, order]
-            np.cumsum(averages, axis=2, out=averages)
-            np.divide(averages, cum_weight, out=averages)
-            out[first:first + fns, lo:lo + step] = averages.max(axis=2, where=ends, initial=0.0)
+            averages = weighted[index.order[rows], first:first + fns]
+            np.cumsum(averages, axis=1, out=averages)
+            np.divide(averages, index.cum_weight[rows, 1:, None], out=averages)
+            out[first:first + fns, lo:lo + step] = averages.max(
+                axis=1, where=index.ends[rows, :, None], initial=0.0).T
     out = np.maximum(out, af[:, points])   # the singleton ball average, exactly
     return out if f.ndim == 2 else out[0]
 
@@ -353,18 +360,32 @@ def _probe_points(cubes: CubeSystem, rng) -> list:
     return probes
 
 
-def random_sequence(cubes: CubeSystem, rng, scale: float = 1.0) -> CoefSequence:
-    level, alpha = cubes.fresh_index()
-    take = np.arange(alpha.size) if alpha.size <= 12 else \
-        rng.choice(alpha.size, size=12, replace=False)
-    keys = zip(level[take].tolist(), alpha[take].tolist())
-    entries = {key: scale * float(v) for key, v in zip(keys, rng.standard_normal(take.size))}
-    return CoefSequence(cubes, entries)
-
-
 def random_batch(cubes: CubeSystem, rng, count: int) -> SequenceBatch:
-    """``count`` successive ``random_sequence`` draws from ``rng`` as one batch."""
-    return SequenceBatch.of([random_sequence(cubes, rng) for _ in range(count)], system=cubes)
+    """``count`` seeded sequences as one batch: each draws 12 distinct fresh
+    cubes (all of them if there are fewer) with ``rng.choice``, then their
+    standard normal values, in that order."""
+    level, alpha = cubes.fresh_index()
+    size = min(12, alpha.size)
+    take = np.empty((count, size), dtype=int)
+    value = np.empty((count, size))
+    for i in range(count):
+        take[i] = np.arange(size) if alpha.size <= 12 else \
+            rng.choice(alpha.size, size=12, replace=False)
+        value[i] = rng.standard_normal(size)
+    # the fresh index is sorted by (k, alpha), so sorting positions sorts keys
+    order = np.argsort(take, axis=1)
+    take = np.take_along_axis(take, order, axis=1).ravel()
+    return SequenceBatch(system=cubes, labels=[None] * count,
+                         offsets=np.arange(count + 1) * size,
+                         level=level[take], alpha=alpha[take],
+                         value=np.take_along_axis(value, order, axis=1).ravel())
+
+
+def random_sequence(cubes: CubeSystem, rng) -> CoefSequence:
+    """One ``random_batch`` draw as a sequence."""
+    batch = random_batch(cubes, rng, 1)
+    keys = zip(batch.level.tolist(), batch.alpha.tolist())
+    return CoefSequence(cubes, dict(zip(keys, batch.value.tolist())))
 
 
 def calibrate_kernel_bound(cubes: CubeSystem, params: KernelParams, *,

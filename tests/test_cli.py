@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,32 @@ def test_maximal_values(tmp_path):
     assert np.allclose(report["maximal"], 1.0)
 
 
+@pytest.mark.parametrize("values,entry", [
+    ({"a": 1}, "JSON array"),
+    ([1, {}], "entry 1 "),
+    ([1, None], "entry 1 "),
+    ([[1.0] * 16], "entry 0 "),
+    ([1, "2"], "entry 1 "),
+    ([1, True], "entry 1 "),
+    ([1.0] * 15, "15 values for 16 points"),
+], ids=["object", "object-entry", "null-entry", "nested", "string-entry", "bool-entry", "short"])
+def test_maximal_values_malformed_exit_2(tmp_path, capsys, values, entry):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(values))
+    code, text = run(tmp_path, *MAXIMAL, "--values", str(path))
+    assert code == 2
+    assert text == ""
+    assert entry in capsys.readouterr().err
+
+
+def test_maximal_values_non_finite_exit_2(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    for literal in ("NaN", "Infinity", "1e400", "1" + "0" * 400):
+        path.write_text(f"[{literal}" + ", 1.0" * 15 + "]")
+        assert run(tmp_path, *MAXIMAL, "--values", str(path))[0] == 2
+        assert "entry 0 must be a finite number" in capsys.readouterr().err
+
+
 def test_kernel_check_small(tmp_path):
     code, text = run(tmp_path, "kernel-check", "--gallery", "euclidean_grid",
                      "--n", "16", "--omega", "1.0", "--p2", "1",
@@ -312,6 +339,34 @@ def test_maximal_random_mode(tmp_path):
     report = json.loads(text)
     assert len(report["max_over_sup_ratios"]) == 5
     assert all(r >= 1.0 - 1e-12 for r in report["max_over_sup_ratios"])
+
+
+def test_maximal_random_chunks_match_one_function_at_a_time(tmp_path, monkeypatch):
+    monkeypatch.setattr(maximal, "BLOCK_ELEMENTS", 10 * 16)    # chunks of 10 functions
+    code, text = run(tmp_path, *MAXIMAL, "--random", "37", "--seed", "4")
+    assert code == 0
+    sp = gallery.build(gallery.GallerySpec(kind="euclidean_grid", n=16))
+    rng = common.rng_stream(4, 0x3A2)
+    want = []
+    for _ in range(37):
+        f = rng.standard_normal(sp.n)
+        want.append(float(maximal.hl_maximal(sp, f).max() / np.abs(f).max()))
+    assert json.loads(text)["max_over_sup_ratios"] == want
+
+
+def test_maximal_random_memory_stays_bounded(tmp_path):
+    # scoring 2000 functions of the 256-point grid as one stack would trace
+    # about 27 MB; in chunks the space's table and ball index dominate
+    argv = ["maximal", "--gallery", "euclidean_grid", "--n", "256", "--dim", "1",
+            "--random", "2000"]
+    assert run(tmp_path, *argv)[0] == 0          # warm-up
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, *argv)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_usage_error_exit_2():

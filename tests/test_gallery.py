@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from homspace.cli import main
 from homspace.gallery import (
     GallerySpec,
     build,
@@ -183,6 +184,29 @@ def test_load_schema_errors(tmp_path):
                                 "metric": "snowflake:2.0"}))
     with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
         load_space(str(path))
+
+
+TABLE = {"metric": "explicit", "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "weights": [1, 1, 1]}
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"weights": {"a": 1}}, "'weights' must be a regular array of numbers"),
+    ({"dist": [[0, 1, {}], [1, 0, 1], [2, 1, 0]]}, "'dist' must be a regular array of numbers"),
+    ({"declared_A0": [2.0]}, r"'declared_A0' must be a finite number, got \[2.0\]"),
+    ({"metric": 5}, "'metric' must be a string, got 5"),
+    ({"declared_omega": "x"}, "'declared_omega' must be a finite number, got \"x\""),
+    ({"dist": [[0, 1, None], [1, 0, 1], [None, 1, 0]]},
+     r"non-finite entry in 'dist' at \[0, 2\]: nan"),
+], ids=["weights-object", "object-in-dist", "list-A0", "metric-number", "string-omega",
+        "null-in-dist"])
+def test_load_rejects_badly_typed_files(tmp_path, change, message):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({**TABLE, **change}))
+    with pytest.raises(ValueError, match=message):
+        load_space(str(path))
+    assert main(["analyze", "--space", str(path)]) == 2
+    path.write_text(json.dumps(TABLE))
+    assert load_space(str(path)).n == 3
 
 
 def test_space_roundtrip(tmp_path):

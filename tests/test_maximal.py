@@ -119,6 +119,12 @@ def test_stacked_maximal_equals_row_by_row(table, budget, monkeypatch):
     assert np.allclose(hl_maximal(sp, fns[:4]), brute, rtol=1e-12)
 
 
+def test_stacked_maximal_of_no_functions(grid64):
+    # no functions: no block at all, and the (0, len(points)) shape
+    assert hl_maximal(grid64, np.empty((0, grid64.n))).shape == (0, grid64.n)
+    assert hl_maximal(grid64, np.empty((0, grid64.n)), [3, 5]).shape == (0, 2)
+
+
 def test_maximal_rejects_bad_shapes(grid64):
     for f in (np.ones(grid64.n - 1), np.ones((2, grid64.n + 1)), np.ones((1, 1, grid64.n))):
         with pytest.raises(ValueError, match="one value per point"):
@@ -319,6 +325,29 @@ def test_kernel_batch_stale_cube_gives_lhs_zero(grid64_cubes):
     lhs, rhs = kernel_bound_batch(cubes, batch, [(k, j, x)], params)
     assert np.all(lhs == 0.0)
     assert np.all(rhs[has_level_k] > 0)
+
+
+@pytest.mark.parametrize("system", ["grid64_cubes", "four_point_cubes"])  # > and <= 12 fresh
+@pytest.mark.parametrize("seed", [2, 9])
+def test_random_batch_equals_sequences_of_the_same_stream(request, system, seed):
+    cubes = request.getfixturevalue(system)
+
+    def draw(rng):
+        # one sequence per draw: 12 distinct fresh cubes, then their values
+        level, alpha = cubes.fresh_index()
+        take = np.arange(alpha.size) if alpha.size <= 12 else \
+            rng.choice(alpha.size, size=12, replace=False)
+        keys = zip(level[take].tolist(), alpha[take].tolist())
+        return CoefSequence(cubes, dict(zip(keys, rng.standard_normal(take.size).tolist())))
+
+    rng = rng_stream(seed, 5)
+    seqs = [draw(rng) for _ in range(7)]
+    want = SequenceBatch.of(seqs)
+    got = random_batch(cubes, rng_stream(seed, 5), 7)
+    assert len(got) == len(want) == 7
+    for name in ("offsets", "level", "alpha", "value"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert random_sequence(cubes, rng_stream(seed, 5)).entries == seqs[0].entries
 
 
 def test_kernel_batch_of_no_sequences(grid64_cubes):
