@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -88,6 +89,17 @@ def _plain_floats(obj) -> bool:
     return type(obj) is list and bool(obj) and set(map(type, obj)) == {float}
 
 
+def _float_table(obj) -> bool:
+    """True for a nonempty list of equally long nonempty lists whose items
+    are all finite plain ``float``; checked once over the whole table."""
+    if type(obj) is not list or not obj or type(obj[0]) is not list or not obj[0]:
+        return False
+    width = len(obj[0])
+    return (all(type(row) is list and len(row) == width for row in obj)
+            and set(map(type, chain.from_iterable(obj))) == {float}
+            and all(map(math.isfinite, chain.from_iterable(obj))))
+
+
 def sanitize(obj):
     """Convert numpy containers/scalars to plain Python for serialization.
     A list of plain floats is returned as it is."""
@@ -116,6 +128,14 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _float_list_format(width: int, indent: int) -> str:
+    """A %-format string that writes a list of ``width`` finite floats at
+    ``indent`` as the generic path of ``_encode`` writes it, element by
+    element."""
+    pad_in = "  " * (indent + 1)
+    return "[\n" + pad_in + (",\n" + pad_in).join(["%.17g"] * width) + "\n" + "  " * indent + "]"
+
+
 def _encode(obj, indent: int) -> str:
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
@@ -140,10 +160,12 @@ def _encode(obj, indent: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if _plain_floats(obj) and all(map(math.isfinite, obj)):
-            # same text as the generic path below, in one join
-            body = (",\n" + pad_in).join(map("{:.17g}".format, obj))
+        if _float_table(obj):
+            row_fmt = _float_list_format(len(obj[0]), indent + 1)
+            body = (",\n" + pad_in).join([row_fmt % tuple(row) for row in obj])
             return "[\n" + pad_in + body + "\n" + pad + "]"
+        if _plain_floats(obj) and all(map(math.isfinite, obj)):
+            return _float_list_format(len(obj), indent) % tuple(obj)
         items = [f"{pad_in}{_encode(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"unserializable report value of type {type(obj)!r}")

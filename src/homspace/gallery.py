@@ -32,7 +32,8 @@ KINDS = ("euclidean_grid", "weighted_grid", "cantor", "snowflake", "file")
 # Every structure is a dense n x n float64 table: 4096 points is 128 MiB
 # per table, and the sorted-row ball index adds about 20 bytes per entry.
 # Gallery spaces are metrics, so building one runs no A0 pass; an explicit
-# table still needs the exact O(n^3) pass on first use of A0.
+# table still needs the exact O(n^3) pass on first use of A0 (1.0 s at
+# 1024 points, 7.8 s at 2048 and 64 s at 4096 on a 2-core VM).
 MAX_POINTS = 4096
 
 

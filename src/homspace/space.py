@@ -20,11 +20,12 @@ A0 is computed at most once per space, on first use, and cached as
 reported statistics read that cache. When the coordinates generate the
 table as a Euclidean metric or a snowflake d^e with 0 < e <= 1, A0 = 1 is
 a theorem and no pass runs (source "analytic"). Any other table gets one
-exact row-wise min-plus pass (O(n^3) time, source "exact") that takes the
-minimum over z in blocks of ROW_BLOCK table rows, so its working block
-stays in cache. Validation checks the structure of the table and compares
-a declared or passed-in A0 with the cached one; with neither, it needs no
-A0 at all.
+exact min-plus pass (O(n^3) time, source "exact") over the upper triangle
+of the symmetric table, in blocks of A0_BLOCK_X rows x and A0_BLOCK_Z rows
+z, so its working block stays in cache. Validation checks the structure
+of the table and compares a declared or passed-in A0 with the cached one;
+with neither, it needs no A0 at all. An asymmetric table is a validation
+violation and never reaches the pass.
 
 Ball masses and the maximal operator read one sorted-row index per space,
 ``ball_index`` (built on first use, 21 bytes per table entry).
@@ -175,7 +176,7 @@ class BallIndex(NamedTuple):
     ends: np.ndarray          # (n, n) bool: [x, c] when the c + 1 nearest are a ball (a tie group ends)
 
 
-# Rows sorted (or read, in the A0 pass) per
+# Rows sorted (or read, in the triangle-violation scan) per
 # block: temporaries stay at a few ROW_BLOCK x n arrays instead of n x n.
 ROW_BLOCK = 64
 
@@ -406,10 +407,13 @@ def _push_triangle_violations(space: FiniteHomSpace, a0: float, asymmetric: bool
     limit = a0 * (1.0 + 1e-12)
     if space.n < 3 or asymmetric or space.quasi_triangle.value <= limit:
         return
-    d = space.dist
-    block = np.empty((min(ROW_BLOCK, space.n), space.n))
-    for x in range(space.n):
-        for lo, hops in _two_hop_blocks(d, x, block):
+    d, n = space.dist, space.n
+    block = np.empty((min(ROW_BLOCK, n), n))
+    for x in range(n):
+        for lo in range(0, n, ROW_BLOCK):
+            # hops[i, y] = d(x, z) + d(z, y) for the block's rows z = lo + i
+            hops = block[:min(ROW_BLOCK, n - lo)]
+            np.add(d[x, lo:lo + ROW_BLOCK, None], d[lo:lo + ROW_BLOCK], out=hops)
             with np.errstate(divide="ignore", invalid="ignore"):
                 bad = d[x] / hops > limit
             for i, y in zip(*np.nonzero(bad)):
@@ -425,27 +429,27 @@ def _push_triangle_violations(space: FiniteHomSpace, a0: float, asymmetric: bool
 # Constant estimators
 # ---------------------------------------------------------------------------
 
-def _two_hop_blocks(d: np.ndarray, x: int, block: np.ndarray):
-    """Yield (lo, hops) with hops[i, y] = d[x, lo + i] + d[lo + i, y] for
-    each block of ROW_BLOCK table rows from lo. Every block is written into
-    ``block`` (min(ROW_BLOCK, n) x n), so the caller must finish with one
-    before the next."""
-    n = d.shape[0]
-    for lo in range(0, n, ROW_BLOCK):
-        hops = block[:min(ROW_BLOCK, n - lo)]
-        np.add(d[x, lo:lo + ROW_BLOCK, None], d[lo:lo + ROW_BLOCK], out=hops)
-        yield lo, hops
+# The exact A0 pass takes A0_BLOCK_X rows x at a time and reads the table
+# A0_BLOCK_Z rows z at a time: its one temporary holds
+# A0_BLOCK_Z x A0_BLOCK_X x n two-hop lengths (1 MiB at n = 1024).
+A0_BLOCK_X = 8
+A0_BLOCK_Z = 16
 
 
 def estimate_quasi_triangle_constant(space: FiniteHomSpace) -> TriangleEstimate:
     """Exact A0: the largest ratio d(x,y) / (d(x,z) + d(z,y)) over triples,
-    clamped at 1.
+    clamped at 1. The table must be symmetric (ValueError otherwise).
 
-    One row-wise min-plus pass: for each x, m[y] = min_z d(x,z) + d(z,y),
-    taken over blocks of ROW_BLOCK rows z, and the row's best ratio is
-    max_y d(x,y) / m[y]. Letting z range over {x, y} only adds ratios of 1,
-    which the clamp absorbs; pairs with m[y] = 0 (y = x) are skipped. The
-    witness z is the first argmin of d(x,z) + d(z,y). Use
+    One min-plus pass over the upper triangle: for each block of
+    A0_BLOCK_X rows from x0, m[x, y] = min_z d(z,x) + d(z,y) for y >= x0,
+    taken over blocks of A0_BLOCK_Z rows z, and the block's best ratio is
+    the first largest d(x,y) / m[x, y] in row-major order. By symmetry
+    d(z,x) + d(z,y) is the same float as d(x,z) + d(z,y), and the ratio
+    table is symmetric, so the first pair of largest ratio in row-major
+    order over the whole table has y >= x: value and witness are those of
+    a row-by-row pass over every (x, y). Letting z range over {x, y} only
+    adds ratios of 1, which the clamp absorbs; pairs with m = 0 are
+    skipped. The witness z is the first argmin of d(x,z) + d(z,y). Use
     ``space.quasi_triangle`` for the cached value, which skips the pass
     where A0 = 1 is a theorem.
     """
@@ -453,21 +457,31 @@ def estimate_quasi_triangle_constant(space: FiniteHomSpace) -> TriangleEstimate:
     d = space.dist
     if n < 3:
         return TriangleEstimate(value=1.0, degenerate=True)
+    if not np.array_equal(d, d.T):
+        raise ValueError("the exact A0 pass needs a symmetric distance table")
 
     best = 1.0
     witness = None
-    block = np.empty((min(ROW_BLOCK, n), n))
-    m = np.empty(n)
-    ratios = np.empty(n)
-    for x in range(n):
+    # flat buffers, each block a contiguous view of their heads
+    hops = np.empty(A0_BLOCK_Z * A0_BLOCK_X * n)
+    bufs = np.empty((3, A0_BLOCK_X * n))
+    for x0 in range(0, n, A0_BLOCK_X):
+        xs = slice(x0, x0 + A0_BLOCK_X)
+        shape = (min(A0_BLOCK_X, n - x0), n - x0)      # rows x, columns y >= x0
+        size = shape[0] * shape[1]
+        m, low, ratios = (buf[:size].reshape(shape) for buf in bufs)
         m.fill(np.inf)
-        for _, hops in _two_hop_blocks(d, x, block):
-            np.minimum(m, hops.min(axis=0), out=m)
+        for z0 in range(0, n, A0_BLOCK_Z):
+            zs = slice(z0, z0 + A0_BLOCK_Z)
+            block = hops[:min(A0_BLOCK_Z, n - z0) * size].reshape(-1, *shape)
+            np.add(d[zs, xs, None], d[zs, None, x0:], out=block)     # d(z,x) + d(z,y)
+            np.minimum(m, np.minimum.reduce(block, axis=0, out=low), out=m)
         ratios.fill(0.0)
-        np.divide(d[x], m, out=ratios, where=m > 0)
-        y = int(np.argmax(ratios))
-        if ratios[y] > best:
-            best = float(ratios[y])
+        np.divide(d[xs, x0:], m, out=ratios, where=m > 0)
+        i, j = divmod(int(np.argmax(ratios)), shape[1])
+        if ratios[i, j] > best:
+            best = float(ratios[i, j])
+            x, y = x0 + i, x0 + j
             witness = (x, y, int(np.argmin(d[x] + d[:, y])))
     return TriangleEstimate(value=best, degenerate=False, witness=witness)
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from homspace import space as space_module
 from homspace.common import rng_stream
 from homspace.space import (
+    A0_BLOCK_X,
+    A0_BLOCK_Z,
     FiniteHomSpace,
     check_local_lower_bound,
     check_lower_bound,
@@ -151,19 +154,64 @@ def test_a0_row_pass_matches_brute_force():
             assert est.witness is None
 
 
-@pytest.mark.parametrize("n", [3, 64, 65, 130])
+def _tied_table(n, rng):
+    """Integer table on a random relabelling: 3 between points of the same
+    parity, 1 across. Every same-parity pair attains A0 = 3 / (1 + 1)
+    through every point of the other parity, so for n >= 4 several pairs
+    and several z tie at the maximum."""
+    parity = rng.permutation(n) % 2
+    dist = np.where(parity[:, None] == parity[None, :], 3.0, 1.0)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def _lone_witness_table(n):
+    """2 between any two points, but 3 from 0 to 1 and 1 from the last
+    point to both: A0 = 3 / (1 + 1), attained only by (0, 1, n - 1)."""
+    dist = np.full((n, n), 2.0)
+    dist[0, 1] = dist[1, 0] = 3.0
+    dist[-1, :2] = dist[:2, -1] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+@pytest.mark.parametrize("n", [3, 4, A0_BLOCK_X, A0_BLOCK_X + 1, A0_BLOCK_Z, A0_BLOCK_Z + 1,
+                               2 * A0_BLOCK_Z + A0_BLOCK_X + 3, 64, 65, 130])
 def test_a0_blocked_pass_matches_brute_witness(n):
-    # n = 64, 65 and 130 put the row blocks of the pass at, past and across
-    # their edges; the witness z must be the first of least two-hop length.
-    # The reversed table moves the witnesses into the last block.
+    # n at, past and across the edges of the x and z blocks of the pass;
+    # the witness must be the first pair in row-major order and the first
+    # z of least two-hop length. The
+    # reversed table moves the witnesses into the last blocks, the tied
+    # table pins the tie-breaks, and the lone witness z lies in the last z
+    # block (in the first once reversed).
     rng = rng_stream(n, 0xB10C)
     raw = rng.uniform(0.01, 5.0, (n, n))
     dist = np.triu(raw, 1) + np.triu(raw, 1).T
-    for table in (dist, dist[::-1, ::-1]):
+    tied = _tied_table(n, rng)
+    lone = _lone_witness_table(n)
+    for table in (dist, dist[::-1, ::-1], tied, tied[::-1, ::-1], lone, lone[::-1, ::-1]):
         est = estimate_quasi_triangle_constant(explicit_space(table))
         value, witness = brute_a0_witness(table)
         assert est.value == value
         assert est.witness == witness
+    assert estimate_quasi_triangle_constant(explicit_space(tied)).value == 1.5
+    assert estimate_quasi_triangle_constant(explicit_space(lone)).witness == (0, 1, n - 1)
+
+
+def test_a0_rejects_an_asymmetric_table(monkeypatch):
+    dist = [[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]
+    with pytest.raises(ValueError, match="symmetric"):
+        estimate_quasi_triangle_constant(explicit_space(dist))
+
+    def no_pass(space):
+        raise AssertionError("validation ran the A0 pass")
+
+    monkeypatch.setattr(space_module, "estimate_quasi_triangle_constant", no_pass)
+    sp = explicit_space(dist, declared_A0=1.0)
+    result = validate_quasi_metric(sp)
+    assert not result.ok and result.a0_used == 1.0
+    assert [(v["kind"], v["pair"]) for v in result.violations] == [("symmetry", [0, 2])]
+    assert "quasi_triangle" not in vars(sp)
 
 
 def test_a0_analytic_only_for_coordinate_metrics():
