@@ -36,7 +36,7 @@ import numpy as np
 from homspace.common import DEFAULT_SEED, TrendConfig, decay_span, fit_loglog, rng_stream
 from homspace.dyadic import CubeSystem
 from homspace.gallery import RnDyadicGrid
-from homspace.seqnorm import CoefSequence, NormParams, SequenceBatch, batch_norms
+from homspace.seqnorm import NormParams, SequenceBatch, batch_norms
 from homspace.space import (
     FiniteHomSpace,
     LowerBoundReport,
@@ -158,16 +158,6 @@ def fresh_constants(cubes: CubeSystem, omega: float, variant: str) -> tuple:
             const[at] = implied_constant(cubes, k, alpha[at], omega)
         return level, alpha, const
     return cubes.memo(("fresh_constants", omega, variant), build)
-
-
-def delta_ratio(cubes: CubeSystem, k0: int, alpha0: int, params: EmbedParams) -> float:
-    """target/source norm ratio of the one-coefficient sequence at (k0, a0),
-    in closed form: delta^{-k0 (s1 - s2)} * mass^{1/p1 - 1/p2}."""
-    mass = cubes.mass(k0, alpha0)
-    d = cubes.delta
-    s1, p1 = params.target.s, params.target.p
-    s2, p2 = params.source.s, params.source.p
-    return d ** (-k0 * (s1 - s2)) * mass ** (_inv(p1) - _inv(p2))
 
 
 def _inv(p: float) -> float:
@@ -362,13 +352,6 @@ def _ratios(batch: SequenceBatch, params: EmbedParams) -> tuple:
     return nonzero, tgt[nonzero] / src[nonzero]
 
 
-def sequence_ratio(seq: CoefSequence, params: EmbedParams) -> Optional[float]:
-    """target/source norm ratio of one sequence; None for the neutral 0/0
-    of a zero sequence."""
-    nonzero, ratios = _ratios(SequenceBatch.of([seq]), params)
-    return float(ratios[0]) if nonzero.size else None
-
-
 def embedding_ratio_scan(cubes: CubeSystem, params: EmbedParams, *,
                          n_sequences: int = 256, seed: int = DEFAULT_SEED,
                          lower_bound_holds: Optional[bool] = None) -> ScanReport:
@@ -526,31 +509,31 @@ def ap_weight_check(grid: RnDyadicGrid, w, p: float) -> ApReport:
     """sup over dyadic cubes Q of avg_Q(w) * avg_Q(w^{-1/(p-1)})^{p-1}.
 
     Averages are arithmetic means over the lattice points inside Q (a
-    uniform lattice makes them Lebesgue averages). Requires p > 1 and a
-    positive weight field.
+    uniform lattice makes them Lebesgue averages): per level, sums over
+    the cubes' slices of ``grid.order`` divided by their sizes. The witness
+    is the first maximum in (level, cube id) order. Requires p > 1 and a
+    positive, finite weight field.
     """
     if p <= 1:
         raise ValueError("the A_p product needs p > 1")
     w = np.asarray(w, dtype=float)
     if w.shape != (grid.points.shape[0],):
         raise ValueError("weight field length must match the grid")
-    if np.any(w <= 0):
-        raise ValueError("weight field must be positive")
+    if not (np.isfinite(w) & (w > 0)).all():
+        raise ValueError("weight field must be positive and finite")
     dual = w ** (-1.0 / (p - 1.0))
     best = 0.0
     witness = None
     per_level = {}
     for j in grid.levels:
-        level_best = 0.0
-        for kvec in grid.cubes(j):
-            members = grid.members(j, kvec)
-            avg_w = float(np.mean(w[members]))
-            avg_dual = float(np.mean(dual[members]))
-            value = avg_w * avg_dual ** (p - 1.0)
-            if value > level_best:
-                level_best = value
-            if value > best:
-                best = value
-                witness = {"level": j, "cube": [int(v) for v in kvec], "value": value}
-        per_level[j] = level_best
+        order, starts = grid.order[j], grid.bounds[j][:-1]
+        size = np.diff(grid.bounds[j])
+        avg_w = np.add.reduceat(w[order], starts) / size
+        avg_dual = np.add.reduceat(dual[order], starts) / size
+        value = avg_w * avg_dual ** (p - 1.0)
+        top = int(np.argmax(value))
+        per_level[j] = float(value[top])
+        if value[top] > best:
+            best = float(value[top])
+            witness = {"level": j, "cube": grid.keys[j][top].tolist(), "value": best}
     return ApReport(estimate=best, p=float(p), witness=witness, per_level_max=per_level)

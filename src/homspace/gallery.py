@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +31,8 @@ from homspace.space import FiniteHomSpace, validate_quasi_metric
 KINDS = ("euclidean_grid", "weighted_grid", "cantor", "snowflake", "file")
 
 # Every structure is a dense n x n float64 table: 4096 points is 128 MiB
-# per table, and the sorted-row ball index adds about 20 bytes per entry.
+# per table, and the sorted-row ball index adds 21 bytes per entry (int32
+# order, float64 dist, float64 cum_weight and bool ends).
 # Gallery spaces are metrics, so building one runs no A0 pass; an explicit
 # table still needs the exact O(n^3) pass on first use of A0 (1.0 s at
 # 1024 points, 7.8 s at 2048 and 64 s at 4096 on a 2-core VM).
@@ -257,15 +259,25 @@ def load_space(path: str) -> FiniteHomSpace:
 
 
 def _numbers(path: str, data: dict, key: str) -> np.ndarray:
-    """data[key] as a float array whose entries are all finite; checked on
-    the whole array, with no loop over entries."""
+    """data[key] as a float array whose entries are all finite JSON numbers;
+    checked on the whole array, with no branch per entry."""
+    raw = data[key]
     try:
-        arr = np.asarray(data[key], dtype=float)
+        arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{path}: '{key}' must be a regular array of numbers") from None
     if not np.isfinite(arr).all():
         at = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
         raise ValueError(f"{path}: non-finite entry in '{key}' at {list(at)}: {float(arr[at])}")
+    # the conversion also takes numeric strings and booleans: one type scan
+    # over the flattened rows rejects them (deeper nesting fails a shape check)
+    rows = [raw] if arr.ndim == 1 else raw if arr.ndim == 2 else []
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        flat = list(chain.from_iterable(rows))
+        i = next(i for i, v in enumerate(flat) if type(v) not in (int, float))
+        at = [i] if arr.ndim == 1 else list(divmod(i, arr.shape[1]))
+        raise ValueError(f"{path}: '{key}' must hold numbers only, "
+                         f"got {json.dumps(flat[i])} at {at}")
     return arr
 
 
@@ -303,35 +315,43 @@ class RnDyadicGrid:
     """Point cloud in R^n carved by the standard half-open dyadic cubes.
 
     Level-j cubes are the sets {x : floor(2^j x) = k}, k in Z^n, so the
-    scale base is 1/2. Each point carries a mass (density * cell volume);
-    cube masses are their sums.
+    scale base is 1/2. Each level is held as the arrays a ``CubeSystem``
+    holds: cube a of level j is the cell keys[j][a] (the distinct cells of
+    the points, in lexicographic order), its points are the slice
+    order[j][bounds[j][a]:bounds[j][a + 1]] (ascending), and cube_mass[j][a]
+    is the sum of their masses (density * cell volume), added in point order.
     """
 
     points: np.ndarray            # (m, dim)
     weights: np.ndarray           # (m,)
     j_min: int
     j_max: int
-    cell: dict                    # level -> (m, dim) int cell indices
-    masses: dict                  # level -> {kvec tuple: mass}
-
-    delta: float = 0.5
+    keys: dict                    # level -> (cubes, dim) int cells, sorted
+    order: dict                   # level -> (m,) point ids grouped by cube
+    bounds: dict                  # level -> (cubes + 1,) offsets into order
+    cube_mass: dict               # level -> (cubes,) masses
 
     @property
     def levels(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
-    def cubes(self, j: int) -> list:
-        return sorted(self.masses[j].keys())
-
-    def mass(self, j: int, kvec) -> float:
-        try:
-            return self.masses[j][tuple(int(v) for v in kvec)]
-        except KeyError:
-            raise KeyError(f"no dyadic cube (j={j}, k={tuple(kvec)}) meets the box") from None
-
-    def members(self, j: int, kvec) -> np.ndarray:
-        key = np.asarray(tuple(int(v) for v in kvec), dtype=int)
-        return np.flatnonzero((self.cell[j] == key).all(axis=1))
+    def cube_ids(self, j: int, cells) -> np.ndarray:
+        """Ids of the level-j cubes at the integer rows ``cells``; KeyError
+        for a row that is no cube of the grid (off the box, or of another
+        dimension)."""
+        keys = self.keys[j]
+        cells = np.asarray(cells, dtype=int).reshape(len(cells), -1)
+        first = 0                   # any row, when the dimension is wrong
+        if cells.shape[1] == keys.shape[1]:
+            # the keys are distinct and sorted, so they keep their ids in
+            # the union with the rows exactly when every row is a key
+            union, inverse = np.unique(np.concatenate([keys, cells]), axis=0,
+                                       return_inverse=True)
+            inverse = inverse.ravel()
+            if len(union) == len(keys):
+                return inverse[len(keys):]
+            first = np.flatnonzero(~np.isin(inverse[len(keys):], inverse[:len(keys)]))[0]
+        raise KeyError(f"no dyadic cube (j={j}, k={tuple(cells[first].tolist())}) meets the box")
 
 
 def build_rn_dyadic_grid(points, weights, j_min: int = 0, j_max: int = 6) -> RnDyadicGrid:
@@ -341,19 +361,22 @@ def build_rn_dyadic_grid(points, weights, j_min: int = 0, j_max: int = 6) -> RnD
     if points.ndim == 1:
         points = points[:, None]
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights <= 0):
-        raise ValueError("invalid measure: grid weights must be positive")
-    cell: dict = {}
-    masses: dict = {}
+    if weights.shape != points.shape[:1]:
+        raise ValueError(f"{weights.size} grid weights for {points.shape[0]} points")
+    if not (np.abs(points) * 2.0**j_max < 2.0**62).all():   # NaN fails too
+        raise ValueError(f"grid points must be finite, with |x| below 2^{62 - j_max}")
+    if not (np.isfinite(weights) & (weights > 0)).all():
+        raise ValueError("invalid measure: grid weights must be positive and finite")
+    keys, order, bounds, cube_mass = {}, {}, {}, {}
     for j in range(j_min, j_max + 1):
-        idx = np.floor(points * 2.0**j).astype(int)
-        cell[j] = idx
-        acc: dict = {}
-        for row, w in zip(map(tuple, idx), weights):
-            acc[row] = acc.get(row, 0.0) + float(w)
-        masses[j] = acc
+        keys[j], cube_of = np.unique(np.floor(points * 2.0**j).astype(int), axis=0,
+                                     return_inverse=True)
+        cube_of = cube_of.ravel()
+        order[j] = np.argsort(cube_of, kind="stable")
+        bounds[j] = np.concatenate(([0], np.cumsum(np.bincount(cube_of, minlength=len(keys[j])))))
+        cube_mass[j] = np.bincount(cube_of, weights=weights, minlength=len(keys[j]))
     return RnDyadicGrid(points=points, weights=weights, j_min=j_min, j_max=j_max,
-                        cell=cell, masses=masses)
+                        keys=keys, order=order, bounds=bounds, cube_mass=cube_mass)
 
 
 def unit_dyadic_lattice(j_points: int, dim: int = 1, density=None) -> RnDyadicGrid:

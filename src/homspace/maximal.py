@@ -381,13 +381,6 @@ def random_batch(cubes: CubeSystem, rng, count: int) -> SequenceBatch:
                          value=np.take_along_axis(value, order, axis=1).ravel())
 
 
-def random_sequence(cubes: CubeSystem, rng) -> CoefSequence:
-    """One ``random_batch`` draw as a sequence."""
-    batch = random_batch(cubes, rng, 1)
-    keys = zip(batch.level.tolist(), batch.alpha.tolist())
-    return CoefSequence(cubes, dict(zip(keys, batch.value.tolist())))
-
-
 def calibrate_kernel_bound(cubes: CubeSystem, params: KernelParams, *,
                            n_sequences: int = 64,
                            seed: int = DEFAULT_SEED) -> KernelCalibration:

@@ -424,17 +424,6 @@ def sequence_norm(seq: CoefSequence, params: NormParams) -> float:
         else triebel_lizorkin_norm(seq, params)
 
 
-def delta_sequence_norm(system: CubeSystem, k0: int, alpha0: int,
-                        params: NormParams) -> float:
-    """Closed form for the one-coefficient sequence at cube (k0, alpha0):
-    delta^{-k0 s} * mass^{1/p - 1/2}. The Besov and Triebel-Lizorkin
-    values coincide (the indicator integrates to the cube mass)."""
-    mass = system.mass(k0, alpha0)
-    if not params.level_in_window(k0):
-        return 0.0
-    return params.delta ** (-k0 * params.s) * mass ** (_inv(params.p) - 0.5)
-
-
 # ---------------------------------------------------------------------------
 # Weighted sequence norms on the standard dyadic grid in R^n
 # ---------------------------------------------------------------------------
@@ -444,31 +433,30 @@ def weighted_rn_norm(entries: dict, grid: RnDyadicGrid, params: NormParams) -> f
     R^n, with cube masses given by the grid's weighted sums. Entries map
     (j, kvec) -> coefficient; delta must be 1/2.
 
-    The grid's cubes of level j are numbered in sorted order, which makes
-    each level a cube table for the batch kernel."""
+    Each level of the grid is a cube table for the batch kernel: the
+    entries' kvecs become cube ids with one ``grid.cube_ids`` lookup per
+    level, and entries that name one cube are added up, in entry order."""
     if abs(params.delta - 0.5) > 1e-12:
         raise ValueError("the standard dyadic grid has delta = 1/2")
-    norm_entries = {}
-    for key, value in entries.items():
-        j = int(key[0])
-        kvec = tuple(int(v) for v in np.atleast_1d(np.asarray(key[1])).ravel())
-        if not (grid.j_min <= j <= grid.j_max):
-            raise ValueError(f"level j = {j} outside the grid window "
-                             f"[{grid.j_min}, {grid.j_max}]")
-        grid.mass(j, kvec)  # raises for cubes off the box
-        norm_entries[(j, kvec)] = norm_entries.get((j, kvec), 0.0) + float(value)
-
-    cube_mass, order, bounds = {}, {}, {}
-    for j in {j for j, _ in norm_entries}:
-        cubes = grid.cubes(j)
-        cube_mass[j] = np.array([grid.masses[j][kvec] for kvec in cubes])
-        _, cube_of = np.unique(grid.cell[j], axis=0, return_inverse=True)
-        cube_of = cube_of.ravel()
-        order[j] = np.argsort(cube_of, kind="stable")
-        bounds[j] = np.concatenate(([0], np.cumsum(np.bincount(cube_of, minlength=len(cubes)))))
-    keys = sorted(norm_entries)
-    level = np.array([j for j, _ in keys], dtype=int)
-    alpha = np.array([grid.cubes(j).index(kvec) for j, kvec in keys], dtype=int)
-    value = np.array([norm_entries[key] for key in keys], dtype=float)
-    return float(_norms(np.array([0, len(keys)]), level, alpha, value, params,
-                        cube_mass, order, bounds, grid.weights)[0])
+    if not entries:
+        return 0.0
+    levels, kvecs = zip(*entries)
+    level = np.array(levels, dtype=int)
+    try:
+        cells = np.array(kvecs, dtype=int).reshape(len(kvecs), -1)
+    except ValueError:
+        raise KeyError("no dyadic cube meets the box at every k: "
+                       "the kvecs differ in length") from None
+    outside = np.flatnonzero((level < grid.j_min) | (level > grid.j_max))
+    if outside.size:
+        raise ValueError(f"level j = {level[outside[0]]} outside the grid window "
+                         f"[{grid.j_min}, {grid.j_max}]")
+    alpha = np.empty(level.size, dtype=int)
+    for j in np.unique(level).tolist():
+        at = level == j
+        alpha[at] = grid.cube_ids(j, cells[at])
+    keys, entry_of = np.unique(np.stack([level, alpha], axis=1), axis=0, return_inverse=True)
+    value = np.bincount(entry_of.ravel(), weights=np.array(list(entries.values()), dtype=float),
+                        minlength=len(keys))
+    return float(_norms(np.array([0, len(keys)]), keys[:, 0], keys[:, 1], value, params,
+                        grid.cube_mass, grid.order, grid.bounds, grid.weights)[0])

@@ -3,6 +3,8 @@ import pytest
 
 from homspace import gallery
 from homspace.dyadic import build_cubes, build_nets, default_constants
+from homspace.maximal import random_batch
+from homspace.seqnorm import CoefSequence
 from homspace.space import FiniteHomSpace
 
 from helpers import unit_spaced_grid
@@ -12,6 +14,13 @@ def build_system(space, seed=0xD1AD1C, **kwargs):
     delta, c0, C0 = default_constants(space, **kwargs)
     net = build_nets(space, delta, c0, C0, seed=seed, a0=kwargs.get("a0"))
     return build_cubes(net, space)
+
+
+def random_sequence(cubes, rng):
+    """One ``maximal.random_batch`` draw as a sequence."""
+    batch = random_batch(cubes, rng, 1)
+    keys = zip(batch.level.tolist(), batch.alpha.tolist())
+    return CoefSequence(cubes, dict(zip(keys, batch.value.tolist())))
 
 
 @pytest.fixture(scope="session")

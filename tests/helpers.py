@@ -106,6 +106,38 @@ def brute_tl(entries, masses, members, weights, n, delta, s, p, q, level_ok):
     return total ** (1.0 / p)
 
 
+def delta_sequence_norm(system, k0, alpha0, params):
+    """Closed form for the one-coefficient sequence at cube (k0, alpha0):
+    delta^{-k0 s} * mass^{1/p - 1/2}, 0 outside the variant window. The
+    Besov and Triebel-Lizorkin values coincide (the indicator integrates to
+    the cube mass)."""
+    lowest = 0 if params.include_zero_level else 1
+    if params.variant != "homogeneous" and k0 < lowest:
+        return 0.0
+    inv_p = 0.0 if math.isinf(params.p) else 1.0 / params.p
+    return params.delta ** (-k0 * params.s) * system.mass(k0, alpha0) ** (inv_p - 0.5)
+
+
+def delta_ratio(cubes, k0, alpha0, params):
+    """target/source norm ratio of the one-coefficient sequence at (k0, a0),
+    in closed form: delta^{-k0 (s1 - s2)} * mass^{1/p1 - 1/p2}."""
+    inv_p1 = 0.0 if math.isinf(params.target.p) else 1.0 / params.target.p
+    inv_p2 = 0.0 if math.isinf(params.source.p) else 1.0 / params.source.p
+    return (cubes.delta ** (-k0 * (params.target.s - params.source.s))
+            * cubes.mass(k0, alpha0) ** (inv_p1 - inv_p2))
+
+
+def brute_rn_cubes(points, weights, j):
+    """Level-j standard dyadic cubes of a point cloud by floor indexing:
+    {kvec: (ascending member ids, mass summed in point order)}."""
+    cubes = {}
+    for i, (point, w) in enumerate(zip(points, weights)):
+        kvec = tuple(math.floor(float(x) * 2.0**j) for x in np.atleast_1d(point))
+        members, mass = cubes.get(kvec, ([], 0.0))
+        cubes[kvec] = (members + [i], mass + float(w))
+    return cubes
+
+
 def brute_maximal(dist, weight, f):
     """M f by scanning a radius just above every pairwise distance."""
     n = dist.shape[0]

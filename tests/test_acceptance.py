@@ -20,7 +20,6 @@ from homspace.maximal import (
     fs_vector_maximal_check,
     hl_maximal,
     kernel_maximal_bound_check,
-    random_sequence,
 )
 from homspace.seqnorm import (
     CoefSequence,
@@ -30,6 +29,8 @@ from homspace.seqnorm import (
     triebel_lizorkin_norm,
 )
 from homspace.space import check_lower_bound, fit_mass_exponent
+
+from conftest import random_sequence
 
 REL = 1e-12
 

@@ -156,6 +156,15 @@ def test_gallery_keeps_points_of_a_coordinate_file(tmp_path):
     assert "dist" not in report
 
 
+def test_gallery_space_with_string_and_bool_weights_exits_2(tmp_path, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"points": [[0], [1], [3]], "weights": ["1", True, "2.5"]}))
+    code, text = run(tmp_path, "gallery", "--space", str(path))
+    assert code == 2
+    assert text == ""
+    assert "'weights' must hold numbers only, got \"1\" at [0]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["--n", "256"],
     ["--n", "200", "--dim", "1", "--seed", "1570764153"],

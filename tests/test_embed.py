@@ -10,19 +10,27 @@ from homspace.embed import (
     ap_weight_check,
     characterize,
     delta_necessity_test,
-    delta_ratio,
     embedding_ratio_scan,
     generate_batch,
     implied_constant,
     proof_constant_besov,
     scan_batch,
-    sequence_ratio,
 )
 from homspace.gallery import unit_dyadic_lattice
-from homspace.seqnorm import CoefSequence, NormParams, SequenceBatch, sequence_norm
+from homspace.seqnorm import CoefSequence, NormParams, SequenceBatch, batch_norms, sequence_norm
 from homspace.space import FiniteHomSpace
 
 from conftest import build_system
+from helpers import brute_rn_cubes, delta_ratio
+
+
+def sequence_ratio(seq, params):
+    """target/source norm ratio of one sequence; None for the neutral 0/0
+    of a zero sequence."""
+    batch = SequenceBatch.of([seq])
+    src = batch_norms(batch, params.source)[0]
+    tgt = batch_norms(batch, params.target)[0]
+    return None if src == tgt == 0.0 else float(tgt / src)
 
 
 def besov_pair(delta, s1, p1, s2, p2, q=1.0, omega=1.0, variant="homogeneous"):
@@ -346,6 +354,56 @@ def test_ap_supercritical_weight_blows_up():
         estimates.append(ap_weight_check(grid, grid.weights * 2**j, p=2.0).estimate)
     assert estimates[0] < estimates[1] < estimates[2]
     assert estimates[2] > 2.0 * estimates[0]
+
+
+def brute_ap(grid, w, p):
+    """(estimate, witness, per-level maxima) from per-cube means over the
+    floor-indexed cubes, scanned in (level, sorted kvec) order."""
+    best, witness, per_level = 0.0, None, {}
+    for j in grid.levels:
+        per_level[j] = 0.0
+        for kvec, (members, _) in sorted(brute_rn_cubes(grid.points, grid.weights, j).items()):
+            avg_w = sum(w[i] for i in members) / len(members)
+            avg_dual = sum(w[i] ** (-1.0 / (p - 1.0)) for i in members) / len(members)
+            value = avg_w * avg_dual ** (p - 1.0)
+            per_level[j] = max(per_level[j], value)
+            if value > best:
+                best, witness = value, {"level": j, "cube": list(kvec)}
+    return best, witness, per_level
+
+
+@pytest.mark.parametrize("dim,p", [(1, 2.0), (1, 1.5), (2, 3.0), (2, 2.0)])
+def test_ap_matches_brute_cube_means(dim, p):
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-1.0, 1.0, (120, dim))
+    grid = gallery.build_rn_dyadic_grid(pts, np.full(120, 1 / 120), j_min=-1, j_max=5)
+    w = np.exp(2.0 * rng.standard_normal(120))
+    report = ap_weight_check(grid, w, p)
+    best, witness, per_level = brute_ap(grid, w, p)
+    assert report.estimate == pytest.approx(best, rel=1e-12)
+    assert {k: report.witness[k] for k in ("level", "cube")} == witness
+    assert report.witness["value"] == report.estimate
+    assert report.per_level_max.keys() == per_level.keys()
+    for j, value in per_level.items():
+        assert report.per_level_max[j] == pytest.approx(value, rel=1e-12)
+
+
+def test_ap_witness_is_first_maximum():
+    # a constant weight ties every cube at exactly 1: the witness is the
+    # first cube of the coarsest level, which holds four
+    lattice = unit_dyadic_lattice(3, dim=2)
+    grid = gallery.build_rn_dyadic_grid(lattice.points, lattice.weights, j_min=1, j_max=3)
+    report = ap_weight_check(grid, np.full(64, 4.0), p=2.0)
+    assert report.witness == {"level": 1, "cube": [0, 0], "value": 1.0}
+
+
+def test_ap_rejects_bad_weight_fields():
+    grid = unit_dyadic_lattice(3)
+    for w in (np.zeros(8), np.r_[np.ones(7), math.nan], np.r_[np.ones(7), math.inf]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ap_weight_check(grid, w, p=2.0)
+    with pytest.raises(ValueError, match="length"):
+        ap_weight_check(grid, np.ones(9), p=2.0)
 
 
 def test_ap_requires_p_above_one():

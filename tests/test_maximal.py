@@ -15,11 +15,11 @@ from homspace.maximal import (
     kernel_bound_batch,
     kernel_maximal_bound_check,
     random_batch,
-    random_sequence,
 )
 from homspace.seqnorm import CoefSequence, SequenceBatch
 from homspace.space import FiniteHomSpace
 
+from conftest import random_sequence
 from helpers import brute_maximal, integer_grid_table, unit_spaced_grid
 
 

@@ -13,7 +13,6 @@ from homspace.seqnorm import (
     SequenceBatch,
     batch_norms,
     besov_norm,
-    delta_sequence_norm,
     layer_cake_tl_norm,
     load_sequence,
     sequence_norm,
@@ -22,7 +21,7 @@ from homspace.seqnorm import (
 )
 
 import conftest
-from helpers import brute_besov, brute_tl
+from helpers import brute_besov, brute_rn_cubes, brute_tl, delta_sequence_norm
 
 INF = math.inf
 
@@ -441,10 +440,14 @@ def test_bad_params_rejected():
 # weighted norms on the standard dyadic grid
 # ---------------------------------------------------------------------------
 
+def grid_mass(grid, j, kvec):
+    return float(grid.cube_mass[j][grid.cube_ids(j, [kvec])[0]])
+
+
 def test_weighted_rn_lebesgue_case():
     grid = unit_dyadic_lattice(6)  # 64 points, level-j cubes carry mass 2^-j
     for j, k in [(0, (0,)), (3, (5,)), (6, (40,))]:
-        assert grid.mass(j, k) == pytest.approx(2.0 ** (-j), rel=1e-12)
+        assert grid_mass(grid, j, k) == pytest.approx(2.0 ** (-j), rel=1e-12)
     s, p, q = 0.4, 1.5, 2.0
     entries = {(3, (5,)): 1.0}
     params = NormParams(s=s, p=p, q=q, delta=0.5, family="besov")
@@ -453,11 +456,9 @@ def test_weighted_rn_lebesgue_case():
 
 
 def test_weighted_rn_delta_closed_form_weighted_density():
-    from homspace.gallery import unit_dyadic_lattice
-
     grid = unit_dyadic_lattice(6, density=lambda pts: 0.5 + np.abs(pts[:, 0]) ** 0.5)
     j, k = 4, (3,)
-    w_mass = grid.mass(j, k)
+    w_mass = grid_mass(grid, j, k)
     s, p, q = 0.7, 2.0, 1.0
     entries = {(j, k): 1.0}
     params = NormParams(s=s, p=p, q=q, delta=0.5, family="besov")
@@ -465,17 +466,50 @@ def test_weighted_rn_delta_closed_form_weighted_density():
     assert weighted_rn_norm(entries, grid, params) == pytest.approx(expected, rel=1e-12)
 
 
+def brute_rn_data(grid, entries):
+    """Oracle masses and members of the entries' cubes, by floor indexing."""
+    cubes = {j: brute_rn_cubes(grid.points, grid.weights, j) for j, _ in entries}
+    masses = {(j, k): cubes[j][k][1] for j, k in entries}
+    members = {(j, k): cubes[j][k][0] for j, k in entries}
+    return masses, members
+
+
 def test_weighted_rn_zero_and_tl_matches_brute():
     grid = unit_dyadic_lattice(5)
     params = NormParams(s=0.3, p=1.6, q=1.1, delta=0.5, family="triebel_lizorkin")
     assert weighted_rn_norm({(2, (1,)): 0.0}, grid, params) == 0.0
     entries = {(2, (1,)): 1.0, (4, (7,)): -0.4, (0, (0,)): 0.2}
-    masses = {(j, k): grid.mass(j, k) for (j, k) in entries}
-    members = {(j, k): [int(i) for i in grid.members(j, k)] for (j, k) in entries}
+    masses, members = brute_rn_data(grid, entries)
     expected = brute_tl(entries, masses, members, grid.weights,
                         grid.points.shape[0], 0.5, params.s, params.p, params.q,
                         lambda k: True)
     assert weighted_rn_norm(entries, grid, params) == pytest.approx(expected, rel=1e-10)
+
+
+# (family, s, p, q): p = inf only for Besov
+RN_PARAMS = [("besov", 0.4, 1.5, 2.0), ("besov", -0.3, 1 / 3, INF), ("besov", 0.2, INF, 1.0),
+             ("triebel_lizorkin", 0.3, 1.6, 1.1), ("triebel_lizorkin", -0.2, 0.5, INF),
+             ("triebel_lizorkin", 0.5, 3.0, 1 / 3)]
+
+
+@pytest.mark.parametrize("family,s,p,q", RN_PARAMS)
+@pytest.mark.parametrize("variant", ["homogeneous", "inhomogeneous"])
+def test_weighted_rn_2d_matches_brute(family, s, p, q, variant):
+    grid = unit_dyadic_lattice(4, dim=2, density=lambda pts: 1.0 + 3 * pts[:, 0] + pts[:, 1] ** 2)
+    rng = np.random.default_rng(44)
+    keys = [(j, tuple(k)) for j in (0, 1, 2, 4) for k in grid.keys[j].tolist()]
+    picks = rng.choice(len(keys), size=14, replace=False)
+    entries = {keys[i]: float(v) for i, v in zip(picks, rng.standard_normal(14))}
+    entries[keys[picks[0]]] = 0.0
+    params = NormParams(s=s, p=p, q=q, delta=0.5, family=family, variant=variant)
+    masses, members = brute_rn_data(grid, entries)
+    level_ok = lambda k: params.level_in_window(k)
+    if family == "besov":
+        expected = brute_besov(entries, masses, 0.5, s, p, q, level_ok)
+    else:
+        expected = brute_tl(entries, masses, members, grid.weights, grid.points.shape[0],
+                            0.5, s, p, q, level_ok)
+    assert weighted_rn_norm(entries, grid, params) == pytest.approx(expected, rel=1e-12)
 
 
 def test_weighted_rn_outside_box_errors():
@@ -483,6 +517,10 @@ def test_weighted_rn_outside_box_errors():
     params = NormParams(s=0.0, p=2.0, q=2.0, delta=0.5, family="besov")
     with pytest.raises(KeyError, match="meets the box"):
         weighted_rn_norm({(2, (77,)): 1.0}, grid, params)
+    with pytest.raises(KeyError, match="meets the box"):
+        weighted_rn_norm({(2, (1, 0)): 1.0}, grid, params)
+    with pytest.raises(KeyError, match="meets the box"):
+        weighted_rn_norm({(2, (1,)): 1.0, (3, (1, 0)): 1.0}, grid, params)
     with pytest.raises(ValueError, match="outside the grid window"):
         weighted_rn_norm({(9, (0,)): 1.0}, grid, params)
 
