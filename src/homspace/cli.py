@@ -3,7 +3,9 @@ Command-line front door: space -> stats -> cubes -> norms -> characterization.
 
 Commands: analyze, cubes, norms, embed-test, kernel-check, maximal, gallery.
 Reports are deterministic JSON (same config + seed => byte-identical) or a
-flattened CSV with one row per witness.
+flattened CSV with one row per witness. Each command returns its own keys,
+result dataclasses included as they are; ``main`` adds the shared
+``schema``, ``command`` and ``config`` keys.
 
 Exit codes: 0 ok; 2 usage or input problems; 3 inadmissible dyadic
 constants; 4 characterization discrepancy; 5 internal invariant failure.
@@ -11,6 +13,7 @@ constants; 4 characterization discrepancy; 5 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -193,43 +196,33 @@ def _config_echo(args) -> dict:
 
 def cmd_analyze(args) -> dict:
     sp = _resolve_space(args)
-    stats = space_mod.space_stats(sp)
     report = {
-        "schema": SCHEMA,
-        "command": "analyze",
-        "config": _config_echo(args),
         "n_points": sp.n,
         "total_mass": sp.total_mass,
         "diameter": sp.diameter,
         "r_floor": sp.r_floor,
-        "stats": stats.to_dict(),
+        "stats": space_mod.space_stats(sp),
     }
     if args.check_lower_bound or args.check_local_lower_bound or args.check_reverse_doubling:
         omega = _resolve_omega(args, sp)
         report["omega_used"] = omega
         if args.check_lower_bound:
-            lb = space_mod.check_lower_bound(
+            report["lower_bound"] = space_mod.check_lower_bound(
                 sp, omega, sp.r_floor, max(sp.diameter, sp.r_floor * 2))
-            report["lower_bound"] = lb.to_dict()
         if args.check_local_lower_bound:
-            lb = space_mod.check_local_lower_bound(sp, omega)
-            report["local_lower_bound"] = lb.to_dict()
+            report["local_lower_bound"] = space_mod.check_local_lower_bound(sp, omega)
     if args.check_reverse_doubling is not None:
-        rev = space_mod.check_reverse_doubling(sp, args.check_reverse_doubling)
-        report["reverse_doubling"] = rev.to_dict()
+        report["reverse_doubling"] = space_mod.check_reverse_doubling(
+            sp, args.check_reverse_doubling)
     return report
 
 
 def cmd_cubes(args) -> dict:
     sp = _resolve_space(args)
     cubes = _resolve_cubes(args, sp)
-    chain = max_single_child_chain(cubes)
     return {
-        "schema": SCHEMA,
-        "command": "cubes",
-        "config": _config_echo(args),
-        "axioms": cubes.axioms.to_dict(),
-        "chain": chain.to_dict(),
+        "axioms": cubes.axioms,
+        "chain": max_single_child_chain(cubes),
         "system": cubes.to_dict(),
     }
 
@@ -242,9 +235,6 @@ def cmd_norms(args) -> dict:
                         variant=args.variant, family=args.family)
     value = seqnorm.sequence_norm(seq, params)
     report = {
-        "schema": SCHEMA,
-        "command": "norms",
-        "config": _config_echo(args),
         "family": args.family,
         "s": args.s,
         "p": args.p,
@@ -276,17 +266,14 @@ def cmd_embed_test(args) -> dict:
     if result.necessity and result.necessity.verdict == "FAIL":
         witnesses.append({"kind": "necessity", **result.necessity.witness})
     if result.scan:
-        witnesses.extend({"kind": "scan", **v} for v in result.scan.violations)
+        witnesses.extend({"kind": "scan", **v} for v in result.scan.witnesses)
     return {
-        "schema": SCHEMA,
-        "command": "embed-test",
-        "config": _config_echo(args),
-        "params": params.to_dict(),
+        "params": params,
         "omega_used": omega,
         "sup_ratio": result.scan.sup_ratio if result.scan else None,
         "proof_constant": result.scan.proof_constant if result.scan else None,
-        "lower_bound": result.lower_bound.to_dict() if result.lower_bound else None,
-        "result": result.to_dict(),
+        "lower_bound": result.lower_bound,
+        "result": result,
         "witnesses": witnesses,
         "verdict": result.verdict,
     }
@@ -308,10 +295,7 @@ def cmd_kernel_check(args) -> dict:
     failures = [{"trial": i, "level_pair": cal.probes[p][:2], "point": cal.probes[p][2],
                  "ratio": float(ratio[i, p])} for i, p in np.argwhere(failed).tolist()]
     return {
-        "schema": SCHEMA,
-        "command": "kernel-check",
-        "config": _config_echo(args),
-        "params": params.to_dict(),
+        "params": params,
         "calibration": {"c_report": cal.c_report, "n_samples": cal.n_samples,
                         "cube_bound_constant": cal.cube_bound_constant},
         "fresh_worst_ratio": float(ratio[~np.isnan(ratio)].max(initial=0.0)),
@@ -336,12 +320,7 @@ def _load_values(path: str, n: int) -> np.ndarray:
 
 def cmd_maximal(args) -> dict:
     sp = _resolve_space(args)
-    report = {
-        "schema": SCHEMA,
-        "command": "maximal",
-        "config": _config_echo(args),
-        "n_points": sp.n,
-    }
+    report = {"n_points": sp.n}
     if args.values:
         mf = maximal.hl_maximal(sp, _load_values(args.values, sp.n))
         report["maximal"] = [float(v) for v in mf]
@@ -365,9 +344,6 @@ def cmd_gallery(args) -> dict:
     """The report is itself a space file: --space reads it back."""
     sp = _resolve_space(args)
     return {
-        "schema": SCHEMA,
-        "command": "gallery",
-        "config": _config_echo(args),
         "n_points": sp.n,
         "total_mass": sp.total_mass,
         **gallery.space_to_dict(sp),
@@ -394,14 +370,20 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = COMMANDS[args.command](args)
+        report = {"schema": SCHEMA, "command": args.command, "config": _config_echo(args),
+                  **COMMANDS[args.command](args)}
     except InadmissibleConstants as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

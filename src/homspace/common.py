@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain
 
 import numpy as np
@@ -33,6 +33,12 @@ class TrendConfig:
     exponent_tol: float = 0.2
     decay_frac: float = 0.1
 
+    def flags(self, exponent, omega: float, span: float) -> bool:
+        """Whether a probe with fitted ``exponent`` (None when no fit) and
+        decay ``span`` fails against ``omega``: both prongs fire."""
+        return (exponent is not None and abs(exponent - omega) > self.exponent_tol
+                and span <= self.decay_frac)
+
 
 def rng_stream(seed: int, *salt: int) -> np.random.Generator:
     """Deterministic generator for (seed, salt...); salts decorrelate uses."""
@@ -48,6 +54,11 @@ def finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def reciprocal(p: float) -> float:
+    """1/p for an integrability exponent, with 1/inf = 0."""
+    return 0.0 if math.isinf(p) else 1.0 / p
 
 
 def stable_sum(values) -> float:
@@ -100,9 +111,16 @@ def _float_table(obj) -> bool:
             and all(map(math.isfinite, chain.from_iterable(obj))))
 
 
+_PLAIN_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+
 def sanitize(obj):
     """Convert numpy containers/scalars to plain Python for serialization.
-    A list of plain floats is returned as it is."""
+    A plain scalar or a list of plain floats is returned as it is, and a
+    dataclass instance becomes the dict of its fields, so a report's keys
+    are its fields."""
+    if type(obj) in _PLAIN_SCALARS:
+        return obj
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if _plain_floats(obj):
@@ -117,6 +135,8 @@ def sanitize(obj):
         return float(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: sanitize(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 

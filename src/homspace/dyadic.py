@@ -370,9 +370,6 @@ class AxiomReport:
     violations: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "violations": self.violations, "notes": self.notes}
-
 
 def verify_cube_axioms(cubes: CubeSystem) -> AxiomReport:
     """Exhaustive re-check of the four finite-space cube axioms.
@@ -475,17 +472,6 @@ class ChainReport:
     witnesses: list = field(default_factory=list)
     atomic_note: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "max_chain_len": self.max_chain_len,
-            "bound_N": self.bound_N,
-            "ok": self.ok,
-            "branching": {str(k): {str(a): int(m) for a, m in v.items()}
-                          for k, v in self.branching.items()},
-            "witnesses": self.witnesses,
-            "atomic_note": self.atomic_note,
-        }
-
 
 def chain_length_bound(delta: float, c1: float, C1: float) -> int:
     """floor(log_{1/delta}(C1 / c1)) + 1."""
@@ -568,19 +554,6 @@ class PropagationReport:
     witness: Optional[dict] = None
     notes: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "c_input": self.c_input,
-            "c_tilde": self.c_tilde,
-            "m_min": self.m_min,
-            "bound_N": self.bound_N,
-            "omega": self.omega,
-            "index_set": self.index_set,
-            "witness": self.witness,
-            "notes": self.notes,
-        }
-
 
 def propagate_cube_lower_bound(cubes: CubeSystem, C: float, omega: float,
                                index_set: str = "fresh-all") -> PropagationReport:
@@ -657,19 +630,6 @@ class BallBoundReport:
     cube_sum_bound: float
     containment_ok: bool
     witness: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "certified": self.certified,
-            "actual": self.actual,
-            "level": self.level,
-            "alpha_shrink": self.alpha_shrink,
-            "n_cubes": self.n_cubes,
-            "cube_sum_bound": self.cube_sum_bound,
-            "containment_ok": self.containment_ok,
-            "witness": self.witness,
-        }
 
 
 def shrink_factor(delta: float) -> float:

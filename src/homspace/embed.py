@@ -33,7 +33,14 @@ from typing import Optional
 
 import numpy as np
 
-from homspace.common import DEFAULT_SEED, TrendConfig, decay_span, fit_loglog, rng_stream
+from homspace.common import (
+    DEFAULT_SEED,
+    TrendConfig,
+    decay_span,
+    fit_loglog,
+    reciprocal,
+    rng_stream,
+)
 from homspace.dyadic import CubeSystem
 from homspace.gallery import RnDyadicGrid
 from homspace.seqnorm import NormParams, SequenceBatch, batch_norms
@@ -99,14 +106,6 @@ class EmbedParams:
     def variant(self) -> str:
         return self.source.variant
 
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source.to_dict(),
-            "target": self.target.to_dict(),
-            "omega": self.omega,
-            "eta": self.eta,
-        }
-
 
 def _ratio(omega: float, p: float) -> float:
     return 0.0 if math.isinf(p) else omega / p
@@ -123,21 +122,9 @@ class NecessityReport:
     witness: Optional[dict]
     per_level_min: dict
     worst_chain: Optional[dict]
-    constants: dict                  # (k, alpha) key as "k:alpha" -> constant
+    constants: dict                  # "k:alpha" -> constant
     resolved_levels: list
     notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "min_constant": self.min_constant,
-            "witness": self.witness,
-            "per_level_min": {str(k): v for k, v in self.per_level_min.items()},
-            "worst_chain": self.worst_chain,
-            "constants": {f"{k}:{a}": c for (k, a), c in self.constants.items()},
-            "resolved_levels": self.resolved_levels,
-            "notes": self.notes,
-        }
 
 
 def implied_constant(cubes: CubeSystem, k: int, alpha, omega: float):
@@ -160,10 +147,6 @@ def fresh_constants(cubes: CubeSystem, omega: float, variant: str) -> tuple:
     return cubes.memo(("fresh_constants", omega, variant), build)
 
 
-def _inv(p: float) -> float:
-    return 0.0 if math.isinf(p) else 1.0 / p
-
-
 def delta_necessity_test(cubes: CubeSystem, params: EmbedParams, *,
                          trend: Optional[TrendConfig] = None) -> NecessityReport:
     """Closed-form delta-sequence scan over every fresh cube in the variant
@@ -176,7 +159,7 @@ def delta_necessity_test(cubes: CubeSystem, params: EmbedParams, *,
     vacuous.
     """
     trend = trend or TrendConfig()
-    if abs(_inv(params.target.p) - _inv(params.source.p)) < 1e-15:
+    if abs(reciprocal(params.target.p) - reciprocal(params.source.p)) < 1e-15:
         return NecessityReport(
             verdict="VACUOUS", min_constant=None, witness=None, per_level_min={},
             worst_chain=None, constants={}, resolved_levels=[],
@@ -193,7 +176,8 @@ def delta_necessity_test(cubes: CubeSystem, params: EmbedParams, *,
             worst_chain=None, constants={}, resolved_levels=resolved,
             notes=["no fresh cubes in the variant window"],
         )
-    constants = dict(zip(zip(levels.tolist(), cube_ids.tolist()), const.tolist()))
+    constants = {f"{k}:{a}": c
+                 for k, a, c in zip(levels.tolist(), cube_ids.tolist(), const.tolist())}
     first = np.flatnonzero(np.r_[True, levels[1:] != levels[:-1]])
     per_level_min = dict(zip(levels[first].tolist(),
                              np.minimum.reduceat(const, first).tolist()))
@@ -220,9 +204,7 @@ def delta_necessity_test(cubes: CubeSystem, params: EmbedParams, *,
             span = decay_span(chain_consts)
             fit = fit_loglog([cubes.scale(k) for k in chain_levels], chain_masses)
             exponent = fit[0] if fit else None
-            flagged = (exponent is not None
-                       and abs(exponent - omega) > trend.exponent_tol
-                       and span <= trend.decay_frac)
+            flagged = trend.flags(exponent, omega, span)
             if worst_chain is None or span < worst_chain["span"]:
                 worst_chain = {
                     "leaf": int(leaf),
@@ -258,22 +240,9 @@ class ScanReport:
     n_nonzero: int
     proof_constant: Optional[float]
     c_min: Optional[float]
-    violations: list = field(default_factory=list)
+    witnesses: list = field(default_factory=list)   # ratios above the constant
     verdict: str = "OK"
     exploratory: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "sup_ratio": self.sup_ratio,
-            "witness_id": self.witness_id,
-            "n_sequences": self.n_sequences,
-            "n_nonzero": self.n_nonzero,
-            "proof_constant": self.proof_constant,
-            "c_min": self.c_min,
-            "witnesses": self.violations,
-            "verdict": self.verdict,
-            "exploratory": self.exploratory,
-        }
 
 
 def generate_batch(cubes: CubeSystem, variant: str, n_sequences: int,
@@ -331,7 +300,7 @@ def proof_constant_besov(cubes: CubeSystem, params: EmbedParams) -> tuple:
     if not const.size:
         return None, None
     c_min = float(const.min())
-    expo = _inv(params.target.p) - _inv(params.source.p)
+    expo = reciprocal(params.target.p) - reciprocal(params.source.p)
     return c_min, float(c_min**expo)
 
 
@@ -367,7 +336,8 @@ def scan_batch(batch: SequenceBatch, params: EmbedParams, *,
     Zero sequences are skipped as neutral. The witness is the first
     sequence, in batch order, of the largest ratio. For Besov pairs, when
     the lower bound holds every ratio must stay below the constructive
-    constant; violations carry the witness sequence id, in batch order.
+    constant; each ratio above it is a witness, with its sequence id, in
+    batch order.
     """
     nonzero, ratios = _ratios(batch, params)
     sup_ratio = 0.0
@@ -379,7 +349,7 @@ def scan_batch(batch: SequenceBatch, params: EmbedParams, *,
 
     c_min = None
     proof_c = None
-    violations = []
+    witnesses = []
     verdict = "OK"
     exploratory = False
     if params.family == "besov":
@@ -388,9 +358,9 @@ def scan_batch(batch: SequenceBatch, params: EmbedParams, *,
             exploratory = True
         elif proof_c is not None:
             for j in np.flatnonzero(ratios > proof_c * (1 + 1e-9)).tolist():
-                violations.append({"id": batch.labels[nonzero[j]], "ratio": float(ratios[j]),
-                                   "bound": proof_c})
-            if violations:
+                witnesses.append({"id": batch.labels[nonzero[j]], "ratio": float(ratios[j]),
+                                  "bound": proof_c})
+            if witnesses:
                 verdict = "BOUND_VIOLATED"
     else:
         exploratory = True
@@ -402,7 +372,7 @@ def scan_batch(batch: SequenceBatch, params: EmbedParams, *,
         n_nonzero=int(nonzero.size),
         proof_constant=proof_c,
         c_min=c_min,
-        violations=violations,
+        witnesses=witnesses,
         verdict=verdict,
         exploratory=exploratory,
     )
@@ -419,18 +389,6 @@ class CharacterizationReport:
     necessity: Optional[NecessityReport]
     scan: Optional[ScanReport]
     notes: list = field(default_factory=list)
-
-    def consistent(self) -> bool:
-        return self.verdict in ("PASS", "FAIL", "NOT_APPLICABLE")
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "lower_bound": self.lower_bound.to_dict() if self.lower_bound else None,
-            "necessity": self.necessity.to_dict() if self.necessity else None,
-            "scan": self.scan.to_dict() if self.scan else None,
-            "notes": self.notes,
-        }
 
 
 def characterize(space: FiniteHomSpace, cubes: CubeSystem, params: EmbedParams, *,
@@ -495,14 +453,6 @@ class ApReport:
     p: float
     witness: Optional[dict]
     per_level_max: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "p": self.p,
-            "witness": self.witness,
-            "per_level_max": {str(k): v for k, v in self.per_level_max.items()},
-        }
 
 
 def ap_weight_check(grid: RnDyadicGrid, w, p: float) -> ApReport:

@@ -74,10 +74,6 @@ class KernelParams:
                 f"{self.gamma * self.r_exp - self.omega * (1 - self.r_exp):g} <= 0"
             )
 
-    def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "gamma": self.gamma,
-                "r_exp": self.r_exp, "omega": self.omega, "eta": self.eta}
-
 
 def default_r_exp(p2: float) -> float:
     """r = p2 / (1 + p2), the canonical sub-exponent for source index p2."""
@@ -224,16 +220,6 @@ class KernelBoundResult:
     level_pair: tuple
     point: int
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "verdict": self.verdict,
-            "level_pair": list(self.level_pair),
-            "point": self.point,
-        }
-
 
 def kernel_bound_batch(cubes: CubeSystem, batch: SequenceBatch, probes,
                        params: KernelParams) -> tuple:
@@ -339,14 +325,6 @@ class KernelCalibration:
     n_samples: int
     cube_bound_constant: float     # measured min mass(Q) / delta^{k omega}
     probes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "c_report": self.c_report,
-            "n_samples": self.n_samples,
-            "cube_bound_constant": self.cube_bound_constant,
-            "probes": self.probes,
-        }
 
 
 def _probe_points(cubes: CubeSystem, rng) -> list:

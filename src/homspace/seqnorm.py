@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from homspace.common import stable_sum
+from homspace.common import reciprocal, stable_sum
 from homspace.dyadic import CubeSystem
 from homspace.gallery import RnDyadicGrid
 
@@ -104,18 +104,6 @@ class NormParams:
         if self.variant == "homogeneous":
             return True
         return k >= (0 if self.include_zero_level else 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "s": self.s,
-            "p": self.p,
-            "q": self.q,
-            "delta": self.delta,
-            "omega": self.omega,
-            "variant": self.variant,
-            "include_zero_level": self.include_zero_level,
-        }
 
 
 @dataclass
@@ -214,10 +202,6 @@ def _check_backing(delta: float, params: NormParams) -> None:
         )
 
 
-def _inv(p: float) -> float:
-    return 0.0 if math.isinf(p) else 1.0 / p
-
-
 # ---------------------------------------------------------------------------
 # The batch kernel
 # ---------------------------------------------------------------------------
@@ -294,7 +278,7 @@ def _besov(n_seq, seq, level, alpha, a, params: NormParams, cube_mass) -> np.nda
     out = np.zeros(n_seq)
     if not a.size:
         return out
-    expo = _inv(p) - 0.5
+    expo = reciprocal(p) - 0.5
     terms = _per_cube(level, alpha, cube_mass, lambda m: m ** expo) * a
     inner = _segment_starts(seq, level)
     per_level = (_per_key(level[inner], lambda k: delta ** (-k * s))
@@ -428,10 +412,16 @@ def sequence_norm(seq: CoefSequence, params: NormParams) -> float:
 # Weighted sequence norms on the standard dyadic grid in R^n
 # ---------------------------------------------------------------------------
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def weighted_rn_norm(entries: dict, grid: RnDyadicGrid, params: NormParams) -> float:
     """Norm of a sequence over standard dyadic cubes Q(j, k) on a box in
     R^n, with cube masses given by the grid's weighted sums. Entries map
-    (j, kvec) -> coefficient; delta must be 1/2.
+    (j, kvec) -> coefficient, with an integer level j and integer kvec
+    components (a ValueError names any other entry); delta must be 1/2.
 
     Each level of the grid is a cube table for the batch kernel: the
     entries' kvecs become cube ids with one ``grid.cube_ids`` lookup per
@@ -440,6 +430,10 @@ def weighted_rn_norm(entries: dict, grid: RnDyadicGrid, params: NormParams) -> f
         raise ValueError("the standard dyadic grid has delta = 1/2")
     if not entries:
         return 0.0
+    for key in entries:
+        j, kvec = key
+        if not all(map(_is_integer, (j, *kvec) if isinstance(kvec, tuple) else key)):
+            raise ValueError(f"entry {key!r}: the level and the kvec components must be integers")
     levels, kvecs = zip(*entries)
     level = np.array(levels, dtype=int)
     try:

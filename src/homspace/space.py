@@ -212,14 +212,6 @@ class MetricValidation:
     violations: list = field(default_factory=list)
     truncated: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "a0_used": self.a0_used,
-            "violations": self.violations,
-            "truncated": self.truncated,
-        }
-
 
 @dataclass
 class TriangleEstimate:
@@ -228,14 +220,6 @@ class TriangleEstimate:
     witness: Optional[tuple] = None   # (x, y, z) attaining the max ratio
     source: str = "exact"  # "exact" (measured) | "analytic" (a metric by theorem)
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "degenerate": self.degenerate,
-            "witness": list(self.witness) if self.witness else None,
-            "source": self.source,
-        }
-
 
 @dataclass
 class DoublingEstimate:
@@ -243,14 +227,6 @@ class DoublingEstimate:
     omega_est: float
     witness: tuple          # (center, radius) attaining the max ratio
     radii: list
-
-    def to_dict(self) -> dict:
-        return {
-            "c_doubling": self.c_doubling,
-            "omega_est": self.omega_est,
-            "witness": list(self.witness),
-            "radii": list(self.radii),
-        }
 
 
 @dataclass
@@ -262,27 +238,11 @@ class LowerBoundReport:
     r_min: float
     r_max: float
     exponent_pooled: Optional[float]
-    flagged_centers: list = field(default_factory=list)
+    witnesses: list = field(default_factory=list)   # the flagged centers
     variant: str = "global"
     scale_factor: float = 1.0
     warnings: list = field(default_factory=list)
     radii: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "c_est": self.c_est,
-            "witness": list(self.witness),
-            "omega": self.omega,
-            "r_min": self.r_min,
-            "r_max": self.r_max,
-            "exponent_pooled": self.exponent_pooled,
-            "witnesses": self.flagged_centers,
-            "variant": self.variant,
-            "scale_factor": self.scale_factor,
-            "warnings": self.warnings,
-            "radii": self.radii,
-        }
 
 
 @dataclass
@@ -294,16 +254,6 @@ class ReverseDoublingReport:
     atomic_like: bool = False
     warnings: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "c_emp": self.c_emp,
-            "kappa": self.kappa,
-            "worst": list(self.worst) if self.worst else None,
-            "atomic_like": self.atomic_like,
-            "warnings": self.warnings,
-        }
-
 
 @dataclass
 class SpaceStats:
@@ -313,16 +263,6 @@ class SpaceStats:
     kappa_est: Optional[float] = None
     degenerate: bool = False
     a0_source: str = "exact"
-
-    def to_dict(self) -> dict:
-        return {
-            "a0_est": self.a0_est,
-            "c_doubling_est": self.c_doubling_est,
-            "omega_est": self.omega_est,
-            "kappa_est": self.kappa_est,
-            "a0_source": self.a0_source,
-            "degenerate": self.degenerate,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +534,7 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
         fit = fit_loglog(radii, masses[row]) if radii.size >= 4 else None
         exponent = fit[0] if fit else None
         span = decay_span(consts[row])
-        if exponent is not None and abs(exponent - omega) > trend.exponent_tol \
-                and span <= trend.decay_frac:
+        if trend.flags(exponent, omega, span):
             flagged.append({
                 "center": int(center),
                 "exponent": float(exponent),
@@ -616,7 +555,7 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
         r_min=float(r_min),
         r_max=float(r_max),
         exponent_pooled=None if pooled is None else pooled[0],
-        flagged_centers=flagged,
+        witnesses=flagged,
         variant=variant,
         scale_factor=scale_factor,
         warnings=warnings,

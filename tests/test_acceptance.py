@@ -258,9 +258,9 @@ def test_criterion_6_proof_constant_soundness(grid64_system):
         params = _besov_pair(cubes.delta, 1.0, **kw)
         report = embedding_ratio_scan(cubes, params, n_sequences=256,
                                       lower_bound_holds=True)
-        if report.violations or report.verdict != "OK":
+        if report.witnesses or report.verdict != "OK":
             ok = False
-            print(f"  bound violated for {kw}: {report.violations[:3]}")
+            print(f"  bound violated for {kw}: {report.witnesses[:3]}")
         if not report.sup_ratio <= report.proof_constant * (1 + 1e-9):
             ok = False
     _verdict(6, "proof-constant soundness (3 trace-line pairs, 256 sequences)", ok)

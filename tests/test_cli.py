@@ -274,6 +274,127 @@ def test_kernel_check_reports_are_pinned(tmp_path, case, seed):
     assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGESTS[case, seed]
 
 
+# Input files of the pinned command reports, written to the working directory
+# so that the paths echoed in each report's config do not depend on it.
+REPORT_INPUTS = {
+    "seq.json": [{"k": 1, "alpha": 0, "value": 1.0}, {"k": 1, "alpha": 3, "value": -2.5},
+                 {"k": 1, "alpha": 12, "value": 0.75}],
+    "values.json": [float(i % 5) - 1.5 for i in range(16)],
+    "one.json": {"points": [[0.0]], "weights": [1.0]},
+    "table.json": {"dist": [[0.0, 1.0, 2.0, 4.0], [1.0, 0.0, 1.5, 3.0],
+                            [2.0, 1.5, 0.0, 2.5], [4.0, 3.0, 2.5, 0.0]],
+                   "weights": [0.25, 0.5, 0.125, 0.125]},
+}
+BESOV_EMBED = ["--omega", "1.0", "--s1", "0.5", "--p1", "2", "--s2", "1.0", "--p2", "1",
+               "--q", "1"]
+REPORT_CASES = {
+    "analyze grid32": ["analyze", "--gallery", "euclidean_grid", "--n", "32",
+                       "--check-lower-bound", "--check-local-lower-bound",
+                       "--check-reverse-doubling", "1"],
+    "analyze weighted_grid65": ["analyze", "--gallery", "weighted_grid", "--n", "65",
+                                "--alpha", "2", "--omega", "1.0", "--check-lower-bound",
+                                "--check-local-lower-bound", "--check-reverse-doubling", "1"],
+    "analyze table": ["analyze", "--space", "table.json", "--check-lower-bound",
+                      "--omega", "1.0"],
+    "cubes grid32": ["cubes", "--gallery", "euclidean_grid", "--n", "32"],
+    "cubes cantor5": ["cubes", "--gallery", "cantor", "--depth", "5"],
+    "norms besov": ["norms", *GRID64, "--seq", "seq.json", "--s", "0.5", "--p", "2",
+                    "--q", "1"],
+    "norms tl layer-cake": ["norms", *GRID64, "--seq", "seq.json",
+                            "--family", "triebel_lizorkin", "--s", "0.2", "--p", "1.5",
+                            "--q", "2", "--layer-cake"],
+    "embed-test besov pass": ["embed-test", *GRID64, *BESOV_EMBED, "--n-sequences", "64"],
+    "embed-test tl": ["embed-test", "--gallery", "euclidean_grid", "--n", "32",
+                      "--family", "triebel_lizorkin", "--omega", "1.0", "--s1", "0.5",
+                      "--p1", "2", "--s2", "1.0", "--p2", "1", "--q1", "2", "--q2", "1",
+                      "--n-sequences", "48", "--seed", "3"],
+    "embed-test inhomogeneous fail": ["embed-test", "--gallery", "weighted_grid",
+                                      "--n", "129", "--alpha", "2", "--extent", "2",
+                                      "--variant", "inhomogeneous", *BESOV_EMBED,
+                                      "--n-sequences", "48"],
+    "embed-test one point": ["embed-test", "--space", "one.json", *BESOV_EMBED],
+    "kernel-check cantor6 calibration 1": ["kernel-check",
+                                           *KERNEL_CASES["cantor6 calibration 1"]],
+    "maximal values": ["maximal", "--gallery", "euclidean_grid", "--n", "16",
+                       "--values", "values.json"],
+    "maximal random": ["maximal", "--gallery", "cantor", "--depth", "4", "--random", "5",
+                       "--seed", "11"],
+    "gallery table": ["gallery", "--space", "table.json"],
+}
+# (exit code, SHA-256 of the report) per case and format
+REPORT_DIGESTS = {
+    ('analyze grid32', 'csv'):
+        (0, '099d43344f20d02230d8aacf896d8dec39b02d0820c7e335d94ae191073914cc'),
+    ('analyze grid32', 'json'):
+        (0, '56798ccfc9ca3ae1ddd37164544a711e552bbab6e7373a684586e4cbd59f7952'),
+    ('analyze table', 'csv'):
+        (0, '0661dbc69d7d9a7ce2c634acb6661c5905c8ac65d49de27e396601ebddb87b06'),
+    ('analyze table', 'json'):
+        (0, '7bd2aae07a44777b4246878bde700bfa3bcdec4d9c776ab76bc4cec2053e8db4'),
+    ('analyze weighted_grid65', 'csv'):
+        (0, 'a5e583c815989c609479a2cd19886a899e42b2ec4759e404d004c22df8d24102'),
+    ('analyze weighted_grid65', 'json'):
+        (0, '8b8580bbfe5759074f955f9a7fea791475b031d0bce57f23681452147dc614d4'),
+    ('cubes cantor5', 'csv'):
+        (0, '4f1f36a5cf316088230c8ff638c4a08bc9356e21b18e55bf39acfebc49bc158d'),
+    ('cubes cantor5', 'json'):
+        (0, 'e2b6667bc3e29955f958d049421a5dbccf733efb3b15f56a1eb2f2d3de1895ef'),
+    ('cubes grid32', 'csv'):
+        (0, '24924497ee984a5b65cb5a1798b39f2fb124cd06921766b094adeab4db75d40c'),
+    ('cubes grid32', 'json'):
+        (0, '18eb47a45d922d63128558fef95835cda31526491217f18e224288e1d47295e2'),
+    ('embed-test besov pass', 'csv'):
+        (0, 'bb6a4149d630f9851111646d8b5314e6260be936dd76cbff0433df7e4ebc4d65'),
+    ('embed-test besov pass', 'json'):
+        (0, 'd06c8b16d6e911e8cfcb00634ca6c04c7bbb3cd76b4a466638d60088d860d6f6'),
+    ('embed-test inhomogeneous fail', 'csv'):
+        (0, '45c03f9c0ca81950035ef28aed242be692568ab4a2b5520ccdc573c52ec5cf69'),
+    ('embed-test inhomogeneous fail', 'json'):
+        (0, '8d0bfa78700019e0f76bc0ab70793397ab0edb049e3ffcfa36bcda5a211c2fb3'),
+    ('embed-test one point', 'csv'):
+        (0, '9c3212e91e23d9b89e4e24e6d41b3a2851092eee6a0e34e066f1b2cf9a4a25fe'),
+    ('embed-test one point', 'json'):
+        (0, '2e31ae7a10e820521746459d8ddd19e210a2fa3669f993a14ddeea94f8666114'),
+    ('embed-test tl', 'csv'):
+        (0, '979029917c8bd6e62cab975ed65059a69b3085f5d642e27a35a120d13d15c47c'),
+    ('embed-test tl', 'json'):
+        (0, 'c5cdc1fc2e124eef42af13411d51005c4f0ae4545372c6e75346c1db2bfd228e'),
+    ('gallery table', 'csv'):
+        (0, 'ccd424fb8a5efdf82f6359ab18812622707f21df1399e9e1c11a6f208f4ee7d8'),
+    ('gallery table', 'json'):
+        (0, '86f3d3b43204b837bc41ae778d25a399ddecc541298f68c6e2aebfdca27f8c2d'),
+    ('kernel-check cantor6 calibration 1', 'csv'):
+        (0, '7028ec69b2e72c84e9157c67b93150550c1e64a923d1ce8a6d7ab56093db59b1'),
+    ('kernel-check cantor6 calibration 1', 'json'):
+        (0, 'b4697c3d9f5272c36e2f425628a80eedf640611ef5b7a864cce31c050cc12431'),
+    ('maximal random', 'csv'):
+        (0, '8393ebb4e6ba330a93cfaaec1f8c6359a8f2a354c7e7020940d4022600318e54'),
+    ('maximal random', 'json'):
+        (0, '91f7c7ef95b4f1132ff0eb26d066e89eff4e70515a75fc7ef3829e4aacdd2d3f'),
+    ('maximal values', 'csv'):
+        (0, 'f8d554d58ba4005c723947d506b3e04e627fca02e08a13af1a83b7e91b6b4f9a'),
+    ('maximal values', 'json'):
+        (0, 'ce72cabdbe659154f9c93b9ad237b43d992f9d9d7109517c76c7f7bab4419b11'),
+    ('norms besov', 'csv'):
+        (0, '39a7675c5f80f9856c6bcddafd73019196cd894a3012519a67f3dd3302a4a517'),
+    ('norms besov', 'json'):
+        (0, '3eaafc2054f7db8773e3e1feded6bb7dd2eb41688b5650aeb336dfef11001224'),
+    ('norms tl layer-cake', 'csv'):
+        (0, '666824f7ac6ca77d150cc0e9d18971c9be8ee48fdfac8b4ebbc523404251f395'),
+    ('norms tl layer-cake', 'json'):
+        (0, '465a885bacbfa969405cb4903064c269bcde9b7586bd02b0fb1ccac06289031e'),
+}
+
+
+@pytest.mark.parametrize("case,fmt", sorted(REPORT_DIGESTS), ids=" ".join)
+def test_command_reports_are_pinned(tmp_path, monkeypatch, case, fmt):
+    monkeypatch.chdir(tmp_path)
+    for name, content in REPORT_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    code, text = run(tmp_path, *REPORT_CASES[case], "--format", fmt, name=f"out.{fmt}")
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == REPORT_DIGESTS[case, fmt]
+
+
 def test_kernel_check_witnesses_are_trial_major(tmp_path):
     code, text = run(tmp_path, "kernel-check", *KERNEL_CASES["cantor6 calibration 1"],
                      "--seed", "7")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from homspace import gallery
+from homspace.common import dumps_report
 from homspace.embed import (
     EmbedParams,
     ap_weight_check,
@@ -93,7 +94,8 @@ def test_implied_constants_match_brute(grid64_cubes):
     params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     report = delta_necessity_test(grid64_cubes, params)
     assert report.verdict == "PASS"
-    for (k, alpha), c in report.constants.items():
+    for key, c in report.constants.items():
+        k, alpha = map(int, key.split(":"))
         assert c == pytest.approx(
             grid64_cubes.mass(k, alpha) / grid64_cubes.delta ** k, rel=1e-12)
     brute_min = min(report.constants.values())
@@ -150,7 +152,7 @@ def test_scan_sound_on_uniform_grid(grid64_cubes):
     params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     report = embedding_ratio_scan(grid64_cubes, params, n_sequences=128)
     assert report.verdict == "OK"
-    assert not report.violations
+    assert not report.witnesses
     assert report.sup_ratio <= report.proof_constant * (1 + 1e-9)
     c_min, proof = proof_constant_besov(grid64_cubes, params)
     assert report.c_min == pytest.approx(c_min)
@@ -216,7 +218,7 @@ def test_scan_violations_keep_batch_order(grid64_cubes, monkeypatch):
     expected = [{"id": label, "ratio": ratio, "bound": bound}
                 for label, ratio in zip(batch.labels, ratios) if ratio > bound * (1 + 1e-9)]
     assert len(expected) >= 10
-    assert report.violations == expected
+    assert report.witnesses == expected
 
 
 def test_scan_asserts_a_vanishing_source(singular_cubes):
@@ -261,7 +263,7 @@ def test_scan_deterministic(grid64_cubes):
     params = besov_pair(grid64_cubes.delta, s1=0.0, p1=math.inf, s2=1.0, p2=1.0)
     a = embedding_ratio_scan(grid64_cubes, params, n_sequences=64, seed=42)
     b = embedding_ratio_scan(grid64_cubes, params, n_sequences=64, seed=42)
-    assert a.to_dict() == b.to_dict()
+    assert dumps_report(a) == dumps_report(b)
 
 
 def test_scan_tl_exploratory(grid64_cubes):
@@ -313,7 +315,7 @@ def test_characterize_deterministic(grid64, grid64_cubes):
     params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     a = characterize(grid64, grid64_cubes, params, n_sequences=48, seed=7)
     b = characterize(grid64, grid64_cubes, params, n_sequences=48, seed=7)
-    assert a.to_dict() == b.to_dict()
+    assert dumps_report(a) == dumps_report(b)
 
 
 # ---------------------------------------------------------------------------

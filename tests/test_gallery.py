@@ -109,7 +109,7 @@ def test_weighted_grid_local_bound_fails_at_origin():
                            beta=0.0, extent=2.0))
     report = check_local_lower_bound(sp, 1.0)
     assert report.verdict == "FAIL"
-    worst = min(report.flagged_centers, key=lambda f: f["c_min"])
+    worst = min(report.witnesses, key=lambda f: f["c_min"])
     assert abs(sp.coords[worst["center"], 0]) < 0.25
 
 

@@ -525,6 +525,17 @@ def test_weighted_rn_outside_box_errors():
         weighted_rn_norm({(9, (0,)): 1.0}, grid, params)
 
 
+def test_weighted_rn_refuses_non_integer_indices():
+    grid = unit_dyadic_lattice(4)
+    params = NormParams(s=0.0, p=2.0, q=2.0, delta=0.5, family="besov")
+    # both used to truncate to the cube (2, (1,)) and score its norm
+    with pytest.raises(ValueError, match=r"entry \(2\.7, \(1\.5,\)\)"):
+        weighted_rn_norm({(2.7, (1.5,)): 1.0}, grid, params)
+    with pytest.raises(ValueError, match=r"entry \(True, \(1,\)\)"):
+        weighted_rn_norm({(True, (1,)): 1.0}, grid, params)
+    assert repr(weighted_rn_norm({(2, (1,)): 1.0}, grid, params)) == "1.0"
+
+
 def test_weighted_rn_wrong_delta():
     grid = unit_dyadic_lattice(3)
     params = NormParams(s=0.0, p=2.0, q=2.0, delta=0.25, family="besov")

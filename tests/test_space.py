@@ -378,8 +378,8 @@ def test_lower_bound_weighted_grid_fails_at_origin():
     sp = FiniteHomSpace(dist=dist, weight=np.abs(pts) ** 2, coords=pts[:, None])
     report = check_lower_bound(sp, 1.0, 1.5, 48.0)
     assert report.verdict == "FAIL"
-    assert report.flagged_centers
-    worst = min(report.flagged_centers, key=lambda f: f["c_min"])
+    assert report.witnesses
+    worst = min(report.witnesses, key=lambda f: f["c_min"])
     assert worst["exponent"] > 2.0  # cubic growth against omega = 1
     assert abs(pts[worst["center"]]) <= 3.0  # flagged near the singularity
 
