@@ -203,7 +203,7 @@ def cmd_analyze(args) -> dict:
         "r_floor": sp.r_floor,
         "stats": space_mod.space_stats(sp),
     }
-    if args.check_lower_bound or args.check_local_lower_bound or args.check_reverse_doubling:
+    if args.check_lower_bound or args.check_local_lower_bound:
         omega = _resolve_omega(args, sp)
         report["omega_used"] = omega
         if args.check_lower_bound:

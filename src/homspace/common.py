@@ -33,11 +33,29 @@ class TrendConfig:
     exponent_tol: float = 0.2
     decay_frac: float = 0.1
 
-    def flags(self, exponent, omega: float, span: float) -> bool:
-        """Whether a probe with fitted ``exponent`` (None when no fit) and
-        decay ``span`` fails against ``omega``: both prongs fire."""
-        return (exponent is not None and abs(exponent - omega) > self.exponent_tol
-                and span <= self.decay_frac)
+    def evaluate(self, x, masses, consts, omega: float) -> tuple:
+        """(span, exponent, flagged) arrays, one entry per probe, of the
+        (probes x scales) tables ``masses`` and ``consts`` (the running
+        constant) at the scales ``x``.
+
+        ``span`` is a row's min/max over its positive finite constants (1.0
+        with fewer than two). The log-log exponent of the masses is fitted
+        only where the decay prong fires, ``span <= decay_frac``; it is NaN
+        elsewhere and where no fit exists. ``flagged`` marks the rows where
+        both prongs fire.
+        """
+        consts = np.asarray(consts, dtype=float)
+        ok = (consts > 0) & np.isfinite(consts)
+        span = np.ones(consts.shape[0])
+        np.divide(np.where(ok, consts, np.inf).min(axis=1), np.where(ok, consts, 0.0).max(axis=1),
+                  out=span, where=ok.sum(axis=1) >= 2)
+        decays = span <= self.decay_frac
+        exponent = np.full(span.size, np.nan)
+        for row in np.flatnonzero(decays).tolist():
+            fit = fit_loglog(x, masses[row])
+            if fit:
+                exponent[row] = fit[0]
+        return span, exponent, decays & (np.abs(exponent - omega) > self.exponent_tol)
 
 
 def rng_stream(seed: int, *salt: int) -> np.random.Generator:
@@ -80,14 +98,6 @@ def fit_loglog(x, y):
         return None
     slope, intercept = np.polyfit(lx, ly, 1)
     return float(slope), float(intercept)
-
-
-def decay_span(values) -> float:
-    """min/max of a positive curve; 1.0 when flat or too short."""
-    arr = np.asarray([v for v in values if v > 0 and math.isfinite(v)], dtype=float)
-    if arr.size < 2:
-        return 1.0
-    return float(arr.min() / arr.max())
 
 
 # ---------------------------------------------------------------------------

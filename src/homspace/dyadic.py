@@ -143,6 +143,14 @@ def build_nets(space: FiniteHomSpace, delta: float, c0: float, C0: float,
     k_min, k_max = int(k_range[0]), int(k_range[1])
     if k_min > k_max:
         raise ValueError("empty level range")
+    for k in (k_min, k_max):        # delta^k is monotone: the ends bound every level
+        try:
+            scales = (c0 * delta**k, C0 * delta**k)
+        except OverflowError:
+            scales = (math.inf,)
+        if not all(0.0 < r < math.inf for r in scales):
+            raise ValueError(f"level {k}: the scales c0*delta^k and C0*delta^k must be "
+                             "finite positive floats")
 
     n = space.n
     order = rng_stream(seed, 0xD7).permutation(n)
@@ -487,44 +495,40 @@ def max_single_child_chain(cubes: CubeSystem) -> ChainReport:
     asserts max_chain_len <= bound_N.
     """
     net = cubes.net
-    all_singleton = all(cubes.members(k, a).size == 1
-                        for k in net.levels for a in net.centers[k])
+    n = cubes.space.n
+    sizes = {k: np.diff(cubes.bounds[k])[net.centers[k]] for k in net.levels}
+    all_singleton = all(np.all(size == 1) for size in sizes.values())
+    bound = chain_length_bound(net.delta, cubes.c1, cubes.C1)
     if net.k_max - net.k_min < 1:
-        bound = chain_length_bound(net.delta, cubes.c1, cubes.C1)
         return ChainReport(
             max_chain_len=0, bound_N=bound, ok=True, branching={},
             atomic_note=("atomic space: every cube is a single point; "
                          "chain bound not applicable") if all_singleton else None,
         )
 
-    branching: dict = {}
-    for k in range(net.k_min, net.k_max):
-        kids = np.bincount(cubes.assignment[k][net.centers[k + 1]], minlength=cubes.space.n)
-        branching[k] = {int(a): int(kids[a]) for a in net.centers[k]}
+    kids = {k: np.bincount(cubes.assignment[k][net.centers[k + 1]], minlength=n)[net.centers[k]]
+            for k in range(net.k_min, net.k_max)}
+    branching = {k: dict(zip(net.centers[k].tolist(), kids[k].tolist())) for k in kids}
 
-    # a lone child is the cube itself: its center persists to level k + 1
-    run: dict = {}
-    for k in reversed(list(net.levels)):
-        for alpha in net.centers[k]:
-            alpha = int(alpha)
-            if k == net.k_max or branching[k][alpha] != 1:
-                run[(k, alpha)] = 0
-            else:
-                run[(k, alpha)] = 1 + run[(k + 1, alpha)]
-
-    bound = chain_length_bound(net.delta, cubes.c1, cubes.C1)
+    # run[alpha]: the run of cube (k, alpha), levels finest first; a lone
+    # child is the cube itself, so its center persists to level k + 1
+    run = np.zeros(n, dtype=int)
     best = 0
     atomic_best = 0
     witnesses = []
-    for (k, alpha), length in run.items():
-        if cubes.members(k, alpha).size > 1:
-            if length > best:
-                best = length
-                witnesses = [{"level": k, "cube": alpha, "length": length}]
-            elif length == best and best > 0 and len(witnesses) < 5:
-                witnesses.append({"level": k, "cube": alpha, "length": length})
-        else:
-            atomic_best = max(atomic_best, length)
+    for k in reversed(net.levels):
+        ids = net.centers[k]
+        if k < net.k_max:
+            run[ids] = np.where(kids[k] == 1, run[ids] + 1, 0)
+        multi = sizes[k] > 1
+        length = run[ids]
+        atomic_best = max(atomic_best, int(length[~multi].max(initial=0)))
+        top = int(length[multi].max(initial=0))
+        if top > best:
+            best, witnesses = top, []
+        if top == best > 0:
+            tied = ids[multi][length[multi] == best][:5 - len(witnesses)]
+            witnesses += [{"level": k, "cube": alpha, "length": best} for alpha in tied.tolist()]
 
     note = None
     if atomic_best > bound:

@@ -36,7 +36,6 @@ import numpy as np
 from homspace.common import (
     DEFAULT_SEED,
     TrendConfig,
-    decay_span,
     fit_loglog,
     reciprocal,
     rng_stream,
@@ -186,36 +185,30 @@ def delta_necessity_test(cubes: CubeSystem, params: EmbedParams, *,
                "constant": float(const[at_min])}
 
     # ancestry-chain trend over resolved levels (all cubes, not only fresh:
-    # the chain tracks one spatial location across scales)
+    # the chain tracks one spatial location across scales); one row per
+    # finest resolved cube, its ancestors finest first
     worst_chain = None
     failing = False
     if len(resolved) >= 2:
-        k_fine = resolved[-1]
-        for leaf in cubes.cubes(k_fine):
-            chain_levels = []
-            chain_masses = []
-            chain_consts = []
-            alpha = int(leaf)
-            for k in reversed(resolved):
-                alpha_k = cubes.point_cube(k, alpha)
-                chain_levels.append(k)
-                chain_masses.append(cubes.mass(k, alpha_k))
-                chain_consts.append(implied_constant(cubes, k, alpha_k, omega))
-            span = decay_span(chain_consts)
-            fit = fit_loglog([cubes.scale(k) for k in chain_levels], chain_masses)
-            exponent = fit[0] if fit else None
-            flagged = trend.flags(exponent, omega, span)
-            if worst_chain is None or span < worst_chain["span"]:
-                worst_chain = {
-                    "leaf": int(leaf),
-                    "levels": list(chain_levels),
-                    "constants": [float(c) for c in chain_consts],
-                    "exponent": exponent,
-                    "span": float(span),
-                    "flagged": bool(flagged),
-                }
-            if flagged:
-                failing = True
+        chain_levels = resolved[::-1]
+        leaves = cubes.cubes(chain_levels[0])
+        ancestors = [cubes.assignment[k][leaves] for k in chain_levels]
+        masses = np.stack([cubes.cube_mass[k][a] for k, a in zip(chain_levels, ancestors)], axis=1)
+        consts = np.stack([implied_constant(cubes, k, a, omega)
+                           for k, a in zip(chain_levels, ancestors)], axis=1)
+        scales = [cubes.scale(k) for k in chain_levels]
+        span, _, flagged = trend.evaluate(scales, masses, consts, omega)
+        worst = int(np.argmin(span))
+        fit = fit_loglog(scales, masses[worst])
+        worst_chain = {
+            "leaf": int(leaves[worst]),
+            "levels": chain_levels,
+            "constants": consts[worst].tolist(),
+            "exponent": fit[0] if fit else None,
+            "span": float(span[worst]),
+            "flagged": bool(flagged[worst]),
+        }
+        failing = bool(flagged.any())
 
     return NecessityReport(
         verdict="FAIL" if failing else "PASS",

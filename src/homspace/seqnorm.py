@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from homspace.common import reciprocal, stable_sum
+from homspace.common import finite_number, reciprocal, stable_sum
 from homspace.dyadic import CubeSystem
 from homspace.gallery import RnDyadicGrid
 
@@ -178,19 +178,20 @@ class SequenceBatch:
 
 
 def load_sequence(path: str, system: CubeSystem, index_mode: str = "fresh") -> CoefSequence:
-    """Read a JSON list of {"k": int, "alpha": int, "value": real}."""
+    """Read a JSON list of {"k": int, "alpha": int, "value": real}: k and
+    alpha JSON integers (not booleans), the value a finite number."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError(f"{path}: sequence file must be a JSON list")
     entries: dict = {}
     for i, row in enumerate(data):
-        try:
-            key = (int(row["k"]), int(row["alpha"]))
-            value = float(row["value"])
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"{path}: entry {i} must carry integer k, alpha and a real value") from None
-        entries[key] = entries.get(key, 0.0) + value
+        if not (isinstance(row, dict) and _is_integer(row.get("k"))
+                and _is_integer(row.get("alpha")) and finite_number(row.get("value"))):
+            raise ValueError(f"{path}: entry {i} must carry integer k and alpha and a finite "
+                             f"real value, got {json.dumps(row)}")
+        key = (row["k"], row["alpha"])
+        entries[key] = entries.get(key, 0.0) + float(row["value"])
     return CoefSequence(system=system, entries=entries, index_mode=index_mode)
 
 

@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from homspace.common import TrendConfig, decay_span, fit_loglog, stable_sum
+from homspace.common import TrendConfig, fit_loglog, stable_sum
 
 
 @dataclass(frozen=True)
@@ -529,33 +529,25 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
     if np.all(masses == masses[:, :1]):
         warnings.append("resolution too coarse: no ball transition in the radius window")
 
-    flagged = []
-    for row, center in enumerate(centers):
-        fit = fit_loglog(radii, masses[row]) if radii.size >= 4 else None
-        exponent = fit[0] if fit else None
-        span = decay_span(consts[row])
-        if trend.flags(exponent, omega, span):
-            flagged.append({
-                "center": int(center),
-                "exponent": float(exponent),
-                "c_min": float(consts[row].min()),
-                "c_max": float(consts[row].max()),
-                "worst_radius": float(radii[int(np.argmin(consts[row]))]),
-            })
-    if radii.size < 4:
-        warnings.append("fewer than 4 radii: per-center exponents not fitted (insufficient data)")
+    _, exponent, flagged = trend.evaluate(radii, masses, consts, omega)
+    rows = np.flatnonzero(flagged)
+    curves = consts[rows]
+    witnesses = [{"center": center, "exponent": exp, "c_min": lo, "c_max": hi, "worst_radius": r}
+                 for center, exp, lo, hi, r in zip(
+                     centers[rows].tolist(), exponent[rows].tolist(), curves.min(axis=1).tolist(),
+                     curves.max(axis=1).tolist(), radii[curves.argmin(axis=1)].tolist())]
 
     rs = np.broadcast_to(radii, masses.shape).ravel()
     pooled = fit_loglog(rs, masses.ravel())
     return LowerBoundReport(
-        verdict="FAIL" if flagged else "PASS",
+        verdict="FAIL" if witnesses else "PASS",
         c_est=c_est,
         witness=witness,
         omega=float(omega),
         r_min=float(r_min),
         r_max=float(r_max),
         exponent_pooled=None if pooled is None else pooled[0],
-        witnesses=flagged,
+        witnesses=witnesses,
         variant=variant,
         scale_factor=scale_factor,
         warnings=warnings,

@@ -187,3 +187,89 @@ def box_count_dimension(points, sizes):
         counts.append(len(boxes))
     slope, _ = np.polyfit(np.log(1.0 / np.asarray(sizes)), np.log(counts), 1)
     return float(slope)
+
+
+def brute_trend_probe(x, masses, consts, omega, exponent_tol=0.2, decay_frac=0.1):
+    """(span, exponent, flagged) of one probe, fitted whatever its span: the
+    OLS slope of log mass on log scale over the positive pairs (None with
+    fewer than two or a single scale), the min/max of the positive finite
+    constants (1.0 with fewer than two), and whether both prongs fire."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(masses, dtype=float)
+    keep = (x > 0) & (y > 0)
+    exponent = None
+    if keep.sum() >= 2 and np.ptp(np.log(x[keep])) != 0.0:
+        exponent = float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
+    live = [float(c) for c in consts if c > 0 and math.isfinite(c)]
+    span = min(live) / max(live) if len(live) >= 2 else 1.0
+    flagged = exponent is not None and abs(exponent - omega) > exponent_tol and span <= decay_frac
+    return span, exponent, flagged
+
+
+def brute_lower_bound_witnesses(radii, masses, omega, exponent_tol=0.2, decay_frac=0.1):
+    """(witnesses, probes) of a lower-bound check from its (centers x radii)
+    mass table, one center at a time: the flagged centers as the report
+    lists them, and every center's ``brute_trend_probe``."""
+    witnesses, probes = [], []
+    for center, row in enumerate(np.asarray(masses, dtype=float)):
+        # a whole-row power, as numpy's array power may differ from the
+        # scalar one in the last bit
+        consts = (row / np.asarray(radii, dtype=float) ** omega).tolist()
+        probe = brute_trend_probe(radii, row, consts, omega, exponent_tol, decay_frac)
+        probes.append(probe)
+        if probe[2]:
+            worst = consts.index(min(consts))
+            witnesses.append({"center": center, "exponent": probe[1], "c_min": min(consts),
+                              "c_max": max(consts), "worst_radius": float(radii[worst])})
+    return witnesses, probes
+
+
+def brute_worst_chain(assignment, cube_mass, delta, resolved, omega,
+                      exponent_tol=0.2, decay_frac=0.1):
+    """(worst_chain, failing) of the ancestry-chain test: every cube of the
+    finest resolved level walked up to the coarsest one level at a time and
+    fitted; the worst chain is the first of least span."""
+    levels = sorted(resolved, reverse=True)
+    worst, failing = None, False
+    for leaf in sorted(set(assignment[levels[0]].tolist())):
+        masses, consts = [], []
+        for k in levels:
+            alpha = assignment[k][leaf]
+            masses.append(float(cube_mass[k][alpha]))
+            consts.append(cube_mass[k][alpha] / delta ** (k * omega))
+        span, exponent, flagged = brute_trend_probe([delta ** k for k in levels], masses,
+                                                    consts, omega, exponent_tol, decay_frac)
+        failing = failing or flagged
+        if worst is None or span < worst["span"]:
+            worst = {"leaf": leaf, "levels": levels, "constants": [float(c) for c in consts],
+                     "exponent": exponent, "span": span, "flagged": flagged}
+    return worst, failing
+
+
+def brute_single_child_runs(assignment, k_min, k_max):
+    """(branching, best, witnesses, atomic_best) of the single-child-chain
+    check: children and members counted by scanning the assignment, a run
+    followed down through each lone child, cubes visited finest level first
+    and by id; the witnesses are the first five multi-point cubes of the
+    longest run, atomic_best the longest run of a single-point cube."""
+    centers = {k: sorted(set(assignment[k].tolist())) for k in range(k_min, k_max + 1)}
+
+    def children(k, alpha):
+        return [b for b in centers[k + 1] if assignment[k][b] == alpha]
+
+    def run(k, alpha):
+        kids = children(k, alpha) if k < k_max else []
+        return 1 + run(k + 1, kids[0]) if len(kids) == 1 else 0
+
+    branching = {k: {a: len(children(k, a)) for a in centers[k]} for k in range(k_min, k_max)}
+    best, witnesses, atomic_best = 0, [], 0
+    for k in range(k_max, k_min - 1, -1):
+        for alpha in centers[k]:
+            length = run(k, alpha)
+            if sum(1 for a in assignment[k] if a == alpha) == 1:
+                atomic_best = max(atomic_best, length)
+            elif length > best:
+                best, witnesses = length, [{"level": k, "cube": alpha, "length": length}]
+            elif length == best > 0 and len(witnesses) < 5:
+                witnesses.append({"level": k, "cube": alpha, "length": length})
+    return branching, best, witnesses, atomic_best

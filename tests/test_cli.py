@@ -63,6 +63,17 @@ def test_cubes_inadmissible_exit_3(tmp_path, capsys):
     assert "inadmissible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k_min,k_max", [(-300, 2), (0, 400)],
+                         ids=["scale-overflows", "separation-underflows"])
+def test_cubes_level_window_off_the_float_range_exit_2(tmp_path, capsys, k_min, k_max):
+    # (1/32)^-300 overflows a float, and c0 * (1/32)^400 underflows to 0,
+    # where every center would be reborn at each finer level
+    code, text = run(tmp_path, "cubes", "--gallery", "euclidean_grid", "--n", "8",
+                     "--k-min", str(k_min), "--k-max", str(k_max))
+    assert (code, text) == (2, "")
+    assert "finite positive floats" in capsys.readouterr().err
+
+
 def test_embed_test_uniform_pass(tmp_path):
     code, text = run(tmp_path, "embed-test", "--gallery", "euclidean_grid",
                      "--n", "64", "--omega", "1.0",
@@ -119,6 +130,23 @@ def test_norms_rejects_index_outside_the_system(tmp_path, grid64_cubes, capsys):
                       "--seq", str(seq_path))
         assert code == 2
         assert "is not a fresh cube" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    {"k": 1.7, "alpha": 0, "value": 1.0},
+    {"k": "1", "alpha": 0, "value": 1.0},
+    {"k": 1, "alpha": True, "value": 1.0},
+    {"k": 1, "alpha": 0, "value": "1.0"},
+    {"k": 1, "alpha": 0, "value": True},
+    {"k": 1, "alpha": 0, "value": float("nan")},
+], ids=["float-k", "string-k", "bool-alpha", "string-value", "bool-value", "nan-value"])
+def test_norms_rejects_badly_typed_entries(tmp_path, capsys, row):
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(json.dumps([{"k": 1, "alpha": 0, "value": 1.0}, row]))
+    code, text = run(tmp_path, "norms", "--gallery", "euclidean_grid", "--n", "16",
+                     "--seq", str(seq_path))
+    assert (code, text) == (2, "")
+    assert "entry 1 must carry integer k and alpha" in capsys.readouterr().err
 
 
 def test_norms_layer_cake_flag(tmp_path, grid64_cubes):
@@ -285,6 +313,12 @@ REPORT_INPUTS = {
                             [2.0, 1.5, 0.0, 2.5], [4.0, 3.0, 2.5, 0.0]],
                    "weights": [0.25, 0.5, 0.125, 0.125]},
 }
+# squared distances of 48 seeded points on a line: ball masses grow like
+# r^(1/2), so a lower bound with omega = 1 fails at almost every center
+_LINE = np.sort(np.random.default_rng(5).random(48))
+REPORT_INPUTS["squared_line.json"] = {"metric": "explicit",
+                                      "dist": ((_LINE[:, None] - _LINE[None, :]) ** 2).tolist(),
+                                      "weights": [1.0] * _LINE.size}
 BESOV_EMBED = ["--omega", "1.0", "--s1", "0.5", "--p1", "2", "--s2", "1.0", "--p2", "1",
                "--q", "1"]
 REPORT_CASES = {
@@ -320,6 +354,16 @@ REPORT_CASES = {
     "maximal random": ["maximal", "--gallery", "cantor", "--depth", "4", "--random", "5",
                        "--seed", "11"],
     "gallery table": ["gallery", "--space", "table.json"],
+    "analyze squared line": ["analyze", "--space", "squared_line.json", "--omega", "1.0",
+                             "--check-lower-bound", "--check-local-lower-bound"],
+    "embed-test tail fail": ["embed-test", "--gallery", "weighted_grid", "--n", "129",
+                             "--alpha", "0", "--beta", "-0.5", "--extent", "64",
+                             *BESOV_EMBED, "--n-sequences", "48"],
+    "cubes weighted_grid65": ["cubes", "--gallery", "weighted_grid", "--n", "65",
+                              "--alpha", "2", "--extent", "2"],
+    "cubes weighted_grid17 atomic": ["cubes", "--gallery", "weighted_grid", "--n", "17",
+                                     "--alpha", "2", "--extent", "2", "--k-min", "0",
+                                     "--k-max", "3"],
 }
 # (exit code, SHA-256 of the report) per case and format
 REPORT_DIGESTS = {
@@ -383,6 +427,22 @@ REPORT_DIGESTS = {
         (0, '666824f7ac6ca77d150cc0e9d18971c9be8ee48fdfac8b4ebbc523404251f395'),
     ('norms tl layer-cake', 'json'):
         (0, '465a885bacbfa969405cb4903064c269bcde9b7586bd02b0fb1ccac06289031e'),
+    ('analyze squared line', 'csv'):
+        (0, 'c706736c87a18457687776db2446fd028ca231df725bcec47935d1f595d63cce'),
+    ('analyze squared line', 'json'):
+        (0, 'edd2ae476d7f49cdeaf0898700ff1d48a1fcbecb43f57c2314d8a4957894a7d9'),
+    ('embed-test tail fail', 'csv'):
+        (0, '5362eefd71ace44e38649b91c79131ad50ea1fcd144a0766d33a70d84fa6d134'),
+    ('embed-test tail fail', 'json'):
+        (0, 'd5c521f18bb3b322e282e7f3a10b2dd467cbadffadcd6c1554ae3941a4650fce'),
+    ('cubes weighted_grid65', 'csv'):
+        (0, '88a29427bfc0e25559daed3784ca24ad987a8c261de437c42e2461569bc7a249'),
+    ('cubes weighted_grid65', 'json'):
+        (0, '3c1c58ff1fc79880064d3190b074d4e9c12f029f505253ba4a8573f9ae2c907a'),
+    ('cubes weighted_grid17 atomic', 'csv'):
+        (0, '48666893f331f7f5ef92ac5aba4a83d128fa7d9295c75157e602400cbcfc5c7b'),
+    ('cubes weighted_grid17 atomic', 'json'):
+        (0, 'de5c45859c9a1f42a0afef1c5ab11bbb7cd241eaa48b84af53f28ec749390798'),
 }
 
 
@@ -460,6 +520,18 @@ def test_analyze_reverse_doubling_flag(tmp_path):
     report = json.loads(text)
     assert report["reverse_doubling"]["verdict"] == "PASS"
     assert report["stats"]["kappa_est"] is None or report["stats"]["kappa_est"] > 0
+
+
+def test_analyze_reverse_doubling_alone_needs_no_omega(tmp_path):
+    # a one-point space has no mass exponent to infer omega from, and the
+    # reverse-doubling check takes none
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(REPORT_INPUTS["one.json"]))
+    code, text = run(tmp_path, "analyze", "--space", str(path), "--check-reverse-doubling", "1")
+    assert code == 0
+    report = json.loads(text)
+    assert report["reverse_doubling"]["verdict"] == "NOT_APPLICABLE"
+    assert "omega_used" not in report
 
 
 def test_maximal_random_mode(tmp_path):
