@@ -110,15 +110,16 @@ def _plain_floats(obj) -> bool:
     return type(obj) is list and bool(obj) and set(map(type, obj)) == {float}
 
 
+class _FloatRows(list):
+    """A nonempty list of equally long lists of plain ``float``, as
+    ``sanitize`` found it: the encoder checks only that its entries are
+    finite before writing it one format per row."""
+
+
 def _float_table(obj) -> bool:
-    """True for a nonempty list of equally long nonempty lists whose items
-    are all finite plain ``float``; checked once over the whole table."""
-    if type(obj) is not list or not obj or type(obj[0]) is not list or not obj[0]:
-        return False
-    width = len(obj[0])
-    return (all(type(row) is list and len(row) == width for row in obj)
-            and set(map(type, chain.from_iterable(obj))) == {float}
-            and all(map(math.isfinite, chain.from_iterable(obj))))
+    """True for a sanitized table that ``_encode`` writes one format per row:
+    float rows of one width whose entries are all finite."""
+    return type(obj) is _FloatRows and all(map(math.isfinite, chain.from_iterable(obj)))
 
 
 _PLAIN_SCALARS = frozenset({int, float, str, bool, type(None)})
@@ -126,9 +127,10 @@ _PLAIN_SCALARS = frozenset({int, float, str, bool, type(None)})
 
 def sanitize(obj):
     """Convert numpy containers/scalars to plain Python for serialization.
-    A plain scalar or a list of plain floats is returned as it is, and a
-    dataclass instance becomes the dict of its fields, so a report's keys
-    are its fields."""
+    A plain scalar or a list of plain floats is returned as it is, a list of
+    equally long plain-float lists as ``_FloatRows``, and a dataclass
+    instance becomes the dict of its fields, so a report's keys are its
+    fields."""
     if type(obj) in _PLAIN_SCALARS:
         return obj
     if isinstance(obj, dict):
@@ -136,6 +138,8 @@ def sanitize(obj):
     if _plain_floats(obj):
         return obj
     if isinstance(obj, (list, tuple)):
+        if obj and all(map(_plain_floats, obj)) and len(set(map(len, obj))) == 1:
+            return _FloatRows(obj)
         return [sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return sanitize(obj.tolist())

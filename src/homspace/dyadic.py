@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from homspace.common import DEFAULT_SEED, rng_stream, stable_sum
-from homspace.space import FiniteHomSpace
+from homspace.space import ROW_BLOCK, FiniteHomSpace
 
 
 class InadmissibleConstants(ValueError):
@@ -174,6 +174,7 @@ def build_nets(space: FiniteHomSpace, delta: float, c0: float, C0: float,
 
 
 def _verify_net(net: NetSystem, space: FiniteHomSpace) -> None:
+    dist = space.dist
     prev = None
     for k in net.levels:
         ids = net.centers[k]
@@ -181,13 +182,21 @@ def _verify_net(net: NetSystem, space: FiniteHomSpace) -> None:
             raise CubeConstructionError(f"level {k}: empty net")
         if prev is not None and not np.all(np.isin(prev, ids)):
             raise CubeConstructionError(f"level {k}: net not nested")
-        sub = space.dist[np.ix_(ids, ids)]
-        sep = net.separation(k)
-        off = sub[~np.eye(ids.size, dtype=bool)]
-        if off.size and float(off.min()) < sep * (1 - 1e-12):
+        # every row against the centers' columns, ROW_BLOCK rows at a time:
+        # each point's distance to the net and, on the centers' own rows with
+        # their diagonal entry masked, the least distance between centers
+        cover, apart = 0.0, math.inf
+        for lo in range(0, space.n, ROW_BLOCK):
+            sub = dist[lo:lo + ROW_BLOCK][:, ids]
+            cover = max(cover, float(sub.min(axis=1).max()))
+            first, last = np.searchsorted(ids, [lo, lo + ROW_BLOCK])
+            if first < last:
+                rows = ids[first:last] - lo
+                sub[rows, np.arange(first, last)] = np.inf
+                apart = min(apart, float(sub[rows].min()))
+        if apart < net.separation(k) * (1 - 1e-12):
             raise CubeConstructionError(f"level {k}: separation violated")
-        cov = space.dist[:, ids].min(axis=1)
-        if float(cov.max()) >= net.covering(k):
+        if cover >= net.covering(k):
             raise CubeConstructionError(f"level {k}: covering violated")
         prev = ids
 
@@ -343,7 +352,10 @@ def build_cubes(net: NetSystem, space: FiniteHomSpace) -> CubeSystem:
     n = space.n
     dist = space.dist
     ids = net.centers[net.k_max]
-    assignment = {net.k_max: ids[np.argmin(dist[:, ids], axis=1)]}
+    finest = np.empty(n, dtype=ids.dtype)
+    for lo in range(0, n, ROW_BLOCK):
+        finest[lo:lo + ROW_BLOCK] = ids[np.argmin(dist[lo:lo + ROW_BLOCK][:, ids], axis=1)]
+    assignment = {net.k_max: finest}
     for k in reversed(range(net.k_min, net.k_max)):
         fine, coarse = net.centers[k + 1], net.centers[k]
         parent = fine.copy()
@@ -351,21 +363,19 @@ def build_cubes(net: NetSystem, space: FiniteHomSpace) -> CubeSystem:
         parent[new] = coarse[np.argmin(dist[np.ix_(fine[new], coarse)], axis=1)]
         assignment[k] = parent[np.searchsorted(fine, assignment[k + 1])]
 
-    cubes = CubeSystem(
-        space=space,
-        net=net,
-        assignment=assignment,
-        order={k: np.argsort(assignment[k], kind="stable") for k in net.levels},
-        bounds={k: np.concatenate(([0], np.cumsum(np.bincount(assignment[k], minlength=n))))
-                for k in net.levels},
-        cube_mass={k: np.zeros(n) for k in net.levels},
-        c1=net.c0 / (3.0 * net.a0**2),
-        C1=2.0 * net.a0 * net.C0,
-    )
+    order = {k: np.argsort(assignment[k], kind="stable") for k in net.levels}
+    bounds = {k: np.concatenate(([0], np.cumsum(np.bincount(assignment[k], minlength=n))))
+              for k in net.levels}
+    cube_mass = {}
     for k in net.levels:
-        for alpha in net.centers[k]:
-            # stable_sum per cube, not a weighted bincount: masses stay exact
-            cubes.cube_mass[k][alpha] = stable_sum(space.weight[cubes.members(k, alpha)])
+        # fsum per cube slice, not a weighted bincount: masses stay exact
+        weight, cut = space.weight[order[k]].tolist(), bounds[k].tolist()
+        cube_mass[k] = np.zeros(n)
+        cube_mass[k][net.centers[k]] = [math.fsum(weight[cut[a]:cut[a + 1]])
+                                        for a in net.centers[k].tolist()]
+    cubes = CubeSystem(space=space, net=net, assignment=assignment, order=order,
+                       bounds=bounds, cube_mass=cube_mass,
+                       c1=net.c0 / (3.0 * net.a0**2), C1=2.0 * net.a0 * net.C0)
     cubes.axioms = verify_cube_axioms(cubes)
     if not cubes.axioms.ok:
         raise CubeConstructionError(f"cube axioms violated: {cubes.axioms.violations[0]}")
@@ -388,32 +398,34 @@ def verify_cube_axioms(cubes: CubeSystem) -> AxiomReport:
     sandwich    B(z, c1*d^k) inside the cube inside B(z, C1*d^k);
     containment B(z_desc, C1*d^l) inside B(z_anc, C1*d^k) along ancestry.
 
-    The open/closed interior-closure distinction is vacuous on a finite
+    A cube's members are its slice of ``order[k]``. Violations come by
+    axiom, then level (pair), then center id; a witness point is the lowest
+    id. The open/closed interior-closure distinction is vacuous on a finite
     point set and reported as not applicable.
     """
     space = cubes.space
     net = cubes.net
+    n = space.n
+    levels = list(net.levels)
     violations = []
 
-    for k in net.levels:
+    for k in levels:
         ids = net.centers[k]
         assign = cubes.assignment[k]
         if not np.all(np.isin(assign, ids)):
             violations.append({"axiom": "partition", "level": k,
                                "detail": "assignment to a non-center"})
-        total = stable_sum([cubes.mass(k, a) for a in ids])
+        total = stable_sum(cubes.cube_mass[k][ids])
         if abs(total - space.total_mass) > 1e-12 * max(1.0, abs(space.total_mass)):
             violations.append({"axiom": "partition", "level": k,
                                "detail": f"mass sum {total!r} != total {space.total_mass!r}"})
-        for alpha in ids:
-            if cubes.members(k, alpha).size == 0:
-                violations.append({"axiom": "partition", "level": k, "cube": int(alpha),
-                                   "detail": "empty cube"})
-            elif assign[alpha] != alpha:
-                violations.append({"axiom": "partition", "level": k, "cube": int(alpha),
-                                   "detail": "center assigned outside its own cube"})
+        empty = np.diff(cubes.bounds[k])[ids] <= 0
+        bad = empty | (assign[ids] != ids)
+        for alpha, hollow in zip(ids[bad].tolist(), empty[bad].tolist()):
+            violations.append({"axiom": "partition", "level": k, "cube": alpha,
+                               "detail": "empty cube" if hollow
+                               else "center assigned outside its own cube"})
 
-    levels = list(net.levels)
     for i, k in enumerate(levels):
         for ell in levels[i + 1:]:
             coarse = cubes.assignment[k]
@@ -432,37 +444,53 @@ def verify_cube_axioms(cubes: CubeSystem) -> AxiomReport:
                               f"({int(c_sorted[j])}, {int(c_sorted[j + 1])})",
                 })
 
-    for k in net.levels:
-        rk_in = cubes.c1 * net.delta**k
-        rk_out = cubes.C1 * net.delta**k
-        for alpha in net.centers[k]:
-            row = space.dist[alpha]
-            members = cubes.members(k, alpha)
-            inner = np.flatnonzero(row < rk_in)
-            if not np.all(np.isin(inner, members)):
-                bad = int(np.setdiff1d(inner, members)[0])
-                violations.append({"axiom": "sandwich", "level": k, "cube": int(alpha),
-                                   "detail": f"inner-ball point {bad} outside the cube"})
-            outside = members[row[members] >= rk_out]
-            if outside.size:
-                violations.append({"axiom": "sandwich", "level": k, "cube": int(alpha),
-                                   "detail": f"member {int(outside[0])} outside the outer ball"})
-
-    for i, k in enumerate(levels):
-        for ell in levels[i + 1:]:
-            rk = cubes.C1 * net.delta**k
-            rl = cubes.C1 * net.delta**ell
-            for beta in net.centers[ell]:
-                alpha = cubes.assignment[k][beta]
-                fine_ball = space.dist[beta] < rl
-                coarse_ball = space.dist[alpha] < rk
-                if np.any(fine_ball & ~coarse_ball):
-                    bad = int(np.flatnonzero(fine_ball & ~coarse_ball)[0])
-                    violations.append({
+    # one pass per level over the rows of its centers, ROW_BLOCK at a time:
+    # the sandwich at that level (a point is a member of the cube whose slice
+    # of order[ell] holds it), and center containment under each coarser
+    # level k, against the rows of the level-k ancestors
+    containment = {(k, ell): [] for i, k in enumerate(levels) for ell in levels[i + 1:]}
+    for i, ell in enumerate(levels):
+        r_in = cubes.c1 * net.delta**ell
+        r_out = cubes.C1 * net.delta**ell
+        ids = net.centers[ell]
+        order, bounds = cubes.order[ell], cubes.bounds[ell]
+        holder = np.searchsorted(bounds, np.arange(order.size), side="right") - 1
+        row_of = np.full(n + 2, -1)         # holders run from -1 to n
+        row_of[ids] = np.arange(ids.size)
+        for lo in range(0, ids.size, ROW_BLOCK):
+            block = ids[lo:lo + ROW_BLOCK]
+            span = slice(bounds[block[0]], bounds[block[-1] + 1])
+            rows = row_of[holder[span]]
+            held = rows >= 0
+            member = np.zeros((block.size, n), dtype=bool)
+            member[rows[held] - lo, order[span][held]] = True
+            d = space.dist[block]
+            ball = d < r_out                # also the fine center ball of containment
+            inner = (d < r_in) & ~member
+            outer = member & ~ball
+            has_in, has_out = inner.any(axis=1), outer.any(axis=1)
+            for r in np.flatnonzero(has_in | has_out).tolist():
+                alpha = int(block[r])
+                if has_in[r]:
+                    violations.append({"axiom": "sandwich", "level": ell, "cube": alpha,
+                                       "detail": f"inner-ball point {int(inner[r].argmax())} "
+                                                 "outside the cube"})
+                if has_out[r]:
+                    violations.append({"axiom": "sandwich", "level": ell, "cube": alpha,
+                                       "detail": f"member {int(outer[r].argmax())} "
+                                                 "outside the outer ball"})
+            for k in levels[:i]:
+                anc = cubes.assignment[k][block]
+                up, row = np.unique(anc, return_inverse=True)
+                escape = ball & (space.dist[up] >= cubes.C1 * net.delta**k)[row]
+                for r in np.flatnonzero(escape.any(axis=1)).tolist():
+                    containment[k, ell].append({
                         "axiom": "center-containment", "levels": [k, ell],
-                        "cubes": [int(alpha), int(beta)],
-                        "detail": f"point {bad} in the fine center ball escapes the coarse one",
+                        "cubes": [int(anc[r]), int(block[r])],
+                        "detail": f"point {int(escape[r].argmax())} in the fine center ball "
+                                  "escapes the coarse one",
                     })
+    violations += [v for pair in containment.values() for v in pair]
 
     return AxiomReport(
         ok=not violations,

@@ -273,3 +273,70 @@ def brute_single_child_runs(assignment, k_min, k_max):
             elif length == best > 0 and len(witnesses) < 5:
                 witnesses.append({"level": k, "cube": alpha, "length": length})
     return branching, best, witnesses, atomic_best
+
+
+def brute_cube_axioms(dist, weight, centers, assignment, order, bounds, cube_mass, c1, C1, delta):
+    """The violation list of the cube-axiom gate, one cube or one (level
+    pair, fine center) at a time: partition per level and cube, nesting per
+    level pair, the ball sandwich per cube (its members are its slice of
+    ``order[k]``), then center containment per level pair and fine center.
+    Every argument but the constants is a dict by level, as on a cube system."""
+    levels = sorted(centers)
+    total_mass = math.fsum(np.asarray(weight, dtype=float).tolist())
+    violations = []
+
+    def members(k, alpha):
+        return order[k][bounds[k][alpha]:bounds[k][alpha + 1]]
+
+    for k in levels:
+        ids = centers[k]
+        if not np.all(np.isin(assignment[k], ids)):
+            violations.append({"axiom": "partition", "level": k,
+                               "detail": "assignment to a non-center"})
+        total = math.fsum(float(cube_mass[k][alpha]) for alpha in ids)
+        if abs(total - total_mass) > 1e-12 * max(1.0, abs(total_mass)):
+            violations.append({"axiom": "partition", "level": k,
+                               "detail": f"mass sum {total!r} != total {total_mass!r}"})
+        for alpha in ids:
+            if members(k, alpha).size == 0:
+                violations.append({"axiom": "partition", "level": k, "cube": int(alpha),
+                                   "detail": "empty cube"})
+            elif assignment[k][alpha] != alpha:
+                violations.append({"axiom": "partition", "level": k, "cube": int(alpha),
+                                   "detail": "center assigned outside its own cube"})
+
+    pairs = [(k, ell) for i, k in enumerate(levels) for ell in levels[i + 1:]]
+    for k, ell in pairs:
+        for beta in sorted(set(assignment[ell].tolist())):
+            labels = assignment[k][np.flatnonzero(assignment[ell] == beta)].tolist()
+            j = next((j for j in range(len(labels) - 1) if labels[j] != labels[j + 1]), None)
+            if j is not None:
+                violations.append({"axiom": "nesting", "levels": [k, ell], "cube": beta,
+                                   "detail": f"level-{ell} cube meets two level-{k} cubes "
+                                             f"({labels[j]}, {labels[j + 1]})"})
+                break
+
+    for k in levels:
+        for alpha in centers[k]:
+            row = dist[alpha]
+            inside = members(k, alpha)
+            inner = np.flatnonzero(row < c1 * delta**k)
+            stray = np.setdiff1d(inner, inside)
+            if stray.size:
+                violations.append({"axiom": "sandwich", "level": k, "cube": int(alpha),
+                                   "detail": f"inner-ball point {int(stray[0])} outside the cube"})
+            outside = inside[row[inside] >= C1 * delta**k]
+            if outside.size:
+                violations.append({"axiom": "sandwich", "level": k, "cube": int(alpha),
+                                   "detail": f"member {int(outside[0])} outside the outer ball"})
+
+    for k, ell in pairs:
+        for beta in centers[ell]:
+            alpha = assignment[k][beta]
+            escape = (dist[beta] < C1 * delta**ell) & ~(dist[alpha] < C1 * delta**k)
+            if escape.any():
+                violations.append({"axiom": "center-containment", "levels": [k, ell],
+                                   "cubes": [int(alpha), int(beta)],
+                                   "detail": f"point {int(np.flatnonzero(escape)[0])} in the fine "
+                                             "center ball escapes the coarse one"})
+    return violations

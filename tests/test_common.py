@@ -109,7 +109,7 @@ _bits = st.floats(allow_nan=False, allow_infinity=False)
                                                     min_size=1, max_size=6)),
        st.integers(0, 2))
 def test_float_tables_and_lists_match_per_element_encoding(rows, depth):
-    assert common._float_table(rows)
+    assert common._float_table(common.sanitize(rows))
     assert dumps_report(_nested(rows, depth)) == _expected(rows, depth)
     assert dumps_report(_nested(rows[0], depth)) == _expected(rows[0], depth)
 
@@ -134,5 +134,5 @@ def test_float_table_of_a_numpy_table():
 ], ids=["ragged", "nan", "inf", "-inf", "ints", "empty", "mixed", "int-row", "big-int"])
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_other_lists_take_the_generic_path(rows, depth):
-    assert not common._float_table(rows)
+    assert not common._float_table(common.sanitize(rows))
     assert dumps_report(_nested(rows, depth)) == _expected(rows, depth)

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -5,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from homspace import gallery
-from homspace.common import DEFAULT_SEED, rng_stream
+from homspace.common import DEFAULT_SEED, dumps_report, rng_stream
 from homspace.dyadic import (
+    CubeConstructionError,
     HypothesisViolated,
     InadmissibleConstants,
     ScaleOutOfRange,
@@ -20,11 +23,12 @@ from homspace.dyadic import (
     propagate_cube_lower_bound,
     shrink_factor,
     verify_cube_axioms,
+    _verify_net,
 )
 from homspace.space import FiniteHomSpace
 
 from conftest import build_system
-from helpers import brute_ball_mass, unit_spaced_grid
+from helpers import brute_ball_mass, brute_cube_axioms, unit_spaced_grid
 
 
 def two_point_space(gap=1.0):
@@ -238,6 +242,123 @@ def test_squared_line_32_builds():
     sp = squared_line(32, 3)
     cubes = build_cubes(build_nets(sp, *default_constants(sp)), sp)
     assert cubes.axioms.ok
+
+
+ORACLE_KINDS = ["grid", "grid2d", "cantor", "snowflake", "weighted", "squared_line:0"]
+ORACLE_SEEDS = (DEFAULT_SEED, 1, 2)
+
+
+def oracle_violations(cubes):
+    return brute_cube_axioms(cubes.space.dist, cubes.space.weight, cubes.net.centers,
+                             cubes.assignment, cubes.order, cubes.bounds, cubes.cube_mass,
+                             cubes.c1, cubes.C1, cubes.delta)
+
+
+def corrupt(cubes, how, rng):
+    """A copy of ``cubes`` with one assignment entry moved to another point,
+    two order entries swapped, or one positive cube mass doubled."""
+    k = int(rng.choice(list(cubes.levels)))
+    if how == "assignment":
+        assign = cubes.assignment[k].copy()
+        x = int(rng.integers(assign.size))
+        assign[x] = rng.choice(np.flatnonzero(np.arange(assign.size) != assign[x]))
+        return dataclasses.replace(cubes, assignment={**cubes.assignment, k: assign})
+    if how == "order":
+        order = cubes.order[k].copy()
+        i, j = rng.choice(order.size, 2, replace=False)
+        order[[i, j]] = order[[j, i]]
+        return dataclasses.replace(cubes, order={**cubes.order, k: order})
+    mass = cubes.cube_mass[k].copy()
+    mass[rng.choice(np.flatnonzero(mass > 0))] *= 2.0
+    return dataclasses.replace(cubes, cube_mass={**cubes.cube_mass, k: mass})
+
+
+@lru_cache(maxsize=None)
+def oracle_system(kind, seed, cut):
+    """The cubes of a 128-point sweep space on the default level window, or
+    with ``cut`` on that window less its coarsest level, whose one center's
+    outer ball holds the whole space."""
+    sp = sweep_space(kind, 128)
+    consts = default_constants(sp)
+    k_min, k_max = default_level_range(sp, *consts)
+    return build_cubes(build_nets(sp, *consts, k_range=(k_min + cut, k_max), seed=seed), sp)
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_verify_axioms_match_oracle_on_builds(kind):
+    for seed in ORACLE_SEEDS:
+        for cut in (0, 1):
+            cubes = oracle_system(kind, seed, cut)
+            assert verify_cube_axioms(cubes).ok
+            assert oracle_violations(cubes) == []
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_verify_axioms_match_oracle_on_corruptions(kind):
+    seen = set()
+    for seed in ORACLE_SEEDS:
+        rng = np.random.default_rng(seed)
+        for cut in (0, 1):
+            cubes = oracle_system(kind, seed, cut)
+            for how in ("assignment", "order", "mass"):
+                for _ in range(3):
+                    bad = corrupt(cubes, how, rng)
+                    report = verify_cube_axioms(bad)
+                    assert dumps_report(report.violations) == dumps_report(oracle_violations(bad))
+                    assert how != "mass" or not report.ok
+                    seen |= {v["axiom"] for v in report.violations}
+    assert {"partition", "sandwich"} <= seen
+
+
+def tight_net():
+    """A net on a 1-D grid of several row blocks with c0 = C0, so a center's
+    own row is the only one that covers it, and its first level with a fresh
+    center."""
+    sp = unit_spaced_grid(200)
+    net = build_nets(sp, 1 / 16, 1.0, 1.0, k_range=(-2, 0), a0=1.0)
+    k = next(k for k in net.levels if k > net.k_min and np.any(net.birth == k))
+    return sp, net, k
+
+
+def test_verify_net_detects_a_missing_coarse_center():
+    sp, net, k = tight_net()
+    centers = dict(net.centers)
+    centers[k] = np.setdiff1d(centers[k], centers[k - 1][:1])
+    with pytest.raises(CubeConstructionError, match=f"level {k}: net not nested"):
+        _verify_net(dataclasses.replace(net, centers=centers), sp)
+
+
+def test_verify_net_detects_close_centers():
+    # greedy nets are maximal: a point left out lies within c0*delta^k of a center
+    sp, net, k = tight_net()
+    outsider = np.setdiff1d(np.arange(sp.n), net.centers[k - 1])[-1]
+    centers = dict(net.centers)
+    centers[k - 1] = np.union1d(centers[k - 1], [outsider])
+    with pytest.raises(CubeConstructionError, match=f"level {k - 1}: separation violated"):
+        _verify_net(dataclasses.replace(net, centers=centers), sp)
+
+
+def test_verify_net_detects_an_uncovered_point():
+    # with c0 = C0 a fresh center is at least C0*delta^k from the others
+    sp, net, k = tight_net()
+    fresh = np.flatnonzero(net.birth == k)[-1]
+    centers = dict(net.centers)
+    centers[k] = np.setdiff1d(centers[k], [fresh])
+    with pytest.raises(CubeConstructionError, match=f"level {k}: covering violated"):
+        _verify_net(dataclasses.replace(net, centers=centers), sp)
+
+
+def test_build_gate_allocates_less_than_the_table():
+    sp = gallery.build(gallery.GallerySpec(kind="euclidean_grid", n=32, dim=2))
+    cubes = build_system(sp)
+    tracemalloc.start()
+    try:
+        _verify_net(cubes.net, sp)
+        verify_cube_axioms(cubes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sp.dist.nbytes          # 8 MiB
 
 
 def test_members_are_ascending_slices(grid64_cubes):
