@@ -42,7 +42,7 @@ from homspace.common import (
 )
 from homspace.dyadic import CubeSystem
 from homspace.gallery import RnDyadicGrid
-from homspace.seqnorm import NormParams, SequenceBatch, batch_norms
+from homspace.seqnorm import BLOCK_ELEMENTS, NormParams, SequenceBatch, batch_norms
 from homspace.space import (
     FiniteHomSpace,
     LowerBoundReport,
@@ -238,51 +238,101 @@ class ScanReport:
     exploratory: bool = False
 
 
+# A level of more than REDRAW_FACTOR * k cubes draws k integers per row and
+# redraws the rows that hold a repeat; a smaller one ranks a row of random
+# keys, whose table costs rows x level size.
+REDRAW_FACTOR = 8
+DRAW_MODES = ("single-level", "multi-level", "adversarial")
+
+
+def _distinct_positions(rng, rows: int, size: int, k: int) -> np.ndarray:
+    """(rows, k) positions in range(size), distinct within each row and
+    uniform over the k-subsets; every position, in order, when size <= k."""
+    if size <= k:
+        return np.broadcast_to(np.arange(size), (rows, size))
+    if size > REDRAW_FACTOR * k:
+        pos = rng.integers(size, size=(rows, k))
+        redo = np.arange(rows)
+        while True:
+            ranked = np.sort(pos[redo], axis=1)
+            redo = redo[(ranked[:, 1:] == ranked[:, :-1]).any(axis=1)]
+            if not redo.size:
+                return pos
+            pos[redo] = rng.integers(size, size=(redo.size, k))
+    block = max(1, BLOCK_ELEMENTS // size)
+    pos = np.empty((rows, k), dtype=np.intp)
+    for first in range(0, rows, block):
+        keys = rng.random((min(block, rows - first), size))
+        pos[first:first + block] = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    return pos
+
+
 def generate_batch(cubes: CubeSystem, variant: str, n_sequences: int,
                    seed: int) -> SequenceBatch:
-    """Deterministic scan batch: every fresh-cube delta first, then equal
-    thirds of single-level, multi-level, and adversarial draws (the latter
-    concentrate coefficients on the smallest-mass cubes per level), up to
-    ``n_sequences`` in all."""
+    """Deterministic scan batch of ``n_sequences`` sequences (at least every
+    delta) on the fresh cubes of the variant window.
+
+    Every fresh-cube delta comes first, labelled ``delta:k:alpha``. Draw i
+    then follows, labelled ``<mode>:i``, with mode i % 3:
+
+      single-level  min(6, size) distinct cubes of one level picked
+                    uniformly, standard normal values;
+      multi-level   min(3, size) distinct cubes of every level, standard
+                    normal values;
+      adversarial   the smallest-mass cube of every level (the first by id),
+                    values |N(0, 1)| + 0.5.
+
+    Each mode is drawn for all of its sequences at once from one stream:
+    the single-level level picks (one ``integers`` call), then the cubes
+    level by level, then the values (one ``standard_normal`` call per mode).
+    Distinct cubes are the k least of a row of random keys, ``BLOCK_ELEMENTS``
+    keys at a time; a level of more than ``REDRAW_FACTOR * k`` cubes draws k
+    integers per row instead and redraws the rows that hold a repeat.
+    """
     fresh_level, fresh_alpha = cubes.fresh_index(variant)
-    labels = [f"delta:{k}:{a}" for k, a in zip(fresh_level.tolist(), fresh_alpha.tolist())]
-    takes = [fresh_alpha]
-    values = [np.ones(fresh_alpha.size)]
-    counts = [1] * fresh_alpha.size
-    if fresh_alpha.size:
+    n_fresh = fresh_alpha.size
+    n_draws = max(0, n_sequences - n_fresh) if n_fresh else 0
+    counts = np.ones(n_fresh + n_draws, dtype=int)
+    draws = []                      # (mode, positions padded with n_fresh, values)
+    if n_draws:
         rng = rng_stream(seed, 0xBA7C4)
-        levels = np.unique(fresh_level).tolist()
-        by_level = [fresh_alpha[fresh_level == k] for k in levels]
-        smallest = np.array([ids[np.argmin(cubes.cube_mass[k][ids])]
-                             for k, ids in zip(levels, by_level)])
-        for i in range(n_sequences - fresh_alpha.size):
-            mode = i % 3
-            if mode == 0:
-                ids = by_level[int(rng.integers(len(levels)))]
-                take = ids if ids.size <= 6 else rng.choice(ids, size=6, replace=False)
-                draws = [(take, rng.standard_normal(take.size))]
-                labels.append(f"single-level:{i}")
-            elif mode == 1:
-                draws = []
-                for ids in by_level:
-                    take = ids if ids.size <= 3 else rng.choice(ids, size=3, replace=False)
-                    draws.append((take, rng.standard_normal(take.size)))
-                labels.append(f"multi-level:{i}")
-            else:
-                draws = [(smallest, np.abs(rng.standard_normal(len(levels))) + 0.5)]
-                labels.append(f"adversarial:{i}")
-            for take, value in draws:
-                takes.append(take)
-                values.append(value)
-            counts.append(sum(take.size for take, _ in draws))
-    alpha = np.concatenate(takes)
-    value = np.concatenate(values)
-    level = cubes.net.birth[alpha]      # a fresh cube's level is its center's birth
-    seq = np.repeat(np.arange(len(counts)), counts)
-    order = np.lexsort((alpha, level, seq))
-    return SequenceBatch(system=cubes, labels=labels,
-                         offsets=np.concatenate(([0], np.cumsum(counts, dtype=int))),
-                         level=level[order], alpha=alpha[order], value=value[order])
+        start = np.flatnonzero(np.r_[True, fresh_level[1:] != fresh_level[:-1]])
+        size = np.diff(np.r_[start, n_fresh])
+        rows = [len(range(mode, n_draws, 3)) for mode in range(3)]
+
+        width = np.minimum(size, 6)
+        pick = rng.integers(size.size, size=rows[0])
+        single = np.full((rows[0], 6), n_fresh)
+        for j in np.unique(pick).tolist():
+            at = np.flatnonzero(pick == j)
+            single[at, :width[j]] = start[j] + _distinct_positions(rng, at.size, size[j], width[j])
+        draws.append((0, single, rng.standard_normal(int(width[pick].sum()))))
+
+        multi = np.concatenate([start[j] + _distinct_positions(rng, rows[1], size[j], min(3, size[j]))
+                                for j in range(size.size)], axis=1)
+        draws.append((1, multi, rng.standard_normal(multi.size)))
+
+        smallest = np.array([s + np.argmin(cubes.cube_mass[k][fresh_alpha[s:s + z]])
+                             for s, z, k in zip(start, size, fresh_level[start].tolist())])
+        draws.append((2, np.broadcast_to(smallest, (rows[2], size.size)),
+                      np.abs(rng.standard_normal(rows[2] * size.size)) + 0.5))
+        for mode, take, _ in draws:
+            counts[n_fresh + mode::3] = (take < n_fresh).sum(axis=1)
+
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    pos = np.arange(offsets[-1])         # the deltas hold positions 0..n_fresh-1
+    value = np.ones(offsets[-1])
+    for mode, take, val in draws:
+        take = np.sort(take, axis=1)     # the padding sorts last
+        keep = take < n_fresh
+        dest = offsets[n_fresh + mode:-1:3, None] + np.arange(take.shape[1])
+        pos[dest[keep]] = take[keep]
+        value[dest[keep]] = val
+    labels = [f"delta:{k}:{a}" for k, a in zip(fresh_level.tolist(), fresh_alpha.tolist())]
+    labels += [f"{DRAW_MODES[i % 3]}:{i}" for i in range(n_draws)]
+    # the fresh index is sorted by (k, alpha), so sorted positions sort keys
+    return SequenceBatch(system=cubes, labels=labels, offsets=offsets,
+                         level=fresh_level[pos], alpha=fresh_alpha[pos], value=value)
 
 
 def proof_constant_besov(cubes: CubeSystem, params: EmbedParams) -> tuple:

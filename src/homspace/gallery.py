@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from homspace.common import finite_number
-from homspace.space import FiniteHomSpace, validate_quasi_metric
+from homspace.space import ROW_BLOCK, FiniteHomSpace, validate_quasi_metric
 
 KINDS = ("euclidean_grid", "weighted_grid", "cantor", "snowflake", "file")
 
@@ -64,11 +64,19 @@ def _lattice(n: int, dim: int, lo: float, hi: float) -> np.ndarray:
 
 
 def _euclidean_dist(coords: np.ndarray) -> np.ndarray:
-    # one axis at a time: two n x n blocks, never an n x n x dim temporary
-    d = np.zeros((coords.shape[0],) * 2)
-    for axis in coords.T:
-        diff = axis[:, None] - axis[None, :]
-        d += diff * diff
+    # ROW_BLOCK rows at a time, one axis after another: the squared
+    # differences go through one small buffer and add into the table in
+    # place, in the order 0 + dx^2 + dy^2 + ..., so no n x n temporary
+    n = coords.shape[0]
+    d = np.zeros((n, n))
+    buf = np.empty((min(ROW_BLOCK, n), n))
+    for lo in range(0, n, ROW_BLOCK):
+        rows = d[lo:lo + ROW_BLOCK]
+        diff = buf[:rows.shape[0]]
+        for axis in coords.T:
+            np.subtract(axis[lo:lo + ROW_BLOCK, None], axis, out=diff)
+            np.multiply(diff, diff, out=diff)
+            rows += diff
     np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
     return d
@@ -145,7 +153,8 @@ def build(spec: GallerySpec) -> FiniteHomSpace:
             raise ValueError("snowflake exponent must lie in (0, 1]")
         coords = _lattice(spec.n, spec.dim, 0.0, 1.0)
         weights = np.full(total, 1.0 / total)
-        space = FiniteHomSpace(dist=_euclidean_dist(coords) ** spec.e,
+        dist = _euclidean_dist(coords)
+        space = FiniteHomSpace(dist=np.power(dist, spec.e, out=dist),
                                weight=weights, coords=coords,
                                declared_omega=float(spec.dim) / spec.e,
                                metric=f"snowflake:{spec.e}")
@@ -242,7 +251,7 @@ def load_space(path: str) -> FiniteHomSpace:
                 raise ValueError(f"{path}: bad snowflake exponent in {metric!r}") from None
             if not (0 < e <= 1):
                 raise ValueError(f"{path}: snowflake exponent {e} outside (0, 1]")
-            dist = dist**e
+            np.power(dist, e, out=dist)
         elif metric != "euclidean":
             raise ValueError(f"{path}: unknown metric {metric!r}")
 

@@ -97,9 +97,13 @@ class FiniteHomSpace:
 
     @cached_property
     def r_floor(self) -> float:
-        """Smallest positive pairwise distance; 1.0 for a single point."""
-        pos = self.dist[self.dist > 0]
-        return float(pos.min()) if pos.size else 1.0
+        """Smallest positive pairwise distance; 1.0 when there is none (a
+        single point). Read ROW_BLOCK rows at a time, with no n x n mask."""
+        low = math.inf
+        for lo in range(0, self.n, ROW_BLOCK):
+            block = self.dist[lo:lo + ROW_BLOCK]
+            low = min(low, float(block.min(initial=math.inf, where=block > 0)))
+        return low if low < math.inf else 1.0
 
     @cached_property
     def quasi_triangle(self) -> "TriangleEstimate":

@@ -340,3 +340,66 @@ def brute_cube_axioms(dist, weight, centers, assignment, order, bounds, cube_mas
                                    "detail": f"point {int(np.flatnonzero(escape)[0])} in the fine "
                                              "center ball escapes the coarse one"})
     return violations
+
+
+def brute_batch_shape(labels, offsets, level, alpha, value, fresh_level, fresh_alpha,
+                      cube_mass):
+    """Problems with the layout of an ``embed-test`` scan batch, one sequence
+    at a time: every fresh-cube delta first, in index order, with value 1;
+    then draw i labelled single-level, multi-level or adversarial by i % 3.
+    Each sequence holds distinct fresh cubes sorted by (level, cube id). A
+    single-level draw holds min(6, size) cubes of one level, a multi-level
+    draw min(3, size) cubes of every level, and an adversarial draw exactly
+    the smallest-mass cube of every level (the first by id) with values of
+    at least 0.5. ``cube_mass`` maps a level to its masses by cube id."""
+    fresh = list(zip(np.asarray(fresh_level).tolist(), np.asarray(fresh_alpha).tolist()))
+    by_level = {}
+    for k, a in fresh:
+        by_level.setdefault(k, []).append(a)
+    smallest = {}
+    for k, ids in by_level.items():
+        masses = [float(cube_mass[k][a]) for a in ids]
+        smallest[k] = ids[masses.index(min(masses))]
+    problems = []
+    offsets = np.asarray(offsets).tolist()
+    if len(offsets) != len(labels) + 1 or offsets[0] != 0 or offsets[-1] != len(level):
+        return [f"offsets {offsets[:3]}... do not frame {len(labels)} sequences"]
+    for i, label in enumerate(labels):
+        lo, hi = offsets[i], offsets[i + 1]
+        keys = list(zip(np.asarray(level[lo:hi]).tolist(), np.asarray(alpha[lo:hi]).tolist()))
+        vals = np.asarray(value[lo:hi]).tolist()
+        where = f"sequence {i} ({label})"
+        if not keys:
+            problems.append(f"{where}: empty")
+            continue
+        if keys != sorted(set(keys)):
+            problems.append(f"{where}: cubes repeat or are out of (level, id) order")
+        if not set(keys) <= set(fresh):
+            problems.append(f"{where}: a cube outside the fresh index")
+            continue
+        if i < len(fresh):
+            k, a = fresh[i]
+            if label != f"delta:{k}:{a}" or keys != [(k, a)] or vals != [1.0]:
+                problems.append(f"{where}: not the delta at fresh cube {(k, a)}")
+            continue
+        draw = i - len(fresh)
+        mode = ("single-level", "multi-level", "adversarial")[draw % 3]
+        if label != f"{mode}:{draw}":
+            problems.append(f"{where}: expected label {mode}:{draw}")
+        per_level = {}
+        for k, _ in keys:
+            per_level[k] = per_level.get(k, 0) + 1
+        if mode == "single-level":
+            k = keys[0][0]
+            if len(per_level) != 1 or per_level[k] != min(6, len(by_level[k])):
+                problems.append(f"{where}: holds {per_level}, not min(6, size) cubes of one level")
+        elif mode == "multi-level":
+            want = {k: min(3, len(ids)) for k, ids in by_level.items()}
+            if per_level != want:
+                problems.append(f"{where}: holds {per_level}, not {want}")
+        else:
+            if keys != sorted(smallest.items()):
+                problems.append(f"{where}: not the smallest-mass cube of every level")
+            if not all(v >= 0.5 for v in vals):
+                problems.append(f"{where}: a value below 0.5")
+    return problems

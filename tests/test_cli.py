@@ -400,9 +400,9 @@ REPORT_DIGESTS = {
     ('embed-test one point', 'json'):
         (0, '2e31ae7a10e820521746459d8ddd19e210a2fa3669f993a14ddeea94f8666114'),
     ('embed-test tl', 'csv'):
-        (0, '979029917c8bd6e62cab975ed65059a69b3085f5d642e27a35a120d13d15c47c'),
+        (0, 'a2b5929b78aac2adaf389b5f75707efbc20a7bffef4e8f2493c03b5b77907374'),
     ('embed-test tl', 'json'):
-        (0, 'c5cdc1fc2e124eef42af13411d51005c4f0ae4545372c6e75346c1db2bfd228e'),
+        (0, 'bbfae4abd0aaf254c2dc048559d724e8dcf5f446ffb2f9e44c76f146a26b2462'),
     ('gallery table', 'csv'):
         (0, 'ccd424fb8a5efdf82f6359ab18812622707f21df1399e9e1c11a6f208f4ee7d8'),
     ('gallery table', 'json'):

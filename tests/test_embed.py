@@ -1,12 +1,14 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from homspace import gallery
-from homspace.common import dumps_report
+from homspace import embed, gallery
+from homspace.common import dumps_report, rng_stream
 from homspace.embed import (
+    REDRAW_FACTOR,
     EmbedParams,
     ap_weight_check,
     characterize,
@@ -22,7 +24,7 @@ from homspace.seqnorm import CoefSequence, NormParams, SequenceBatch, batch_norm
 from homspace.space import FiniteHomSpace
 
 from conftest import build_system
-from helpers import brute_rn_cubes, delta_ratio
+from helpers import brute_batch_shape, brute_rn_cubes, delta_ratio
 
 
 def sequence_ratio(seq, params):
@@ -257,6 +259,141 @@ def test_batch_sequences_are_sorted_fresh_cubes(grid64_cubes):
     for i, j in zip(batch.offsets[:-1].tolist(), batch.offsets[1:].tolist()):
         keys = list(zip(batch.level[i:j].tolist(), batch.alpha[i:j].tolist()))
         assert keys and keys == sorted(set(keys)) and set(keys) <= fresh
+
+
+# Gallery kinds for the draw-scheme tests. The 1-D grids put a fresh level
+# on each side of the redraw threshold: 48 and 49 cubes for the six of a
+# single-level draw, 24 and 25 for the three per level of a multi-level one.
+BATCH_SPACES = {
+    "grid66": gallery.GallerySpec(kind="euclidean_grid", n=66, dim=1),
+    "grid67": gallery.GallerySpec(kind="euclidean_grid", n=67, dim=1),
+    "grid88": gallery.GallerySpec(kind="euclidean_grid", n=88, dim=1),
+    "grid91": gallery.GallerySpec(kind="euclidean_grid", n=91, dim=1),
+    "grid12x12": gallery.GallerySpec(kind="euclidean_grid", n=12, dim=2),
+    "cantor6": gallery.GallerySpec(kind="cantor", depth=6),
+    "snowflake64": gallery.GallerySpec(kind="snowflake", n=64, dim=1, e=0.5),
+    "snowflake10x10": gallery.GallerySpec(kind="snowflake", n=10, dim=2, e=0.3),
+    "weighted_grid65": gallery.GallerySpec(kind="weighted_grid", n=65, dim=1, alpha=2.0,
+                                           extent=2.0),
+}
+
+
+@functools.cache
+def batch_system(name):
+    return build_system(gallery.build(BATCH_SPACES[name]))
+
+
+def test_batch_spaces_straddle_the_redraw_threshold():
+    sizes = set()
+    for name in BATCH_SPACES:
+        for variant in ("homogeneous", "inhomogeneous"):
+            level = batch_system(name).fresh_index(variant)[0]
+            sizes.update(np.unique(level, return_counts=True)[1].tolist())
+    for k in (6, 3):
+        assert {REDRAW_FACTOR * k, REDRAW_FACTOR * k + 1} <= sizes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("variant", ["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("name", sorted(BATCH_SPACES))
+def test_batch_shape_matches_brute(name, variant, seed):
+    cubes = batch_system(name)
+    level, alpha = cubes.fresh_index(variant)
+    batch = generate_batch(cubes, variant, alpha.size + 301, seed)
+    assert len(batch) == alpha.size + 301
+    assert brute_batch_shape(batch.labels, batch.offsets, batch.level, batch.alpha,
+                             batch.value, level, alpha, cubes.cube_mass) == []
+
+
+def test_batch_bytes_follow_the_seed():
+    cubes = batch_system("grid67")
+
+    def fields(seed):
+        batch = generate_batch(cubes, "homogeneous", 1024, seed)
+        return batch.labels, [a.tobytes() for a in (batch.offsets, batch.level,
+                                                    batch.alpha, batch.value)]
+
+    assert fields(3) == fields(3)
+    labels, other = fields(4)
+    assert labels == fields(3)[0]
+    assert all(a != b for a, b in zip(other[2:], fields(3)[1][2:]))
+
+
+class RecordingRng:
+    """A generator that records which of its draws are called."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, set()
+
+    def integers(self, *args, **kwargs):
+        self.calls.add("integers")
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls.add("random")
+        return self.rng.random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+@pytest.mark.parametrize("above,path", [(0, "random"), (1, "integers")], ids=["keys", "redraw"])
+def test_distinct_positions_are_uniform_subsets(k, above, path):
+    size, rows = REDRAW_FACTOR * k + above, 4000
+    rng = RecordingRng(rng_stream(5, k, above))
+    pos = embed._distinct_positions(rng, rows, size, k)
+    assert rng.calls == {path}
+    assert pos.shape == (rows, k) and pos.min() >= 0 and pos.max() < size
+    ranked = np.sort(pos, axis=1)
+    assert (ranked[:, 1:] > ranked[:, :-1]).all()
+    # each position is taken with probability k / size: five standard
+    # deviations of the binomial count
+    hits = np.bincount(pos.ravel(), minlength=size)
+    mean = rows * k / size
+    assert np.abs(hits - mean).max() < 5 * math.sqrt(mean * (1 - k / size))
+
+
+def test_distinct_positions_ignore_the_key_budget(monkeypatch):
+    # the key table is drawn in row blocks; the positions do not depend on them
+    whole = embed._distinct_positions(rng_stream(9), 500, 40, 6)
+    monkeypatch.setattr(embed, "BLOCK_ELEMENTS", 40 * 7)
+    assert np.array_equal(embed._distinct_positions(rng_stream(9), 500, 40, 6), whole)
+
+
+def test_distinct_positions_take_a_small_level_whole():
+    pos = embed._distinct_positions(rng_stream(1), 3, 4, 6)
+    assert pos.tolist() == [[0, 1, 2, 3]] * 3
+
+
+# Spaces whose lower bound PASSes, with their dimension omega.
+PASS_SPACES = {
+    "grid96": (gallery.GallerySpec(kind="euclidean_grid", n=96, dim=1), 1.0),
+    "grid12x12": (gallery.GallerySpec(kind="euclidean_grid", n=12, dim=2), 2.0),
+    "cantor6": (gallery.GallerySpec(kind="cantor", depth=6), math.log(2) / math.log(3)),
+    "snowflake64": (gallery.GallerySpec(kind="snowflake", n=64, dim=1, e=0.5), 2.0),
+    "weighted_grid65": (gallery.GallerySpec(kind="weighted_grid", n=65, dim=1, alpha=-0.5,
+                                            extent=2.0), 1.0),
+}
+
+
+@functools.cache
+def pass_system(name):
+    space = gallery.build(PASS_SPACES[name][0])
+    return space, build_system(space)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("name", sorted(PASS_SPACES))
+def test_scan_on_a_lower_bound_pass_stays_below_the_constant(name, variant, seed):
+    space, cubes = pass_system(name)
+    omega = PASS_SPACES[name][1]
+    params = besov_pair(cubes.delta, s1=omega / 2, p1=2.0, s2=omega, p2=1.0, omega=omega,
+                        variant=variant)
+    report = characterize(space, cubes, params, n_sequences=2048, seed=seed)
+    assert report.lower_bound.verdict == "PASS"
+    scan = report.scan
+    assert (scan.verdict, scan.witnesses, scan.exploratory) == ("OK", [], False)
+    assert scan.n_nonzero == 2048
+    assert scan.sup_ratio <= scan.proof_constant * (1 + 1e-9)
 
 
 def test_scan_deterministic(grid64_cubes):

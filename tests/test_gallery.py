@@ -1,10 +1,12 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from homspace import gallery
 from homspace.cli import main
 from homspace.gallery import (
     GallerySpec,
@@ -97,6 +99,40 @@ def test_load_space_certifies_coordinate_metrics(tmp_path):
     table = np.abs(np.asarray(pts) - np.asarray(pts).T)
     path.write_text(json.dumps({"dist": table.tolist(), "weights": [1.0] * 4}))
     assert load_space(str(path)).quasi_triangle.source == "exact"
+
+
+def whole_table_dist(coords):
+    """The Euclidean table from whole n x n difference blocks, one axis
+    after another: the reference for the row-blocked build."""
+    d = np.zeros((coords.shape[0],) * 2)
+    for axis in coords.T:
+        diff = axis[:, None] - axis[None, :]
+        d += diff * diff
+    np.sqrt(d, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+# point counts 130, 144 and 125: several row blocks and a short last one
+@pytest.mark.parametrize("n,dim", [(130, 1), (12, 2), (5, 3)])
+def test_euclidean_dist_is_bit_identical_to_whole_blocks(n, dim):
+    coords = gallery._lattice(n, dim, -1.0, 1.0)
+    assert np.array_equal(gallery._euclidean_dist(coords), whole_table_dist(coords))
+    cloud = np.random.default_rng(n).standard_normal((n ** dim, dim))
+    assert np.array_equal(gallery._euclidean_dist(cloud), whole_table_dist(cloud))
+
+
+@pytest.mark.parametrize("spec", [GallerySpec(kind="euclidean_grid", n=32, dim=2),
+                                  GallerySpec(kind="snowflake", n=32, dim=2, e=0.5)],
+                         ids=["euclidean_grid", "snowflake"])
+def test_lattice_build_allocates_little_beside_the_table(spec):
+    tracemalloc.start()
+    try:
+        sp = build(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sp.dist.nbytes         # 8 MiB table
 
 
 def test_snowflake_exponent_out_of_range():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from homspace import gallery
 from homspace import space as space_module
 from homspace.common import rng_stream
 from homspace.space import (
@@ -34,6 +37,26 @@ def explicit_space(dist, weights=None, **kw):
 # ---------------------------------------------------------------------------
 # validate_quasi_metric
 # ---------------------------------------------------------------------------
+
+def test_r_floor_is_the_least_positive_entry():
+    rng = np.random.default_rng(3)
+    points = np.repeat(rng.random(150), 2)       # each point twice: zero off the diagonal
+    dist = np.abs(points[:, None] - points[None, :])
+    assert explicit_space(dist).r_floor == dist[dist > 0].min()
+    assert explicit_space(np.zeros((1, 1))).r_floor == 1.0
+
+
+def test_r_floor_allocates_less_than_the_table():
+    sp = gallery.build(gallery.GallerySpec(kind="euclidean_grid", n=32, dim=2))
+    tracemalloc.start()
+    try:
+        r_floor = sp.r_floor
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sp.dist.nbytes                 # 8 MiB
+    assert r_floor == sp.dist[sp.dist > 0].min()
+
 
 def test_validate_metric_line_ok():
     sp = unit_spaced_grid(3)
