@@ -48,8 +48,7 @@ def _count(text: str) -> int:
 
 def _add_space_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", help="path to a JSON space file")
-    p.add_argument("--gallery", choices=[k for k in gallery.KINDS if k != "file"],
-                   help="built-in space kind")
+    p.add_argument("--gallery", choices=gallery.KINDS, help="built-in space kind")
     p.add_argument("--n", type=int, default=64, help="lattice points per axis")
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--depth", type=int, default=6, help="cantor depth")
@@ -176,6 +175,11 @@ def _resolve_omega(args, sp) -> float:
 
 
 def _resolve_cubes(args, sp):
+    if args.A0 is not None:
+        # checked exactly as a space file's declared_A0 is
+        result = space_mod.validate_quasi_metric(sp, a0=args.A0)
+        if not result.ok:
+            raise ValueError(f"--A0 {args.A0!r} fails on this space: {result.violations[0]}")
     if args.delta is None:
         delta, c0, C0 = default_constants(sp, c0=args.c0, C0=args.C0, a0=args.A0)
     else:

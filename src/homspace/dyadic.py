@@ -65,11 +65,20 @@ def admissibility_gap(delta: float, c0: float, C0: float, a0: float) -> float:
     return c0 - 12.0 * a0**3 * C0 * delta
 
 
+def _finite_positive(**constants) -> None:
+    """ValueError naming the first constant that is not a finite positive number."""
+    for name, value in constants.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be a finite positive number, got {value}")
+
+
 def default_constants(space: FiniteHomSpace, *, c0: float = 1.0, C0: float = 2.0,
                       a0: Optional[float] = None):
     """(delta, c0, C0): delta is the largest power of 1/2 that is admissible
     for the measured (or declared) quasi-triangle constant."""
+    _finite_positive(c0=c0, C0=C0)
     a0 = space.resolved_a0(a0)
+    _finite_positive(A0=a0)
     # smallest j with 2^-j <= c0 / (12 A0^3 C0)
     bound = c0 / (12.0 * a0**3 * C0)
     j = max(1, int(math.ceil(-math.log2(bound) - 1e-12)))
@@ -130,9 +139,11 @@ def build_nets(space: FiniteHomSpace, delta: float, c0: float, C0: float,
     """
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
-    if not (0 < c0 <= C0):
+    _finite_positive(c0=c0, C0=C0)
+    if c0 > C0:
         raise ValueError("need 0 < c0 <= C0")
     a0 = space.resolved_a0(a0)
+    _finite_positive(A0=a0)
     if admissibility_gap(delta, c0, C0, a0) < 0:
         raise InadmissibleConstants(
             f"inadmissible constants: 12*A0^3*C0*delta = "

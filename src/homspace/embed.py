@@ -80,7 +80,7 @@ class EmbedParams:
             raise ValueError("target smoothness s1 must not exceed source s2")
         lhs = tgt.s - _ratio(self.omega, tgt.p)
         rhs = src.s - _ratio(self.omega, src.p)
-        if abs(lhs - rhs) > TRACE_TOL:
+        if not abs(lhs - rhs) <= TRACE_TOL:         # NaN fails it too
             raise ValueError(
                 f"trace-line constraint violated: s1 - omega/p1 = {lhs!r} "
                 f"differs from s2 - omega/p2 = {rhs!r}"

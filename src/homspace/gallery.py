@@ -8,7 +8,6 @@ Kinds:
                   each point carrying density * cell volume
   cantor          middle-thirds midpoints at a given depth, equal weights
   snowflake       euclidean lattice with distances raised to a power e
-  file            the JSON space-file format (see load_space)
 
 The weighted lattice drops the exact origin whenever alpha != 0: for
 alpha < 0 the density is singular there, for alpha > 0 it vanishes and a
@@ -21,14 +20,13 @@ import json
 import math
 from itertools import chain
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from homspace.common import finite_number
-from homspace.space import ROW_BLOCK, FiniteHomSpace, validate_quasi_metric
+from homspace.space import ROW_BLOCK, FiniteHomSpace, metric_exponent, validate_quasi_metric
 
-KINDS = ("euclidean_grid", "weighted_grid", "cantor", "snowflake", "file")
+KINDS = ("euclidean_grid", "weighted_grid", "cantor", "snowflake")
 
 # Every structure is a dense n x n float64 table: 4096 points is 128 MiB
 # per table, and the sorted-row ball index adds 21 bytes per entry (int32
@@ -54,7 +52,6 @@ class GallerySpec:
     beta: float = 0.0           # weighted-grid exponent outside
     e: float = 1.0              # snowflake distance exponent, in (0, 1]
     extent: float = 1.0         # weighted-grid half-width
-    path: Optional[str] = None
 
 
 def _lattice(n: int, dim: int, lo: float, hi: float) -> np.ndarray:
@@ -111,11 +108,6 @@ def build(spec: GallerySpec) -> FiniteHomSpace:
     if spec.kind not in KINDS:
         raise ValueError(f"unknown gallery kind {spec.kind!r}")
 
-    if spec.kind == "file":
-        if not spec.path:
-            raise ValueError("file kind requires a path")
-        return load_space(spec.path)
-
     if spec.kind == "cantor":
         if spec.depth < 1:
             raise ValueError("cantor depth must be >= 1")
@@ -123,61 +115,49 @@ def build(spec: GallerySpec) -> FiniteHomSpace:
             raise ValueError(f"cantor depth {spec.depth} gives 2^{spec.depth} points, "
                              f"above the {MAX_POINTS} cap")
         coords = cantor_points(spec.depth)[:, None]
-        m = coords.shape[0]
-        weights = np.full(m, 1.0 / m)
-        space = FiniteHomSpace(
-            dist=_euclidean_dist(coords), weight=weights, coords=coords,
-            declared_omega=math.log(2) / math.log(3), metric="euclidean",
-        )
-        _check_gallery(space)
-        return space
-
-    if spec.n < 2:
-        raise ValueError("lattice kinds need n >= 2 points per axis")
-    if spec.dim < 1:
-        raise ValueError("dim must be >= 1")
-    total = spec.n ** spec.dim
-    _check_cap(total, "lattice")
-
-    if spec.kind == "euclidean_grid":
-        coords = _lattice(spec.n, spec.dim, 0.0, 1.0)
-        weights = np.full(total, 1.0 / total)
-        space = FiniteHomSpace(dist=_euclidean_dist(coords), weight=weights,
-                               coords=coords, declared_omega=float(spec.dim),
-                               metric="euclidean")
-        _check_gallery(space)
-        return space
-
-    if spec.kind == "snowflake":
-        if not (0 < spec.e <= 1):
-            raise ValueError("snowflake exponent must lie in (0, 1]")
-        coords = _lattice(spec.n, spec.dim, 0.0, 1.0)
-        weights = np.full(total, 1.0 / total)
-        dist = _euclidean_dist(coords)
-        space = FiniteHomSpace(dist=np.power(dist, spec.e, out=dist),
-                               weight=weights, coords=coords,
-                               declared_omega=float(spec.dim) / spec.e,
-                               metric=f"snowflake:{spec.e}")
-        _check_gallery(space)
-        return space
-
-    # weighted_grid
-    if spec.extent <= 0:
-        raise ValueError("extent must be positive")
-    if spec.alpha <= -spec.dim:
-        raise ValueError(f"alpha must exceed -dim = {-spec.dim} for an integrable density")
-    coords = _lattice(spec.n, spec.dim, -spec.extent, spec.extent)
-    radii = np.sqrt((coords**2).sum(axis=1))
-    if spec.alpha != 0.0:
-        keep = radii > 0
-        coords, radii = coords[keep], radii[keep]
-    h = 2.0 * spec.extent / (spec.n - 1)
-    weights = radial_density(radii, spec.alpha, spec.beta) * h**spec.dim
-    space = FiniteHomSpace(dist=_euclidean_dist(coords), weight=weights,
-                           coords=coords, declared_omega=float(spec.dim),
-                           metric="euclidean")
+        weights = np.full(coords.shape[0], 1.0 / coords.shape[0])
+        omega, metric = math.log(2) / math.log(3), "euclidean"
+    else:
+        if spec.n < 2:
+            raise ValueError("lattice kinds need n >= 2 points per axis")
+        if spec.dim < 1:
+            raise ValueError("dim must be >= 1")
+        total = spec.n ** spec.dim
+        _check_cap(total, "lattice")
+        omega, metric = float(spec.dim), "euclidean"
+        if spec.kind == "weighted_grid":
+            if spec.extent <= 0:
+                raise ValueError("extent must be positive")
+            if spec.alpha <= -spec.dim:
+                raise ValueError(f"alpha must exceed -dim = {-spec.dim} for an integrable density")
+            coords = _lattice(spec.n, spec.dim, -spec.extent, spec.extent)
+            radii = np.sqrt((coords**2).sum(axis=1))
+            if spec.alpha != 0.0:
+                keep = radii > 0
+                coords, radii = coords[keep], radii[keep]
+            h = 2.0 * spec.extent / (spec.n - 1)
+            weights = radial_density(radii, spec.alpha, spec.beta) * h**spec.dim
+        else:
+            coords = _lattice(spec.n, spec.dim, 0.0, 1.0)
+            weights = np.full(total, 1.0 / total)
+        if spec.kind == "snowflake":
+            metric = f"snowflake:{spec.e}"
+            omega /= metric_exponent(metric)    # ValueError for e outside (0, 1]
+    space = _coordinate_space(coords, weights, metric, declared_omega=omega)
     _check_gallery(space)
     return space
+
+
+def _coordinate_space(coords: np.ndarray, weights: np.ndarray, metric: str, *,
+                      declared_A0=None, declared_omega=None) -> FiniteHomSpace:
+    """The space the coordinates generate under ``metric``: the Euclidean
+    table, raised in place to the snowflake exponent. The caller checks it."""
+    e = metric_exponent(metric)
+    dist = _euclidean_dist(coords)
+    if e != 1:
+        np.power(dist, e, out=dist)
+    return FiniteHomSpace(dist=dist, weight=weights, coords=coords, metric=metric,
+                          declared_A0=declared_A0, declared_omega=declared_omega)
 
 
 def _check_gallery(space: FiniteHomSpace) -> None:
@@ -218,7 +198,7 @@ def load_space(path: str) -> FiniteHomSpace:
     metric = data.get("metric", "euclidean" if "points" in data else "explicit")
     if not isinstance(metric, str):
         raise ValueError(f"{path}: 'metric' must be a string, got {json.dumps(metric)}")
-    coords = None
+    declared = {key: _declared(path, data, key) for key in ("declared_A0", "declared_omega")}
     if metric == "explicit":
         if data.get("dist") is None:
             raise ValueError(f"{path}: metric 'explicit' requires a 'dist' table")
@@ -227,12 +207,7 @@ def load_space(path: str) -> FiniteHomSpace:
             raise ValueError(f"{path}: 'dist' must be a square table")
         if dist.shape[0] != weights.size:
             raise ValueError(f"{path}: dist has {dist.shape[0]} rows but {weights.size} weights")
-        asym = np.argwhere(dist != dist.T)
-        if asym.size:
-            i, j = (int(v) for v in asym[0])
-            raise ValueError(
-                f"{path}: asymmetric dist at ({i}, {j}): {dist[i, j]!r} != {dist[j, i]!r}"
-            )
+        space = FiniteHomSpace(dist=dist, weight=weights, **declared)
     else:
         if data.get("points") is None:
             raise ValueError(f"{path}: metric {metric!r} requires 'points'")
@@ -243,26 +218,18 @@ def load_space(path: str) -> FiniteHomSpace:
             raise ValueError(f"{path}: 'points' must be a list of coordinate lists")
         if coords.shape[0] != weights.size:
             raise ValueError(f"{path}: {coords.shape[0]} points but {weights.size} weights")
-        dist = _euclidean_dist(coords)
-        if metric.startswith("snowflake:"):
-            try:
-                e = float(metric.split(":", 1)[1])
-            except ValueError:
-                raise ValueError(f"{path}: bad snowflake exponent in {metric!r}") from None
-            if not (0 < e <= 1):
-                raise ValueError(f"{path}: snowflake exponent {e} outside (0, 1]")
-            np.power(dist, e, out=dist)
-        elif metric != "euclidean":
-            raise ValueError(f"{path}: unknown metric {metric!r}")
+        try:
+            space = _coordinate_space(coords, weights, metric, **declared)
+        except ValueError as exc:       # the metric string
+            raise ValueError(f"{path}: {exc}") from None
 
-    space = FiniteHomSpace(
-        dist=dist, weight=weights, coords=coords,
-        declared_A0=_declared(path, data, "declared_A0"),
-        declared_omega=_declared(path, data, "declared_omega"), metric=metric,
-    )
     result = validate_quasi_metric(space)
     if not result.ok:
         v = result.violations[0]
+        if v["kind"] == "symmetry":
+            i, j = v["pair"]
+            raise ValueError(f"{path}: asymmetric dist at ({i}, {j}): "
+                             f"{space.dist[i, j]!r} != {space.dist[j, i]!r}")
         raise ValueError(f"{path}: invalid space: {v}")
     return space
 

@@ -64,8 +64,10 @@ class KernelParams:
     def __post_init__(self):
         if not (0 < self.epsilon < self.eta):
             raise ValueError("need 0 < epsilon < eta")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
+        if math.isnan(self.omega):
+            raise ValueError("omega must be a number, got nan")
         if not (0 < self.r_exp <= 1):
             raise ValueError("r_exp must lie in (0, 1]")
         if self.gamma * self.r_exp - self.omega * (1 - self.r_exp) <= 0:
@@ -77,7 +79,7 @@ class KernelParams:
 
 def default_r_exp(p2: float) -> float:
     """r = p2 / (1 + p2), the canonical sub-exponent for source index p2."""
-    if p2 <= 0:
+    if not p2 > 0:
         raise ValueError("p2 must be positive")
     return p2 / (1.0 + p2)
 

@@ -90,6 +90,10 @@ class NormParams:
             raise ValueError(f"unknown family {self.family!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if math.isnan(self.s):
+            raise ValueError("s must be a number, got nan")
+        if self.omega is not None and math.isnan(self.omega):
+            raise ValueError("omega must be a number, got nan")
         if not (self.p > 0):
             raise ValueError("p must be positive")
         if not (self.q > 0):

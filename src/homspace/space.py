@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -159,16 +160,31 @@ class FiniteHomSpace:
         return self.quasi_triangle.value
 
 
-def _is_metric(metric: str) -> bool:
-    """True for "euclidean" and "snowflake:<e>" with 0 < e <= 1: d^e of a
-    metric is a metric for e <= 1."""
+def metric_exponent(metric: str) -> float:
+    """The exponent e with which coordinates generate the table under
+    ``metric``: 1 for "euclidean", e for "snowflake:<e>" with 0 < e <= 1.
+    ValueError for any other metric."""
     if metric == "euclidean":
-        return True
-    kind, _, e = metric.partition(":")
+        return 1.0
+    if not metric.startswith("snowflake:"):
+        raise ValueError(f"unknown metric {metric!r}")
     try:
-        return kind == "snowflake" and 0 < float(e) <= 1
+        e = float(metric.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"bad snowflake exponent in {metric!r}") from None
+    if not (0 < e <= 1):
+        raise ValueError(f"snowflake exponent {e} outside (0, 1]")
+    return e
+
+
+def _is_metric(metric: str) -> bool:
+    """True when ``metric`` names a coordinate metric: d^e of a metric is a
+    metric for e <= 1."""
+    try:
+        metric_exponent(metric)
     except ValueError:
         return False
+    return True
 
 
 class BallIndex(NamedTuple):
@@ -277,13 +293,23 @@ _MAX_VIOLATIONS = 20
 
 
 def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None) -> MetricValidation:
-    """Check symmetry, identity of indiscernibles, nonnegativity, and the
-    quasi-triangle inequality at a declared or passed-in constant.
+    """Check the structure of the table, and the quasi-triangle inequality
+    at a declared or passed-in constant: the one check that decides
+    whether a table is valid.
 
-    With neither, the triangle check is vacuous (the measured constant
-    holds by definition), so no A0 is computed and ``a0_used`` is None.
-    Otherwise triangle violations are listed when that constant lies
-    below ``space.quasi_triangle``.
+    The table is read ROW_BLOCK rows at a time against the matching column
+    block ``d[:, lo:hi].T``, with no n x n mask. Each kind keeps its first
+    _MAX_VIOLATIONS entries in row-major order, and the kinds are joined in
+    this order and cut to _MAX_VIOLATIONS: nonnegativity (entries below 0),
+    symmetry (pairs with d(i, j) != d(j, i), NaN included, listed at
+    i <= j), identity (nonzero diagonal entries, then zeros off the
+    diagonal, a pair listed where it is first met).
+
+    Without a declared or passed-in A0 the triangle check is vacuous (the
+    measured constant holds by definition), so no A0 is computed and
+    ``a0_used`` is None. Otherwise triangle violations follow when that
+    constant lies below ``space.quasi_triangle``, unless the table is
+    asymmetric or the list is already full.
 
     Raises ValueError("empty space") for n = 0 and
     ValueError("invalid measure") for nonpositive or non-finite weights.
@@ -296,60 +322,66 @@ def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None) -> 
         bad = int(np.flatnonzero(~(np.isfinite(space.weight) & (space.weight > 0)))[0])
         raise ValueError(f"invalid measure: weight[{bad}] = {space.weight[bad]!r} is not a positive real")
 
-    d = space.dist
-    violations = []
-
-    def push(v):
-        if len(violations) < _MAX_VIOLATIONS:
-            violations.append(v)
-        return len(violations) >= _MAX_VIOLATIONS
-
-    neg = np.argwhere(d < 0)
-    for i, j in neg[:_MAX_VIOLATIONS]:
-        push({"kind": "nonnegativity", "pair": [int(i), int(j)], "value": float(d[i, j])})
-
-    asym = np.argwhere(d != d.T)
-    seen = set()
-    for i, j in asym:
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            continue
-        seen.add(key)
-        push({"kind": "symmetry", "pair": [int(i), int(j)],
-              "values": [float(d[i, j]), float(d[j, i])]})
-
-    diag_bad = np.flatnonzero(np.diag(d) != 0)
-    for i in diag_bad[:_MAX_VIOLATIONS]:
-        push({"kind": "identity", "pair": [int(i), int(i)], "value": float(d[i, i])})
-    offdiag_zero = np.argwhere((d == 0) & ~np.eye(space.n, dtype=bool))
-    seen = set()
-    for i, j in offdiag_zero:
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            continue
-        seen.add(key)
-        push({"kind": "identity", "pair": [int(i), int(j)], "value": 0.0})
+    d, cap = space.dist, _MAX_VIOLATIONS
+    negative, unequal, zero = [], [], []
+    diagonal_zeros = np.diag(d) == 0
+    for lo in range(0, space.n, ROW_BLOCK):
+        rows = d[lo:lo + ROW_BLOCK]
+        cols = d[:, lo:lo + ROW_BLOCK]          # cols[j, i] = d(j, lo + i)
+        if len(negative) < cap:
+            negative += _block_hits(rows < 0, lo)
+        if len(unequal) < cap:
+            # columns j >= lo only, as a pair is listed at i <= j (compared
+            # in the layout of ``cols``, which reads the table faster)
+            mask = (cols[lo:] != rows[:, lo:].T).T
+            if mask.any():
+                unequal += _block_hits(np.triu(mask), lo, lo)
+        if len(zero) < cap:
+            # only a block with zeros off the diagonal is searched; a zero at
+            # (i, j) below the diagonal was met at (j, i) when d(j, i) = 0
+            zeros = rows == 0
+            if np.count_nonzero(zeros) > np.count_nonzero(diagonal_zeros[lo:lo + ROW_BLOCK]):
+                zero += _block_hits(zeros & (cols != 0).T | np.triu(zeros, lo + 1), lo)
+    diagonal = np.flatnonzero(~diagonal_zeros)[:cap].tolist()
+    violations = (
+        [{"kind": "nonnegativity", "pair": [i, j], "value": float(d[i, j])} for i, j in negative]
+        + [{"kind": "symmetry", "pair": [i, j], "values": [float(d[i, j]), float(d[j, i])]}
+           for i, j in unequal]
+        + [{"kind": "identity", "pair": [i, i], "value": float(d[i, i])} for i in diagonal]
+        + [{"kind": "identity", "pair": [i, j], "value": 0.0} for i, j in zero]
+    )[:cap]
 
     a0_used = a0 if a0 is not None else space.declared_A0
     if a0_used is not None:
         a0_used = float(a0_used)
-        _push_triangle_violations(space, a0_used, asym.size > 0, push)
+        if len(violations) < cap:
+            violations += islice(_triangle_violations(space, a0_used, bool(unequal)),
+                                 cap - len(violations))
 
     return MetricValidation(
         ok=not violations,
         a0_used=a0_used,
         violations=violations,
-        truncated=len(violations) >= _MAX_VIOLATIONS,
+        truncated=len(violations) >= cap,
     )
 
 
-def _push_triangle_violations(space: FiniteHomSpace, a0: float, asymmetric: bool, push) -> None:
-    """Push the triples that break the quasi-triangle inequality at ``a0``,
-    in (x, z, y) order, until ``push`` reports the list full. A tiny
-    relative slack absorbs roundoff only; nothing is scanned when ``a0``
-    is at least the space's own constant."""
+def _block_hits(mask: np.ndarray, lo: int, col_lo: int = 0) -> list:
+    """The first _MAX_VIOLATIONS positions [i, j], in row-major order, set
+    in the mask of the block that starts at row ``lo`` and column
+    ``col_lo``; an all-False mask is not searched."""
+    if not mask.any():
+        return []
+    return (np.argwhere(mask)[:_MAX_VIOLATIONS] + [lo, col_lo]).tolist()
+
+
+def _triangle_violations(space: FiniteHomSpace, a0: float, asymmetric: bool):
+    """Yield the triples that break the quasi-triangle inequality at
+    ``a0``, in (x, z, y) order. A tiny relative slack absorbs roundoff
+    only; nothing is scanned when ``a0`` is at least the space's own
+    constant (or is NaN)."""
     limit = a0 * (1.0 + 1e-12)
-    if space.n < 3 or asymmetric or space.quasi_triangle.value <= limit:
+    if space.n < 3 or asymmetric or not space.quasi_triangle.value > limit:
         return
     d, n = space.dist, space.n
     block = np.empty((min(ROW_BLOCK, n), n))
@@ -364,9 +396,8 @@ def _push_triangle_violations(space: FiniteHomSpace, a0: float, asymmetric: bool
                 z = lo + int(i)
                 if len({x, int(y), z}) < 3:
                     continue
-                if push({"kind": "triangle", "triple": [x, int(y), z],
-                         "lhs": float(d[x, y]), "rhs": float(a0 * hops[i, y])}):
-                    return
+                yield {"kind": "triangle", "triple": [x, int(y), z],
+                       "lhs": float(d[x, y]), "rhs": float(a0 * hops[i, y])}
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +537,7 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
         raise ValueError("empty space")
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
     trend = trend or TrendConfig()
 
@@ -593,7 +624,7 @@ def check_reverse_doubling(space: FiniteHomSpace, kappa: float) -> ReverseDoubli
     Verdict PASS when c stays above REVERSE_PASS. Spaces whose balls
     cannot grow (single point, or window empty) are flagged atomic-like.
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("kappa must be positive")
     diam = space.diameter
     if space.n < 2 or diam <= 0:

@@ -56,6 +56,34 @@ def brute_a0_witness(dist):
     return best, (x, y, sums.index(min(sums)))
 
 
+def brute_table_violations(dist, cap=20):
+    """The structural violations of a distance table, each kind found in
+    row-major order and kept to its first ``cap``, joined in the order
+    nonnegativity, symmetry, nonzero diagonal, off-diagonal zero and cut
+    to ``cap``. An unordered pair is listed once, where it is first met."""
+    d = np.asarray(dist, dtype=float).tolist()
+    n = len(d)
+    negative, unequal, diagonal, zero = [], [], [], []
+    seen_unequal, seen_zero = set(), set()
+    for i in range(n):
+        for j in range(n):
+            if d[i][j] < 0 and len(negative) < cap:
+                negative.append({"kind": "nonnegativity", "pair": [i, j], "value": d[i][j]})
+            if d[i][j] != d[j][i] and frozenset((i, j)) not in seen_unequal:
+                seen_unequal.add(frozenset((i, j)))
+                if len(unequal) < cap:
+                    unequal.append({"kind": "symmetry", "pair": [i, j],
+                                    "values": [d[i][j], d[j][i]]})
+            if i != j and d[i][j] == 0 and frozenset((i, j)) not in seen_zero:
+                seen_zero.add(frozenset((i, j)))
+                if len(zero) < cap:
+                    zero.append({"kind": "identity", "pair": [i, j], "value": 0.0})
+    for i in range(n):
+        if d[i][i] != 0 and len(diagonal) < cap:
+            diagonal.append({"kind": "identity", "pair": [i, i], "value": d[i][i]})
+    return (negative + unequal + diagonal + zero)[:cap]
+
+
 def brute_besov(entries, masses, delta, s, p, q, level_ok):
     """entries: {(k, alpha): value}; masses: {(k, alpha): mass}."""
     levels = sorted({k for k, _ in entries})

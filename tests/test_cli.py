@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homspace import common, dyadic, gallery, maximal, space as space_mod
+from homspace import cli, common, dyadic, gallery, maximal, space as space_mod
 from homspace.cli import main
 from homspace.gallery import MAX_POINTS, load_space
 
@@ -101,6 +101,54 @@ def test_embed_test_bad_trace_line_exit_2(tmp_path, capsys):
                  "--p2", "1", "--q", "1"])
     assert code == 2
     assert "trace-line" in capsys.readouterr().err
+
+
+GRID16 = ["--gallery", "euclidean_grid", "--n", "16"]
+EMBED_GRID16 = ["embed-test", *GRID16, "--p1", "2", "--p2", "1", "--n-sequences", "8"]
+# parameters that are NaN (or infinite where a scale needs a finite one):
+# each once produced a report or an unnamed error
+BAD_PARAMETERS = {
+    "embed-test s1 nan": ([*EMBED_GRID16, "--omega", "1", "--s1", "nan", "--s2", "1"],
+                          "s must be a number"),
+    "embed-test s2 nan": ([*EMBED_GRID16, "--omega", "1", "--s1", "0.5", "--s2", "nan"],
+                          "s must be a number"),
+    "embed-test omega nan": ([*EMBED_GRID16, "--omega", "nan", "--s1", "0.5", "--s2", "1"],
+                             "omega must be a number"),
+    "analyze lower bound omega nan": (["analyze", *GRID16, "--check-lower-bound",
+                                       "--omega", "nan"], "omega must be positive"),
+    "analyze reverse doubling nan": (["analyze", *GRID16, "--check-reverse-doubling", "nan"],
+                                     "kappa must be positive"),
+    "kernel-check omega nan": (["kernel-check", *GRID16, "--omega", "nan"],
+                               "omega must be a number"),
+    "kernel-check gamma nan": (["kernel-check", *GRID16, "--omega", "1", "--gamma", "nan"],
+                               "gamma must be positive"),
+    "kernel-check p2 nan": (["kernel-check", *GRID16, "--omega", "1", "--p2", "nan"],
+                            "p2 must be positive"),
+    "norms s nan": (["norms", *GRID16, "--seq", "seq.json", "--s", "nan"],
+                    "s must be a number"),
+    "cubes c0 nan": (["cubes", *GRID16, "--c0", "nan"], "c0 must be a finite positive number"),
+    "cubes A0 nan": (["cubes", *GRID16, "--A0", "nan"], "A0 must be a finite positive number"),
+    "cubes C0 inf": (["cubes", *GRID16, "--C0", "inf"], "C0 must be a finite positive number"),
+    "cubes A0 inf": (["cubes", *GRID16, "--A0", "inf"], "A0 must be a finite positive number"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PARAMETERS)
+def test_bad_parameters_exit_2_naming_them(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seq.json").write_text(json.dumps([{"k": 1, "alpha": 0, "value": 1.0}]))
+    argv, message = BAD_PARAMETERS[case]
+    code, text = run(tmp_path, *argv)
+    assert (code, text) == (2, "")
+    assert message in capsys.readouterr().err
+
+
+def test_cubes_checks_a0_against_the_space(tmp_path, capsys):
+    # the grid's A0 is 1: at 0.5 its collinear triples break the inequality
+    code, text = run(tmp_path, "cubes", *GRID16, "--A0", "0.5")
+    assert (code, text) == (2, "")
+    assert "--A0 0.5 fails on this space: {'kind': 'triangle', 'triple': [0, 2, 1]" \
+        in capsys.readouterr().err
 
 
 def test_norms_command_matches_library(tmp_path, grid64_cubes):
@@ -295,7 +343,8 @@ KERNEL_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case,seed", sorted(KERNEL_DIGESTS), ids=" seed ".join)
+@pytest.mark.parametrize("case,seed", sorted(KERNEL_DIGESTS),
+                         ids=[" seed ".join(key) for key in sorted(KERNEL_DIGESTS)])
 def test_kernel_check_reports_are_pinned(tmp_path, case, seed):
     code, text = run(tmp_path, "kernel-check", *KERNEL_CASES[case], "--seed", seed)
     assert code == 0
@@ -446,13 +495,55 @@ REPORT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case,fmt", sorted(REPORT_DIGESTS), ids=" ".join)
+@pytest.mark.parametrize("case,fmt", sorted(REPORT_DIGESTS),
+                         ids=[" ".join(key) for key in sorted(REPORT_DIGESTS)])
 def test_command_reports_are_pinned(tmp_path, monkeypatch, case, fmt):
     monkeypatch.chdir(tmp_path)
     for name, content in REPORT_INPUTS.items():
         (tmp_path / name).write_text(json.dumps(content))
     code, text = run(tmp_path, *REPORT_CASES[case], "--format", fmt, name=f"out.{fmt}")
     assert (code, hashlib.sha256(text.encode()).hexdigest()) == REPORT_DIGESTS[case, fmt]
+
+
+GALLERY_CASES = {
+    "euclidean_grid 8x8": ["--gallery", "euclidean_grid", "--n", "8", "--dim", "2"],
+    "weighted_grid 17": ["--gallery", "weighted_grid", "--n", "17", "--alpha", "2",
+                         "--extent", "2"],
+    "weighted_grid 9x9": ["--gallery", "weighted_grid", "--n", "9", "--dim", "2",
+                          "--beta", "-0.5", "--extent", "3"],
+    "cantor 5": ["--gallery", "cantor", "--depth", "5"],
+    "snowflake e=0.3": ["--gallery", "snowflake", "--n", "16", "--snowflake-e", "0.3"],
+    "snowflake e=0.5": ["--gallery", "snowflake", "--n", "6", "--dim", "2",
+                        "--snowflake-e", "0.5"],
+    "snowflake e=1": ["--gallery", "snowflake", "--n", "16", "--snowflake-e", "1"],
+}
+# SHA-256 of each gallery report and of the bytes of its distance table, as
+# written when each kind built its own table
+GALLERY_DIGESTS = {
+    'euclidean_grid 8x8': ('a1afd669c5333c77224aeeaae00352231389bfed6624304c7551b87085bd70d5',
+        '059f76cded29d69df748097eb23a4af5a049b88b9d40b615e62950f00c0b724f'),
+    'weighted_grid 17': ('24af6669647910b639f4193a67eec8cfada1d461a92543c40a17692c479dcc92',
+        'b01d9b782cc684bb331b0ab8dd6eff7649d938ebafe864e22bdb608b24cfa76e'),
+    'weighted_grid 9x9': ('bfc6c61540513d9f9c504ea4f5b3eea84f6fd37b2b0517e2399adbbf59089c6c',
+        '53d0b857febd681dffff12cae11303daf825f62a442af41873ad2fdcae9e35c5'),
+    'cantor 5': ('c52288ca7d455147021d300330937d10c339fc12a6905d7706740b13ea465633',
+        '583addc22545945a0b899fc8b90dd27d6cdb146a3cdc56c74c7d9ac3e79bd97f'),
+    'snowflake e=0.3': ('8f76d3e17cd785790a5edbc623de6a153c82e80e0f021486cc195501b54141f5',
+        'd124d03f97e62c35769e51f6f5a5ef09685723998ef9b8b713356173404feb5f'),
+    'snowflake e=0.5': ('97647fbfdc1d1c867ae47d899c1821bf8395ebd84a1b4f6071592262e3ae82a3',
+        '5213b47771b7a3e8cca954742127ae0f7ad0150c4622f8318778ee3b89b58d45'),
+    'snowflake e=1': ('a8a3aa7da4324c64f7c1d213479ae94cc5340a1597f79904c95f08c926589dae',
+        'a5fe01c90beb40c4116acd630321cf3c37caff8f90664de7f28d17bfd37b9891'),
+}
+
+
+@pytest.mark.parametrize("case", GALLERY_CASES)
+def test_gallery_reports_and_tables_are_pinned(tmp_path, case):
+    code, text = run(tmp_path, "gallery", *GALLERY_CASES[case])
+    sp = cli._resolve_space(cli.build_parser().parse_args(["gallery", *GALLERY_CASES[case]]))
+    assert code == 0
+    assert (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(sp.dist.tobytes()).hexdigest()) == GALLERY_DIGESTS[case]
 
 
 def test_kernel_check_witnesses_are_trial_major(tmp_path):
@@ -755,6 +846,18 @@ def test_point_cap_exits_2_before_building(tmp_path, capsys):
         assert main(argv) == 2
         assert time.perf_counter() - start < 10.0
         assert "cap" in capsys.readouterr().err
+
+
+def test_duplicate_points_fail_fast(tmp_path, capsys):
+    path = tmp_path / "same.json"
+    path.write_text(json.dumps({"points": [[0.5]] * 1500, "weights": [1.0] * 1500}))
+    # refused after the first 20 zero pairs: a scan of every pair in Python
+    # took about 6 s on a 2-core VM, the row-blocked check 0.03 s
+    start = time.perf_counter()
+    assert main(["analyze", "--space", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "invalid space: {'kind': 'identity', 'pair': [0, 1], 'value': 0.0}" \
+        in capsys.readouterr().err
 
 
 def test_threads_flag_removed():

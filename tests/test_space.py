@@ -23,6 +23,7 @@ from helpers import (
     brute_a0,
     brute_a0_witness,
     brute_ball_mass,
+    brute_table_violations,
     integer_grid_table,
     unit_spaced_grid,
 )
@@ -104,6 +105,78 @@ def test_validate_duplicate_points_flagged():
     result = validate_quasi_metric(sp)
     assert not result.ok
     assert any(v["kind"] == "identity" for v in result.violations)
+
+
+def defective_table(kind, n, rng):
+    """A line metric on n seeded points with one kind of defect."""
+    points = np.sort(rng.random(n))
+    d = np.abs(points[:, None] - points[None, :])
+    i, j = rng.integers(n, size=(2, int(rng.integers(1, 30))))
+    if kind == "negative":
+        d[i, j] = -d[i, j] - 1.0
+    elif kind == "one-sided":
+        d[i, j] += rng.random(i.size)
+    elif kind == "zeroed pairs":
+        d[i, j] = d[j, i] = 0.0
+    elif kind == "one-sided zeros":
+        d[i, j] = 0.0
+    elif kind == "duplicate block":
+        lo = int(rng.integers(n))
+        d[lo:lo + int(rng.integers(1, n + 1)), lo:lo + int(rng.integers(1, n + 1))] = 0.0
+    elif kind == "diagonal":
+        d[i, i] = rng.random(i.size)
+    elif kind == "nan":
+        d[i, j] = np.nan
+    else:                                   # every kind at once
+        d[i, j] = rng.choice([-1.0, 0.0, np.nan, 2.0], i.size)
+    return d
+
+
+TABLE_DEFECTS = ["negative", "one-sided", "zeroed pairs", "one-sided zeros", "duplicate block",
+                 "diagonal", "nan", "mixed"]
+
+
+@pytest.mark.parametrize("row_block", [1, 7, 64])
+@pytest.mark.parametrize("kind", TABLE_DEFECTS)
+def test_validate_matches_the_table_oracle(monkeypatch, kind, row_block):
+    monkeypatch.setattr(space_module, "ROW_BLOCK", row_block)
+    rng = rng_stream(row_block, 0x7AB1E)
+    for n in (1, 2, 3, 8, 40, 70, 129):
+        d = defective_table(kind, n, rng)
+        result = validate_quasi_metric(explicit_space(d))
+        expected = brute_table_violations(d)
+        # repr: a NaN value compares unequal to itself
+        assert repr(result.violations) == repr(expected)
+        assert result.truncated == (len(expected) == 20)
+        assert result.ok == (not expected)
+
+
+def test_validate_full_structural_list_skips_the_triangle_scan(monkeypatch):
+    def no_pass(space):
+        raise AssertionError("validation ran the A0 pass")
+
+    monkeypatch.setattr(space_module, "estimate_quasi_triangle_constant", no_pass)
+    d = defective_table("one-sided", 30, rng_stream(1, 0x7AB1E))
+    d[:5, 10:20] = -1.0             # 50 negative entries fill the list on an asymmetric table
+    for table in (d, np.minimum(d, d.T)):        # and on a symmetric one
+        sp = explicit_space(table, declared_A0=1.0)
+        result = validate_quasi_metric(sp)
+        assert repr(result.violations) == repr(brute_table_violations(table))
+        assert {v["kind"] for v in result.violations} == {"nonnegativity"}
+        assert result.truncated and result.a0_used == 1.0
+        assert "quasi_triangle" not in vars(sp)
+
+
+def test_validate_allocates_a_small_part_of_the_table():
+    sp = gallery.build(gallery.GallerySpec(kind="euclidean_grid", n=32, dim=2))
+    tracemalloc.start()
+    try:
+        result = validate_quasi_metric(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok
+    assert peak < sp.dist.nbytes / 16            # 8 MiB table
 
 
 # ---------------------------------------------------------------------------
