@@ -22,6 +22,7 @@ import numpy as np
 from homspace import gallery, maximal, seqnorm, space as space_mod
 from homspace.common import DEFAULT_SEED, dumps_report, finite_number, report_to_csv, rng_stream
 from homspace.dyadic import (
+    VARIANTS,
     CubeConstructionError,
     InadmissibleConstants,
     build_cubes,
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--variant", choices=seqnorm.VARIANTS, default="homogeneous")
+    p.add_argument("--variant", choices=VARIANTS, default="homogeneous")
     p.add_argument("--layer-cake", action="store_true",
                    help="cross-check the Triebel-Lizorkin norm via the distribution function")
 
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cube_args(p)
     _add_common(p)
     p.add_argument("--family", choices=seqnorm.FAMILIES, default="besov")
-    p.add_argument("--variant", choices=seqnorm.VARIANTS, default="homogeneous")
+    p.add_argument("--variant", choices=VARIANTS, default="homogeneous")
     p.add_argument("--omega", type=float, help="default: declared, else measured")
     p.add_argument("--s1", type=float, required=True)
     p.add_argument("--p1", type=float, required=True)

@@ -44,6 +44,10 @@ from homspace.common import DEFAULT_SEED, rng_stream, stable_sum
 from homspace.space import ROW_BLOCK, FiniteHomSpace
 
 
+# Coefficient-sequence windows: every level, or levels k >= 0 only.
+VARIANTS = ("homogeneous", "inhomogeneous")
+
+
 class InadmissibleConstants(ValueError):
     """(delta, c0, C0) violate 12 * A0^3 * C0 * delta <= c0."""
 
@@ -267,12 +271,6 @@ class CubeSystem:
         kids = self.net.centers[k + 1]
         return [int(b) for b in kids[self.assignment[k][kids] == int(alpha)]]
 
-    def fresh_cubes(self, k: int) -> np.ndarray:
-        """Cubes whose center is born at level k, for k in (k_min, k_max]."""
-        if not (self.net.k_min < k <= self.net.k_max):
-            raise KeyError(f"fresh cubes undefined at level {k}")
-        return np.flatnonzero(self.net.birth == k)
-
     def memo(self, key, build):
         """``build()``, computed once per system and key (tables derived from
         the system: indexes, per-cube constants)."""
@@ -284,7 +282,7 @@ class CubeSystem:
         """(level, alpha): read-only arrays of every fresh cube in the
         variant window (the inhomogeneous one keeps k >= 0), by level then
         cube id; built once per system and variant."""
-        if variant not in ("homogeneous", "inhomogeneous"):
+        if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
 
         def build():
@@ -297,29 +295,36 @@ class CubeSystem:
             return level, alpha
         return self.memo(("fresh_index", variant), build)
 
-    def index_cubes(self, variant: str = "homogeneous", mode: str = "fresh") -> list:
-        """A new (k, alpha) list of the coefficient-sequence index, by level
-        then cube id: ``fresh`` holds the cubes at their center's birth level
-        (the wavelet-style index set), ``all`` every cube. The inhomogeneous
-        variant keeps levels k >= 0 only."""
-        if mode == "fresh":
-            level, alpha = self.fresh_index(variant)
-            return list(zip(level.tolist(), alpha.tolist()))
-        if mode != "all":
-            raise ValueError(f"unknown index mode {mode!r}")
-        return [(k, int(a)) for k in self.levels
-                if variant != "inhomogeneous" or k >= 0 for a in self.cubes(k)]
+    def index_cubes(self, variant: str = "homogeneous") -> list:
+        """``fresh_index(variant)`` as a new list of (k, alpha) pairs."""
+        level, alpha = self.fresh_index(variant)
+        return list(zip(level.tolist(), alpha.tolist()))
 
-    def is_index(self, k: int, alpha: int, mode: str = "fresh") -> bool:
-        """Whether (k, alpha) is in the homogeneous ``index_cubes`` of ``mode``;
-        a level off the window or an id off the points is not."""
+    def is_index(self, k: int, alpha: int) -> bool:
+        """Whether (k, alpha) is in the homogeneous fresh index; a level off
+        the window or an id off the points is not."""
         net = self.net
-        if mode not in ("fresh", "all"):
-            raise ValueError(f"unknown index mode {mode!r}")
         if not (k <= net.k_max and 0 <= alpha < net.birth.size):
             return False
-        born = net.birth[alpha]         # >= k_min, so no level below the window passes
-        return bool(born == k > net.k_min) if mode == "fresh" else bool(born <= k)
+        return bool(net.birth[alpha] == k > net.k_min)
+
+    def implied_constant(self, k: int, alpha, omega: float):
+        """mass(Q) / delta^{k * omega}, the constant a uniform embedding forces;
+        ``alpha`` is a cube id of level k or an array of them."""
+        return self.cube_mass[k][alpha] / self.delta ** (k * omega)
+
+    def fresh_constants(self, omega: float, variant: str) -> tuple:
+        """(level, alpha, constant) arrays: ``implied_constant`` of every fresh
+        cube in the variant window, by level then cube id; one table per
+        (omega, variant)."""
+        def build():
+            level, alpha = self.fresh_index(variant)
+            const = np.zeros(alpha.size)
+            for k in np.unique(level).tolist():
+                at = level == k
+                const[at] = self.implied_constant(k, alpha[at], omega)
+            return level, alpha, const
+        return self.memo(("fresh_constants", omega, variant), build)
 
     def resolved_levels(self) -> list:
         """Levels whose nominal scale delta^k stays at or above r_floor."""
@@ -593,19 +598,19 @@ class PropagationReport:
     m_min: Optional[int]
     bound_N: int
     omega: float
-    index_set: str
+    variant: str
     witness: Optional[dict] = None
     notes: list = field(default_factory=list)
 
 
 def propagate_cube_lower_bound(cubes: CubeSystem, C: float, omega: float,
-                               index_set: str = "fresh-all") -> PropagationReport:
+                               variant: str = "homogeneous") -> PropagationReport:
     """Propagate mass(Q) >= C*delta^{k*omega} from fresh cubes to all cubes.
 
-    The hypothesis is verified on the fresh cubes selected by ``index_set``
-    ("fresh-all" for every level, "fresh-nonneg" for levels k >= 0); a
-    violation raises HypothesisViolated with the offending cube. The
-    constructive constant is
+    The hypothesis is verified on the fresh cubes of the ``variant`` window
+    (``fresh_index``: every level, or levels k >= 0 only); a violation
+    raises HypothesisViolated with the offending cube. The constructive
+    constant is
 
         C_tilde = C * (M_min - 1) * delta^{(N+1)*omega},
 
@@ -614,14 +619,11 @@ def propagate_cube_lower_bound(cubes: CubeSystem, C: float, omega: float,
     The conclusion mass(Q) >= C_tilde*delta^{k*omega} is then checked on
     every cube of the window.
     """
-    if index_set not in ("fresh-all", "fresh-nonneg"):
-        raise ValueError(f"unknown index set {index_set!r}")
     net = cubes.net
     if C < 0:
         raise ValueError("C must be nonnegative")
 
     slack = 1.0 - 1e-12
-    variant = "homogeneous" if index_set == "fresh-all" else "inhomogeneous"
     level, ids = cubes.fresh_index(variant)
     for k, alpha in zip(level.tolist(), ids.tolist()):
         need = C * net.delta ** (k * omega)
@@ -637,7 +639,7 @@ def propagate_cube_lower_bound(cubes: CubeSystem, C: float, omega: float,
         # single chain down the whole window: nothing ever branches
         return PropagationReport(
             verdict="NOT_APPLICABLE", c_input=C, c_tilde=0.0, m_min=None,
-            bound_N=chain.bound_N, omega=omega, index_set=index_set,
+            bound_N=chain.bound_N, omega=omega, variant=variant,
             notes=["no branching cube in the window (atomic-like system)"],
         )
     m_min = min(m_end)
@@ -657,7 +659,7 @@ def propagate_cube_lower_bound(cubes: CubeSystem, C: float, omega: float,
             break
     return PropagationReport(
         verdict=verdict, c_input=C, c_tilde=c_tilde, m_min=m_min,
-        bound_N=chain.bound_N, omega=omega, index_set=index_set,
+        bound_N=chain.bound_N, omega=omega, variant=variant,
         witness=witness,
     )
 

@@ -126,26 +126,6 @@ class NecessityReport:
     notes: list = field(default_factory=list)
 
 
-def implied_constant(cubes: CubeSystem, k: int, alpha, omega: float):
-    """mass(Q) / delta^{k * omega}, the constant a uniform embedding forces;
-    ``alpha`` is a cube id of level k or an array of them."""
-    return cubes.cube_mass[k][alpha] / cubes.delta ** (k * omega)
-
-
-def fresh_constants(cubes: CubeSystem, omega: float, variant: str) -> tuple:
-    """(level, alpha, constant) arrays: ``implied_constant`` of every fresh
-    cube in the variant window, by level then cube id; one table per
-    (system, omega, variant)."""
-    def build():
-        level, alpha = cubes.fresh_index(variant)
-        const = np.zeros(alpha.size)
-        for k in np.unique(level).tolist():
-            at = level == k
-            const[at] = implied_constant(cubes, k, alpha[at], omega)
-        return level, alpha, const
-    return cubes.memo(("fresh_constants", omega, variant), build)
-
-
 def delta_necessity_test(cubes: CubeSystem, params: EmbedParams, *,
                          trend: Optional[TrendConfig] = None) -> NecessityReport:
     """Closed-form delta-sequence scan over every fresh cube in the variant
@@ -168,7 +148,7 @@ def delta_necessity_test(cubes: CubeSystem, params: EmbedParams, *,
     omega = params.omega
     resolved = [k for k in cubes.resolved_levels()
                 if params.variant == "homogeneous" or k >= 0]
-    levels, cube_ids, const = fresh_constants(cubes, omega, params.variant)
+    levels, cube_ids, const = cubes.fresh_constants(omega, params.variant)
     if not const.size:
         return NecessityReport(
             verdict="VACUOUS", min_constant=None, witness=None, per_level_min={},
@@ -194,7 +174,7 @@ def delta_necessity_test(cubes: CubeSystem, params: EmbedParams, *,
         leaves = cubes.cubes(chain_levels[0])
         ancestors = [cubes.assignment[k][leaves] for k in chain_levels]
         masses = np.stack([cubes.cube_mass[k][a] for k, a in zip(chain_levels, ancestors)], axis=1)
-        consts = np.stack([implied_constant(cubes, k, a, omega)
+        consts = np.stack([cubes.implied_constant(k, a, omega)
                            for k, a in zip(chain_levels, ancestors)], axis=1)
         scales = [cubes.scale(k) for k in chain_levels]
         span, _, flagged = trend.evaluate(scales, masses, consts, omega)
@@ -339,7 +319,7 @@ def proof_constant_besov(cubes: CubeSystem, params: EmbedParams) -> tuple:
     """(c_min, constant): c_min is the minimal fresh-cube constant in the
     window; the explicit Besov chain gives target <= c_min^{1/p1 - 1/p2} * source
     (the exponent is <= 0, so a smaller c_min weakens the bound)."""
-    const = fresh_constants(cubes, params.omega, params.variant)[2]
+    const = cubes.fresh_constants(params.omega, params.variant)[2]
     if not const.size:
         return None, None
     c_min = float(const.min())

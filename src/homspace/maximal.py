@@ -43,7 +43,6 @@ import numpy as np
 
 from homspace.common import DEFAULT_SEED, rng_stream, stable_sum
 from homspace.dyadic import CubeSystem
-from homspace.embed import fresh_constants
 from homspace.seqnorm import CoefSequence, SequenceBatch
 from homspace.space import FiniteHomSpace
 
@@ -371,7 +370,7 @@ def calibrate_kernel_bound(cubes: CubeSystem, params: KernelParams, *,
     probes = _probe_points(cubes, rng)
     batch = random_batch(cubes, rng, n_sequences)
     ratio = bound_ratio(*kernel_bound_batch(cubes, batch, probes, params))
-    consts = fresh_constants(cubes, params.omega, "homogeneous")[2]
+    consts = cubes.fresh_constants(params.omega, "homogeneous")[2]
     return KernelCalibration(
         c_report=float(ratio[np.isfinite(ratio)].max(initial=0.0)),
         n_samples=n_sequences * len(probes),

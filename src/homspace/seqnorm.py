@@ -59,11 +59,10 @@ from typing import Optional
 import numpy as np
 
 from homspace.common import finite_number, reciprocal, stable_sum
-from homspace.dyadic import CubeSystem
+from homspace.dyadic import VARIANTS, CubeSystem
 from homspace.gallery import RnDyadicGrid
 
 FAMILIES = ("besov", "triebel_lizorkin")
-VARIANTS = ("homogeneous", "inhomogeneous")
 
 # Most entries the dense sequence x point accumulator of a Triebel-Lizorkin
 # batch holds at once (64 KiB of float64); a batch is scored in blocks of
@@ -114,26 +113,21 @@ class NormParams:
 class CoefSequence:
     """Finitely supported map (level k, cube alpha) -> coefficient.
 
-    Indices must refer to cubes of the backing system; "fresh" mode (the
-    default, matching the wavelet index set) restricts to cubes whose
-    center enters the net at level k, "all" admits every cube.
+    Indices must be fresh cubes of the backing system (``is_index``: the
+    cube at the level where its center enters the net, the wavelet index
+    set).
     """
 
     system: CubeSystem
     entries: dict
-    index_mode: str = "fresh"
 
     def __post_init__(self):
-        if self.index_mode not in ("fresh", "all"):
-            raise ValueError(f"unknown index mode {self.index_mode!r}")
         clean = {}
         for key, value in self.entries.items():
             k, alpha = int(key[0]), int(key[1])
-            if not self.system.is_index(k, alpha, self.index_mode):
+            if not self.system.is_index(k, alpha):
                 raise ValueError(
-                    f"index (k={k}, alpha={alpha}) is not a {self.index_mode} cube "
-                    f"of the backing system"
-                )
+                    f"index (k={k}, alpha={alpha}) is not a fresh cube of the backing system")
             clean[(k, alpha)] = float(value)
         self.entries = dict(sorted(clean.items()))
 
@@ -144,7 +138,6 @@ class CoefSequence:
         return CoefSequence(
             system=self.system,
             entries={key: c * value for key, value in self.entries.items()},
-            index_mode=self.index_mode,
         )
 
 
@@ -181,7 +174,7 @@ class SequenceBatch:
                                   dtype=float))
 
 
-def load_sequence(path: str, system: CubeSystem, index_mode: str = "fresh") -> CoefSequence:
+def load_sequence(path: str, system: CubeSystem) -> CoefSequence:
     """Read a JSON list of {"k": int, "alpha": int, "value": real}: k and
     alpha JSON integers (not booleans), the value a finite number."""
     with open(path) as fh:
@@ -196,7 +189,7 @@ def load_sequence(path: str, system: CubeSystem, index_mode: str = "fresh") -> C
                              f"real value, got {json.dumps(row)}")
         key = (row["k"], row["alpha"])
         entries[key] = entries.get(key, 0.0) + float(row["value"])
-    return CoefSequence(system=system, entries=entries, index_mode=index_mode)
+    return CoefSequence(system=system, entries=entries)
 
 
 def _check_backing(delta: float, params: NormParams) -> None:
@@ -336,46 +329,27 @@ def _tl_functions(n_seq, seq, level, alpha, a, params: NormParams,
             yield first, acc.reshape(size, n_points) ** (1.0 / q)
 
 
-def _layer_cake_integral(g: np.ndarray, weights: np.ndarray, p: float,
-                         quadrature: str = "exact") -> float:
-    """L^p norm of g via p * integral of t^{p-1} mu({g > t}) dt.
-
-    g is piecewise constant, so with ``quadrature="exact"`` the integral
-    collapses to an exact sum over the sorted level sets; "riemann:<n>"
-    evaluates a midpoint rule on n nodes instead (a deliberately
-    independent, approximate cross-check).
-    """
+def _layer_cake_integral(g: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """L^p norm of g via p * integral of t^{p-1} mu({g > t}) dt; g is
+    piecewise constant, so the integral is an exact sum over the sorted
+    level sets."""
     nz = g > 0
     if not np.any(nz):
         return 0.0
     vals = g[nz]
-    ws = weights[nz]
-    if quadrature == "exact":
-        order = np.argsort(vals, kind="stable")
-        v = vals[order]
-        w = ws[order]
-        # suffix sums: mu({g >= v_j}) for each distinct value v_j
-        distinct_idx = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
-        suffix = np.cumsum(w[::-1])[::-1]
-        prev = 0.0
-        pieces = []
-        for idx in distinct_idx:
-            vj = v[idx]
-            pieces.append(suffix[idx] * (vj**p - prev**p))
-            prev = vj
-        total = stable_sum(pieces)
-        return float(total ** (1.0 / p))
-    if quadrature.startswith("riemann:"):
-        n_nodes = int(quadrature.split(":", 1)[1])
-        if n_nodes < 2:
-            raise ValueError("riemann quadrature needs at least 2 nodes")
-        top = float(vals.max())
-        dt = top / n_nodes
-        ts = (np.arange(n_nodes) + 0.5) * dt   # midpoint rule keeps t^{p-1} finite
-        mu = np.array([stable_sum(ws[vals > t]) for t in ts])
-        integral = p * stable_sum(ts ** (p - 1) * mu * dt)
-        return float(integral ** (1.0 / p))
-    raise ValueError(f"unknown quadrature {quadrature!r}")
+    order = np.argsort(vals, kind="stable")
+    v = vals[order]
+    w = weights[nz][order]
+    # suffix sums: mu({g >= v_j}) for each distinct value v_j
+    distinct_idx = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    suffix = np.cumsum(w[::-1])[::-1]
+    prev = 0.0
+    pieces = []
+    for idx in distinct_idx:
+        vj = v[idx]
+        pieces.append(suffix[idx] * (vj**p - prev**p))
+        prev = vj
+    return float(stable_sum(pieces) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +368,7 @@ def triebel_lizorkin_norm(seq: CoefSequence, params: NormParams) -> float:
     return float(batch_norms(SequenceBatch.of([seq]), params)[0])
 
 
-def layer_cake_tl_norm(seq: CoefSequence, params: NormParams,
-                       quadrature: str = "exact") -> float:
+def layer_cake_tl_norm(seq: CoefSequence, params: NormParams) -> float:
     """Triebel-Lizorkin norm through the distribution function of g."""
     if params.family != "triebel_lizorkin":
         raise ValueError("params.family must be 'triebel_lizorkin'")
@@ -405,7 +378,7 @@ def layer_cake_tl_norm(seq: CoefSequence, params: NormParams,
     entries = _counted(batch.offsets, batch.level, batch.alpha, batch.value, params)
     _, g = next(_tl_functions(1, *entries, params, system.cube_mass, system.order,
                               system.bounds, system.space.n))
-    return _layer_cake_integral(g[0], system.space.weight, params.p, quadrature)
+    return _layer_cake_integral(g[0], system.space.weight, params.p)
 
 
 def sequence_norm(seq: CoefSequence, params: NormParams) -> float:

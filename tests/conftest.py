@@ -16,6 +16,13 @@ def build_system(space, seed=0xD1AD1C, **kwargs):
     return build_cubes(net, space)
 
 
+def fresh_at(cubes, k):
+    """Ids of the fresh cubes of level k, ascending (a slice of the
+    homogeneous ``fresh_index``)."""
+    level, alpha = cubes.fresh_index()
+    return alpha[level == k]
+
+
 def random_sequence(cubes, rng):
     """One ``maximal.random_batch`` draw as a sequence."""
     batch = random_batch(cubes, rng, 1)

@@ -111,27 +111,51 @@ def brute_besov(entries, masses, delta, s, p, q, level_ok):
     return sum(v**q for v in outer) ** (1.0 / q)
 
 
-def brute_tl(entries, masses, members, weights, n, delta, s, p, q, level_ok):
-    """members: {(k, alpha): iterable of point ids}."""
-    g = [0.0] * n
+def brute_tl_function(entries, masses, members, n, delta, s, q, level_ok):
+    """The pointwise l^q aggregate g of a Triebel-Lizorkin norm, as a list
+    over the n points; members: {(k, alpha): iterable of point ids}."""
     if math.isinf(q):
+        g = [0.0] * n
         for (k, alpha), lam in entries.items():
             if not level_ok(k) or lam == 0.0:
                 continue
             v = delta ** (-k * s) * masses[(k, alpha)] ** (-0.5) * abs(lam)
             for x in members[(k, alpha)]:
                 g[x] = max(g[x], v)
-    else:
-        acc = [0.0] * n
-        for (k, alpha), lam in entries.items():
-            if not level_ok(k) or lam == 0.0:
-                continue
-            v = delta ** (-k * s * q) * (masses[(k, alpha)] ** (-0.5) * abs(lam)) ** q
-            for x in members[(k, alpha)]:
-                acc[x] += v
-        g = [a ** (1.0 / q) for a in acc]
+        return g
+    acc = [0.0] * n
+    for (k, alpha), lam in entries.items():
+        if not level_ok(k) or lam == 0.0:
+            continue
+        v = delta ** (-k * s * q) * (masses[(k, alpha)] ** (-0.5) * abs(lam)) ** q
+        for x in members[(k, alpha)]:
+            acc[x] += v
+    return [a ** (1.0 / q) for a in acc]
+
+
+def brute_tl(entries, masses, members, weights, n, delta, s, p, q, level_ok):
+    g = brute_tl_function(entries, masses, members, n, delta, s, q, level_ok)
     total = sum(weights[i] * g[i] ** p for i in range(n) if g[i] > 0)
     return total ** (1.0 / p)
+
+
+def midpoint_layer_cake(g, weights, p, n_nodes):
+    """(p * integral_0^max g of t^{p-1} mu({g > t}) dt)^{1/p} by the midpoint
+    rule on n_nodes nodes (midpoints keep t^{p-1} finite): an approximate
+    L^p norm of g that shares nothing with the exact level-set sum."""
+    above = sorted((v, w) for v, w in zip(g, weights) if v > 0)
+    if not above:
+        return 0.0
+    dt = above[-1][0] / n_nodes
+    mass = sum(w for _, w in above)
+    terms, i = [], 0
+    for node in range(n_nodes):
+        t = (node + 0.5) * dt
+        while i < len(above) and above[i][0] <= t:      # mu({g > t})
+            mass -= above[i][1]
+            i += 1
+        terms.append(t ** (p - 1) * mass * dt)
+    return (p * math.fsum(terms)) ** (1.0 / p)
 
 
 def delta_sequence_norm(system, k0, alpha0, params):

@@ -87,7 +87,7 @@ def grid64_system():
 
 def _random_batch(cubes, count, seed, max_support=14):
     rng = rng_stream(seed, 0xACC)
-    index = cubes.index_cubes("homogeneous", "fresh")
+    index = cubes.index_cubes()
     out = []
     for _ in range(count):
         size = int(rng.integers(1, min(max_support, len(index)) + 1))
@@ -171,7 +171,7 @@ def test_criterion_3_norm_identities(grid64_system):
 def test_criterion_4_delta_closed_form(grid64_system):
     space, cubes = grid64_system
     rng = rng_stream(4, 4)
-    index = cubes.index_cubes("homogeneous", "fresh")
+    index = cubes.index_cubes()
     picks = rng.choice(len(index), size=50, replace=True)
     s, p, q = 0.65, 1.3, 2.1
     params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family="besov")

@@ -154,7 +154,7 @@ def test_cubes_checks_a0_against_the_space(tmp_path, capsys):
 def test_norms_command_matches_library(tmp_path, grid64_cubes):
     from homspace.seqnorm import CoefSequence, NormParams, besov_norm
 
-    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    index = grid64_cubes.index_cubes()
     rows = [{"k": k, "alpha": a, "value": 1.0 + i} for i, (k, a) in enumerate(index[:3])]
     seq_path = tmp_path / "seq.json"
     seq_path.write_text(json.dumps(rows))
@@ -198,7 +198,7 @@ def test_norms_rejects_badly_typed_entries(tmp_path, capsys, row):
 
 
 def test_norms_layer_cake_flag(tmp_path, grid64_cubes):
-    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    index = grid64_cubes.index_cubes()
     rows = [{"k": k, "alpha": a, "value": 0.3} for k, a in index[:4]]
     seq_path = tmp_path / "seq.json"
     seq_path.write_text(json.dumps(rows))

@@ -27,7 +27,7 @@ from homspace.dyadic import (
 )
 from homspace.space import FiniteHomSpace
 
-from conftest import build_system
+from conftest import build_system, fresh_at
 from helpers import brute_ball_mass, brute_cube_axioms, unit_spaced_grid
 
 
@@ -233,7 +233,7 @@ def test_build_never_raises_sweep(kind, size, seed):
     for k in net.levels:
         assert np.array_equal(net.centers[k], np.flatnonzero(net.birth <= k))
         if k > net.k_min:
-            assert np.array_equal(cubes.fresh_cubes(k),
+            assert np.array_equal(fresh_at(cubes, k),
                                   np.setdiff1d(net.centers[k], net.centers[k - 1]))
 
 
@@ -376,12 +376,15 @@ def test_index_cubes_returns_a_fresh_list(grid16_cubes, grid64_cubes):
         index = grid64_cubes.fresh_index(variant)
         assert grid64_cubes.fresh_index(variant) is index       # built once
         assert not any(a.flags.writeable for a in index)
+        assert grid64_cubes.index_cubes(variant) == list(zip(*(a.tolist() for a in index)))
+
+
+def test_is_index_is_fresh_index_membership(grid64_cubes):
     net = grid64_cubes.net
-    for mode in ("fresh", "all"):
-        index = set(grid64_cubes.index_cubes("homogeneous", mode))
-        for k in range(net.k_min - 1, net.k_max + 2):
-            for alpha in range(-1, grid64_cubes.space.n + 1):
-                assert grid64_cubes.is_index(k, alpha, mode) == ((k, alpha) in index)
+    index = set(zip(*(a.tolist() for a in grid64_cubes.fresh_index("homogeneous"))))
+    for k in range(net.k_min - 1, net.k_max + 2):
+        for alpha in range(-1, grid64_cubes.space.n + 1):
+            assert grid64_cubes.is_index(k, alpha) == ((k, alpha) in index)
 
 
 def test_exactly_one_child_shares_center(grid64_cubes):
@@ -470,11 +473,23 @@ def test_propagate_detects_zeroed_cube(grid16_spaced):
     assert report.witness["cube"] == root
 
 
-def test_propagate_nonneg_variant(grid16_cubes):
+def test_propagate_nonneg_variant(grid16_cubes, grid16_spaced):
+    # the verdicts, constants and witnesses of the inhomogeneous window, as
+    # they stood when the window was named "fresh-nonneg"
     report = propagate_cube_lower_bound(grid16_cubes, C=1.0, omega=1.0,
-                                        index_set="fresh-nonneg")
-    assert report.verdict == "PASS"
-    assert report.index_set == "fresh-nonneg"
+                                        variant="inhomogeneous")
+    assert (report.verdict, report.c_tilde, report.m_min, report.bound_N) == \
+        ("PASS", 15 / 1024, 16, 1)
+    assert report.variant == "inhomogeneous" and report.witness is None
+
+    cubes = build_system(grid16_spaced)
+    root = int(cubes.cubes(cubes.net.k_min)[0])
+    cubes.cube_mass[cubes.net.k_min][root] = 0.0   # not fresh at k >= 0
+    report = propagate_cube_lower_bound(cubes, C=1.0, omega=1.0, variant="inhomogeneous")
+    assert (report.verdict, report.c_tilde) == ("FAIL", 15 / 1024)
+    assert report.witness == {"level": -1, "cube": 6, "mass": 0.0, "required": 0.46875}
+    with pytest.raises(ValueError, match="unknown variant"):
+        propagate_cube_lower_bound(cubes, C=1.0, omega=1.0, variant="fresh-nonneg")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from homspace.embed import (
     delta_necessity_test,
     embedding_ratio_scan,
     generate_batch,
-    implied_constant,
     proof_constant_besov,
     scan_batch,
 )
@@ -128,11 +127,11 @@ def test_ratio_rearrangement_recovers_constant(grid64_cubes):
     # invert ratio = c^{1/p1 - 1/p2} per cube and compare
     params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     expo = 1.0 / 2.0 - 1.0 / 1.0
-    for k, alpha in grid64_cubes.index_cubes("homogeneous", "fresh")[::7]:
+    for k, alpha in grid64_cubes.index_cubes()[::7]:
         ratio = delta_ratio(grid64_cubes, k, alpha, params)
         recovered = ratio ** (1.0 / expo)
         assert recovered == pytest.approx(
-            implied_constant(grid64_cubes, k, alpha, 1.0), rel=1e-12)
+            grid64_cubes.implied_constant(k, alpha, 1.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +140,7 @@ def test_ratio_rearrangement_recovers_constant(grid64_cubes):
 
 def test_scan_delta_ratios_match_closed_form(grid64_cubes):
     params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
-    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    index = grid64_cubes.index_cubes()
     for k, alpha in index[::9]:
         seq = CoefSequence(grid64_cubes, {(k, alpha): 1.0})
         measured = (sequence_norm(seq, params.target)
@@ -170,7 +169,7 @@ def singular_cubes():
 
 def test_zero_sequence_ratio_neutral(grid64_cubes):
     params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
-    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    index = grid64_cubes.index_cubes()
     zero = CoefSequence(grid64_cubes, {index[0]: 0.0})
     live = CoefSequence(grid64_cubes, {index[0]: 2.0})
     assert sequence_ratio(zero, params) is None
@@ -187,7 +186,7 @@ def test_zero_sequence_ratio_neutral(grid64_cubes):
 
 def test_scan_witness_is_first_maximum(grid64_cubes):
     params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
-    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    index = grid64_cubes.index_cubes()
     seqs = [CoefSequence(grid64_cubes, {key: 1.0}) for key in index[:12]]
     ratios = [sequence_ratio(seq, params) for seq in seqs]
     best = max(ratios)
@@ -230,14 +229,14 @@ def test_scan_asserts_a_vanishing_source(singular_cubes):
                         variant="inhomogeneous")
     params = EmbedParams(source=dataclasses.replace(params.source, include_zero_level=False),
                          target=params.target, omega=params.omega)
-    assert any(k == 0 for k, _ in singular_cubes.index_cubes("inhomogeneous", "fresh"))
+    assert any(k == 0 for k, _ in singular_cubes.index_cubes("inhomogeneous"))
     with pytest.raises(AssertionError, match="source norm vanished"):
         embedding_ratio_scan(singular_cubes, params, n_sequences=16)
 
 
 @pytest.mark.parametrize("n_sequences", [-5, 0, 3, None])
 def test_short_batches_keep_every_delta(grid64_cubes, n_sequences):
-    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    index = grid64_cubes.index_cubes()
     n_sequences = len(index) if n_sequences is None else n_sequences
     batch = generate_batch(grid64_cubes, "homogeneous", n_sequences, seed=1)
     assert batch.labels == [f"delta:{k}:{a}" for k, a in index]
@@ -250,7 +249,7 @@ def test_short_batches_keep_every_delta(grid64_cubes, n_sequences):
 
 
 def test_batch_sequences_are_sorted_fresh_cubes(grid64_cubes):
-    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    index = grid64_cubes.index_cubes()
     batch = generate_batch(grid64_cubes, "homogeneous", 300, seed=5)
     assert len(batch) == 300 and batch.offsets[-1] == batch.level.size
     kinds = [label.split(":")[0] for label in batch.labels[len(index):]]

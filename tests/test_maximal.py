@@ -19,7 +19,7 @@ from homspace.maximal import (
 from homspace.seqnorm import CoefSequence, SequenceBatch
 from homspace.space import FiniteHomSpace
 
-from conftest import random_sequence
+from conftest import fresh_at, random_sequence
 from helpers import brute_maximal, integer_grid_table, unit_spaced_grid
 
 
@@ -154,7 +154,7 @@ def test_default_r_exp():
 def test_kernel_diagonal_bound(grid64_cubes):
     params = kernel_params()
     k = grid64_cubes.net.k_min + 1
-    for alpha in grid64_cubes.fresh_cubes(k)[:5]:
+    for alpha in fresh_at(grid64_cubes, k)[:5]:
         value = almost_orth_kernel(grid64_cubes, k, int(alpha), k, int(alpha), params)
         s = grid64_cubes.delta ** k
         v = grid64_cubes.space.ball(int(alpha), s).mass
@@ -166,7 +166,7 @@ def test_kernel_diagonal_bound(grid64_cubes):
 def test_kernel_decays_with_distance(grid64_cubes):
     params = kernel_params()
     k = grid64_cubes.net.k_min + 1
-    fresh = [int(a) for a in grid64_cubes.fresh_cubes(k)]
+    fresh = [int(a) for a in fresh_at(grid64_cubes, k)]
     base = fresh[0]
     others = sorted(fresh[1:], key=lambda a: grid64_cubes.space.dist[base, a])
     near = almost_orth_kernel(grid64_cubes, k, base, k, others[0], params)
@@ -178,8 +178,8 @@ def test_kernel_symmetric(grid64_cubes):
     params = kernel_params()
     levels = [k for k in grid64_cubes.levels if k != grid64_cubes.net.k_min]
     k, j = levels[0], levels[-1]
-    a = int(grid64_cubes.fresh_cubes(k)[1])
-    t = int(grid64_cubes.fresh_cubes(j)[-1])
+    a = int(fresh_at(grid64_cubes, k)[1])
+    t = int(fresh_at(grid64_cubes, j)[-1])
     assert almost_orth_kernel(grid64_cubes, k, a, j, t, params) == \
         almost_orth_kernel(grid64_cubes, j, t, k, a, params)
 
@@ -190,7 +190,7 @@ def test_kernel_rejects_non_fresh(grid64_cubes):
     root = int(grid64_cubes.cubes(root_level)[0])
     with pytest.raises(ValueError, match="fresh"):
         almost_orth_kernel(grid64_cubes, root_level, root, root_level + 1,
-                           int(grid64_cubes.fresh_cubes(root_level + 1)[0]), params)
+                           int(fresh_at(grid64_cubes, root_level + 1)[0]), params)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def test_kernel_rejects_non_fresh(grid64_cubes):
 def test_kernel_bound_zero_sequence_neutral(grid64_cubes):
     params = kernel_params()
     k = grid64_cubes.net.k_min + 1
-    key = (k, int(grid64_cubes.fresh_cubes(k)[0]))
+    key = (k, int(fresh_at(grid64_cubes, k)[0]))
     seq = CoefSequence(grid64_cubes, {key: 0.0})
     res = kernel_maximal_bound_check(grid64_cubes, seq, k, k, 5, params)
     assert res.verdict == "NEUTRAL"
@@ -212,7 +212,7 @@ def test_kernel_bound_delta_sequence_closed_form(grid64_cubes):
     space = cubes.space
     params = kernel_params()
     k = cubes.net.k_min + 1
-    alpha = int(cubes.fresh_cubes(k)[0])
+    alpha = int(fresh_at(cubes, k)[0])
     seq = CoefSequence(cubes, {(k, alpha): 1.0})
     x = int(cubes.members(k, alpha)[0])
     res = kernel_maximal_bound_check(cubes, seq, k, k, x, params)
@@ -221,7 +221,7 @@ def test_kernel_bound_delta_sequence_closed_form(grid64_cubes):
     s = cubes.delta ** k
     tau = cubes.point_cube(k, x)
     lhs = 0.0
-    if tau in set(int(a) for a in cubes.fresh_cubes(k)):
+    if tau in set(int(a) for a in fresh_at(cubes, k)):
         va = space.ball(alpha, s).mass
         vt = space.ball(tau, s).mass
         d = space.dist[alpha, tau]
@@ -362,7 +362,7 @@ def test_kernel_batch_of_no_sequences(grid64_cubes):
 def test_kernel_bound_rejects_root_level(grid64_cubes):
     params = kernel_params()
     k = grid64_cubes.net.k_min
-    key = (k + 1, int(grid64_cubes.fresh_cubes(k + 1)[0]))
+    key = (k + 1, int(fresh_at(grid64_cubes, k + 1)[0]))
     seq = CoefSequence(grid64_cubes, {key: 1.0})
     with pytest.raises(ValueError, match="fresh"):
         kernel_maximal_bound_check(grid64_cubes, seq, k, k + 1, 0, params)

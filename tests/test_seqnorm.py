@@ -21,14 +21,22 @@ from homspace.seqnorm import (
 )
 
 import conftest
-from helpers import brute_besov, brute_rn_cubes, brute_tl, delta_sequence_norm
+from conftest import fresh_at
+from helpers import (
+    brute_besov,
+    brute_rn_cubes,
+    brute_tl,
+    brute_tl_function,
+    delta_sequence_norm,
+    midpoint_layer_cake,
+)
 
 INF = math.inf
 
 
 def random_sequences(cubes, count, seed, max_support=12):
     rng = rng_stream(seed, 0x5E9)
-    index = cubes.index_cubes("homogeneous", "fresh")
+    index = cubes.index_cubes()
     out = []
     for _ in range(count):
         size = int(rng.integers(1, min(max_support, len(index)) + 1))
@@ -39,10 +47,9 @@ def random_sequences(cubes, count, seed, max_support=12):
     return out
 
 
-def oracle_data(seq):
-    cubes = seq.system
-    masses = {key: cubes.mass(*key) for key in seq.entries}
-    members = {key: [int(i) for i in cubes.members(*key)] for key in seq.entries}
+def oracle_data(cubes, entries):
+    masses = {key: cubes.mass(*key) for key in entries}
+    members = {key: [int(i) for i in cubes.members(*key)] for key in entries}
     return masses, members
 
 
@@ -60,7 +67,7 @@ PARAM_GRID = [
 def test_delta_sequence_closed_form_besov(grid64_cubes, s, p, q):
     cubes = grid64_cubes
     rng = rng_stream(21, 4)
-    index = cubes.index_cubes("homogeneous", "fresh")
+    index = cubes.index_cubes()
     for i in rng.choice(len(index), size=8, replace=False):
         k0, a0 = index[i]
         seq = CoefSequence(cubes, {(k0, a0): 1.0})
@@ -74,7 +81,7 @@ def test_delta_sequence_closed_form_besov(grid64_cubes, s, p, q):
 @pytest.mark.parametrize("s,p,q", [(0.0, 2.0, 2.0), (0.7, 1.5, 0.8), (0.3, 2.0, INF)])
 def test_delta_sequence_tl_equals_besov(grid64_cubes, s, p, q):
     cubes = grid64_cubes
-    k0, a0 = cubes.index_cubes("homogeneous", "fresh")[3]
+    k0, a0 = cubes.index_cubes()[3]
     seq = CoefSequence(cubes, {(k0, a0): 1.0})
     b = besov_norm(seq, NormParams(s=s, p=p, q=q, delta=cubes.delta, family="besov"))
     t = triebel_lizorkin_norm(
@@ -83,7 +90,7 @@ def test_delta_sequence_tl_equals_besov(grid64_cubes, s, p, q):
 
 
 def test_zero_sequence_all_norms(grid64_cubes):
-    key = grid64_cubes.index_cubes("homogeneous", "fresh")[0]
+    key = grid64_cubes.index_cubes()[0]
     seq = CoefSequence(grid64_cubes, {key: 0.0})
     pb = NormParams(s=0.5, p=1.5, q=2.0, delta=grid64_cubes.delta, family="besov")
     pt = NormParams(s=0.5, p=1.5, q=2.0, delta=grid64_cubes.delta, family="triebel_lizorkin")
@@ -96,7 +103,7 @@ def test_two_cube_hand_value(four_point_cubes):
     # two fresh level-0 cubes of mass 1/4 with unit coefficients at s=0, p=q=2:
     # [(0.25^0 * 1)^2 + (0.25^0 * 1)^2]^(1/2) = sqrt(2)
     cubes = four_point_cubes
-    fresh = [(0, int(a)) for a in cubes.fresh_cubes(0)]
+    fresh = [(0, int(a)) for a in fresh_at(cubes, 0)]
     assert len(fresh) >= 2
     for key in fresh[:2]:
         assert cubes.mass(*key) == pytest.approx(0.25)
@@ -132,16 +139,19 @@ def test_layer_cake_riemann_oracle(grid64_cubes):
     params = NormParams(s=0.4, p=1.7, q=1.2, delta=grid64_cubes.delta,
                         family="triebel_lizorkin")
     seq = random_sequences(grid64_cubes, 1, seed=5, max_support=20)[0]
-    exact = layer_cake_tl_norm(seq, params)
-    approx = layer_cake_tl_norm(seq, params, quadrature="riemann:40000")
-    assert approx == pytest.approx(exact, rel=1e-3)
+    masses, members = oracle_data(grid64_cubes, seq.entries)
+    space = grid64_cubes.space
+    g = brute_tl_function(seq.entries, masses, members, space.n, grid64_cubes.delta,
+                          params.s, params.q, lambda k: True)
+    approx = midpoint_layer_cake(g, space.weight.tolist(), params.p, 40000)
+    assert approx == pytest.approx(layer_cake_tl_norm(seq, params), rel=1e-3)
 
 
 @pytest.mark.parametrize("s,p,q", PARAM_GRID)
 def test_brute_force_oracle(grid64_cubes, s, p, q):
     level_ok = lambda k: True
     for seq in random_sequences(grid64_cubes, 4, seed=abs(hash((s, p, q))) % 2**31):
-        masses, members = oracle_data(seq)
+        masses, members = oracle_data(grid64_cubes, seq.entries)
         pb = NormParams(s=s, p=p, q=q, delta=grid64_cubes.delta, family="besov")
         expected = brute_besov(seq.entries, masses, grid64_cubes.delta, s, p, q, level_ok)
         assert besov_norm(seq, pb) == pytest.approx(expected, rel=1e-10, abs=1e-300)
@@ -179,7 +189,7 @@ def test_q_monotonicity(grid64_cubes, q_pair):
 
 def test_support_monotonicity(grid64_cubes):
     params = NormParams(s=0.4, p=1.1, q=0.9, delta=grid64_cubes.delta, family="besov")
-    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    index = grid64_cubes.index_cubes()
     base = CoefSequence(grid64_cubes, {index[0]: 0.7, index[4]: -1.1})
     bigger = CoefSequence(grid64_cubes, {**base.entries, index[9]: 0.3})
     assert besov_norm(bigger, params) >= besov_norm(base, params)
@@ -209,15 +219,23 @@ COEFFICIENTS = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e
 
 @st.composite
 def cube_batches(draw, cubes):
-    """Entries on any cube of any level (index mode "all"): up to five
-    sequences of up to eight entries, zero coefficients included."""
+    """(entries, batch): entries on any cube of any level, fresh or not, so
+    the kernel is tested off the fresh index too; up to five sequences of up
+    to eight entries, zero coefficients included, each sorted by (k, alpha)
+    as ``CoefSequence`` sorts its entries."""
     keys = [(k, int(a)) for k in cubes.levels for a in cubes.cubes(k)]
-    seqs = []
+    entries = []
     for _ in range(draw(st.integers(1, 5))):
         support = draw(st.lists(st.sampled_from(keys), max_size=8, unique=True))
         values = draw(st.lists(COEFFICIENTS, min_size=len(support), max_size=len(support)))
-        seqs.append(CoefSequence(cubes, dict(zip(support, values)), index_mode="all"))
-    return seqs
+        entries.append(dict(sorted(zip(support, values))))
+    flat = [(k, a, v) for seq in entries for (k, a), v in seq.items()]
+    batch = SequenceBatch(system=cubes, labels=[None] * len(entries),
+                          offsets=np.cumsum([0] + [len(seq) for seq in entries]),
+                          level=np.array([k for k, _, _ in flat], dtype=int),
+                          alpha=np.array([a for _, a, _ in flat], dtype=int),
+                          value=np.array([v for _, _, v in flat], dtype=float))
+    return entries, batch
 
 
 @settings(max_examples=150, deadline=None)
@@ -230,28 +248,28 @@ def test_batch_norms_match_brute_force(weighted_cubes, data, family, s, p, q, va
     if family == "triebel_lizorkin" and math.isinf(p):
         p = 1.7
     cubes = weighted_cubes
-    seqs = data.draw(cube_batches(cubes))
+    entries, batch = data.draw(cube_batches(cubes))
     params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family=family, variant=variant,
                         include_zero_level=include_zero_level)
-    norms = batch_norms(SequenceBatch.of(seqs), params)
-    assert norms.shape == (len(seqs),)
+    norms = batch_norms(batch, params)
+    assert norms.shape == (len(entries),)
     space = cubes.space
     floor = 0 if include_zero_level else 1
     level_ok = lambda k: variant == "homogeneous" or k >= floor
-    for seq, got in zip(seqs, norms.tolist()):
-        masses, members = oracle_data(seq)
+    for seq, got in zip(entries, norms.tolist()):
+        masses, members = oracle_data(cubes, seq)
         if family == "besov":
-            want = brute_besov(seq.entries, masses, cubes.delta, s, p, q, level_ok)
+            want = brute_besov(seq, masses, cubes.delta, s, p, q, level_ok)
         else:
-            want = brute_tl(seq.entries, masses, members, space.weight, space.n, cubes.delta,
+            want = brute_tl(seq, masses, members, space.weight, space.n, cubes.delta,
                             s, p, q, level_ok)
-        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (seq.entries, got, want)
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (seq, got, want)
 
 
 @pytest.mark.parametrize("family", ["besov", "triebel_lizorkin"])
 def test_batch_norms_empty_and_zero_sequences(grid64_cubes, family):
     cubes = grid64_cubes
-    index = cubes.index_cubes("homogeneous", "fresh")
+    index = cubes.index_cubes()
     live = CoefSequence(cubes, {index[0]: 0.0, index[3]: -1.5, index[-1]: 0.25})
     seqs = [CoefSequence(cubes, {}), CoefSequence(cubes, {index[2]: 0.0, index[5]: 0.0}), live,
             CoefSequence(cubes, {})]
@@ -338,7 +356,7 @@ PINNED = {
 def test_pinned_norm_bits(grid64_cubes, cantor_cubes, system):
     cubes = grid64_cubes if system == "grid64" else cantor_cubes
     rng = rng_stream(2024, 0x919)
-    index = cubes.index_cubes("homogeneous", "fresh")
+    index = cubes.index_cubes()
     seqs = []
     for _ in range(10):
         size = int(rng.integers(1, 9))
@@ -364,7 +382,7 @@ def test_pinned_norm_bits(grid64_cubes, cantor_cubes, system):
 def test_inhomogeneous_window(grid16_cubes):
     # grid16 levels are {-1, 0}: the k = -1 root is never fresh, so put
     # coefficients at k = 0 and check the zero-level flag
-    key = (0, int(grid16_cubes.fresh_cubes(0)[0]))
+    key = (0, int(fresh_at(grid16_cubes, 0)[0]))
     seq = CoefSequence(grid16_cubes, {key: 1.0})
     with_zero = NormParams(s=0.5, p=2.0, q=1.0, delta=grid16_cubes.delta,
                            family="besov", variant="inhomogeneous")
@@ -382,7 +400,7 @@ def test_inhomogeneous_ignores_negative_levels():
     sp = unit_spaced_grid(2500)
     # a line is a metric: passing A0 = 1 spares the exact O(n^3) pass
     cubes = conftest.build_system(sp, a0=1.0)
-    neg = [key for key in cubes.index_cubes("homogeneous", "fresh") if key[0] < 0]
+    neg = [key for key in cubes.index_cubes() if key[0] < 0]
     assert neg
     seq = CoefSequence(cubes, {neg[0]: 2.5})
     params = NormParams(s=0.5, p=2.0, q=1.0, delta=cubes.delta,
@@ -400,17 +418,8 @@ def test_invalid_index_rejected(grid64_cubes):
     # outside input: ids off the point range, levels off the window
     n = grid64_cubes.space.n
     for key in ((net.k_max, -1), (net.k_max, n), (net.k_min - 1, 0), (net.k_max + 1, 0)):
-        for mode in ("fresh", "all"):
-            with pytest.raises(ValueError, match=f"is not a {mode} cube"):
-                CoefSequence(grid64_cubes, {key: 1.0}, index_mode=mode)
-
-
-def test_index_mode_all_admits_root(grid64_cubes):
-    root = int(grid64_cubes.cubes(grid64_cubes.net.k_min)[0])
-    seq = CoefSequence(grid64_cubes, {(grid64_cubes.net.k_min, root): 1.0},
-                       index_mode="all")
-    params = NormParams(s=0.0, p=2.0, q=2.0, delta=grid64_cubes.delta, family="besov")
-    assert besov_norm(seq, params) > 0
+        with pytest.raises(ValueError, match="is not a fresh cube"):
+            CoefSequence(grid64_cubes, {key: 1.0})
 
 
 def test_delta_mismatch_rejected(grid64_cubes):
@@ -548,7 +557,7 @@ def test_weighted_rn_wrong_delta():
 # ---------------------------------------------------------------------------
 
 def test_load_sequence_roundtrip(tmp_path, grid64_cubes):
-    index = grid64_cubes.index_cubes("homogeneous", "fresh")
+    index = grid64_cubes.index_cubes()
     rows = [{"k": k, "alpha": a, "value": 0.5 * i} for i, (k, a) in enumerate(index[:4])]
     path = tmp_path / "seq.json"
     path.write_text(__import__("json").dumps(rows))

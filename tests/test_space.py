@@ -9,6 +9,7 @@ from homspace.common import rng_stream
 from homspace.space import (
     A0_BLOCK_X,
     A0_BLOCK_Z,
+    ROW_BLOCK,
     FiniteHomSpace,
     check_local_lower_bound,
     check_lower_bound,
@@ -292,6 +293,23 @@ def test_a0_blocked_pass_matches_brute_witness(n):
         assert est.witness == witness
     assert estimate_quasi_triangle_constant(explicit_space(tied)).value == 1.5
     assert estimate_quasi_triangle_constant(explicit_space(lone)).witness == (0, 1, n - 1)
+
+
+def test_a0_symmetry_check_reads_row_blocks():
+    n = 2048
+    x = np.arange(n, dtype=float)
+    d = np.abs(x[:, None] - x)
+    d[n - 1, n - 2] += 0.5              # both points in the last row block only
+    assert (n - 2) // ROW_BLOCK == (n - 1) // ROW_BLOCK > 0
+    sp = explicit_space(d)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="symmetric"):
+            estimate_quasi_triangle_constant(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n / 4
 
 
 def test_a0_rejects_an_asymmetric_table(monkeypatch):
