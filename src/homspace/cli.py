@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from homspace import gallery, maximal, seqnorm, space as space_mod
-from homspace.common import DEFAULT_SEED, dumps_report, finite_number, report_to_csv, rng_stream
+from homspace.common import (BLOCK_ELEMENTS, DEFAULT_SEED, dumps_report, finite_number,
+                             report_to_csv, rng_stream)
 from homspace.dyadic import (
     VARIANTS,
     CubeConstructionError,
@@ -333,7 +334,7 @@ def cmd_maximal(args) -> dict:
         # one stacked call per chunk of functions; the (c, n) draw is the
         # stream of c single draws
         rng = rng_stream(args.seed, 0x3A2)
-        chunk = max(1, maximal.BLOCK_ELEMENTS // sp.n)
+        chunk = max(1, BLOCK_ELEMENTS // sp.n)
         ratios = []
         for first in range(0, args.random, chunk):
             f = rng.standard_normal((min(chunk, args.random - first), sp.n))

@@ -14,6 +14,12 @@ import numpy as np
 # Default seed for every sampled scan; the CLI --seed flag overrides it.
 DEFAULT_SEED = 0xD1AD1C
 
+# Most entries one block of a batched temporary holds (128 KiB of float64):
+# the Triebel-Lizorkin accumulator, the scan's random keys, the maximal
+# operator's gathers and ``maximal --random``'s functions go in blocks of
+# whole rows under it, one row at least.
+BLOCK_ELEMENTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class TrendConfig:
@@ -86,9 +92,9 @@ def stable_sum(values) -> float:
 
 
 def fit_loglog(x, y):
-    """OLS (slope, intercept) of log y on log x; None when degenerate."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """OLS (slope, intercept) of log y on log x, x broadcast against y and
+    both read in C order; None when degenerate."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     keep = (x > 0) & (y > 0)
     if int(keep.sum()) < 2:
         return None

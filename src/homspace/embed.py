@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from homspace.common import (
+    BLOCK_ELEMENTS,
     DEFAULT_SEED,
     TrendConfig,
     fit_loglog,
@@ -42,7 +43,7 @@ from homspace.common import (
 )
 from homspace.dyadic import CubeSystem
 from homspace.gallery import RnDyadicGrid
-from homspace.seqnorm import BLOCK_ELEMENTS, NormParams, SequenceBatch, batch_norms
+from homspace.seqnorm import NormParams, SequenceBatch, batch_norms
 from homspace.space import (
     FiniteHomSpace,
     LowerBoundReport,

@@ -41,15 +41,10 @@ from typing import Optional
 
 import numpy as np
 
-from homspace.common import DEFAULT_SEED, rng_stream, stable_sum
+from homspace.common import BLOCK_ELEMENTS, DEFAULT_SEED, rng_stream, stable_sum
 from homspace.dyadic import CubeSystem
 from homspace.seqnorm import CoefSequence, SequenceBatch
 from homspace.space import FiniteHomSpace
-
-# Most table entries one block of the maximal operator gathers (128 KiB of
-# float64): rows, and functions of a stack, go in blocks under it, and
-# ``maximal --random`` scores its functions BLOCK_ELEMENTS // n at a time.
-BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -58,16 +58,11 @@ from typing import Optional
 
 import numpy as np
 
-from homspace.common import finite_number, reciprocal, stable_sum
+from homspace.common import BLOCK_ELEMENTS, finite_number, reciprocal, stable_sum
 from homspace.dyadic import VARIANTS, CubeSystem
 from homspace.gallery import RnDyadicGrid
 
 FAMILIES = ("besov", "triebel_lizorkin")
-
-# Most entries the dense sequence x point accumulator of a Triebel-Lizorkin
-# batch holds at once (64 KiB of float64); a batch is scored in blocks of
-# whole sequences under it, one sequence at least.
-BLOCK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)

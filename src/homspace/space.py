@@ -28,7 +28,10 @@ with neither, it needs no A0 at all. An asymmetric table is a validation
 violation and never reaches the pass.
 
 Ball masses and the maximal operator read one sorted-row index per space,
-``ball_index`` (built on first use, 21 bytes per table entry).
+``ball_index`` (built on first use, 21 bytes per table entry). Each
+ball-mass estimator makes one ``ball_mass`` call over its whole
+(center x radius) table; the growth estimators (doubling, reverse
+doubling and its exponent) read the table of ``_growth``.
 
 Resolution contract: each point stands for a cell of an underlying
 continuum, so no scaling claim is evaluated below the resolution floor
@@ -84,10 +87,6 @@ class FiniteHomSpace:
     def n(self) -> int:
         return int(self.dist.shape[0])
 
-    @property
-    def points(self) -> range:
-        return range(self.n)
-
     @cached_property
     def total_mass(self) -> float:
         return stable_sum(self.weight)
@@ -140,7 +139,7 @@ class FiniteHomSpace:
         return index.cum_weight[centers[:, None], counts]
 
     def scaled(self, dist_factor: float = 1.0, weight_factor: float = 1.0) -> "FiniteHomSpace":
-        """Copy with distances and/or weights rescaled by positive factors."""
+        """Copy with distances and/or weights multiplied by positive factors."""
         if dist_factor <= 0 or weight_factor <= 0:
             raise ValueError("scale factors must be positive")
         return FiniteHomSpace(
@@ -464,6 +463,21 @@ def estimate_quasi_triangle_constant(space: FiniteHomSpace) -> TriangleEstimate:
     return TriangleEstimate(value=best, degenerate=False, witness=witness)
 
 
+def _growth(space: FiniteHomSpace, radii: np.ndarray, lams: np.ndarray) -> tuple:
+    """Masses of B(x, r) and B(x, lam r) for every center x, radius
+    r = radii[i] and dilation lam in lams[i], from one ``ball_mass`` call:
+    ``base`` (n, R) and ``grown`` (n, R, L)."""
+    masses = space.ball_mass(np.arange(space.n), np.r_[radii, (lams * radii[:, None]).ravel()])
+    return masses[:, :radii.size], masses[:, radii.size:].reshape(space.n, *lams.shape)
+
+
+def _radii(space: FiniteHomSpace, r_hi: float, count: int) -> np.ndarray:
+    """``count`` radii on a geometric grid from just above r_floor to r_hi
+    (to just above r_floor when r_hi lies below it)."""
+    r_lo = space.r_floor
+    return np.geomspace(r_lo * (1 + 1e-12), max(r_hi, r_lo * (1 + 1e-9)), count)
+
+
 def estimate_doubling(space: FiniteHomSpace, radii) -> DoublingEstimate:
     """Doubling constant max_x,r mu(B(x,2r)) / mu(B(x,r)) and omega = log2 of it.
 
@@ -475,17 +489,14 @@ def estimate_doubling(space: FiniteHomSpace, radii) -> DoublingEstimate:
         raise ValueError("radii list is empty")
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
-    centers = np.arange(space.n)
-    m1, m2 = np.hsplit(space.ball_mass(centers, radii + [2 * r for r in radii]), 2)
-    ratios = m2 / m1  # denominators are positive: balls contain their center
-    i = int(np.argmax(ratios))
-    ci, rj = divmod(i, len(radii))
-    c = float(ratios[ci, rj])
-    c = max(c, 1.0)
+    base, grown = _growth(space, np.array(radii), np.full((len(radii), 1), 2.0))
+    ratios = grown[..., 0] / base  # denominators are positive: balls contain their center
+    ci, rj = np.unravel_index(np.argmax(ratios), ratios.shape)
+    c = max(float(ratios[ci, rj]), 1.0)
     return DoublingEstimate(
         c_doubling=c,
         omega_est=float(np.log2(c)) if c > 1 else 0.0,
-        witness=(int(centers[ci]), radii[rj]),
+        witness=(int(ci), radii[rj]),
         radii=radii,
     )
 
@@ -518,15 +529,13 @@ def fit_mass_exponent(space: FiniteHomSpace, r_min: Optional[float] = None,
     if r_max <= r_min or space.n < 2:
         return None
     radii = np.geomspace(r_min * (1 + 1e-9), r_max, N_RADII)
-    masses = space.ball_mass(np.arange(space.n), radii)
-    rs = np.broadcast_to(radii, masses.shape).ravel()
-    fit = fit_loglog(rs, masses.ravel())
+    fit = fit_loglog(radii, space.ball_mass(np.arange(space.n), radii))
     return None if fit is None else fit[0]
 
 
 def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: float, *,
                       trend: Optional[TrendConfig] = None,
-                      variant: str = "global", scale_factor: float = 1.0) -> LowerBoundReport:
+                      variant: str = "global") -> LowerBoundReport:
     """Empirical lower-bound constant C = min mu(B(x,r)) / r^omega with a
     per-center trend verdict.
 
@@ -555,14 +564,9 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
             r_max = r_min * (1 + 1e-9)
 
     radii = np.geomspace(r_min * (1 + 1e-12), r_max, N_RADII)
-    centers = np.arange(space.n)
-    masses = space.ball_mass(centers, radii)
-    consts = masses / radii[None, :] ** omega
-
-    flat_idx = int(np.argmin(consts))
-    ci, rj = divmod(flat_idx, radii.size)
-    c_est = float(consts[ci, rj])
-    witness = (int(centers[ci]), float(radii[rj]))
+    masses = space.ball_mass(np.arange(space.n), radii)
+    consts = masses / radii ** omega
+    ci, rj = np.unravel_index(np.argmin(consts), consts.shape)
 
     if np.all(masses == masses[:, :1]):
         warnings.append("resolution too coarse: no ball transition in the radius window")
@@ -572,57 +576,44 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
     curves = consts[rows]
     witnesses = [{"center": center, "exponent": exp, "c_min": lo, "c_max": hi, "worst_radius": r}
                  for center, exp, lo, hi, r in zip(
-                     centers[rows].tolist(), exponent[rows].tolist(), curves.min(axis=1).tolist(),
+                     rows.tolist(), exponent[rows].tolist(), curves.min(axis=1).tolist(),
                      curves.max(axis=1).tolist(), radii[curves.argmin(axis=1)].tolist())]
 
-    rs = np.broadcast_to(radii, masses.shape).ravel()
-    pooled = fit_loglog(rs, masses.ravel())
+    pooled = fit_loglog(radii, masses)
     return LowerBoundReport(
         verdict="FAIL" if witnesses else "PASS",
-        c_est=c_est,
-        witness=witness,
+        c_est=float(consts[ci, rj]),
+        witness=(int(ci), float(radii[rj])),
         omega=float(omega),
         r_min=float(r_min),
         r_max=float(r_max),
         exponent_pooled=None if pooled is None else pooled[0],
         witnesses=witnesses,
         variant=variant,
-        scale_factor=scale_factor,
         warnings=warnings,
         radii=[float(r) for r in radii],
     )
 
 
 def check_local_lower_bound(space: FiniteHomSpace, omega: float, *,
-                            rescale: bool = False,
                             trend: Optional[TrendConfig] = None) -> LowerBoundReport:
-    """Lower-bound check restricted to r <= 1.
-
-    With ``rescale`` the distance table is first divided by the diameter
-    (recorded in the report's scale_factor), so "local" means "below one
-    diameter".
-    """
-    factor = 1.0
-    target = space
-    if rescale and space.diameter > 0:
-        factor = space.diameter
-        target = space.scaled(dist_factor=1.0 / factor)
-    r_min = target.r_floor
-    if r_min >= 1.0:
-        # Degenerate window: everything at or above scale 1. Report on the
-        # single admissible radius and warn.
-        report = check_lower_bound(target, omega, r_min * 0.5, 1.0, trend=trend,
-                                   variant="local", scale_factor=factor)
-        report.warnings.append("resolution floor at or above r = 1; local window degenerate")
-        return report
-    return check_lower_bound(target, omega, r_min, 1.0, trend=trend,
-                             variant="local", scale_factor=factor)
+    """Lower-bound check restricted to r <= 1. For "below one diameter",
+    check ``space.scaled(dist_factor=1 / space.diameter)``."""
+    r_min = space.r_floor
+    if r_min < 1.0:
+        return check_lower_bound(space, omega, r_min, 1.0, trend=trend, variant="local")
+    # Degenerate window: everything at or above scale 1. Report on the
+    # single admissible radius and warn.
+    report = check_lower_bound(space, omega, r_min * 0.5, 1.0, trend=trend, variant="local")
+    report.warnings.append("resolution floor at or above r = 1; local window degenerate")
+    return report
 
 
 def check_reverse_doubling(space: FiniteHomSpace, kappa: float) -> ReverseDoublingReport:
     """Empirical reverse-doubling constant
     c = min mu(B(x, lam r)) / (lam^kappa mu(B(x, r))) over sampled
     (x, r, lam) with r below half the diameter and 1 <= lam < diam / (2r).
+    The witness is the first minimum in (r, x, lam) order.
 
     Verdict PASS when c stays above REVERSE_PASS. Spaces whose balls
     cannot grow (single point, or window empty) are flagged atomic-like.
@@ -642,68 +633,47 @@ def check_reverse_doubling(space: FiniteHomSpace, kappa: float) -> ReverseDoubli
     if r_hi <= r_lo:
         r_hi = r_lo * (1 + 1e-9)
     radii = np.geomspace(r_lo * (1 + 1e-12), r_hi, REVERSE_N_RADII)
-    centers = np.arange(space.n)
-
-    best = math.inf
-    worst = None
-    sampled = False
-    for r in radii:
-        lam_max = diam / (2 * r)
-        if lam_max <= 1.0:
-            continue
-        lams = np.geomspace(1.0, lam_max * (1 - 1e-12), REVERSE_N_LAMBDAS)
-        masses = space.ball_mass(centers, np.r_[r, lams * r])
-        base, grown = masses[:, 0], masses[:, 1:]
-        ratios = grown / (lams[None, :] ** kappa * base[:, None])
-        sampled = True
-        i = int(np.argmin(ratios))
-        ci, lj = divmod(i, lams.size)
-        if ratios[ci, lj] < best:
-            best = float(ratios[ci, lj])
-            worst = (int(centers[ci]), float(r), float(lams[lj]))
-
-    if not sampled:
+    radii = radii[diam / (2 * radii) > 1.0]
+    if not radii.size:
         return ReverseDoublingReport(
             verdict="NOT_APPLICABLE", c_emp=0.0, kappa=kappa, worst=None,
             atomic_like=True,
             warnings=["atomic-like space: no admissible (r, lambda) window"],
         )
+    lams = np.array([np.geomspace(1.0, diam / (2 * r) * (1 - 1e-12), REVERSE_N_LAMBDAS)
+                     for r in radii])
+    base, grown = _growth(space, radii, lams)
+    ratios = (grown / (lams ** kappa * base[..., None])).transpose(1, 0, 2)    # (r, x, lam)
+    ri, ci, lj = np.unravel_index(np.argmin(ratios), ratios.shape)
+    best = float(ratios[ri, ci, lj])
     return ReverseDoublingReport(
         verdict="PASS" if best > REVERSE_PASS else "FAIL",
-        c_emp=best, kappa=kappa, worst=worst,
+        c_emp=best, kappa=kappa, worst=(int(ci), float(radii[ri]), float(lams[ri, lj])),
     )
 
 
 def estimate_reverse_doubling_exponent(space: FiniteHomSpace) -> Optional[float]:
     """Weakest observed ball-growth exponent
     min log(mass(B(x, lam r)) / mass(B(x, r))) / log(lam) at the widest
-    admissible lam per base radius. None on atomic-like spaces."""
+    admissible lam = diam / (2r) per base radius, where lam > 1.5. None on
+    atomic-like spaces and when no radius admits such a lam."""
     diam = space.diameter
     if space.n < 2 or diam <= 0:
         return None
-    r_lo = space.r_floor
-    r_hi = max(diam / 4, r_lo * (1 + 1e-9))
-    centers = np.arange(space.n)
-    worst = None
-    for r in np.geomspace(r_lo * (1 + 1e-12), r_hi, GROWTH_N_RADII):
-        lam = diam / (2 * r)
-        if lam <= 1.5:
-            continue
-        base, grown = space.ball_mass(centers, [r, lam * r]).T
-        slopes = np.log(grown / base) / np.log(lam)
-        low = float(slopes.min())
-        worst = low if worst is None else min(worst, low)
-    return worst
+    radii = _radii(space, diam / 4, GROWTH_N_RADII)
+    lams = diam / (2 * radii)
+    radii, lams = radii[lams > 1.5], lams[lams > 1.5]
+    if not radii.size:
+        return None
+    base, grown = _growth(space, radii, lams[:, None])
+    return float((np.log(grown[..., 0] / base) / np.log(lams)).min())
 
 
 def space_stats(space: FiniteHomSpace) -> SpaceStats:
     """Bundle the constant estimates used by reports and the CLI."""
     tri = space.quasi_triangle
     if space.n >= 2 and space.diameter > 0:
-        r_lo = space.r_floor
-        r_hi = max(space.diameter / 4, r_lo * (1 + 1e-9))
-        radii = np.geomspace(r_lo * (1 + 1e-12), r_hi, 8)
-        doubling = estimate_doubling(space, radii)
+        doubling = estimate_doubling(space, _radii(space, space.diameter / 4, 8))
     else:
         doubling = DoublingEstimate(c_doubling=1.0, omega_est=0.0, witness=(0, 1.0), radii=[1.0])
     kappa_est = estimate_reverse_doubling_exponent(space)

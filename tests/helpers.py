@@ -209,6 +209,32 @@ def brute_maximal(dist, weight, f):
     return np.array(out)
 
 
+def brute_reverse_doubling(dist, weight, kappa, n_radii=6, n_lambdas=6):
+    """(c, (x, r, lam)): the least mu(B(x, lam r)) / (lam^kappa mu(B(x, r)))
+    over radii r from just above the least positive distance to half the
+    diameter and n_lambdas dilations 1 <= lam < diam / (2r) per radius,
+    with the first (r, x, lam) in loop order that attains it; (inf, None)
+    when no radius admits a dilation. Masses are summed point by point, so
+    the weights should add exactly in any order."""
+    d = np.asarray(dist, dtype=float)
+    diam = float(d.max())
+    r_lo = float(d[d > 0].min())
+    r_hi = diam / 2 if diam / 2 > r_lo else r_lo * (1 + 1e-9)
+    best, worst = math.inf, None
+    for r in np.geomspace(r_lo * (1 + 1e-12), r_hi, n_radii):
+        if diam / (2 * r) <= 1.0:
+            continue
+        lams = np.geomspace(1.0, diam / (2 * r) * (1 - 1e-12), n_lambdas)
+        scale = lams ** kappa
+        for x in range(d.shape[0]):
+            base = brute_ball_mass(d, weight, x, r)
+            for lam, power in zip(lams, scale):
+                ratio = brute_ball_mass(d, weight, x, lam * r) / (power * base)
+                if ratio < best:
+                    best, worst = float(ratio), (x, float(r), float(lam))
+    return best, worst
+
+
 def unit_spaced_grid(n, weights=None):
     """1-D grid at integer positions with unit weights (the hand-count fixture)."""
     from homspace.space import FiniteHomSpace

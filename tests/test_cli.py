@@ -1,12 +1,13 @@
 import hashlib
 import json
+import pathlib
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from homspace import cli, common, dyadic, gallery, maximal, space as space_mod
+from homspace import cli, common, dyadic, embed, gallery, maximal, space as space_mod
 from homspace.cli import main
 from homspace.gallery import MAX_POINTS, load_space
 
@@ -635,7 +636,7 @@ def test_maximal_random_mode(tmp_path):
 
 
 def test_maximal_random_chunks_match_one_function_at_a_time(tmp_path, monkeypatch):
-    monkeypatch.setattr(maximal, "BLOCK_ELEMENTS", 10 * 16)    # chunks of 10 functions
+    monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 10 * 16)    # chunks of 10 functions
     code, text = run(tmp_path, *MAXIMAL, "--random", "37", "--seed", "4")
     assert code == 0
     sp = gallery.build(gallery.GallerySpec(kind="euclidean_grid", n=16))
@@ -744,6 +745,51 @@ def _explicit_file(tmp_path, name, pts):
     path.write_text(json.dumps({"metric": "explicit", "dist": dist.tolist(),
                                 "weights": [1.0 / len(pts)] * len(pts)}))
     return str(path)
+
+
+def test_broken_cube_axioms_exit_5_with_no_report(tmp_path, monkeypatch, capsys):
+    broken = dyadic.AxiomReport(ok=False, violations=[{"axiom": "partition", "level": 0}])
+    monkeypatch.setattr(dyadic, "verify_cube_axioms", lambda cubes: broken)
+    code, text = run(tmp_path, "cubes", *GRID16)
+    assert code == 5
+    assert "internal invariant failure: cube axioms violated" in capsys.readouterr().err
+    assert text == "" and not (tmp_path / "out.json").exists()
+
+
+def test_discrepancy_exits_4_and_writes_the_report(tmp_path, monkeypatch):
+    # a proof constant below every ratio: the scan breaks the bound on a
+    # space whose lower bound and necessity scan pass
+    monkeypatch.setattr(embed, "proof_constant_besov", lambda cubes, params: (1.0, 1e-6))
+    code, text = run(tmp_path, "embed-test", *GRID16, *EMBED_ARGS)
+    assert code == 4
+    result = json.loads(text)["result"]
+    assert result["verdict"] == "DISCREPANCY"
+    assert result["lower_bound"]["verdict"] == result["necessity"]["verdict"] == "PASS"
+    assert result["scan"]["verdict"] == "BOUND_VIOLATED"
+
+
+def test_declared_a0_sets_the_cube_constants(tmp_path):
+    # the table of a plane point set measures A0 = 1; the file declares 1.5
+    pts = np.random.default_rng(2).random((24, 2))
+    path = tmp_path / "declared.json"
+    data = json.loads(pathlib.Path(_explicit_file(tmp_path, "plane24.json", pts)).read_text())
+    path.write_text(json.dumps({**data, "declared_A0": 1.5}))
+    sp = load_space(str(path))
+    assert sp.quasi_triangle.value == 1.0 and sp.resolved_a0() == 1.5
+    delta = dyadic.default_constants(sp)[0]
+    assert delta == dyadic.default_constants(sp, a0=1.5)[0] < dyadic.default_constants(sp, a0=1.0)[0]
+    net = dyadic.build_nets(sp, delta, 1.0, 2.0)
+    assert net.a0 == 1.5
+    code, text = run(tmp_path, "cubes", "--space", str(path))
+    assert code == 0
+    system = json.loads(text)["system"]
+    assert (system["delta"], system["c1"], system["C1"]) == (delta, 1 / (3 * 1.5 ** 2), 6.0)
+
+    code, text = run(tmp_path, "gallery", "--space", str(path), name="copy.json")
+    assert code == 0
+    assert json.loads(text)["declared_A0"] == 1.5
+    copy = load_space(str(tmp_path / "copy.json"))
+    assert copy.declared_A0 == 1.5 and np.array_equal(copy.dist, sp.dist)
 
 
 def test_one_a0_pass_per_command(tmp_path, monkeypatch):

@@ -429,6 +429,17 @@ def test_chain_single_level_atomic_note():
     assert "atomic" in report.atomic_note
 
 
+def test_chain_all_singletons_within_the_bound_atomic_note():
+    # two levels of one point: its single-child run (1) stays within the
+    # bound (1), so the note names the all-singleton space
+    sp = single_point_space()
+    cubes = build_cubes(build_nets(sp, 1 / 32, 1.0, 2.0, k_range=(0, 1)), sp)
+    report = max_single_child_chain(cubes)
+    assert (report.max_chain_len, report.bound_N, report.ok) == (0, 1, True)
+    assert report.atomic_note == ("atomic space: every cube is a single point; "
+                                  "chain bound not applicable")
+
+
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
@@ -473,6 +484,15 @@ def test_propagate_detects_zeroed_cube(grid16_spaced):
     assert report.witness["cube"] == root
 
 
+def test_propagate_without_a_branching_cube_is_not_applicable():
+    sp = single_point_space()
+    cubes = build_cubes(build_nets(sp, 1 / 32, 1.0, 2.0, k_range=(0, 3)), sp)
+    report = propagate_cube_lower_bound(cubes, C=1.0, omega=1.0)
+    assert (report.verdict, report.c_tilde, report.m_min, report.witness) == \
+        ("NOT_APPLICABLE", 0.0, None, None)
+    assert report.notes == ["no branching cube in the window (atomic-like system)"]
+
+
 def test_propagate_nonneg_variant(grid16_cubes, grid16_spaced):
     # the verdicts, constants and witnesses of the inhomogeneous window, as
     # they stood when the window was named "fresh-nonneg"
@@ -508,6 +528,33 @@ def test_ball_bound_uniform_grid_sound():
     assert report.verdict == "PASS"
     assert report.certified <= report.actual
     assert report.actual == pytest.approx(brute_ball_mass(sp.dist, sp.weight, 32, 40.0))
+
+
+def clustered_line():
+    """Eight clusters of four points 0.001 apart, one unit between
+    clusters: the level-1 cubes are the clusters."""
+    pts = (np.arange(8)[:, None] + 0.001 * np.arange(4)[None]).ravel()
+    return FiniteHomSpace(dist=np.abs(pts[:, None] - pts[None]), weight=np.ones(32))
+
+
+def test_ball_bound_hypothesis_violation_raises():
+    sp = clustered_line()
+    with pytest.raises(HypothesisViolated, match=r"cube \(k=1, alpha=0\) has mass 4 <"):
+        ball_lower_bound_from_cubes(build_system(sp), sp, x=0, r=1.5, C=1e3, omega=1.0)
+
+
+def test_ball_bound_detects_an_escaped_member():
+    sp = clustered_line()
+    cubes = build_system(sp)
+    report = ball_lower_bound_from_cubes(cubes, sp, x=0, r=1.5, C=0.5, omega=1.0)
+    assert (report.level, report.containment_ok, report.verdict) == (1, True, "PASS")
+    order = cubes.order[1]
+    assert order[:4].tolist() == [0, 1, 2, 3]                  # cube 0 is the first cluster
+    at = int(np.flatnonzero(order == 20)[0])
+    order[3], order[at] = 20, 3                               # simulated corruption
+    report = ball_lower_bound_from_cubes(cubes, sp, x=0, r=1.5, C=0.5, omega=1.0)
+    assert (report.containment_ok, report.verdict) == (False, "FAIL")
+    assert report.witness == {"cube": 0, "point": 20}
 
 
 def test_ball_bound_below_floor_errors():

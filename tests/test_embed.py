@@ -440,6 +440,34 @@ def test_characterize_singular_weight_fails():
     assert report.necessity.verdict == "FAIL"
 
 
+def test_characterize_vacuous_necessity_takes_the_lower_bound_verdict(grid64, grid64_cubes):
+    # p1 = p2 forces s1 = s2 on the trace line: the embedding is the identity
+    singular = gallery.build(gallery.GallerySpec(kind="weighted_grid", n=129, dim=1,
+                                                 alpha=2.0, beta=0.0, extent=2.0))
+    for sp, cubes, verdict in ((grid64, grid64_cubes, "PASS"),
+                               (singular, build_system(singular), "FAIL")):
+        params = besov_pair(cubes.delta, s1=0.5, p1=2.0, s2=0.5, p2=2.0)
+        report = characterize(sp, cubes, params, n_sequences=32)
+        assert report.necessity.verdict == "VACUOUS"
+        assert report.lower_bound.verdict == report.verdict == verdict
+        assert report.notes == ["necessity scan vacuous (identity embedding); "
+                                "verdict from the lower bound"]
+
+
+def test_characterize_bound_violation_on_a_passing_space_is_a_discrepancy(
+        grid64, grid64_cubes, monkeypatch):
+    real = embed.proof_constant_besov
+    monkeypatch.setattr(embed, "proof_constant_besov",
+                        lambda cubes, params: (real(cubes, params)[0], 1e-6))
+    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    report = characterize(grid64, grid64_cubes, params, n_sequences=32)
+    assert (report.lower_bound.verdict, report.necessity.verdict) == ("PASS", "PASS")
+    assert report.scan.verdict == "BOUND_VIOLATED"
+    assert report.verdict == "DISCREPANCY"
+    assert report.notes == ["ratio scan exceeded the constructive constant on a "
+                            "lower-bound-passing space"]
+
+
 def test_characterize_atomic_space():
     sp = FiniteHomSpace(dist=np.zeros((1, 1)), weight=np.ones(1))
     report = characterize(sp, None, None)

@@ -16,7 +16,9 @@ from homspace.space import (
     check_reverse_doubling,
     estimate_doubling,
     estimate_quasi_triangle_constant,
+    estimate_reverse_doubling_exponent,
     fit_mass_exponent,
+    space_stats,
     validate_quasi_metric,
 )
 
@@ -24,6 +26,7 @@ from helpers import (
     brute_a0,
     brute_a0_witness,
     brute_ball_mass,
+    brute_reverse_doubling,
     brute_table_violations,
     integer_grid_table,
     unit_spaced_grid,
@@ -537,9 +540,9 @@ def test_lower_bound_rejects_bad_window():
 
 def test_local_lower_bound_rescaled_grid_passes():
     sp = unit_spaced_grid(64)
-    report = check_local_lower_bound(sp, 1.0, rescale=True)
+    report = check_local_lower_bound(sp.scaled(dist_factor=1 / sp.diameter), 1.0)
     assert report.variant == "local"
-    assert report.scale_factor == sp.diameter
+    assert report.scale_factor == 1.0
     assert report.verdict == "PASS"
     assert report.r_max == 1.0
 
@@ -547,7 +550,7 @@ def test_local_lower_bound_rescaled_grid_passes():
 def test_local_lower_bound_saturated_single_scale():
     # ball at r = 1 swallows the whole two-point space; mass 2 >= C with C <= 2
     sp = unit_spaced_grid(2)
-    report = check_local_lower_bound(sp, 1.0, rescale=True)
+    report = check_local_lower_bound(sp.scaled(dist_factor=1 / sp.diameter), 1.0)
     assert report.verdict == "PASS"
 
 
@@ -590,6 +593,72 @@ def test_reverse_doubling_2d():
 def test_reverse_doubling_bad_kappa():
     with pytest.raises(ValueError):
         check_reverse_doubling(unit_spaced_grid(8), 0.0)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("case", ["unit24", "plane30", "squared20"])
+def test_reverse_doubling_matches_the_per_radius_oracle(case, kappa):
+    # the unit grid ties many (x, r, lam) at the minimum; integer weights
+    # add exactly in any order
+    rng = np.random.default_rng(8)
+    if case == "unit24":
+        sp = unit_spaced_grid(24)
+    elif case == "plane30":
+        pts = rng.random((30, 2))
+        sp = explicit_space(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)),
+                            rng.integers(1, 4, 30))
+    else:
+        pts = np.sort(rng.random(20))
+        sp = explicit_space((pts[:, None] - pts[None]) ** 2, rng.integers(1, 4, 20))
+    report = check_reverse_doubling(sp, kappa)
+    assert (report.c_emp, report.worst) == brute_reverse_doubling(sp.dist, sp.weight, kappa)
+
+
+def test_reverse_doubling_without_an_admissible_dilation():
+    # r_floor = diam: every sampled radius is at least half the diameter
+    report = check_reverse_doubling(unit_spaced_grid(2), 1.0)
+    assert (report.verdict, report.c_emp, report.worst) == ("NOT_APPLICABLE", 0.0, None)
+    assert report.atomic_like
+    assert report.warnings == ["atomic-like space: no admissible (r, lambda) window"]
+
+
+def test_growth_exponent_needs_a_dilation_above_one_and_a_half():
+    # three points at 0, 1, 2: every radius sits at r_floor = diam / 2, so
+    # lam = diam / (2r) = 1 is skipped
+    assert estimate_reverse_doubling_exponent(unit_spaced_grid(3)) is None
+    assert space_stats(unit_spaced_grid(3)).kappa_est is None
+    # points at 0, 1, 2, 3.5: lam = 1.75 at r_floor = 1
+    line = np.array([0.0, 1.0, 2.0, 3.5])
+    sp = explicit_space(np.abs(line[:, None] - line[None]))
+    base = sp.ball_mass(np.arange(4), [1.0 + 1e-12])[:, 0]
+    grown = sp.ball_mass(np.arange(4), [1.75 * (1.0 + 1e-12)])[:, 0]
+    assert estimate_reverse_doubling_exponent(sp) == pytest.approx(
+        min(np.log(grown / base)) / np.log(1.75))
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda sp: estimate_doubling(sp, np.geomspace(sp.r_floor, sp.diameter, 7)),
+    lambda sp: fit_mass_exponent(sp),
+    lambda sp: check_lower_bound(sp, 1.0, sp.r_floor, sp.diameter),
+    lambda sp: check_local_lower_bound(sp.scaled(dist_factor=1 / sp.diameter), 1.0),
+    lambda sp: check_reverse_doubling(sp, 1.0),
+    lambda sp: estimate_reverse_doubling_exponent(sp),
+], ids=["doubling", "mass_exponent", "lower_bound", "local_lower_bound", "reverse_doubling",
+        "growth_exponent"])
+def test_each_estimator_makes_one_ball_mass_call(monkeypatch, estimator):
+    calls = []
+    original = FiniteHomSpace.ball_mass
+
+    def counted(self, centers, radii):
+        calls.append(np.size(radii))
+        return original(self, centers, radii)
+
+    monkeypatch.setattr(FiniteHomSpace, "ball_mass", counted)
+    for sp in (unit_spaced_grid(40), gallery.build(gallery.GallerySpec(kind="cantor", depth=4)),
+               gallery.build(gallery.GallerySpec(kind="euclidean_grid", n=6, dim=2))):
+        calls.clear()
+        estimator(sp)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

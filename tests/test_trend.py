@@ -96,11 +96,11 @@ def test_lower_bound_witnesses_match_the_per_center_oracle(name):
     for omega in OMEGAS:
         for trend in TRENDS:
             r_max = max(sp.diameter, 2 * sp.r_floor)
-            for report in (check_lower_bound(sp, omega, sp.r_floor, r_max, trend=trend),
-                           check_local_lower_bound(sp, omega, rescale=True, trend=trend)):
+            local = sp.scaled(dist_factor=1.0 / sp.diameter)
+            for target, report in (
+                    (sp, check_lower_bound(sp, omega, sp.r_floor, r_max, trend=trend)),
+                    (local, check_local_lower_bound(local, omega, trend=trend))):
                 radii = np.array(report.radii)
-                target = sp if report.scale_factor == 1.0 else sp.scaled(
-                    dist_factor=1.0 / report.scale_factor)
                 masses = target.ball_mass(np.arange(sp.n), radii)
                 witnesses, probes = brute_lower_bound_witnesses(
                     radii, masses, omega, trend.exponent_tol, trend.decay_frac)
