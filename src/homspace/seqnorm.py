@@ -25,8 +25,12 @@ levels outside the variant window are dropped first. The Besov norm is
 then an l^p over each (sequence, level) segment and an l^q over each
 sequence. The Triebel-Lizorkin norm scatter-adds each entry's term onto
 its cube's members, the slice order[k][bounds[k][alpha]:bounds[k][alpha + 1]],
-and takes a weighted L^p per sequence; sequences go through a dense
-sequence x point accumulator BLOCK_ELEMENTS entries at a time.
+in a dense sequence x point accumulator of at most BLOCK_ELEMENTS entries
+(at least one sequence) per block of sequences. Only the accumulator's
+nonzero cells, the covered ones, are kept: g is taken on them, and the
+weighted L^p of each sequence sums the terms of its own covered cells. A
+point no entry covers has g = 0 and adds the term 0 to the L^p sum, so
+leaving it out changes nothing.
 
 The kernel gives the same bits as a one-sequence-at-a-time evaluation
 because it keeps these rules:
@@ -36,16 +40,22 @@ because it keeps these rules:
     Triebel-Lizorkin term d^(-ksq) (m^(-1/2) |lam|)^q, and every final
     (sum)^(1/p) use Python's scalar ``**``;
   * array powers: |t|^p, |t|^q, acc^(1/q) and g^p use numpy's ``**`` on
-    whole arrays, whose elementwise result does not depend on the length
-    of the array (Python's ``**`` differs from it by an ulp on some
-    values, so the two are never mixed on one quantity);
+    arrays, whose elementwise result does not depend on the length of the
+    array or on which other elements it holds, so acc^(1/q) and g^p on the
+    covered cells alone give the bits they have in a whole row (Python's
+    ``**`` differs from numpy's by an ulp on some values, so the two are
+    never mixed on one quantity);
   * sums are ``math.fsum`` per segment (correctly rounded, so the order of
-    the terms does not matter); p = inf and q = inf are segment maxima;
+    the terms does not matter, and neither does an exact zero term: the
+    Triebel-Lizorkin sum drops the uncovered points and the covered ones
+    whose acc is 0.0, and fsum([]) is 0.0); p = inf and q = inf are segment
+    maxima;
   * the scatter is ``np.bincount``, which adds in input order, entry after
     entry, as a sequential ``acc[members] += term`` does.
 
-layer_cake_tl_norm recomputes the same L^p integral through the
-distribution function of g: since g takes finitely many values the
+layer_cake_tl_norm rebuilds g over every point from the covered cells and
+recomputes the same L^p integral through the distribution function of g:
+since g takes finitely many values the
 integral is an exact sum over sorted level sets, giving an independent
 cross-check of the direct computation.
 """
@@ -216,11 +226,14 @@ def _norms(offsets, level, alpha, value, params: NormParams,
     entries = _counted(offsets, level, alpha, value, params)
     if params.family == "besov":
         return _besov(n_seq, *entries, params, cube_mass)
-    p = params.p
+    p, n_points = params.p, weight.size
     out = np.zeros(n_seq)
-    for first, g in _tl_functions(n_seq, *entries, params, cube_mass, order, bounds, weight.size):
-        rows = (weight * g ** p).tolist()
-        out[first:first + len(rows)] = [math.fsum(row) ** (1.0 / p) for row in rows]
+    for first, size, cells, g in _tl_functions(n_seq, *entries, params, cube_mass, order,
+                                               bounds, n_points):
+        terms = (weight[cells % n_points] * g ** p).tolist()
+        cuts = np.searchsorted(cells, np.arange(size + 1) * n_points).tolist()
+        out[first:first + size] = [math.fsum(terms[i:j]) ** (1.0 / p)
+                                   for i, j in zip(cuts[:-1], cuts[1:])]
     return out
 
 
@@ -283,8 +296,12 @@ def _besov(n_seq, seq, level, alpha, a, params: NormParams, cube_mass) -> np.nda
 
 def _tl_functions(n_seq, seq, level, alpha, a, params: NormParams,
                   cube_mass, order, bounds, n_points):
-    """Yield (first sequence, g) for consecutive blocks of sequences, g the
-    (sequences, points) array of the pointwise l^q aggregates."""
+    """Yield (first, size, cells, g) for consecutive blocks of sequences:
+    the block holds sequences first:first + size, cells are the ascending
+    flat indices (sequence - first) * n_points + point of the points its
+    entries cover, and g holds the pointwise l^q aggregate on those cells.
+    A point left out has g = 0: no entry covers it, or every term it got
+    was 0.0."""
     s, q, delta = params.s, params.q, params.delta
     if math.isinf(q):
         term = (_per_key(level, lambda k: delta ** (-k * s))
@@ -318,10 +335,11 @@ def _tl_functions(n_seq, seq, level, alpha, a, params: NormParams,
         if math.isinf(q):
             acc = np.zeros(size * n_points)
             np.maximum.at(acc, flat, values)
-            yield first, acc.reshape(size, n_points)
         else:
             acc = np.bincount(flat, weights=values, minlength=size * n_points)
-            yield first, acc.reshape(size, n_points) ** (1.0 / q)
+        cells = np.flatnonzero(acc)
+        g = acc[cells]
+        yield first, size, cells, g if math.isinf(q) else g ** (1.0 / q)
 
 
 def _layer_cake_integral(g: np.ndarray, weights: np.ndarray, p: float) -> float:
@@ -371,9 +389,11 @@ def layer_cake_tl_norm(seq: CoefSequence, params: NormParams) -> float:
     _check_backing(system.delta, params)
     batch = SequenceBatch.of([seq])
     entries = _counted(batch.offsets, batch.level, batch.alpha, batch.value, params)
-    _, g = next(_tl_functions(1, *entries, params, system.cube_mass, system.order,
-                              system.bounds, system.space.n))
-    return _layer_cake_integral(g[0], system.space.weight, params.p)
+    _, _, cells, values = next(_tl_functions(1, *entries, params, system.cube_mass,
+                                             system.order, system.bounds, system.space.n))
+    g = np.zeros(system.space.n)
+    g[cells] = values
+    return _layer_cake_integral(g, system.space.weight, params.p)
 
 
 def sequence_norm(seq: CoefSequence, params: NormParams) -> float:

@@ -139,6 +139,35 @@ def brute_tl(entries, masses, members, weights, n, delta, s, p, q, level_ok):
     return total ** (1.0 / p)
 
 
+def dense_tl_function(entries, masses, members, n, delta, s, q, level_ok):
+    """The pointwise l^q aggregate g of a Triebel-Lizorkin norm as one dense
+    row over all n points: each entry's term (Python scalar powers) is
+    scatter-added onto its members by one np.bincount, entry after entry
+    (a pointwise maximum for q = inf), then acc ** (1/q) as an array."""
+    kept = [(key, lam) for key, lam in entries.items() if level_ok(key[0]) and lam != 0.0]
+    points = [np.asarray(members[key], dtype=int) for key, _ in kept]
+    if math.isinf(q):
+        acc = np.zeros(n)
+        for ((k, alpha), lam), at in zip(kept, points):
+            v = delta ** (-k * s) * masses[(k, alpha)] ** (-0.5) * abs(lam)
+            acc[at] = np.maximum(acc[at], v)
+        return acc
+    terms = [delta ** (-k * s * q) * (masses[(k, alpha)] ** (-0.5) * abs(lam)) ** q
+             for (k, alpha), lam in kept]
+    acc = np.bincount(np.concatenate([np.zeros(0, dtype=int)] + points),
+                      weights=np.repeat(np.array(terms, dtype=float), [a.size for a in points]),
+                      minlength=n)
+    return acc ** (1.0 / q)
+
+
+def dense_tl_norm(entries, masses, members, weights, n, delta, s, p, q, level_ok):
+    """The Triebel-Lizorkin norm from the dense row of ``dense_tl_function``:
+    weight * g ** p as arrays over every point, math.fsum of the whole row,
+    then Python's ** (1/p)."""
+    g = dense_tl_function(entries, masses, members, n, delta, s, q, level_ok)
+    return math.fsum((np.asarray(weights) * g ** p).tolist()) ** (1.0 / p)
+
+
 def midpoint_layer_cake(g, weights, p, n_nodes):
     """(p * integral_0^max g of t^{p-1} mu({g > t}) dt)^{1/p} by the midpoint
     rule on n_nodes nodes (midpoints keep t^{p-1} finite): an approximate

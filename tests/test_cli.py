@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homspace import cli, common, dyadic, embed, gallery, maximal, space as space_mod
+from homspace import cli, common, dyadic, embed, gallery, maximal, seqnorm, space as space_mod
 from homspace.cli import main
 from homspace.gallery import MAX_POINTS, load_space
+
+from helpers import dense_tl_function, dense_tl_norm
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -209,6 +211,31 @@ def test_norms_layer_cake_flag(tmp_path, grid64_cubes):
     assert code == 0
     report = json.loads(text)
     assert report["layer_cake_value"] == pytest.approx(report["value"], rel=1e-12)
+
+
+@pytest.mark.parametrize("q", ["2", "inf"])
+def test_norms_layer_cake_bits_match_the_dense_reference(tmp_path, grid64_cubes, q):
+    # an entry of 1e-200 covers points whose q = 2 term underflows to 0.0
+    index = grid64_cubes.index_cubes()
+    rows = [{"k": k, "alpha": a, "value": v}
+            for (k, a), v in zip(index[:5], [1e-200, 0.3, -0.7, 0.0, 1.1])]
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(json.dumps(rows))
+    code, text = run(tmp_path, "norms", "--gallery", "euclidean_grid", "--n", "64",
+                     "--seq", str(seq_path), "--family", "triebel_lizorkin",
+                     "--s", "0.2", "--p", "1.5", "--q", q, "--layer-cake")
+    assert code == 0
+    report = json.loads(text)
+    entries = {(r["k"], r["alpha"]): r["value"] for r in rows}
+    masses = {key: grid64_cubes.mass(*key) for key in entries}
+    members = {key: grid64_cubes.members(*key) for key in entries}
+    space = grid64_cubes.space
+    level_ok = lambda k: True
+    g = dense_tl_function(entries, masses, members, space.n, grid64_cubes.delta, 0.2, float(q),
+                          level_ok)
+    assert report["value"] == dense_tl_norm(entries, masses, members, space.weight, space.n,
+                                            grid64_cubes.delta, 0.2, 1.5, float(q), level_ok)
+    assert report["layer_cake_value"] == seqnorm._layer_cake_integral(g, space.weight, 1.5)
 
 
 def test_gallery_space_file_roundtrip(tmp_path):

@@ -28,6 +28,8 @@ from helpers import (
     brute_tl,
     brute_tl_function,
     delta_sequence_norm,
+    dense_tl_function,
+    dense_tl_norm,
     midpoint_layer_cake,
 )
 
@@ -292,6 +294,76 @@ def test_tl_blocks_give_the_same_bits(grid64_cubes, monkeypatch, q, rows):
     assert batch_norms(SequenceBatch.of(seqs), params).tolist() == whole.tolist()
     monkeypatch.undo()
     assert whole.tolist() == [triebel_lizorkin_norm(seq, params) for seq in seqs]
+
+
+def dense_reference(cubes, seqs, params):
+    """``dense_tl_norm`` of each sequence: the norm summed over every point."""
+    space = cubes.space
+    return [dense_tl_norm(seq.entries, *oracle_data(cubes, seq.entries), space.weight, space.n,
+                          cubes.delta, params.s, params.p, params.q, params.level_in_window)
+            for seq in seqs]
+
+
+@pytest.mark.parametrize("p", [1 / 3, 1.0, 2.5])
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INF])
+@pytest.mark.parametrize("system", ["grid64", "cantor", "weighted"])
+def test_tl_norms_match_the_dense_reference_bits(request, system, q, p):
+    # the kernel sums over the points a sequence covers; the reference sums
+    # over every point, so an uncovered point must add exactly nothing
+    cubes = request.getfixturevalue(f"{system}_cubes")
+    seqs = random_sequences(cubes, 24, seed=4242, max_support=20)
+    params = NormParams(s=0.3, p=p, q=q, delta=cubes.delta, family="triebel_lizorkin")
+    assert batch_norms(SequenceBatch.of(seqs), params).tolist() == \
+        dense_reference(cubes, seqs, params)
+
+
+def test_tl_terms_that_underflow_drop_out(weighted_cubes):
+    # (m^-1/2 * 1e-200)^2 is 0.0: its cube is covered, its term adds nothing
+    cubes = weighted_cubes
+    index = cubes.index_cubes()
+    tiny = {index[0]: 1e-200, index[-1]: 1e-200}
+    live = {index[3]: 0.8, index[-2]: -1.2}
+    seqs = [CoefSequence(cubes, entries) for entries in (tiny, {**tiny, **live}, live)]
+    params = NormParams(s=0.4, p=1.5, q=2.0, delta=cubes.delta, family="triebel_lizorkin")
+    norms = batch_norms(SequenceBatch.of(seqs), params).tolist()
+    assert norms[0] == 0.0
+    assert norms[1] == norms[2] > 0.0
+    assert norms == dense_reference(cubes, seqs, params)
+    assert layer_cake_tl_norm(seqs[0], params) == 0.0
+
+
+@pytest.mark.parametrize("q", [2.0, INF])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_tl_blocks_that_cover_no_point(grid64_cubes, monkeypatch, q, rows):
+    # blocks of one or two sequences: with two, the second block holds only
+    # an empty and an all-zero sequence, so it has no covered cell
+    cubes = grid64_cubes
+    live = random_sequences(cubes, 2, seed=707)
+    zero = CoefSequence(cubes, {cubes.index_cubes()[1]: 0.0})
+    empty = CoefSequence(cubes, {})
+    seqs = [live[0], zero, empty, zero, live[1], empty]
+    params = NormParams(s=-0.2, p=0.7, q=q, delta=cubes.delta, family="triebel_lizorkin")
+    whole = batch_norms(SequenceBatch.of(seqs), params).tolist()
+    monkeypatch.setattr(seqnorm, "BLOCK_ELEMENTS", rows * cubes.space.n)
+    assert batch_norms(SequenceBatch.of(seqs), params).tolist() == whole
+    assert whole == dense_reference(cubes, seqs, params)
+    assert [v == 0.0 for v in whole] == [False, True, True, True, False, True]
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, INF])
+def test_layer_cake_reads_the_dense_function(weighted_cubes, q):
+    # layer_cake_tl_norm rebuilds g over every point from the covered cells
+    cubes = weighted_cubes
+    space = cubes.space
+    index = cubes.index_cubes()
+    params = NormParams(s=0.3, p=1.3, q=q, delta=cubes.delta, family="triebel_lizorkin")
+    seqs = random_sequences(cubes, 6, seed=909) + [
+        CoefSequence(cubes, {index[0]: 1e-200, index[2]: 0.6})]
+    for seq in seqs:
+        g = dense_tl_function(seq.entries, *oracle_data(cubes, seq.entries), space.n,
+                              cubes.delta, params.s, q, params.level_in_window)
+        assert layer_cake_tl_norm(seq, params) == \
+            seqnorm._layer_cake_integral(g, space.weight, params.p)
 
 
 # Norms of seeded sequences, recorded with the one-sequence-at-a-time
