@@ -17,12 +17,11 @@ from homspace.dyadic import (
 )
 from homspace.embed import (
     EmbedParams,
-    ap_weight_check,
     characterize,
     delta_necessity_test,
     embedding_ratio_scan,
 )
-from homspace.gallery import GallerySpec, build, build_rn_dyadic_grid, load_space
+from homspace.gallery import GallerySpec, build, load_space
 from homspace.maximal import (
     KernelParams,
     almost_orth_kernel,
@@ -37,7 +36,6 @@ from homspace.seqnorm import (
     besov_norm,
     layer_cake_tl_norm,
     triebel_lizorkin_norm,
-    weighted_rn_norm,
 )
 from homspace.space import (
     FiniteHomSpace,
@@ -65,7 +63,6 @@ __all__ = [
     "KernelParams",
     "build",
     "load_space",
-    "build_rn_dyadic_grid",
     "build_nets",
     "build_cubes",
     "default_constants",
@@ -84,11 +81,9 @@ __all__ = [
     "besov_norm",
     "triebel_lizorkin_norm",
     "layer_cake_tl_norm",
-    "weighted_rn_norm",
     "delta_necessity_test",
     "embedding_ratio_scan",
     "characterize",
-    "ap_weight_check",
     "hl_maximal",
     "almost_orth_kernel",
     "kernel_maximal_bound_check",

@@ -21,9 +21,6 @@ Both directions of the characterization are exercised:
 
 ``characterize`` runs the measure lower-bound check, the necessity scan,
 and the ratio scan, and asserts their verdicts agree.
-
-The A_p product test for lattice weights lives here as well: it bounds
-avg_Q(w) * avg_Q(w^{-1/(p-1)})^{p-1} over dyadic cubes of an R^n grid.
 """
 from __future__ import annotations
 
@@ -42,7 +39,6 @@ from homspace.common import (
     rng_stream,
 )
 from homspace.dyadic import CubeSystem
-from homspace.gallery import RnDyadicGrid
 from homspace.seqnorm import NormParams, SequenceBatch, batch_norms
 from homspace.space import (
     FiniteHomSpace,
@@ -465,49 +461,3 @@ def characterize(space: FiniteHomSpace, cubes: CubeSystem, params: EmbedParams, 
         scan=scan,
         notes=notes,
     )
-
-
-# ---------------------------------------------------------------------------
-# A_p product test for lattice weights
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ApReport:
-    estimate: float
-    p: float
-    witness: Optional[dict]
-    per_level_max: dict
-
-
-def ap_weight_check(grid: RnDyadicGrid, w, p: float) -> ApReport:
-    """sup over dyadic cubes Q of avg_Q(w) * avg_Q(w^{-1/(p-1)})^{p-1}.
-
-    Averages are arithmetic means over the lattice points inside Q (a
-    uniform lattice makes them Lebesgue averages): per level, sums over
-    the cubes' slices of ``grid.order`` divided by their sizes. The witness
-    is the first maximum in (level, cube id) order. Requires p > 1 and a
-    positive, finite weight field.
-    """
-    if p <= 1:
-        raise ValueError("the A_p product needs p > 1")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (grid.points.shape[0],):
-        raise ValueError("weight field length must match the grid")
-    if not (np.isfinite(w) & (w > 0)).all():
-        raise ValueError("weight field must be positive and finite")
-    dual = w ** (-1.0 / (p - 1.0))
-    best = 0.0
-    witness = None
-    per_level = {}
-    for j in grid.levels:
-        order, starts = grid.order[j], grid.bounds[j][:-1]
-        size = np.diff(grid.bounds[j])
-        avg_w = np.add.reduceat(w[order], starts) / size
-        avg_dual = np.add.reduceat(dual[order], starts) / size
-        value = avg_w * avg_dual ** (p - 1.0)
-        top = int(np.argmax(value))
-        per_level[j] = float(value[top])
-        if value[top] > best:
-            best = float(value[top])
-            witness = {"level": j, "cube": grid.keys[j][top].tolist(), "value": best}
-    return ApReport(estimate=best, p=float(p), witness=witness, per_level_max=per_level)

@@ -12,7 +12,9 @@ Kinds:
 The weighted lattice drops the exact origin whenever alpha != 0: for
 alpha < 0 the density is singular there, for alpha > 0 it vanishes and a
 zero-mass point would break the positive-measure contract. alpha = 0
-keeps the origin with density 1.
+keeps the origin with density 1. Its alpha, beta and extent must be
+finite; ``build`` refuses any other value by name before it places a
+point.
 """
 from __future__ import annotations
 
@@ -126,6 +128,10 @@ def build(spec: GallerySpec) -> FiniteHomSpace:
         _check_cap(total, "lattice")
         omega, metric = float(spec.dim), "euclidean"
         if spec.kind == "weighted_grid":
+            for name in ("alpha", "beta", "extent"):
+                value = getattr(spec, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be a finite number, got {value!r}")
             if spec.extent <= 0:
                 raise ValueError("extent must be positive")
             if spec.alpha <= -spec.dim:
@@ -280,88 +286,3 @@ def space_to_dict(space: FiniteHomSpace) -> dict:
     if space.declared_omega is not None:
         out["declared_omega"] = float(space.declared_omega)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Standard dyadic grid on a box in R^n
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RnDyadicGrid:
-    """Point cloud in R^n carved by the standard half-open dyadic cubes.
-
-    Level-j cubes are the sets {x : floor(2^j x) = k}, k in Z^n, so the
-    scale base is 1/2. Each level is held as the arrays a ``CubeSystem``
-    holds: cube a of level j is the cell keys[j][a] (the distinct cells of
-    the points, in lexicographic order), its points are the slice
-    order[j][bounds[j][a]:bounds[j][a + 1]] (ascending), and cube_mass[j][a]
-    is the sum of their masses (density * cell volume), added in point order.
-    """
-
-    points: np.ndarray            # (m, dim)
-    weights: np.ndarray           # (m,)
-    j_min: int
-    j_max: int
-    keys: dict                    # level -> (cubes, dim) int cells, sorted
-    order: dict                   # level -> (m,) point ids grouped by cube
-    bounds: dict                  # level -> (cubes + 1,) offsets into order
-    cube_mass: dict               # level -> (cubes,) masses
-
-    @property
-    def levels(self) -> range:
-        return range(self.j_min, self.j_max + 1)
-
-    def cube_ids(self, j: int, cells) -> np.ndarray:
-        """Ids of the level-j cubes at the integer rows ``cells``; KeyError
-        for a row that is no cube of the grid (off the box, or of another
-        dimension)."""
-        keys = self.keys[j]
-        cells = np.asarray(cells, dtype=int).reshape(len(cells), -1)
-        first = 0                   # any row, when the dimension is wrong
-        if cells.shape[1] == keys.shape[1]:
-            # the keys are distinct and sorted, so they keep their ids in
-            # the union with the rows exactly when every row is a key
-            union, inverse = np.unique(np.concatenate([keys, cells]), axis=0,
-                                       return_inverse=True)
-            inverse = inverse.ravel()
-            if len(union) == len(keys):
-                return inverse[len(keys):]
-            first = np.flatnonzero(~np.isin(inverse[len(keys):], inverse[:len(keys)]))[0]
-        raise KeyError(f"no dyadic cube (j={j}, k={tuple(cells[first].tolist())}) meets the box")
-
-
-def build_rn_dyadic_grid(points, weights, j_min: int = 0, j_max: int = 6) -> RnDyadicGrid:
-    if j_min > j_max:
-        raise ValueError("empty level range")
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != points.shape[:1]:
-        raise ValueError(f"{weights.size} grid weights for {points.shape[0]} points")
-    if not (np.abs(points) * 2.0**j_max < 2.0**62).all():   # NaN fails too
-        raise ValueError(f"grid points must be finite, with |x| below 2^{62 - j_max}")
-    if not (np.isfinite(weights) & (weights > 0)).all():
-        raise ValueError("invalid measure: grid weights must be positive and finite")
-    keys, order, bounds, cube_mass = {}, {}, {}, {}
-    for j in range(j_min, j_max + 1):
-        keys[j], cube_of = np.unique(np.floor(points * 2.0**j).astype(int), axis=0,
-                                     return_inverse=True)
-        cube_of = cube_of.ravel()
-        order[j] = np.argsort(cube_of, kind="stable")
-        bounds[j] = np.concatenate(([0], np.cumsum(np.bincount(cube_of, minlength=len(keys[j])))))
-        cube_mass[j] = np.bincount(cube_of, weights=weights, minlength=len(keys[j]))
-    return RnDyadicGrid(points=points, weights=weights, j_min=j_min, j_max=j_max,
-                        keys=keys, order=order, bounds=bounds, cube_mass=cube_mass)
-
-
-def unit_dyadic_lattice(j_points: int, dim: int = 1, density=None) -> RnDyadicGrid:
-    """Left-aligned lattice of 2^j_points per axis on [0,1)^dim; handy for
-    the Lebesgue sanity cases where level-j cubes carry mass exactly 2^-j*dim."""
-    m = 2**j_points
-    axis = np.arange(m) / m
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    vol = (1.0 / m) ** dim
-    dens = np.ones(pts.shape[0]) if density is None else np.asarray(density(pts), dtype=float)
-    return build_rn_dyadic_grid(pts, dens * vol, j_min=0, j_max=j_points)

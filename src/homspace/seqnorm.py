@@ -19,12 +19,13 @@ levels k >= 0 (a flag controls whether k = 0 itself counts, default yes).
 Every norm goes through one kernel, ``batch_norms``, which scores a whole
 ``SequenceBatch``: sequence i owns the entries offsets[i]:offsets[i + 1]
 of the flat arrays level, alpha and value, sorted by (k, alpha) as
-``CoefSequence`` sorts them. ``besov_norm``, ``triebel_lizorkin_norm`` and
-``weighted_rn_norm`` are one-sequence calls of it. Zero coefficients and
-levels outside the variant window are dropped first. The Besov norm is
-then an l^p over each (sequence, level) segment and an l^q over each
-sequence. The Triebel-Lizorkin norm scatter-adds each entry's term onto
-its cube's members, the slice order[k][bounds[k][alpha]:bounds[k][alpha + 1]],
+``CoefSequence`` sorts them, over the batch's ``CubeSystem``.
+``besov_norm`` and ``triebel_lizorkin_norm`` are one-sequence calls of it.
+Zero coefficients and levels outside the variant window are dropped first.
+The Besov norm is then an l^p over each (sequence, level) segment and an
+l^q over each sequence. The Triebel-Lizorkin norm scatter-adds each entry's
+term onto its cube's members, the slice
+order[k][bounds[k][alpha]:bounds[k][alpha + 1]],
 in a dense sequence x point accumulator of at most BLOCK_ELEMENTS entries
 (at least one sequence) per block of sequences. Only the accumulator's
 nonzero cells, the covered ones, are kept: g is taken on them, and the
@@ -70,7 +71,6 @@ import numpy as np
 
 from homspace.common import BLOCK_ELEMENTS, finite_number, reciprocal, stable_sum
 from homspace.dyadic import VARIANTS, CubeSystem
-from homspace.gallery import RnDyadicGrid
 
 FAMILIES = ("besov", "triebel_lizorkin")
 
@@ -165,18 +165,21 @@ class SequenceBatch:
         return len(self.labels)
 
     @classmethod
-    def of(cls, seqs: list, labels: Optional[list] = None,
-           system: Optional[CubeSystem] = None) -> "SequenceBatch":
-        """The batch of ``seqs``, CoefSequences on one system (``system``,
-        by default that of the first), in order."""
+    def of(cls, seqs: list) -> "SequenceBatch":
+        """The unlabelled batch of ``seqs``, CoefSequences on the system of
+        the first, in order."""
         keys = [key for seq in seqs for key in seq.entries]
-        return cls(system=seqs[0].system if system is None else system,
-                   labels=list(labels) if labels is not None else [None] * len(seqs),
+        return cls(system=seqs[0].system, labels=[None] * len(seqs),
                    offsets=np.cumsum([0] + [len(seq.entries) for seq in seqs]),
                    level=np.array([k for k, _ in keys], dtype=int),
                    alpha=np.array([a for _, a in keys], dtype=int),
                    value=np.array([v for seq in seqs for v in seq.entries.values()],
                                   dtype=float))
+
+
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def load_sequence(path: str, system: CubeSystem) -> CoefSequence:
@@ -213,23 +216,12 @@ def batch_norms(batch: SequenceBatch, params: NormParams) -> np.ndarray:
     """The ``params.family`` norm of every sequence of ``batch``."""
     system = batch.system
     _check_backing(system.delta, params)
-    return _norms(batch.offsets, batch.level, batch.alpha, batch.value, params,
-                  system.cube_mass, system.order, system.bounds, system.space.weight)
-
-
-def _norms(offsets, level, alpha, value, params: NormParams,
-           cube_mass, order, bounds, weight) -> np.ndarray:
-    """Norms of the flat sequences (offsets, level, alpha, value) over a cube
-    table: cube_mass[k][alpha] is a mass, order[k]/bounds[k] slice out a
-    cube's points and weight holds the point masses."""
-    n_seq = len(offsets) - 1
-    entries = _counted(offsets, level, alpha, value, params)
+    entries = _counted(batch, params)
     if params.family == "besov":
-        return _besov(n_seq, *entries, params, cube_mass)
-    p, n_points = params.p, weight.size
-    out = np.zeros(n_seq)
-    for first, size, cells, g in _tl_functions(n_seq, *entries, params, cube_mass, order,
-                                               bounds, n_points):
+        return _besov(len(batch), *entries, params, system.cube_mass)
+    p, weight, n_points = params.p, system.space.weight, system.space.n
+    out = np.zeros(len(batch))
+    for first, size, cells, g in _tl_functions(system, len(batch), *entries, params):
         terms = (weight[cells % n_points] * g ** p).tolist()
         cuts = np.searchsorted(cells, np.arange(size + 1) * n_points).tolist()
         out[first:first + size] = [math.fsum(terms[i:j]) ** (1.0 / p)
@@ -237,11 +229,12 @@ def _norms(offsets, level, alpha, value, params: NormParams,
     return out
 
 
-def _counted(offsets, level, alpha, value, params: NormParams) -> tuple:
-    """(sequence, level, alpha, |value|) of the entries a norm counts: the
-    nonzero ones at levels in the variant window."""
+def _counted(batch: SequenceBatch, params: NormParams) -> tuple:
+    """(sequence, level, alpha, |value|) of the entries of ``batch`` a norm
+    counts: the nonzero ones at levels in the variant window."""
+    level, alpha, value = batch.level, batch.alpha, batch.value
     keep = (value != 0.0) & params.level_in_window(level)
-    seq = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    seq = np.repeat(np.arange(len(batch)), np.diff(batch.offsets))
     return seq[keep], level[keep], alpha[keep], np.abs(value[keep])
 
 
@@ -294,15 +287,17 @@ def _besov(n_seq, seq, level, alpha, a, params: NormParams, cube_mass) -> np.nda
     return out
 
 
-def _tl_functions(n_seq, seq, level, alpha, a, params: NormParams,
-                  cube_mass, order, bounds, n_points):
-    """Yield (first, size, cells, g) for consecutive blocks of sequences:
+def _tl_functions(system: CubeSystem, n_seq, seq, level, alpha, a, params: NormParams):
+    """Yield (first, size, cells, g) for consecutive blocks of the n_seq
+    sequences whose counted entries are (seq, level, alpha, a) on ``system``:
     the block holds sequences first:first + size, cells are the ascending
     flat indices (sequence - first) * n_points + point of the points its
     entries cover, and g holds the pointwise l^q aggregate on those cells.
     A point left out has g = 0: no entry covers it, or every term it got
     was 0.0."""
     s, q, delta = params.s, params.q, params.delta
+    cube_mass, order, bounds = system.cube_mass, system.order, system.bounds
+    n_points = system.space.n
     if math.isinf(q):
         term = (_per_key(level, lambda k: delta ** (-k * s))
                 * _per_cube(level, alpha, cube_mass, lambda m: m ** (-0.5)) * a)
@@ -387,10 +382,8 @@ def layer_cake_tl_norm(seq: CoefSequence, params: NormParams) -> float:
         raise ValueError("params.family must be 'triebel_lizorkin'")
     system = seq.system
     _check_backing(system.delta, params)
-    batch = SequenceBatch.of([seq])
-    entries = _counted(batch.offsets, batch.level, batch.alpha, batch.value, params)
-    _, _, cells, values = next(_tl_functions(1, *entries, params, system.cube_mass,
-                                             system.order, system.bounds, system.space.n))
+    entries = _counted(SequenceBatch.of([seq]), params)
+    _, _, cells, values = next(_tl_functions(system, 1, *entries, params))
     g = np.zeros(system.space.n)
     g[cells] = values
     return _layer_cake_integral(g, system.space.weight, params.p)
@@ -399,51 +392,3 @@ def layer_cake_tl_norm(seq: CoefSequence, params: NormParams) -> float:
 def sequence_norm(seq: CoefSequence, params: NormParams) -> float:
     return besov_norm(seq, params) if params.family == "besov" \
         else triebel_lizorkin_norm(seq, params)
-
-
-# ---------------------------------------------------------------------------
-# Weighted sequence norms on the standard dyadic grid in R^n
-# ---------------------------------------------------------------------------
-
-def _is_integer(x) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def weighted_rn_norm(entries: dict, grid: RnDyadicGrid, params: NormParams) -> float:
-    """Norm of a sequence over standard dyadic cubes Q(j, k) on a box in
-    R^n, with cube masses given by the grid's weighted sums. Entries map
-    (j, kvec) -> coefficient, with an integer level j and integer kvec
-    components (a ValueError names any other entry); delta must be 1/2.
-
-    Each level of the grid is a cube table for the batch kernel: the
-    entries' kvecs become cube ids with one ``grid.cube_ids`` lookup per
-    level, and entries that name one cube are added up, in entry order."""
-    if abs(params.delta - 0.5) > 1e-12:
-        raise ValueError("the standard dyadic grid has delta = 1/2")
-    if not entries:
-        return 0.0
-    for key in entries:
-        j, kvec = key
-        if not all(map(_is_integer, (j, *kvec) if isinstance(kvec, tuple) else key)):
-            raise ValueError(f"entry {key!r}: the level and the kvec components must be integers")
-    levels, kvecs = zip(*entries)
-    level = np.array(levels, dtype=int)
-    try:
-        cells = np.array(kvecs, dtype=int).reshape(len(kvecs), -1)
-    except ValueError:
-        raise KeyError("no dyadic cube meets the box at every k: "
-                       "the kvecs differ in length") from None
-    outside = np.flatnonzero((level < grid.j_min) | (level > grid.j_max))
-    if outside.size:
-        raise ValueError(f"level j = {level[outside[0]]} outside the grid window "
-                         f"[{grid.j_min}, {grid.j_max}]")
-    alpha = np.empty(level.size, dtype=int)
-    for j in np.unique(level).tolist():
-        at = level == j
-        alpha[at] = grid.cube_ids(j, cells[at])
-    keys, entry_of = np.unique(np.stack([level, alpha], axis=1), axis=0, return_inverse=True)
-    value = np.bincount(entry_of.ravel(), weights=np.array(list(entries.values()), dtype=float),
-                        minlength=len(keys))
-    return float(_norms(np.array([0, len(keys)]), keys[:, 0], keys[:, 1], value, params,
-                        grid.cube_mass, grid.order, grid.bounds, grid.weights)[0])

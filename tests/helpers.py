@@ -208,17 +208,6 @@ def delta_ratio(cubes, k0, alpha0, params):
             * cubes.mass(k0, alpha0) ** (inv_p1 - inv_p2))
 
 
-def brute_rn_cubes(points, weights, j):
-    """Level-j standard dyadic cubes of a point cloud by floor indexing:
-    {kvec: (ascending member ids, mass summed in point order)}."""
-    cubes = {}
-    for i, (point, w) in enumerate(zip(points, weights)):
-        kvec = tuple(math.floor(float(x) * 2.0**j) for x in np.atleast_1d(point))
-        members, mass = cubes.get(kvec, ([], 0.0))
-        cubes[kvec] = (members + [i], mass + float(w))
-    return cubes
-
-
 def brute_maximal(dist, weight, f):
     """M f by scanning a radius just above every pairwise distance."""
     n = dist.shape[0]

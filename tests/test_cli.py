@@ -108,6 +108,7 @@ def test_embed_test_bad_trace_line_exit_2(tmp_path, capsys):
 
 GRID16 = ["--gallery", "euclidean_grid", "--n", "16"]
 EMBED_GRID16 = ["embed-test", *GRID16, "--p1", "2", "--p2", "1", "--n-sequences", "8"]
+WEIGHTED17 = ["--gallery", "weighted_grid", "--n", "17"]
 # parameters that are NaN (or infinite where a scale needs a finite one):
 # each once produced a report or an unnamed error
 BAD_PARAMETERS = {
@@ -133,6 +134,14 @@ BAD_PARAMETERS = {
     "cubes A0 nan": (["cubes", *GRID16, "--A0", "nan"], "A0 must be a finite positive number"),
     "cubes C0 inf": (["cubes", *GRID16, "--C0", "inf"], "C0 must be a finite positive number"),
     "cubes A0 inf": (["cubes", *GRID16, "--A0", "inf"], "A0 must be a finite positive number"),
+    "weighted_grid alpha nan": (["analyze", *WEIGHTED17, "--alpha", "nan"],
+                                "alpha must be a finite number, got nan"),
+    "weighted_grid alpha inf": (["analyze", *WEIGHTED17, "--alpha", "inf"],
+                                "alpha must be a finite number, got inf"),
+    "weighted_grid extent inf": (["analyze", *WEIGHTED17, "--extent", "inf"],
+                                 "extent must be a finite number, got inf"),
+    "weighted_grid beta nan": (["analyze", *WEIGHTED17, "--beta", "nan"],
+                               "beta must be a finite number, got nan"),
 }
 
 

@@ -10,7 +10,6 @@ from homspace.common import dumps_report, rng_stream
 from homspace.embed import (
     REDRAW_FACTOR,
     EmbedParams,
-    ap_weight_check,
     characterize,
     delta_necessity_test,
     embedding_ratio_scan,
@@ -18,12 +17,11 @@ from homspace.embed import (
     proof_constant_besov,
     scan_batch,
 )
-from homspace.gallery import unit_dyadic_lattice
 from homspace.seqnorm import CoefSequence, NormParams, SequenceBatch, batch_norms, sequence_norm
 from homspace.space import FiniteHomSpace
 
 from conftest import build_system
-from helpers import brute_batch_shape, brute_rn_cubes, delta_ratio
+from helpers import brute_batch_shape, delta_ratio
 
 
 def sequence_ratio(seq, params):
@@ -177,8 +175,9 @@ def test_zero_sequence_ratio_neutral(grid64_cubes):
     # in a scan, zero sequences (with and without entries) are skipped and
     # left out of n_nonzero
     empty = CoefSequence(grid64_cubes, {})
-    report = scan_batch(SequenceBatch.of([zero, live, empty, zero], ["z0", "live", "e", "z1"]),
-                        params)
+    batch = dataclasses.replace(SequenceBatch.of([zero, live, empty, zero]),
+                                labels=["z0", "live", "e", "z1"])
+    report = scan_batch(batch, params)
     assert (report.n_sequences, report.n_nonzero) == (4, 1)
     assert report.witness_id == "live"
     assert report.sup_ratio == sequence_ratio(live, params)
@@ -195,7 +194,7 @@ def test_scan_witness_is_first_maximum(grid64_cubes):
     # scaled: equal ratios must not move the witness off the first one
     seqs += [seqs[top], seqs[top].scaled(3.0)]
     labels = [f"s{i}" for i in range(len(seqs))]
-    report = scan_batch(SequenceBatch.of(seqs, labels), params)
+    report = scan_batch(dataclasses.replace(SequenceBatch.of(seqs), labels=labels), params)
     assert report.witness_id == f"s{top}"
     assert report.sup_ratio == best
 
@@ -480,99 +479,3 @@ def test_characterize_deterministic(grid64, grid64_cubes):
     a = characterize(grid64, grid64_cubes, params, n_sequences=48, seed=7)
     b = characterize(grid64, grid64_cubes, params, n_sequences=48, seed=7)
     assert dumps_report(a) == dumps_report(b)
-
-
-# ---------------------------------------------------------------------------
-# A_p product
-# ---------------------------------------------------------------------------
-
-def test_ap_constant_one_for_unit_weight():
-    grid = unit_dyadic_lattice(5)
-    report = ap_weight_check(grid, np.ones(grid.points.shape[0]), p=2.0)
-    assert report.estimate == 1.0
-
-
-def test_ap_admissible_weight_stable_under_refinement():
-    # exponents 0.5 / -0.5 sit inside the admissible wedge
-    # -1 < -0.5 < 0.5 < 1 for p = 2 on the line; the kink at x = 1/3 is
-    # never a lattice point, so discrete averages track the integrals
-    def density(pts):
-        r = np.abs(pts[:, 0] - 1.0 / 3.0)
-        return np.where(r <= 0.25, (r / 0.25) ** 0.5, (r / 0.25) ** (-0.5))
-
-    coarse = unit_dyadic_lattice(6, density=density)
-    fine = unit_dyadic_lattice(8, density=density)
-    est_c = ap_weight_check(coarse, coarse.weights * 2**6, p=2.0).estimate
-    est_f = ap_weight_check(fine, fine.weights * 2**8, p=2.0).estimate
-    assert est_f < 2.0 * est_c
-    assert est_f < 50.0
-
-
-def test_ap_supercritical_weight_blows_up():
-    def density(pts):
-        r = np.abs(pts[:, 0] - 1.0 / 3.0)
-        return r ** (-1.0)   # exponent -n on the line: outside the A_p range
-
-    # the blow-up is logarithmic in the resolution, so compare far-apart grids
-    estimates = []
-    for j in (4, 7, 11):
-        grid = unit_dyadic_lattice(j, density=density)
-        estimates.append(ap_weight_check(grid, grid.weights * 2**j, p=2.0).estimate)
-    assert estimates[0] < estimates[1] < estimates[2]
-    assert estimates[2] > 2.0 * estimates[0]
-
-
-def brute_ap(grid, w, p):
-    """(estimate, witness, per-level maxima) from per-cube means over the
-    floor-indexed cubes, scanned in (level, sorted kvec) order."""
-    best, witness, per_level = 0.0, None, {}
-    for j in grid.levels:
-        per_level[j] = 0.0
-        for kvec, (members, _) in sorted(brute_rn_cubes(grid.points, grid.weights, j).items()):
-            avg_w = sum(w[i] for i in members) / len(members)
-            avg_dual = sum(w[i] ** (-1.0 / (p - 1.0)) for i in members) / len(members)
-            value = avg_w * avg_dual ** (p - 1.0)
-            per_level[j] = max(per_level[j], value)
-            if value > best:
-                best, witness = value, {"level": j, "cube": list(kvec)}
-    return best, witness, per_level
-
-
-@pytest.mark.parametrize("dim,p", [(1, 2.0), (1, 1.5), (2, 3.0), (2, 2.0)])
-def test_ap_matches_brute_cube_means(dim, p):
-    rng = np.random.default_rng(dim)
-    pts = rng.uniform(-1.0, 1.0, (120, dim))
-    grid = gallery.build_rn_dyadic_grid(pts, np.full(120, 1 / 120), j_min=-1, j_max=5)
-    w = np.exp(2.0 * rng.standard_normal(120))
-    report = ap_weight_check(grid, w, p)
-    best, witness, per_level = brute_ap(grid, w, p)
-    assert report.estimate == pytest.approx(best, rel=1e-12)
-    assert {k: report.witness[k] for k in ("level", "cube")} == witness
-    assert report.witness["value"] == report.estimate
-    assert report.per_level_max.keys() == per_level.keys()
-    for j, value in per_level.items():
-        assert report.per_level_max[j] == pytest.approx(value, rel=1e-12)
-
-
-def test_ap_witness_is_first_maximum():
-    # a constant weight ties every cube at exactly 1: the witness is the
-    # first cube of the coarsest level, which holds four
-    lattice = unit_dyadic_lattice(3, dim=2)
-    grid = gallery.build_rn_dyadic_grid(lattice.points, lattice.weights, j_min=1, j_max=3)
-    report = ap_weight_check(grid, np.full(64, 4.0), p=2.0)
-    assert report.witness == {"level": 1, "cube": [0, 0], "value": 1.0}
-
-
-def test_ap_rejects_bad_weight_fields():
-    grid = unit_dyadic_lattice(3)
-    for w in (np.zeros(8), np.r_[np.ones(7), math.nan], np.r_[np.ones(7), math.inf]):
-        with pytest.raises(ValueError, match="positive and finite"):
-            ap_weight_check(grid, w, p=2.0)
-    with pytest.raises(ValueError, match="length"):
-        ap_weight_check(grid, np.ones(9), p=2.0)
-
-
-def test_ap_requires_p_above_one():
-    grid = unit_dyadic_lattice(3)
-    with pytest.raises(ValueError, match="p > 1"):
-        ap_weight_check(grid, np.ones(grid.points.shape[0]), p=1.0)

@@ -11,11 +11,9 @@ from homspace.cli import main
 from homspace.gallery import (
     GallerySpec,
     build,
-    build_rn_dyadic_grid,
     cantor_points,
     load_space,
     space_to_dict,
-    unit_dyadic_lattice,
 )
 from homspace.space import (
     FiniteHomSpace,
@@ -25,7 +23,7 @@ from homspace.space import (
     validate_quasi_metric,
 )
 
-from helpers import box_count_dimension, brute_rn_cubes
+from helpers import box_count_dimension
 
 
 def test_euclidean_grid_mass_and_validity():
@@ -162,6 +160,11 @@ def test_weighted_grid_origin_handling():
 def test_weighted_grid_alpha_gate():
     with pytest.raises(ValueError, match="-dim"):
         build(GallerySpec(kind="weighted_grid", n=17, dim=1, alpha=-1.0))
+    # a non-finite parameter is refused by name before any point is placed
+    for name in ("alpha", "beta", "extent"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number, got"):
+                build(GallerySpec(kind="weighted_grid", n=17, dim=1, **{name: value}))
 
 
 def test_gallery_bad_kind_and_size():
@@ -288,78 +291,3 @@ def test_space_roundtrip_explicit(tmp_path):
     back = load_space(str(path))
     assert back.metric == "explicit"
     assert np.allclose(back.dist, sp.dist)
-
-
-# ---------------------------------------------------------------------------
-# R^n dyadic grid
-# ---------------------------------------------------------------------------
-
-def members(grid, j, a):
-    return grid.order[j][grid.bounds[j][a]:grid.bounds[j][a + 1]]
-
-
-def test_unit_lattice_masses_exact():
-    grid = unit_dyadic_lattice(5)
-    for j in grid.levels:
-        for mass in grid.cube_mass[j]:
-            assert mass == pytest.approx(2.0 ** (-j), rel=1e-12)
-        assert len(grid.keys[j]) == 2**j
-
-
-def test_grid_members_match_floor_indexing():
-    rng = np.random.default_rng(2)
-    pts = rng.uniform(0, 1, (40, 2))
-    grid = build_rn_dyadic_grid(pts, np.full(40, 0.025), j_min=0, j_max=3)
-    for j in (1, 3):
-        for a, kvec in enumerate(map(tuple, grid.keys[j].tolist())):
-            cube = members(grid, j, a)
-            assert cube.size > 0
-            for m in cube:
-                assert tuple(np.floor(pts[m] * 2**j).astype(int)) == kvec
-
-
-def test_grid_off_box_and_bad_weights():
-    grid = unit_dyadic_lattice(3)
-    with pytest.raises(KeyError, match="meets the box"):
-        grid.cube_ids(2, [(99,)])
-    with pytest.raises(KeyError, match="meets the box"):
-        grid.cube_ids(2, [(1, 0)])
-    with pytest.raises(ValueError, match="invalid measure"):
-        build_rn_dyadic_grid([[0.0], [0.5]], [1.0, 0.0])
-
-
-@pytest.mark.parametrize("points,weights,message", [
-    ([[0.0], [0.5]], [1.0, 1.0, 1.0], "3 grid weights for 2 points"),
-    ([[0.0], [0.5]], [1.0], "1 grid weights for 2 points"),
-    ([[0.0], [0.5]], [1.0, math.nan], "invalid measure"),
-    ([[0.0], [math.nan]], [1.0, 1.0], "grid points must be finite"),
-    ([[0.0], [2.0**57]], [1.0, 1.0], r"grid points must be finite, with \|x\| below 2\^56"),
-], ids=["extra-weight", "missing-weight", "nan-weight", "nan-point", "cell-overflow"])
-def test_grid_rejects_bad_input(points, weights, message):
-    with pytest.raises(ValueError, match=message):
-        build_rn_dyadic_grid(points, weights)
-
-
-def cloud(seed, dim):
-    """Seeded points with repeats and points on dyadic cell edges."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.5, (60, dim))
-    pts[:10] = rng.integers(-4, 6, (10, dim)) / 4.0
-    pts[10:15] = pts[20:25]
-    return pts, rng.uniform(0.01, 2.0, 60)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("seed", range(4))
-def test_grid_levels_match_brute_floor_indexing(seed, dim):
-    pts, weights = cloud(seed, dim)
-    grid = build_rn_dyadic_grid(pts, weights, j_min=-2, j_max=5)
-    for j in grid.levels:
-        brute = brute_rn_cubes(pts, weights, j)
-        assert [tuple(row) for row in grid.keys[j].tolist()] == sorted(brute)
-        assert grid.bounds[j][0] == 0 and grid.bounds[j][-1] == len(pts)
-        for a, kvec in enumerate(sorted(brute)):
-            assert members(grid, j, a).tolist() == brute[kvec][0]
-            assert grid.cube_mass[j][a] == brute[kvec][1]
-        shuffled = np.random.default_rng(seed).permutation(len(brute))
-        assert np.array_equal(grid.cube_ids(j, grid.keys[j][shuffled]), shuffled)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from homspace import gallery, seqnorm
 from homspace.common import rng_stream
-from homspace.gallery import unit_dyadic_lattice
 from homspace.seqnorm import (
     CoefSequence,
     NormParams,
@@ -17,14 +16,12 @@ from homspace.seqnorm import (
     load_sequence,
     sequence_norm,
     triebel_lizorkin_norm,
-    weighted_rn_norm,
 )
 
 import conftest
 from conftest import fresh_at
 from helpers import (
     brute_besov,
-    brute_rn_cubes,
     brute_tl,
     brute_tl_function,
     delta_sequence_norm,
@@ -211,6 +208,15 @@ def weighted_cubes():
 
 
 @pytest.fixture(scope="module")
+def weighted_plane_cubes():
+    # |x|^1.5 / |x|^-1 density on [-2, 2]^2: 120 points (no origin) on
+    # levels -1, 0, 1, so the kernel also sees cubes of a 2-D space
+    sp = gallery.build(gallery.GallerySpec(kind="weighted_grid", n=11, dim=2,
+                                           alpha=1.5, beta=-1.0, extent=2.0))
+    return conftest.build_system(sp)
+
+
+@pytest.fixture(scope="module")
 def cantor_cubes():
     return conftest.build_system(gallery.build(gallery.GallerySpec(kind="cantor", depth=6)))
 
@@ -244,12 +250,12 @@ def cube_batches(draw, cubes):
 @given(data=st.data(), family=st.sampled_from(["besov", "triebel_lizorkin"]),
        s=st.sampled_from([-0.6, 0.0, 0.45]), p=st.sampled_from(EXPONENTS),
        q=st.sampled_from(EXPONENTS), variant=st.sampled_from(["homogeneous", "inhomogeneous"]),
-       include_zero_level=st.booleans())
-def test_batch_norms_match_brute_force(weighted_cubes, data, family, s, p, q, variant,
-                                       include_zero_level):
+       include_zero_level=st.booleans(), dim=st.sampled_from([1, 2]))
+def test_batch_norms_match_brute_force(weighted_cubes, weighted_plane_cubes, data, family, s, p,
+                                       q, variant, include_zero_level, dim):
     if family == "triebel_lizorkin" and math.isinf(p):
         p = 1.7
-    cubes = weighted_cubes
+    cubes = weighted_cubes if dim == 1 else weighted_plane_cubes
     entries, batch = data.draw(cube_batches(cubes))
     params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family=family, variant=variant,
                         include_zero_level=include_zero_level)
@@ -515,113 +521,6 @@ def test_bad_params_rejected():
         NormParams(s=0.0, p=2.0, q=2.0, delta=1.5)
     with pytest.raises(ValueError):
         NormParams(s=0.0, p=2.0, q=2.0, delta=0.5, family="weird")
-
-
-# ---------------------------------------------------------------------------
-# weighted norms on the standard dyadic grid
-# ---------------------------------------------------------------------------
-
-def grid_mass(grid, j, kvec):
-    return float(grid.cube_mass[j][grid.cube_ids(j, [kvec])[0]])
-
-
-def test_weighted_rn_lebesgue_case():
-    grid = unit_dyadic_lattice(6)  # 64 points, level-j cubes carry mass 2^-j
-    for j, k in [(0, (0,)), (3, (5,)), (6, (40,))]:
-        assert grid_mass(grid, j, k) == pytest.approx(2.0 ** (-j), rel=1e-12)
-    s, p, q = 0.4, 1.5, 2.0
-    entries = {(3, (5,)): 1.0}
-    params = NormParams(s=s, p=p, q=q, delta=0.5, family="besov")
-    expected = 2.0 ** (3 * s) * (2.0 ** (-3)) ** (1 / p - 0.5)
-    assert weighted_rn_norm(entries, grid, params) == pytest.approx(expected, rel=1e-12)
-
-
-def test_weighted_rn_delta_closed_form_weighted_density():
-    grid = unit_dyadic_lattice(6, density=lambda pts: 0.5 + np.abs(pts[:, 0]) ** 0.5)
-    j, k = 4, (3,)
-    w_mass = grid_mass(grid, j, k)
-    s, p, q = 0.7, 2.0, 1.0
-    entries = {(j, k): 1.0}
-    params = NormParams(s=s, p=p, q=q, delta=0.5, family="besov")
-    expected = 2.0 ** (j * s) * w_mass ** (1 / p - 0.5)
-    assert weighted_rn_norm(entries, grid, params) == pytest.approx(expected, rel=1e-12)
-
-
-def brute_rn_data(grid, entries):
-    """Oracle masses and members of the entries' cubes, by floor indexing."""
-    cubes = {j: brute_rn_cubes(grid.points, grid.weights, j) for j, _ in entries}
-    masses = {(j, k): cubes[j][k][1] for j, k in entries}
-    members = {(j, k): cubes[j][k][0] for j, k in entries}
-    return masses, members
-
-
-def test_weighted_rn_zero_and_tl_matches_brute():
-    grid = unit_dyadic_lattice(5)
-    params = NormParams(s=0.3, p=1.6, q=1.1, delta=0.5, family="triebel_lizorkin")
-    assert weighted_rn_norm({(2, (1,)): 0.0}, grid, params) == 0.0
-    entries = {(2, (1,)): 1.0, (4, (7,)): -0.4, (0, (0,)): 0.2}
-    masses, members = brute_rn_data(grid, entries)
-    expected = brute_tl(entries, masses, members, grid.weights,
-                        grid.points.shape[0], 0.5, params.s, params.p, params.q,
-                        lambda k: True)
-    assert weighted_rn_norm(entries, grid, params) == pytest.approx(expected, rel=1e-10)
-
-
-# (family, s, p, q): p = inf only for Besov
-RN_PARAMS = [("besov", 0.4, 1.5, 2.0), ("besov", -0.3, 1 / 3, INF), ("besov", 0.2, INF, 1.0),
-             ("triebel_lizorkin", 0.3, 1.6, 1.1), ("triebel_lizorkin", -0.2, 0.5, INF),
-             ("triebel_lizorkin", 0.5, 3.0, 1 / 3)]
-
-
-@pytest.mark.parametrize("family,s,p,q", RN_PARAMS)
-@pytest.mark.parametrize("variant", ["homogeneous", "inhomogeneous"])
-def test_weighted_rn_2d_matches_brute(family, s, p, q, variant):
-    grid = unit_dyadic_lattice(4, dim=2, density=lambda pts: 1.0 + 3 * pts[:, 0] + pts[:, 1] ** 2)
-    rng = np.random.default_rng(44)
-    keys = [(j, tuple(k)) for j in (0, 1, 2, 4) for k in grid.keys[j].tolist()]
-    picks = rng.choice(len(keys), size=14, replace=False)
-    entries = {keys[i]: float(v) for i, v in zip(picks, rng.standard_normal(14))}
-    entries[keys[picks[0]]] = 0.0
-    params = NormParams(s=s, p=p, q=q, delta=0.5, family=family, variant=variant)
-    masses, members = brute_rn_data(grid, entries)
-    level_ok = lambda k: params.level_in_window(k)
-    if family == "besov":
-        expected = brute_besov(entries, masses, 0.5, s, p, q, level_ok)
-    else:
-        expected = brute_tl(entries, masses, members, grid.weights, grid.points.shape[0],
-                            0.5, s, p, q, level_ok)
-    assert weighted_rn_norm(entries, grid, params) == pytest.approx(expected, rel=1e-12)
-
-
-def test_weighted_rn_outside_box_errors():
-    grid = unit_dyadic_lattice(4)
-    params = NormParams(s=0.0, p=2.0, q=2.0, delta=0.5, family="besov")
-    with pytest.raises(KeyError, match="meets the box"):
-        weighted_rn_norm({(2, (77,)): 1.0}, grid, params)
-    with pytest.raises(KeyError, match="meets the box"):
-        weighted_rn_norm({(2, (1, 0)): 1.0}, grid, params)
-    with pytest.raises(KeyError, match="meets the box"):
-        weighted_rn_norm({(2, (1,)): 1.0, (3, (1, 0)): 1.0}, grid, params)
-    with pytest.raises(ValueError, match="outside the grid window"):
-        weighted_rn_norm({(9, (0,)): 1.0}, grid, params)
-
-
-def test_weighted_rn_refuses_non_integer_indices():
-    grid = unit_dyadic_lattice(4)
-    params = NormParams(s=0.0, p=2.0, q=2.0, delta=0.5, family="besov")
-    # both used to truncate to the cube (2, (1,)) and score its norm
-    with pytest.raises(ValueError, match=r"entry \(2\.7, \(1\.5,\)\)"):
-        weighted_rn_norm({(2.7, (1.5,)): 1.0}, grid, params)
-    with pytest.raises(ValueError, match=r"entry \(True, \(1,\)\)"):
-        weighted_rn_norm({(True, (1,)): 1.0}, grid, params)
-    assert repr(weighted_rn_norm({(2, (1,)): 1.0}, grid, params)) == "1.0"
-
-
-def test_weighted_rn_wrong_delta():
-    grid = unit_dyadic_lattice(3)
-    params = NormParams(s=0.0, p=2.0, q=2.0, delta=0.25, family="besov")
-    with pytest.raises(ValueError, match="1/2"):
-        weighted_rn_norm({(0, (0,)): 1.0}, grid, params)
 
 
 # ---------------------------------------------------------------------------
