@@ -140,9 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_args(p)
     _add_common(p)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seeds --random")
-    p.add_argument("--values", help="JSON array of per-point values")
-    p.add_argument("--random", type=_count, metavar="COUNT",
-                   help="evaluate on COUNT seeded random functions and report ratios")
+    inputs = p.add_mutually_exclusive_group()
+    inputs.add_argument("--values", help="JSON array of per-point values")
+    inputs.add_argument("--random", type=_count, metavar="COUNT",
+                        help="evaluate on COUNT seeded random functions and report ratios")
 
     p = sub.add_parser("gallery", help="construct a space and write its space file")
     _add_space_args(p)

@@ -16,8 +16,9 @@ DEFAULT_SEED = 0xD1AD1C
 
 # Most entries one block of a batched temporary holds (128 KiB of float64):
 # the Triebel-Lizorkin accumulator, the scan's random keys, the maximal
-# operator's gathers and ``maximal --random``'s functions go in blocks of
-# whole rows under it, one row at least.
+# operator's cumsum gathers and ``maximal --random``'s functions go in
+# blocks of whole rows under it, one row at least. The maximal operator's
+# row walk reads it as lanes: (point, function) pairs per block.
 BLOCK_ELEMENTS = 1 << 14
 
 

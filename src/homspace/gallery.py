@@ -14,12 +14,15 @@ alpha < 0 the density is singular there, for alpha > 0 it vanishes and a
 zero-mass point would break the positive-measure contract. alpha = 0
 keeps the origin with density 1. Its alpha, beta and extent must be
 finite; ``build`` refuses any other value by name before it places a
-point.
+point. It also refuses, by name, an extent whose squared lattice
+distances or cell volume leave the floats, and an alpha or beta that
+gives a point a weight of 0 or inf.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import chain
 from dataclasses import dataclass
 
@@ -136,13 +139,31 @@ def build(spec: GallerySpec) -> FiniteHomSpace:
                 raise ValueError("extent must be positive")
             if spec.alpha <= -spec.dim:
                 raise ValueError(f"alpha must exceed -dim = {-spec.dim} for an integrable density")
+            h = 2.0 * spec.extent / (spec.n - 1)
+            try:
+                cell = h**spec.dim
+            except OverflowError:
+                cell = math.inf
+            # the table adds squared coordinate differences: the spacing
+            # must square to a normal number and the diagonal to a finite
+            # one; every weight is a density times the cell volume
+            if h * h < sys.float_info.min or not 0.0 < cell < math.inf or \
+                    2.0 * spec.extent * math.sqrt(spec.dim) > math.sqrt(sys.float_info.max):
+                raise ValueError(f"extent = {spec.extent!r} is out of range: the lattice's "
+                                 f"squared distances or cell volume leave the floats")
             coords = _lattice(spec.n, spec.dim, -spec.extent, spec.extent)
             radii = np.sqrt((coords**2).sum(axis=1))
             if spec.alpha != 0.0:
                 keep = radii > 0
                 coords, radii = coords[keep], radii[keep]
-            h = 2.0 * spec.extent / (spec.n - 1)
-            weights = radial_density(radii, spec.alpha, spec.beta) * h**spec.dim
+            with np.errstate(over="ignore", under="ignore"):
+                weights = radial_density(radii, spec.alpha, spec.beta) * cell
+            bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+            if bad.size:
+                r, w = float(radii[bad[0]]), float(weights[bad[0]])
+                name = "alpha" if r <= 1.0 else "beta"
+                raise ValueError(f"{name} = {getattr(spec, name)!r} is out of range: the "
+                                 f"point at |x| = {r:g} gets weight {w!r}, not a positive real")
         else:
             coords = _lattice(spec.n, spec.dim, 0.0, 1.0)
             weights = np.full(total, 1.0 / total)

@@ -708,6 +708,7 @@ EMBED = ["embed-test", "--gallery", "euclidean_grid", "--n", "16",
          "--s1", "0.5", "--p1", "2", "--s2", "1", "--p2", "1"]
 KERNEL = ["kernel-check", "--gallery", "euclidean_grid", "--n", "16"]
 MAXIMAL = ["maximal", "--gallery", "euclidean_grid", "--n", "16"]
+MAXIMAL_VALUES = [*MAXIMAL, "--values", "values.json"]     # excludes --random
 
 
 @pytest.mark.parametrize("argv,flag,value", [
@@ -718,12 +719,16 @@ MAXIMAL = ["maximal", "--gallery", "euclidean_grid", "--n", "16"]
     (MAXIMAL, "--random", "-1"),
     (MAXIMAL, "--random", "0"),
     (MAXIMAL, "--random", "two"),
+    (MAXIMAL_VALUES, "--random", "4"),
 ])
 def test_counts_below_one_exit_2(tmp_path, capsys, argv, flag, value):
     code, text = run(tmp_path, *argv, flag, value)
     assert code == 2
     assert text == ""
     err = capsys.readouterr().err
+    if argv is MAXIMAL_VALUES:
+        assert f"argument {flag}: not allowed with argument --values" in err
+        return
     expected = f"got {value}" if value.lstrip("-").isdigit() else f"got {value!r}"
     assert f"argument {flag}: must be" in err and expected in err
 

@@ -165,6 +165,16 @@ def test_weighted_grid_alpha_gate():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^{name} must be a finite number, got"):
                 build(GallerySpec(kind="weighted_grid", n=17, dim=1, **{name: value}))
+    # so is a finite one whose table or weights leave the float range, with
+    # no numpy warning (warnings are errors here)
+    for name, params in [("extent", dict(extent=1e-300)),   # the spacing squares to 0
+                         ("extent", dict(extent=1e308)),
+                         ("extent", dict(n=2, dim=3, extent=1e150)),    # cell volume inf
+                         ("alpha", dict(alpha=1e308)),
+                         ("beta", dict(beta=-1e308, extent=2.0)),
+                         ("beta", dict(beta=1e308, extent=2.0))]:
+        with pytest.raises(ValueError, match=f"^{name} = .* is out of range"):
+            build(GallerySpec(kind="weighted_grid", **{"n": 17, "dim": 1, **params}))
 
 
 def test_gallery_bad_kind_and_size():

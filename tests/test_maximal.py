@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from homspace import maximal
+from homspace import gallery, maximal
 from homspace.common import rng_stream, stable_sum
+from homspace.gallery import GallerySpec
 from homspace.maximal import (
     KernelParams,
     almost_orth_kernel,
@@ -117,6 +119,67 @@ def test_stacked_maximal_equals_row_by_row(table, budget, monkeypatch):
         assert np.array_equal(stacked, rows)
     brute = np.stack([brute_maximal(dist, weight, g) for g in fns[:4]])
     assert np.allclose(hl_maximal(sp, fns[:4]), brute, rtol=1e-12)
+
+
+def _paths(space, f, points, monkeypatch):
+    """hl_maximal by the row walk (every call wide), then by cumsum blocks."""
+    results = []
+    for lanes in (0, 1 << 62):
+        monkeypatch.setattr(maximal, "WALK_LANES", lanes)
+        results.append(hl_maximal(space, f, points))
+    return results
+
+
+@pytest.mark.parametrize("space", [
+    lambda: gallery.build(GallerySpec(kind="euclidean_grid", n=16, dim=2)),   # roundoff ties
+    lambda: FiniteHomSpace(*integer_grid_table(7, seed=11)),                 # exact ties
+    lambda: gallery.build(GallerySpec(kind="cantor", depth=6)),
+    lambda: gallery.build(GallerySpec(kind="snowflake", n=12, dim=2, e=0.5)),
+], ids=["grid16x16", "integer_grid", "cantor", "snowflake"])
+def test_walk_and_cumsum_paths_agree_bit_for_bit(space, monkeypatch):
+    sp = space()
+    rng = np.random.default_rng(7)
+    many = maximal.BLOCK_ELEMENTS // sp.n + 2          # every point: more than one block
+    for f in (rng.standard_normal(sp.n), rng.standard_normal((3, sp.n)),
+              rng.standard_normal((many, sp.n))):
+        for points in (None, np.arange(3, sp.n - 2), np.r_[rng.permutation(sp.n), [0, 0, 5]],
+                       [4], []):
+            walk, cumsum = _paths(sp, f, points, monkeypatch)
+            assert walk.shape == cumsum.shape
+            assert np.array_equal(walk, cumsum)
+    # an infinite entry, a NaN and a total that overflows give the same bits too
+    f = rng.standard_normal((3, sp.n))
+    f[0, 3], f[1, 5], f[2, :2] = np.inf, np.nan, 1e308
+    with np.errstate(over="ignore"):
+        walk, cumsum = _paths(sp, f, None, monkeypatch)
+    assert np.array_equal(walk, cumsum, equal_nan=True)
+
+
+def test_walk_matches_brute_force(monkeypatch):
+    dist, weight, f = _tied_grid()
+    monkeypatch.setattr(maximal, "WALK_LANES", 0)
+    fns = np.vstack([f, np.random.default_rng(8).standard_normal((3, f.size))])
+    brute = np.stack([brute_maximal(dist, weight, g) for g in fns])
+    assert np.allclose(hl_maximal(FiniteHomSpace(dist=dist, weight=weight), fns), brute,
+                       rtol=1e-12)
+
+
+def test_walk_memory_stays_within_blocks():
+    # 16 functions on 1024 points is 16 384 lanes: the walk. Beyond the
+    # (n, m) weighted copy and the output, the call holds a few blocks of
+    # lanes and of index columns, never rows x n of the ball index (4 MiB
+    # of order and 8 MiB of cum_weight for these rows)
+    sp = gallery.build(GallerySpec(kind="euclidean_grid", n=32, dim=2))
+    f = np.random.default_rng(9).standard_normal((16, sp.n))
+    assert f.size >= maximal.WALK_LANES
+    sp.ball_index                                           # cached outside the trace
+    tracemalloc.start()
+    try:
+        out = hl_maximal(sp, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - f.nbytes - out.nbytes < 12 * maximal.BLOCK_ELEMENTS * 8
 
 
 def test_stacked_maximal_of_no_functions(grid64):
