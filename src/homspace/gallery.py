@@ -250,7 +250,10 @@ def load_space(path: str) -> FiniteHomSpace:
         except ValueError as exc:       # the metric string
             raise ValueError(f"{path}: {exc}") from None
 
-    result = validate_quasi_metric(space)
+    try:
+        result = validate_quasi_metric(space)
+    except ValueError as exc:       # the measure
+        raise ValueError(f"{path}: {exc}") from None
     if not result.ok:
         v = result.violations[0]
         if v["kind"] == "symmetry":

@@ -36,10 +36,14 @@ leaving it out changes nothing.
 The kernel gives the same bits as a one-sequence-at-a-time evaluation
 because it keeps these rules:
 
-  * scalar powers: the per-cube factors m^(1/p - 1/2) and m^(-1/2), the
-    per-level factors d^(-ks) and d^(-ksq), the per-entry
-    Triebel-Lizorkin term d^(-ksq) (m^(-1/2) |lam|)^q, and every final
-    (sum)^(1/p) use Python's scalar ``**``;
+  * scalar powers: the per-cube factors m^(1/p - 1/2) and m^(-1/2) (one
+    table per level over its cubes, then one gather), the per-level
+    factors d^(-ks) and d^(-ksq), the per-entry Triebel-Lizorkin term
+    d^(-ksq) (m^(-1/2) |lam|)^q, and every final (sum)^(1/p) use Python's
+    scalar ``**``. Where the exponent is 1 the power is left out: glibc's
+    pow is accurate to under 1 ulp, so pow(x, 1.0) is x exactly, and at
+    q = 1 the term d^(-ks) (m^(-1/2) |lam|) is the same two products in
+    numpy. So an l^1 sum takes no root;
   * array powers: |t|^p, |t|^q, acc^(1/q) and g^p use numpy's ``**`` on
     arrays, whose elementwise result does not depend on the length of the
     array or on which other elements it holds, so acc^(1/q) and g^p on the
@@ -50,9 +54,15 @@ because it keeps these rules:
     the terms does not matter, and neither does an exact zero term: the
     Triebel-Lizorkin sum drops the uncovered points and the covered ones
     whose acc is 0.0, and fsum([]) is 0.0); p = inf and q = inf are segment
-    maxima;
+    maxima. A Besov segment of one term sums to that term, and one of two
+    terms to their IEEE sum when it is finite (one correctly rounded add,
+    which is what fsum returns for two terms), both in numpy; only
+    segments of three or more terms and pairs that overflow call fsum;
   * the scatter is ``np.bincount``, which adds in input order, entry after
     entry, as a sequential ``acc[members] += term`` does.
+
+A norm that leaves the float range (an inf or nan result, or an overflow
+in Python's ``**`` or in fsum) raises ValueError, with no numpy warning.
 
 layer_cake_tl_norm rebuilds g over every point from the covered cells and
 recomputes the same L^p integral through the distribution function of g:
@@ -213,19 +223,46 @@ def _check_backing(delta: float, params: NormParams) -> None:
 # ---------------------------------------------------------------------------
 
 def batch_norms(batch: SequenceBatch, params: NormParams) -> np.ndarray:
-    """The ``params.family`` norm of every sequence of ``batch``."""
+    """The ``params.family`` norm of every sequence of ``batch``.
+
+    Raises ValueError when a norm leaves the float range: a power or an
+    fsum overflows, or a norm comes out inf or nan."""
     system = batch.system
     _check_backing(system.delta, params)
     entries = _counted(batch, params)
-    if params.family == "besov":
-        return _besov(len(batch), *entries, params, system.cube_mass)
+    try:
+        # an overflow in numpy shows as an inf or nan norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            if params.family == "besov":
+                out = _besov(len(batch), *entries, params, system.cube_mass)
+            else:
+                out = _triebel_lizorkin(system, len(batch), entries, params)
+        finite = bool(np.isfinite(out).all())
+    except OverflowError:       # in Python's ** or in fsum
+        finite = False
+    if not finite:
+        raise ValueError(f"a {params.family} norm (s={params.s!r}, p={params.p!r}, "
+                         f"q={params.q!r}) leaves the float range")
+    return out
+
+
+def _root(sums: list, p: float) -> np.ndarray:
+    """Python's sum ** (1/p) of each sum; pow(x, 1.0) is x exactly, so p = 1
+    computes none."""
+    root = 1.0 / p
+    if root == 1.0:
+        return np.array(sums, dtype=float)
+    return np.array([x ** root for x in sums], dtype=float)
+
+
+def _triebel_lizorkin(system: CubeSystem, n_seq, entries, params: NormParams) -> np.ndarray:
     p, weight, n_points = params.p, system.space.weight, system.space.n
-    out = np.zeros(len(batch))
-    for first, size, cells, g in _tl_functions(system, len(batch), *entries, params):
+    out = np.zeros(n_seq)
+    for first, size, cells, g in _tl_functions(system, n_seq, *entries, params):
         terms = (weight[cells % n_points] * g ** p).tolist()
         cuts = np.searchsorted(cells, np.arange(size + 1) * n_points).tolist()
-        out[first:first + size] = [math.fsum(terms[i:j]) ** (1.0 / p)
-                                   for i, j in zip(cuts[:-1], cuts[1:])]
+        out[first:first + size] = _root([math.fsum(terms[i:j])
+                                         for i, j in zip(cuts[:-1], cuts[1:])], p)
     return out
 
 
@@ -238,19 +275,32 @@ def _counted(batch: SequenceBatch, params: NormParams) -> tuple:
     return seq[keep], level[keep], alpha[keep], np.abs(value[keep])
 
 
-def _per_key(keys, fn) -> np.ndarray:
-    """fn(key), evaluated once per distinct key, for each entry of ``keys``."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    return np.array([fn(key) for key in distinct.tolist()], dtype=float)[inverse]
+def _per_level(level, fn) -> np.ndarray:
+    """fn(k), evaluated once for each level k the entries reach, per entry."""
+    if not level.size:
+        return np.zeros(0)
+    lo = int(level.min())
+    reached = np.flatnonzero(np.bincount(level - lo))
+    table = np.zeros(reached[-1] + 1)
+    table[reached] = [fn(k + lo) for k in reached.tolist()]
+    return table[level - lo]
 
 
-def _per_cube(level, alpha, cube_mass, fn) -> np.ndarray:
-    """fn(mass of the entry's cube), evaluated once per distinct cube."""
-    out = np.empty(level.size)
-    for k in np.unique(level).tolist():
-        at = level == k
-        out[at] = _per_key(alpha[at], lambda a: fn(float(cube_mass[k][a])))
-    return out
+def _per_cube(level, alpha, cube_mass, expo: float) -> np.ndarray:
+    """m ** expo (Python's **) for the mass m of each entry's cube: one
+    table row per level the entries reach, over the cubes of that level,
+    then one gather. Non-centers have mass 0 (and 0.0 ** expo raises for
+    expo < 0), so their entries stay 0."""
+    if not level.size:
+        return np.zeros(0)
+    lo = int(level.min())
+    reached = np.flatnonzero(np.bincount(level - lo))
+    table = np.zeros((reached[-1] + 1, cube_mass[lo].size))
+    for k in reached.tolist():
+        mass = cube_mass[k + lo]
+        live = np.flatnonzero(mass > 0)
+        table[k, live] = [m ** expo for m in mass[live].tolist()]
+    return table[level - lo, alpha]
 
 
 def _segment_starts(*keys) -> np.ndarray:
@@ -263,13 +313,24 @@ def _segment_starts(*keys) -> np.ndarray:
 
 
 def _segment_lp(values, starts, p: float) -> np.ndarray:
-    """l^p of each segment values[starts[j]:starts[j + 1]]."""
+    """l^p of each segment values[starts[j]:starts[j + 1]].
+
+    fsum is correctly rounded, so a segment of one term sums to that term
+    and one of two terms to their IEEE sum when it is finite; only longer
+    segments and the pairs whose sum overflows are summed by fsum."""
     if math.isinf(p):
         return np.maximum.reduceat(values, starts)
-    powered = (values ** p).tolist()
-    ends = starts[1:].tolist() + [len(powered)]
-    return np.array([math.fsum(powered[i:j]) ** (1.0 / p)
-                     for i, j in zip(starts.tolist(), ends)])
+    powered = values ** p
+    ends = np.append(starts[1:], powered.size)
+    sums = powered[starts]
+    pair = np.flatnonzero(ends - starts == 2)
+    sums[pair] += powered[starts[pair] + 1]
+    slow = np.flatnonzero((ends - starts > 2) | ~np.isfinite(sums))
+    if slow.size:
+        terms = powered.tolist()
+        sums[slow] = [math.fsum(terms[i:j])
+                      for i, j in zip(starts[slow].tolist(), ends[slow].tolist())]
+    return _root(sums.tolist(), p)
 
 
 def _besov(n_seq, seq, level, alpha, a, params: NormParams, cube_mass) -> np.ndarray:
@@ -278,9 +339,9 @@ def _besov(n_seq, seq, level, alpha, a, params: NormParams, cube_mass) -> np.nda
     if not a.size:
         return out
     expo = reciprocal(p) - 0.5
-    terms = _per_cube(level, alpha, cube_mass, lambda m: m ** expo) * a
+    terms = _per_cube(level, alpha, cube_mass, expo) * a
     inner = _segment_starts(seq, level)
-    per_level = (_per_key(level[inner], lambda k: delta ** (-k * s))
+    per_level = (_per_level(level[inner], lambda k: delta ** (-k * s))
                  * _segment_lp(terms, inner, p))
     outer = _segment_starts(seq[inner])
     out[seq[inner][outer]] = _segment_lp(per_level, outer, q)
@@ -298,14 +359,16 @@ def _tl_functions(system: CubeSystem, n_seq, seq, level, alpha, a, params: NormP
     s, q, delta = params.s, params.q, params.delta
     cube_mass, order, bounds = system.cube_mass, system.order, system.bounds
     n_points = system.space.n
+    per_cube = _per_cube(level, alpha, cube_mass, -0.5)
     if math.isinf(q):
-        term = (_per_key(level, lambda k: delta ** (-k * s))
-                * _per_cube(level, alpha, cube_mass, lambda m: m ** (-0.5)) * a)
+        term = _per_level(level, lambda k: delta ** (-k * s)) * per_cube * a
     else:
-        term = np.array([f * (m * x) ** q for f, m, x in zip(
-            _per_key(level, lambda k: delta ** (-k * s * q)).tolist(),
-            _per_cube(level, alpha, cube_mass, lambda m: m ** (-0.5)).tolist(),
-            a.tolist())])
+        per_level = _per_level(level, lambda k: delta ** (-k * s * q))
+        if q == 1.0:        # Python's f * (m * x) ** 1.0 is f * (m * x)
+            term = per_level * (per_cube * a)
+        else:
+            term = np.array([f * (m * x) ** q for f, m, x in zip(
+                per_level.tolist(), per_cube.tolist(), a.tolist())])
     # each cube as a slice of the levels' orders laid end to end
     levels = np.unique(level).tolist()
     base = np.cumsum([0] + [order[k].size for k in levels])

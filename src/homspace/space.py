@@ -311,7 +311,9 @@ def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None) -> 
     asymmetric or the list is already full.
 
     Raises ValueError("empty space") for n = 0 and
-    ValueError("invalid measure") for nonpositive or non-finite weights.
+    ValueError("invalid measure") for nonpositive or non-finite weights
+    and for a total mass whose fourfold is not finite (the maximal operator
+    adds four ball masses).
     Structural defects of the distance table are returned as violations,
     not raised, so callers can report all of them at once.
     """
@@ -320,6 +322,13 @@ def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None) -> 
     if not np.all(np.isfinite(space.weight)) or np.any(space.weight <= 0):
         bad = int(np.flatnonzero(~(np.isfinite(space.weight) & (space.weight > 0)))[0])
         raise ValueError(f"invalid measure: weight[{bad}] = {space.weight[bad]!r} is not a positive real")
+    try:
+        total = space.total_mass
+    except OverflowError:       # fsum past the largest float
+        total = math.inf
+    if not math.isfinite(4.0 * total):
+        raise ValueError(f"invalid measure: the total mass {total!r} is too large: four ball "
+                         f"masses must add to a finite number")
 
     d, cap = space.dist, _MAX_VIOLATIONS
     negative, unequal, zero = [], [], []

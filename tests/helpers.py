@@ -168,6 +168,26 @@ def dense_tl_norm(entries, masses, members, weights, n, delta, s, p, q, level_ok
     return math.fsum((np.asarray(weights) * g ** p).tolist()) ** (1.0 / p)
 
 
+def segment_besov_norm(entries, masses, delta, s, p, q, level_ok):
+    """The Besov norm of one sequence, one segment at a time: Python's
+    m ** (1/p - 1/2) and d ** (-ks), numpy's ** p on the terms of one
+    segment, math.fsum of that segment and Python's ** (1/p), whatever the
+    segment's length and whatever p is; p = inf and q = inf take maxima."""
+    expo = (0.0 if math.isinf(p) else 1.0 / p) - 0.5
+    kept = [(k, alpha, abs(lam)) for (k, alpha), lam in entries.items()
+            if level_ok(k) and lam != 0.0]
+    per_level = [delta ** (-k * s) * _segment_norm(
+        [masses[(kk, alpha)] ** expo * x for kk, alpha, x in kept if kk == k], p)
+        for k in sorted({k for k, _, _ in kept})]
+    return _segment_norm(per_level, q) if per_level else 0.0
+
+
+def _segment_norm(terms, p):
+    if math.isinf(p):
+        return max(terms)
+    return math.fsum((np.array(terms, dtype=float) ** p).tolist()) ** (1.0 / p)
+
+
 def midpoint_layer_cake(g, weights, p, n_nodes):
     """(p * integral_0^max g of t^{p-1} mu({g > t}) dt)^{1/p} by the midpoint
     rule on n_nodes nodes (midpoints keep t^{p-1} finite): an approximate

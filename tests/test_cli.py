@@ -109,8 +109,10 @@ def test_embed_test_bad_trace_line_exit_2(tmp_path, capsys):
 GRID16 = ["--gallery", "euclidean_grid", "--n", "16"]
 EMBED_GRID16 = ["embed-test", *GRID16, "--p1", "2", "--p2", "1", "--n-sequences", "8"]
 WEIGHTED17 = ["--gallery", "weighted_grid", "--n", "17"]
-# parameters that are NaN (or infinite where a scale needs a finite one):
-# each once produced a report or an unnamed error
+GRID64 = ["--gallery", "euclidean_grid", "--n", "64", "--dim", "1"]
+# parameters that are NaN (or infinite where a scale needs a finite one),
+# and sequences whose norm leaves the floats: each once produced a report
+# or an unnamed error
 BAD_PARAMETERS = {
     "embed-test s1 nan": ([*EMBED_GRID16, "--omega", "1", "--s1", "nan", "--s2", "1"],
                           "s must be a number"),
@@ -142,13 +144,26 @@ BAD_PARAMETERS = {
                                  "extent must be a finite number, got inf"),
     "weighted_grid beta nan": (["analyze", *WEIGHTED17, "--beta", "nan"],
                                "beta must be a finite number, got nan"),
+    # fsum overflowed past three terms of 1.44e308 with a traceback (exit 1)
+    "norms fsum overflow": (["norms", *GRID64, "--seq", "huge3.json", "--p", "2"],
+                            "a besov norm (s=0.0, p=2.0, q=2.0) leaves the float range"),
+    # a norm of about 2.5e307 came out Infinity, with a numpy warning (exit 0)
+    "norms powered overflow": (["norms", *GRID64, "--seq", "huge2.json", "--p", "1"],
+                               "a besov norm (s=0.0, p=1.0, q=2.0) leaves the float range"),
+}
+# the sequence files the cases read
+SEQUENCE_FILES = {
+    "seq.json": [{"k": 1, "alpha": 0, "value": 1.0}],
+    "huge3.json": [{"k": 2, "alpha": a, "value": 1.2e154} for a in (1, 2, 4)],
+    "huge2.json": [{"k": 2, "alpha": a, "value": 1e308} for a in (1, 2)],
 }
 
 
 @pytest.mark.parametrize("case", BAD_PARAMETERS)
 def test_bad_parameters_exit_2_naming_them(tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "seq.json").write_text(json.dumps([{"k": 1, "alpha": 0, "value": 1.0}]))
+    for name, rows in SEQUENCE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(rows))
     argv, message = BAD_PARAMETERS[case]
     code, text = run(tmp_path, *argv)
     assert (code, text) == (2, "")
@@ -351,7 +366,6 @@ def test_kernel_check_small(tmp_path):
     assert report["calibration"]["c_report"] > 0
 
 
-GRID64 = ["--gallery", "euclidean_grid", "--n", "64", "--dim", "1"]
 KERNEL_CASES = {
     "grid64 p2=1": [*GRID64, "--p2", "1"],
     "grid64 p2=2": [*GRID64, "--p2", "2"],

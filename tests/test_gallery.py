@@ -175,6 +175,10 @@ def test_weighted_grid_alpha_gate():
                          ("beta", dict(beta=1e308, extent=2.0))]:
         with pytest.raises(ValueError, match=f"^{name} = .* is out of range"):
             build(GallerySpec(kind="weighted_grid", **{"n": 17, "dim": 1, **params}))
+    # every weight is finite but four ball masses add past the largest
+    # float (the maximal operator's denominators warned of overflow)
+    with pytest.raises(ValueError, match=r"the total mass 8\.1e\+307 is too large"):
+        build(GallerySpec(kind="weighted_grid", n=9, dim=2, extent=4e153))
 
 
 def test_gallery_bad_kind_and_size():
@@ -201,6 +205,17 @@ def test_load_rejects_negative_weight(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"points": [[0.0], [1.0]], "weights": [1.0, -1.0]}))
     with pytest.raises(ValueError, match=r"invalid measure: weights\[1\]"):
+        load_space(str(path))
+
+
+@pytest.mark.parametrize("weights, total", [([5e307, 1.0], "5e+307"),
+                                            ([1e308, 1e308], "inf")])
+def test_load_rejects_a_total_mass_out_of_range(tmp_path, weights, total):
+    # the second total overflows fsum itself
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"points": [[0.0], [1.0]], "weights": weights}))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"heavy.json: invalid measure: the total mass {total} ")):
         load_space(str(path))
 
 

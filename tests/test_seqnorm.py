@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from homspace import gallery, seqnorm
 from homspace.common import rng_stream
+from homspace.embed import generate_batch
 from homspace.seqnorm import (
     CoefSequence,
     NormParams,
@@ -28,6 +29,7 @@ from helpers import (
     dense_tl_function,
     dense_tl_norm,
     midpoint_layer_cake,
+    segment_besov_norm,
 )
 
 INF = math.inf
@@ -321,6 +323,127 @@ def test_tl_norms_match_the_dense_reference_bits(request, system, q, p):
     params = NormParams(s=0.3, p=p, q=q, delta=cubes.delta, family="triebel_lizorkin")
     assert batch_norms(SequenceBatch.of(seqs), params).tolist() == \
         dense_reference(cubes, seqs, params)
+
+
+@pytest.fixture(scope="module")
+def snowflake_cubes():
+    return conftest.build_system(gallery.build(gallery.GallerySpec(kind="snowflake", n=96,
+                                                                   e=0.5)))
+
+
+# the exponents the bit-for-bit tests run (Triebel-Lizorkin needs p < inf)
+BIT_EXPONENTS = {"besov": ([0.5, 1.0, 2.0, 3.0, INF], [0.5, 1.0, 2.0, INF]),
+                 "triebel_lizorkin": ([0.5, 1.0, 2.0, 3.0], [0.5, 1.0, 2.0, INF])}
+
+
+def batch_entries(batch):
+    """Each sequence of ``batch`` as an {(k, alpha): value} dict, in order."""
+    keys = list(zip(batch.level.tolist(), batch.alpha.tolist()))
+    values, cuts = batch.value.tolist(), batch.offsets.tolist()
+    return [dict(zip(keys[i:j], values[i:j])) for i, j in zip(cuts[:-1], cuts[1:])]
+
+
+def assert_bits_match_one_segment_at_a_time(batch, family, variant, s):
+    """batch_norms against the one-sequence oracles, bit for bit, at every
+    exponent pair of BIT_EXPONENTS: ``segment_besov_norm`` for Besov and
+    ``dense_tl_norm`` for Triebel-Lizorkin (both fsum every segment and
+    take Python's ** (1/p), ** 1.0 included)."""
+    cubes, space = batch.system, batch.system.space
+    seqs = batch_entries(batch)
+    masses, members = oracle_data(cubes, {key for seq in seqs for key in seq})
+    ps, qs = BIT_EXPONENTS[family]
+    for p in ps:
+        for q in qs:
+            params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family=family,
+                                variant=variant)
+            if family == "besov":
+                want = [segment_besov_norm(seq, masses, cubes.delta, s, p, q,
+                                           params.level_in_window) for seq in seqs]
+            else:
+                want = [dense_tl_norm(seq, masses, members, space.weight, space.n, cubes.delta,
+                                      s, p, q, params.level_in_window) for seq in seqs]
+            got = batch_norms(batch, params)
+            assert np.array_equal(got, want), (p, q, np.flatnonzero(got != np.array(want)))
+
+
+@pytest.mark.parametrize("variant", ["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("family", ["besov", "triebel_lizorkin"])
+@pytest.mark.parametrize("system", ["grid64", "weighted", "cantor", "snowflake"])
+def test_batch_norms_bits_on_scan_batches(request, system, family, variant):
+    # the scan batches of embed-test (fresh-cube deltas, then single-level,
+    # multi-level and adversarial draws), whose level segments have 1, 3 or
+    # 6 terms on these systems, and random supports of every size up to 20
+    cubes = request.getfixturevalue(f"{system}_cubes")
+    assert_bits_match_one_segment_at_a_time(generate_batch(cubes, variant, 512, seed=23),
+                                            family, variant, s=0.35)
+    assert_bits_match_one_segment_at_a_time(
+        SequenceBatch.of(random_sequences(cubes, 128, seed=77, max_support=20)),
+        family, variant, s=-0.2)
+
+
+# four_point: one cube of mass 1 at level -1 (center 1) and four of mass 1/4
+# at level 0, so every factor m^(1/p - 1/2) at p in {1/2, 1, 2} is a power
+# of two and these terms are exact
+SHORT_SEGMENTS = [
+    [],                                                 # no term
+    [(0, 0, 2.0**54)],                                  # one term
+    [(0, 0, 2.0**54), (0, 1, 2.0)],                     # [2^53, 1] at p = 1: a tie
+    [(0, 0, 2.0**54), (0, 1, 2.0), (0, 2, 2.0)],        # [2^53, 1, 1]: 2^53 + 2
+    [(0, 1, 2.0), (0, 2, 2.0**54), (0, 3, 2.0)],        # the same, 2^53 in the middle
+    [(0, 0, 2.0**109), (0, 1, 8.0)],                    # [2^53, 1] at p = 1/2
+    [(-1, 1, 2.0**53), (0, 0, 1.0)],                    # levels [2^53, 1] at p = 2, q = 1
+    [(-1, 1, -3.0), (0, 0, 0.0), (0, 3, 1e-300), (0, 2, -2.5)],
+    [(0, 0, 5e-324), (0, 1, 5e-324)],                   # subnormal terms
+]
+
+
+def short_segment_batch(cubes):
+    rows = [sorted(row) for row in SHORT_SEGMENTS]
+    flat = [entry for row in rows for entry in row]
+    return SequenceBatch(system=cubes, labels=[None] * len(rows),
+                         offsets=np.cumsum([0] + [len(row) for row in rows]),
+                         level=np.array([k for k, _, _ in flat], dtype=int),
+                         alpha=np.array([a for _, a, _ in flat], dtype=int),
+                         value=np.array([v for _, _, v in flat], dtype=float))
+
+
+@pytest.mark.parametrize("variant", ["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("family", ["besov", "triebel_lizorkin"])
+def test_batch_norms_bits_on_short_segments_and_ties(four_point_cubes, family, variant):
+    batch = short_segment_batch(four_point_cubes)
+    assert_bits_match_one_segment_at_a_time(batch, family, variant, s=0.0)
+    if family == "besov" and variant == "homogeneous":
+        # an l^1 sum adding the pair first would lose the 2 of 2^53 + 2
+        params = NormParams(s=0.0, p=1.0, q=1.0, delta=four_point_cubes.delta)
+        assert batch_norms(batch, params)[:5].tolist() == \
+            [0.0, 2.0**53, 2.0**53, 2.0**53 + 2, 2.0**53 + 2]
+
+
+@pytest.mark.parametrize("family", ["besov", "triebel_lizorkin"])
+@pytest.mark.parametrize("p, q, values", [
+    (2.0, 2.0, [1e200]),                # the array or scalar power of a term
+    (2.0, 2.0, [1.2e154] * 3),          # fsum of three finite terms
+    (1.0, 2.0, [1e308] * 2),            # the outer l^2 of a finite level sum
+    (0.5, 1.0, [1e308] * 4),            # the root sum ** 2
+])
+def test_norms_out_of_float_range_raise(four_point_cubes, family, p, q, values):
+    # warnings are errors here, so no numpy overflow warning gets out
+    batch = SequenceBatch(system=four_point_cubes, labels=[None],
+                          offsets=np.array([0, len(values)]),
+                          level=np.zeros(len(values), dtype=int),
+                          alpha=np.arange(len(values)), value=np.array(values))
+    params = NormParams(s=0.0, p=p, q=q, delta=four_point_cubes.delta, family=family)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        batch_norms(batch, params)
+
+
+def test_norms_near_the_float_range_keep_their_bits(four_point_cubes):
+    # 0.5 * 1e308 twice is 1e308 exactly, and at p = q = 1 nothing overflows
+    batch = SequenceBatch(system=four_point_cubes, labels=[None], offsets=np.array([0, 2]),
+                          level=np.array([0, 0]), alpha=np.array([0, 1]),
+                          value=np.array([1e308, -1e308]))
+    params = NormParams(s=0.0, p=1.0, q=1.0, delta=four_point_cubes.delta)
+    assert batch_norms(batch, params).tolist() == [1e308]
 
 
 def test_tl_terms_that_underflow_drop_out(weighted_cubes):
