@@ -2,7 +2,7 @@
 Dyadic cube systems, Besov/Triebel-Lizorkin sequence norms, and measure
 lower-bound diagnostics on finite quasi-metric measure spaces.
 """
-from homspace.common import DEFAULT_SEED, TrendConfig
+from homspace.common import DEFAULT_SEED
 from homspace.dyadic import (
     CubeSystem,
     NetSystem,
@@ -52,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_SEED",
-    "TrendConfig",
     "FiniteHomSpace",
     "GallerySpec",
     "NetSystem",

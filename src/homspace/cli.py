@@ -13,6 +13,7 @@ constants; 4 characterization discrepancy; 5 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -64,7 +65,8 @@ def _add_cube_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, help="scale base (default: largest admissible power of 1/2)")
     p.add_argument("--c0", type=float, default=1.0)
     p.add_argument("--C0", type=float, default=2.0)
-    p.add_argument("--A0", type=float, help="override the quasi-triangle constant")
+    p.add_argument("--A0", type=float,
+                   help="declare the quasi-triangle constant (checked against the space)")
     p.add_argument("--k-min", type=int)
     p.add_argument("--k-max", type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -105,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--variant", choices=VARIANTS, default="homogeneous")
     p.add_argument("--layer-cake", action="store_true",
-                   help="cross-check the Triebel-Lizorkin norm via the distribution function")
+                   help="cross-check the Triebel-Lizorkin norm via the distribution function "
+                        "(needs --family triebel_lizorkin)")
 
     p = sub.add_parser("embed-test", help="full characterization loop")
     _add_space_args(p)
@@ -153,17 +156,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_space(args) -> space_mod.FiniteHomSpace:
+    """The space of --space or --gallery; a --A0 becomes its declared A0."""
     if args.space and args.gallery:
         raise ValueError("pass either --space or --gallery, not both")
     if args.space:
-        return gallery.load_space(args.space)
-    if not args.gallery:
+        sp = gallery.load_space(args.space)
+    elif args.gallery:
+        sp = gallery.build(gallery.GallerySpec(
+            kind=args.gallery, n=args.n, dim=args.dim, depth=args.depth,
+            alpha=args.alpha, beta=args.beta, e=args.e, extent=args.extent,
+        ))
+    else:
         raise ValueError("a space is required: pass --space PATH or --gallery KIND")
-    spec = gallery.GallerySpec(
-        kind=args.gallery, n=args.n, dim=args.dim, depth=args.depth,
-        alpha=args.alpha, beta=args.beta, e=args.e, extent=args.extent,
-    )
-    return gallery.build(spec)
+    a0 = getattr(args, "A0", None)
+    if a0 is not None:
+        # checked exactly as a space file's declared_A0 is, on the space
+        # that holds any exact pass its loading made
+        result = space_mod.validate_quasi_metric(sp, a0=a0)
+        if not result.ok:
+            raise ValueError(f"--A0 {a0!r} fails on this space: {result.violations[0]}")
+        sp = dataclasses.replace(sp, declared_A0=a0)
+    return sp
 
 
 def _resolve_omega(args, sp) -> float:
@@ -178,13 +191,8 @@ def _resolve_omega(args, sp) -> float:
 
 
 def _resolve_cubes(args, sp):
-    if args.A0 is not None:
-        # checked exactly as a space file's declared_A0 is
-        result = space_mod.validate_quasi_metric(sp, a0=args.A0)
-        if not result.ok:
-            raise ValueError(f"--A0 {args.A0!r} fails on this space: {result.violations[0]}")
     if args.delta is None:
-        delta, c0, C0 = default_constants(sp, c0=args.c0, C0=args.C0, a0=args.A0)
+        delta, c0, C0 = default_constants(sp, c0=args.c0, C0=args.C0)
     else:
         delta, c0, C0 = args.delta, args.c0, args.C0
     k_range = None
@@ -192,7 +200,7 @@ def _resolve_cubes(args, sp):
         if args.k_min is None or args.k_max is None:
             raise ValueError("pass both --k-min and --k-max or neither")
         k_range = (args.k_min, args.k_max)
-    net = build_nets(sp, delta, c0, C0, k_range=k_range, seed=args.seed, a0=args.A0)
+    net = build_nets(sp, delta, c0, C0, k_range=k_range, seed=args.seed)
     return build_cubes(net, sp)
 
 
@@ -235,6 +243,8 @@ def cmd_cubes(args) -> dict:
 
 
 def cmd_norms(args) -> dict:
+    if args.layer_cake and args.family != "triebel_lizorkin":
+        raise ValueError("--layer-cake needs --family triebel_lizorkin")
     sp = _resolve_space(args)
     cubes = _resolve_cubes(args, sp)
     seq = seqnorm.load_sequence(args.seq, cubes)
@@ -250,7 +260,7 @@ def cmd_norms(args) -> dict:
         "include_zero_level": params.include_zero_level,
         "value": value,
     }
-    if args.layer_cake and args.family == "triebel_lizorkin":
+    if args.layer_cake:
         report["layer_cake_value"] = seqnorm.layer_cake_tl_norm(seq, params)
     return report
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from itertools import chain
 
 import numpy as np
@@ -22,47 +22,41 @@ DEFAULT_SEED = 0xD1AD1C
 BLOCK_ELEMENTS = 1 << 14
 
 
-@dataclass(frozen=True)
-class TrendConfig:
-    """Thresholds used to call a decaying-constant trend on finite data.
+# Thresholds used to call a decaying-constant trend on finite data. On a
+# finite space every scaling bound holds with *some* constant, so a failure
+# verdict is a trend statement. A check fails only when both prongs fire for
+# some probe (a center's radial curve, or a cube ancestry chain):
+#   * the fitted mass-scaling exponent deviates from the declared omega by
+#     more than EXPONENT_TOL, and
+#   * the running constant decays by at least a factor 1/DECAY_FRAC between
+#     its extremes over the resolved scale window.
+EXPONENT_TOL = 0.2
+DECAY_FRAC = 0.1
 
-    On a finite space every scaling bound holds with *some* constant, so a
-    failure verdict is a trend statement. A check fails only when both
-    prongs fire for some probe (a center's radial curve, or a cube
-    ancestry chain):
 
-      * the fitted mass-scaling exponent deviates from the declared omega
-        by more than ``exponent_tol``, and
-      * the running constant decays by at least a factor 1/``decay_frac``
-        between its extremes over the resolved scale window.
+def trend_flags(x, masses, consts, omega: float) -> tuple:
+    """(span, exponent, flagged) arrays, one entry per probe, of the
+    (probes x scales) tables ``masses`` and ``consts`` (the running
+    constant) at the scales ``x``.
+
+    ``span`` is a row's min/max over its positive finite constants (1.0
+    with fewer than two). The log-log exponent of the masses is fitted
+    only where the decay prong fires, ``span <= DECAY_FRAC``; it is NaN
+    elsewhere and where no fit exists. ``flagged`` marks the rows where
+    both prongs fire.
     """
-
-    exponent_tol: float = 0.2
-    decay_frac: float = 0.1
-
-    def evaluate(self, x, masses, consts, omega: float) -> tuple:
-        """(span, exponent, flagged) arrays, one entry per probe, of the
-        (probes x scales) tables ``masses`` and ``consts`` (the running
-        constant) at the scales ``x``.
-
-        ``span`` is a row's min/max over its positive finite constants (1.0
-        with fewer than two). The log-log exponent of the masses is fitted
-        only where the decay prong fires, ``span <= decay_frac``; it is NaN
-        elsewhere and where no fit exists. ``flagged`` marks the rows where
-        both prongs fire.
-        """
-        consts = np.asarray(consts, dtype=float)
-        ok = (consts > 0) & np.isfinite(consts)
-        span = np.ones(consts.shape[0])
-        np.divide(np.where(ok, consts, np.inf).min(axis=1), np.where(ok, consts, 0.0).max(axis=1),
-                  out=span, where=ok.sum(axis=1) >= 2)
-        decays = span <= self.decay_frac
-        exponent = np.full(span.size, np.nan)
-        for row in np.flatnonzero(decays).tolist():
-            fit = fit_loglog(x, masses[row])
-            if fit:
-                exponent[row] = fit[0]
-        return span, exponent, decays & (np.abs(exponent - omega) > self.exponent_tol)
+    consts = np.asarray(consts, dtype=float)
+    ok = (consts > 0) & np.isfinite(consts)
+    span = np.ones(consts.shape[0])
+    np.divide(np.where(ok, consts, np.inf).min(axis=1), np.where(ok, consts, 0.0).max(axis=1),
+              out=span, where=ok.sum(axis=1) >= 2)
+    decays = span <= DECAY_FRAC
+    exponent = np.full(span.size, np.nan)
+    for row in np.flatnonzero(decays).tolist():
+        fit = fit_loglog(x, masses[row])
+        if fit:
+            exponent[row] = fit[0]
+    return span, exponent, decays & (np.abs(exponent - omega) > EXPONENT_TOL)
 
 
 def rng_stream(seed: int, *salt: int) -> np.random.Generator:

@@ -16,7 +16,8 @@ Construction contract (all of it re-verified on every build):
     cube sits between the balls B(z, c1*delta^k) and B(z, C1*delta^k)
     around its center z, with c1 = c0 / (3 A0^2) and C1 = 2 A0 C0;
   * the constants must satisfy the admissibility inequality
-    12 * A0^3 * C0 * delta <= c0.
+    12 * A0^3 * C0 * delta <= c0, where A0 is the space's declared
+    quasi-triangle constant (``declared_A0``), else its measured one.
 
 Cube indices are center point ids, so level-k cube alpha is the set of
 points whose level-k assignment equals alpha; per-level arrays indexed by
@@ -76,12 +77,11 @@ def _finite_positive(**constants) -> None:
             raise ValueError(f"{name} must be a finite positive number, got {value}")
 
 
-def default_constants(space: FiniteHomSpace, *, c0: float = 1.0, C0: float = 2.0,
-                      a0: Optional[float] = None):
+def default_constants(space: FiniteHomSpace, *, c0: float = 1.0, C0: float = 2.0):
     """(delta, c0, C0): delta is the largest power of 1/2 that is admissible
-    for the measured (or declared) quasi-triangle constant."""
+    for the declared (else measured) quasi-triangle constant."""
     _finite_positive(c0=c0, C0=C0)
-    a0 = space.resolved_a0(a0)
+    a0 = space.resolved_a0()
     _finite_positive(A0=a0)
     # smallest j with 2^-j <= c0 / (12 A0^3 C0)
     bound = c0 / (12.0 * a0**3 * C0)
@@ -133,20 +133,19 @@ class NetSystem:
 
 
 def build_nets(space: FiniteHomSpace, delta: float, c0: float, C0: float,
-               k_range=None, seed: int = DEFAULT_SEED,
-               a0: Optional[float] = None) -> NetSystem:
+               k_range=None, seed: int = DEFAULT_SEED) -> NetSystem:
     """Greedy nested maximal nets at separations c0*delta^k.
 
     Candidates are visited in a seed-keyed shuffled order, identical at
     every level, so builds are reproducible. Raises InadmissibleConstants
-    when 12*A0^3*C0*delta > c0.
+    when 12*A0^3*C0*delta > c0 for the space's declared, else measured, A0.
     """
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     _finite_positive(c0=c0, C0=C0)
     if c0 > C0:
         raise ValueError("need 0 < c0 <= C0")
-    a0 = space.resolved_a0(a0)
+    a0 = space.resolved_a0()
     _finite_positive(A0=a0)
     if admissibility_gap(delta, c0, C0, a0) < 0:
         raise InadmissibleConstants(

@@ -10,7 +10,9 @@ Both directions of the characterization are exercised:
                c(k0, a0) = mass / delta^{k0 omega} to stay bounded below.
                On finite data the verdict is a trend statement: a cube
                ancestry chain whose fitted mass exponent strays from omega
-               while its constants decay declares failure.
+               by more than EXPONENT_TOL while its constants decay by a
+               factor 1/DECAY_FRAC declares failure (both fixed in
+               ``common``).
 
   sufficiency  a seeded batch of sequences (deltas, single-level,
                multi-level, and mass-concentrated adversarial draws) scans
@@ -33,10 +35,10 @@ import numpy as np
 from homspace.common import (
     BLOCK_ELEMENTS,
     DEFAULT_SEED,
-    TrendConfig,
     fit_loglog,
     reciprocal,
     rng_stream,
+    trend_flags,
 )
 from homspace.dyadic import CubeSystem
 from homspace.seqnorm import NormParams, SequenceBatch, batch_norms
@@ -123,18 +125,16 @@ class NecessityReport:
     notes: list = field(default_factory=list)
 
 
-def delta_necessity_test(cubes: CubeSystem, params: EmbedParams, *,
-                         trend: Optional[TrendConfig] = None) -> NecessityReport:
+def delta_necessity_test(cubes: CubeSystem, params: EmbedParams) -> NecessityReport:
     """Closed-form delta-sequence scan over every fresh cube in the variant
     window, with an ancestry-chain trend verdict.
 
     Chains walk each finest resolved cube up to the window root; a chain
     fails when its fitted mass exponent deviates from omega by more than
-    the tolerance AND its constants decay by 1/decay_frac between
-    extremes. With p1 = p2 the embedding is an identity and the scan is
-    vacuous.
+    EXPONENT_TOL AND its constants decay by 1/DECAY_FRAC between extremes
+    (``common.trend_flags``). With p1 = p2 the embedding is an identity and
+    the scan is vacuous.
     """
-    trend = trend or TrendConfig()
     if abs(reciprocal(params.target.p) - reciprocal(params.source.p)) < 1e-15:
         return NecessityReport(
             verdict="VACUOUS", min_constant=None, witness=None, per_level_min={},
@@ -174,7 +174,7 @@ def delta_necessity_test(cubes: CubeSystem, params: EmbedParams, *,
         consts = np.stack([cubes.implied_constant(k, a, omega)
                            for k, a in zip(chain_levels, ancestors)], axis=1)
         scales = [cubes.scale(k) for k in chain_levels]
-        span, _, flagged = trend.evaluate(scales, masses, consts, omega)
+        span, _, flagged = trend_flags(scales, masses, consts, omega)
         worst = int(np.argmin(span))
         fit = fit_loglog(scales, masses[worst])
         worst_chain = {
@@ -412,8 +412,7 @@ class CharacterizationReport:
 
 
 def characterize(space: FiniteHomSpace, cubes: CubeSystem, params: EmbedParams, *,
-                 n_sequences: int = 256, seed: int = DEFAULT_SEED,
-                 trend: Optional[TrendConfig] = None) -> CharacterizationReport:
+                 n_sequences: int = 256, seed: int = DEFAULT_SEED) -> CharacterizationReport:
     """Run the lower-bound check, the delta-sequence necessity scan, and
     the ratio scan, and assert the three agree.
 
@@ -428,14 +427,12 @@ def characterize(space: FiniteHomSpace, cubes: CubeSystem, params: EmbedParams, 
             notes=["atomic space: the point carries positive mass, the "
                    "vanishing-point-mass hypothesis fails, no verdict"],
         )
-    trend = trend or TrendConfig()
     omega = params.omega
     if params.variant == "inhomogeneous":
-        lb = check_local_lower_bound(space, omega, trend=trend)
+        lb = check_local_lower_bound(space, omega)
     else:
-        lb = check_lower_bound(space, omega, space.r_floor, max(space.diameter, space.r_floor * 2),
-                               trend=trend)
-    necessity = delta_necessity_test(cubes, params, trend=trend)
+        lb = check_lower_bound(space, omega, space.r_floor, max(space.diameter, space.r_floor * 2))
+    necessity = delta_necessity_test(cubes, params)
     scan = embedding_ratio_scan(cubes, params, n_sequences=n_sequences, seed=seed,
                                 lower_bound_holds=(lb.verdict == "PASS"))
 

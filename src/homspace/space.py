@@ -16,16 +16,19 @@ Balls use strict inequality, B(x,r) = {y : d(x,y) < r}; membership flips
 exactly when r crosses a pairwise distance.
 
 A0 is computed at most once per space, on first use, and cached as
-``quasi_triangle``; the admissible dyadic constants, the nets and the
-reported statistics read that cache. When the coordinates generate the
-table as a Euclidean metric or a snowflake d^e with 0 < e <= 1, A0 = 1 is
-a theorem and no pass runs (source "analytic"). Any other table gets one
-exact min-plus pass (O(n^3) time, source "exact") over the upper triangle
-of the symmetric table, in blocks of A0_BLOCK_X rows x and A0_BLOCK_Z rows
-z, so its working block stays in cache. Validation checks the structure
-of the table and compares a declared or passed-in A0 with the cached one;
-with neither, it needs no A0 at all. An asymmetric table is a validation
-violation and never reaches the pass.
+``quasi_triangle``; the reported statistics read that cache, and the
+admissible dyadic constants and the nets read it unless the space declares
+its A0 (``declared_A0``; the CLI's --A0 installs one after checking it).
+When the coordinates generate the table as a Euclidean metric or a
+snowflake d^e with 0 < e <= 1, A0 = 1 is a theorem and no pass runs
+(source "analytic"); ``scaled`` keeps such coordinates generating the
+table. Any other table gets one exact min-plus pass (O(n^3) time, source
+"exact") over the upper triangle of the symmetric table, in blocks of
+A0_BLOCK_X rows x and A0_BLOCK_Z rows z, so its working block stays in
+cache. Validation checks the structure of the table and compares a
+declared or passed-in A0 with the cached one; with neither, it needs no A0
+at all. An asymmetric table is a validation violation and never reaches
+the pass.
 
 Ball masses and the maximal operator read one sorted-row index per space,
 ``ball_index`` (built on first use, 21 bytes per table entry). Each
@@ -48,7 +51,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from homspace.common import TrendConfig, fit_loglog, stable_sum
+from homspace.common import fit_loglog, stable_sum, trend_flags
 
 
 @dataclass(frozen=True)
@@ -139,21 +142,27 @@ class FiniteHomSpace:
         return index.cum_weight[centers[:, None], counts]
 
     def scaled(self, dist_factor: float = 1.0, weight_factor: float = 1.0) -> "FiniteHomSpace":
-        """Copy with distances and/or weights multiplied by positive factors."""
+        """Copy with distances and/or weights multiplied by positive factors.
+        Coordinates that generate the table under a metric d^e are
+        multiplied by dist_factor^(1/e), so they still generate it and the
+        copy keeps the metric; any other copy is "explicit"."""
         if dist_factor <= 0 or weight_factor <= 0:
             raise ValueError("scale factors must be positive")
+        coords, metric = self.coords, "explicit"
+        if coords is not None and _is_metric(self.metric):
+            coords = coords * dist_factor ** (1 / metric_exponent(self.metric))
+            metric = self.metric
         return FiniteHomSpace(
             dist=self.dist * dist_factor,
             weight=self.weight * weight_factor,
-            coords=self.coords,
+            coords=coords,
             declared_A0=self.declared_A0,
             declared_omega=self.declared_omega,
+            metric=metric,
         )
 
-    def resolved_a0(self, a0: Optional[float] = None) -> float:
-        """Explicit a0, else declared_A0, else the measured constant."""
-        if a0 is not None:
-            return float(a0)
+    def resolved_a0(self) -> float:
+        """declared_A0, else the measured constant."""
         if self.declared_A0 is not None:
             return float(self.declared_A0)
         return self.quasi_triangle.value
@@ -522,19 +531,15 @@ REVERSE_PASS = 0.1
 GROWTH_N_RADII = 5
 
 
-def fit_mass_exponent(space: FiniteHomSpace, r_min: Optional[float] = None,
-                      r_max: Optional[float] = None) -> Optional[float]:
+def fit_mass_exponent(space: FiniteHomSpace) -> Optional[float]:
     """Pooled log-log slope of ball mass against radius (measured dimension).
 
-    The default window stops at a quarter of the diameter: beyond that,
-    balls saturate against the boundary and flatten the slope.
+    The window runs from r_floor to a quarter of the diameter (beyond that,
+    balls saturate against the boundary and flatten the slope), and spans
+    at least most of a decade above r_floor, capped at the diameter.
     """
-    r_min = space.r_floor if r_min is None else max(float(r_min), space.r_floor)
-    if r_max is None:
-        # at least most of a decade above r_min, capped at the diameter
-        r_max = max(space.diameter / 4, min(space.diameter, 8.0 * r_min))
-    else:
-        r_max = float(r_max)
+    r_min = space.r_floor
+    r_max = max(space.diameter / 4, min(space.diameter, 8.0 * r_min))
     if r_max <= r_min or space.n < 2:
         return None
     radii = np.geomspace(r_min * (1 + 1e-9), r_max, N_RADII)
@@ -543,14 +548,13 @@ def fit_mass_exponent(space: FiniteHomSpace, r_min: Optional[float] = None,
 
 
 def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: float, *,
-                      trend: Optional[TrendConfig] = None,
                       variant: str = "global") -> LowerBoundReport:
     """Empirical lower-bound constant C = min mu(B(x,r)) / r^omega with a
     per-center trend verdict.
 
     A center is flagged when its fitted radial exponent deviates from
-    omega by more than the tolerance AND its running constant decays by
-    at least 1/decay_frac between its extremes over the sampled radii
+    omega by more than EXPONENT_TOL AND its running constant decays by
+    at least 1/DECAY_FRAC between its extremes over the sampled radii
     (both directions: excess exponent decays toward small r, deficient
     exponent toward large r). Verdict is FAIL when any center is flagged.
     """
@@ -560,7 +564,6 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
         raise ValueError("need 0 < r_min < r_max")
     if not omega > 0:
         raise ValueError("omega must be positive")
-    trend = trend or TrendConfig()
 
     warnings = []
     if r_min < space.r_floor:
@@ -580,7 +583,7 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
     if np.all(masses == masses[:, :1]):
         warnings.append("resolution too coarse: no ball transition in the radius window")
 
-    _, exponent, flagged = trend.evaluate(radii, masses, consts, omega)
+    _, exponent, flagged = trend_flags(radii, masses, consts, omega)
     rows = np.flatnonzero(flagged)
     curves = consts[rows]
     witnesses = [{"center": center, "exponent": exp, "c_min": lo, "c_max": hi, "worst_radius": r}
@@ -604,16 +607,15 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
     )
 
 
-def check_local_lower_bound(space: FiniteHomSpace, omega: float, *,
-                            trend: Optional[TrendConfig] = None) -> LowerBoundReport:
+def check_local_lower_bound(space: FiniteHomSpace, omega: float) -> LowerBoundReport:
     """Lower-bound check restricted to r <= 1. For "below one diameter",
     check ``space.scaled(dist_factor=1 / space.diameter)``."""
     r_min = space.r_floor
     if r_min < 1.0:
-        return check_lower_bound(space, omega, r_min, 1.0, trend=trend, variant="local")
+        return check_lower_bound(space, omega, r_min, 1.0, variant="local")
     # Degenerate window: everything at or above scale 1. Report on the
     # single admissible radius and warn.
-    report = check_lower_bound(space, omega, r_min * 0.5, 1.0, trend=trend, variant="local")
+    report = check_lower_bound(space, omega, r_min * 0.5, 1.0, variant="local")
     report.warnings.append("resolution floor at or above r = 1; local window degenerate")
     return report
 

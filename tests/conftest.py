@@ -10,9 +10,8 @@ from homspace.space import FiniteHomSpace
 from helpers import unit_spaced_grid
 
 
-def build_system(space, seed=0xD1AD1C, **kwargs):
-    delta, c0, C0 = default_constants(space, **kwargs)
-    net = build_nets(space, delta, c0, C0, seed=seed, a0=kwargs.get("a0"))
+def build_system(space, seed=0xD1AD1C):
+    net = build_nets(space, *default_constants(space), seed=seed)
     return build_cubes(net, space)
 
 

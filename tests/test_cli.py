@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -132,6 +133,10 @@ BAD_PARAMETERS = {
                             "p2 must be positive"),
     "norms s nan": (["norms", *GRID16, "--seq", "seq.json", "--s", "nan"],
                     "s must be a number"),
+    # the cross-check exists for Triebel-Lizorkin norms only: with Besov
+    # norms the flag was echoed and did nothing (exit 0)
+    "norms layer-cake besov": (["norms", *GRID16, "--seq", "seq.json", "--layer-cake"],
+                               "--layer-cake needs --family triebel_lizorkin"),
     "cubes c0 nan": (["cubes", *GRID16, "--c0", "nan"], "c0 must be a finite positive number"),
     "cubes A0 nan": (["cubes", *GRID16, "--A0", "nan"], "A0 must be a finite positive number"),
     "cubes C0 inf": (["cubes", *GRID16, "--C0", "inf"], "C0 must be a finite positive number"),
@@ -176,6 +181,19 @@ def test_cubes_checks_a0_against_the_space(tmp_path, capsys):
     assert (code, text) == (2, "")
     assert "--A0 0.5 fails on this space: {'kind': 'triangle', 'triple': [0, 2, 1]" \
         in capsys.readouterr().err
+    # on an explicit table the value is checked against the exact pass:
+    # squared distances on a line measure A0 > 1
+    pts = np.sort(np.random.default_rng(4).random(20))
+    path = tmp_path / "squared20.json"
+    path.write_text(json.dumps({"metric": "explicit",
+                                "dist": ((pts[:, None] - pts[None]) ** 2).tolist(),
+                                "weights": [1.0] * 20}))
+    assert load_space(str(path)).quasi_triangle.value > 1.0
+    for argv in (["cubes"], ["embed-test", *EMBED_ARGS]):
+        code, text = run(tmp_path, *argv, "--space", str(path), "--A0", "1")
+        assert (code, text) == (2, "")
+        assert "--A0 1.0 fails on this space: {'kind': 'triangle', 'triple': [" \
+            in capsys.readouterr().err
 
 
 def test_norms_command_matches_library(tmp_path, grid64_cubes):
@@ -832,7 +850,9 @@ def test_declared_a0_sets_the_cube_constants(tmp_path):
     sp = load_space(str(path))
     assert sp.quasi_triangle.value == 1.0 and sp.resolved_a0() == 1.5
     delta = dyadic.default_constants(sp)[0]
-    assert delta == dyadic.default_constants(sp, a0=1.5)[0] < dyadic.default_constants(sp, a0=1.0)[0]
+    declaring = lambda a0: dataclasses.replace(sp, declared_A0=a0)
+    assert delta == dyadic.default_constants(declaring(1.5))[0] \
+        < dyadic.default_constants(declaring(1.0))[0]
     net = dyadic.build_nets(sp, delta, 1.0, 2.0)
     assert net.a0 == 1.5
     code, text = run(tmp_path, "cubes", "--space", str(path))
@@ -857,6 +877,44 @@ def test_one_a0_pass_per_command(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "analyze", "--space", plane, "--check-lower-bound")
     assert code == 0
     assert len(calls) == 2
+    # loading checks the declared A0 with the one pass; --A0 is checked
+    # against that same pass, and the cubes read the value it installs
+    declared = _declaring_file(plane, 1.2)
+    code, _ = run(tmp_path, "cubes", "--space", declared, "--A0", "1.5")
+    assert code == 0
+    assert len(calls) == 3
+
+
+def _declaring_file(path, a0):
+    """A copy of the space file at ``path`` that declares A0 = ``a0``."""
+    path = pathlib.Path(path)
+    copy = path.with_suffix(".declared.json")
+    copy.write_text(json.dumps({**json.loads(path.read_text()), "declared_A0": a0}))
+    return str(copy)
+
+
+def _without_config(text):
+    """A JSON report without its ``config`` block (its last line is the
+    first "  }," after it, as config holds scalars only)."""
+    head, rest = text.split('\n  "config": {\n', 1)
+    return head + "\n" + rest.split("\n  },\n", 1)[1]
+
+
+@pytest.mark.parametrize("argv", [["cubes"], ["embed-test", *EMBED_ARGS]],
+                         ids=["cubes", "embed-test"])
+def test_a0_flag_is_the_declared_a0(tmp_path, argv):
+    # the table of a plane point set measures A0 = 1: --A0 1.5 gives the
+    # report of the same file declaring 1.5, apart from the echoed flag
+    plane = _explicit_file(tmp_path, "plane24.json", np.random.default_rng(2).random((24, 2)))
+    code, flagged = run(tmp_path, *argv, "--space", plane, "--A0", "1.5", name="flag.json")
+    assert code == 0
+    code, declared = run(tmp_path, *argv, "--space", _declaring_file(plane, 1.5),
+                         name="declared.json")
+    assert code == 0
+    assert json.loads(flagged)["config"]["A0"] == 1.5
+    assert _without_config(flagged) == _without_config(declared)
+    if argv == ["cubes"]:
+        assert json.loads(flagged)["system"]["C1"] == 2 * 1.5 * 2.0
 
 
 @pytest.mark.parametrize("argv", [

@@ -52,9 +52,9 @@ def test_default_delta_metric_case():
 
 
 def test_inadmissible_constants_raise():
-    sp = unit_spaced_grid(8)
+    sp = dataclasses.replace(unit_spaced_grid(8), declared_A0=1.0)
     with pytest.raises(InadmissibleConstants, match="4.8"):
-        build_nets(sp, 0.2, 1.0, 2.0, a0=1.0)
+        build_nets(sp, 0.2, 1.0, 2.0)
 
 
 def test_nets_16_grid_coarse_single_fine_all(grid16_spaced):
@@ -166,9 +166,9 @@ def test_verify_axioms_pass_on_builds(grid64_cubes, grid16_cubes, four_point_cub
 def test_verify_axioms_mutation_detected():
     # two multi-cube levels: reassigning one member of a fine cube across a
     # coarse boundary (at the coarse level only) must break the nesting axiom
-    sp = unit_spaced_grid(2500)
-    # a line is a metric: passing A0 = 1 spares the exact O(n^3) pass
-    net = build_nets(sp, 1 / 32, 1.0, 2.0, k_range=(-2, -1), a0=1.0)
+    # a line is a metric: declaring A0 = 1 spares the exact O(n^3) pass
+    sp = dataclasses.replace(unit_spaced_grid(2500), declared_A0=1.0)
+    net = build_nets(sp, 1 / 32, 1.0, 2.0, k_range=(-2, -1))
     cubes = build_cubes(net, sp)
     roots = list(cubes.cubes(-2))
     assert len(roots) >= 2
@@ -314,8 +314,8 @@ def tight_net():
     """A net on a 1-D grid of several row blocks with c0 = C0, so a center's
     own row is the only one that covers it, and its first level with a fresh
     center."""
-    sp = unit_spaced_grid(200)
-    net = build_nets(sp, 1 / 16, 1.0, 1.0, k_range=(-2, 0), a0=1.0)
+    sp = dataclasses.replace(unit_spaced_grid(200), declared_A0=1.0)
+    net = build_nets(sp, 1 / 16, 1.0, 1.0, k_range=(-2, 0))
     k = next(k for k in net.levels if k > net.k_min and np.any(net.birth == k))
     return sp, net, k
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -598,9 +599,9 @@ def test_inhomogeneous_ignores_negative_levels():
     import conftest
     from helpers import unit_spaced_grid
 
-    sp = unit_spaced_grid(2500)
-    # a line is a metric: passing A0 = 1 spares the exact O(n^3) pass
-    cubes = conftest.build_system(sp, a0=1.0)
+    # a line is a metric: declaring A0 = 1 spares the exact O(n^3) pass
+    sp = dataclasses.replace(unit_spaced_grid(2500), declared_A0=1.0)
+    cubes = conftest.build_system(sp)
     neg = [key for key in cubes.index_cubes() if key[0] < 0]
     assert neg
     seq = CoefSequence(cubes, {neg[0]: 2.5})

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -338,13 +339,26 @@ def test_a0_analytic_only_for_coordinate_metrics():
                          ("snowflake:1", line)):
         est = explicit_space(dist, coords=pts, metric=metric).quasi_triangle
         assert (est.value, est.source) == (1.0, "analytic")
-    # a power above 1 is no metric, and a table without coordinates (or a
-    # rescaled copy) is measured
+    # a power above 1 is no metric, and a table without coordinates is
+    # measured; a rescaled copy keeps its coordinates' metric
     est = explicit_space(line**1.5, coords=pts, metric="snowflake:1.5").quasi_triangle
     assert est.source == "exact" and est.value == brute_a0(line**1.5) > 1.0
     assert explicit_space(line, metric="euclidean").quasi_triangle.source == "exact"
     flake = explicit_space(line**0.5, coords=pts, metric="snowflake:0.5")
-    assert flake.scaled(dist_factor=2.0).quasi_triangle.source == "exact"
+    assert flake.scaled(dist_factor=2.0).quasi_triangle.source == "analytic"
+
+
+@pytest.mark.parametrize("spec", [gallery.GallerySpec(kind="euclidean_grid", n=512),
+                                  gallery.GallerySpec(kind="snowflake", n=12, dim=2, e=0.5)],
+                         ids=["grid512", "snowflake12x12"])
+def test_scaled_coordinates_still_generate_the_table(tmp_path, spec):
+    sp = gallery.build(spec)
+    unit = sp.scaled(dist_factor=1 / sp.diameter)
+    assert unit.metric == sp.metric
+    assert unit.quasi_triangle.source == "analytic"
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(gallery.space_to_dict(unit)))
+    np.testing.assert_allclose(gallery.load_space(str(path)).dist, unit.dist, rtol=1e-12, atol=0)
 
 
 def test_validate_declared_a0_on_coordinate_metric():
@@ -667,4 +681,4 @@ def test_each_estimator_makes_one_ball_mass_call(monkeypatch, estimator):
 
 def test_fit_mass_exponent_uniform():
     sp = unit_spaced_grid(128)
-    assert fit_mass_exponent(sp, 2.0, 32.0) == pytest.approx(1.0, abs=0.2)
+    assert fit_mass_exponent(sp) == pytest.approx(1.0, abs=0.2)

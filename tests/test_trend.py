@@ -6,8 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from homspace import gallery
-from homspace.common import TrendConfig
+from homspace import common, gallery
 from homspace.dyadic import build_cubes, build_nets, max_single_child_chain
 from homspace.embed import EmbedParams, delta_necessity_test
 from homspace.seqnorm import NormParams
@@ -33,7 +32,9 @@ SPACES = {
     "clusters": None,
 }
 OMEGAS = (0.5, 1.0, 1.5)
-TRENDS = (TrendConfig(), TrendConfig(exponent_tol=0.2, decay_frac=0.5))
+# the library's decay threshold, and a looser one that lets more probes
+# reach the exponent prong
+DECAY_FRACS = (common.DECAY_FRAC, 0.5)
 SEEDS = (0xD1AD1C, 3, 77)
 
 
@@ -65,7 +66,7 @@ def test_evaluate_matches_the_probe_oracle_row_by_row():
                        x ** 0.5])                  # decays by exactly decay_frac
     consts = masses / x ** 1.0
     consts[5] = np.r_[1.0, np.full(11, 0.1)]
-    span, exponent, flagged = TrendConfig().evaluate(x, masses, consts, 1.0)
+    span, exponent, flagged = common.trend_flags(x, masses, consts, 1.0)
     for row in range(len(masses)):
         want_span, want_exp, want_flag = brute_trend_probe(x, masses[row], consts[row], 1.0)
         assert span[row] == want_span
@@ -79,36 +80,37 @@ def test_evaluate_matches_the_probe_oracle_row_by_row():
 
 
 def test_evaluate_fits_only_where_the_decay_prong_fires(monkeypatch):
-    from homspace import common
     fitted = []
     real = common.fit_loglog
     monkeypatch.setattr(common, "fit_loglog", lambda x, y: fitted.append(y) or real(x, y))
     x = np.geomspace(1.0, 100.0, 5)
     masses = np.stack([x, x ** 0.2, x ** 0.9])
-    TrendConfig().evaluate(x, masses, masses / x, 1.0)
+    common.trend_flags(x, masses, masses / x, 1.0)
     assert len(fitted) == 1 and np.array_equal(fitted[0], masses[1])
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
-def test_lower_bound_witnesses_match_the_per_center_oracle(name):
+def test_lower_bound_witnesses_match_the_per_center_oracle(name, monkeypatch):
     sp = space(name)
+    tol = common.EXPONENT_TOL
     fire_within = flagged = 0
     for omega in OMEGAS:
-        for trend in TRENDS:
+        for decay_frac in DECAY_FRACS:
+            monkeypatch.setattr(common, "DECAY_FRAC", decay_frac)
             r_max = max(sp.diameter, 2 * sp.r_floor)
             local = sp.scaled(dist_factor=1.0 / sp.diameter)
             for target, report in (
-                    (sp, check_lower_bound(sp, omega, sp.r_floor, r_max, trend=trend)),
-                    (local, check_local_lower_bound(local, omega, trend=trend))):
+                    (sp, check_lower_bound(sp, omega, sp.r_floor, r_max)),
+                    (local, check_local_lower_bound(local, omega))):
                 radii = np.array(report.radii)
                 masses = target.ball_mass(np.arange(sp.n), radii)
                 witnesses, probes = brute_lower_bound_witnesses(
-                    radii, masses, omega, trend.exponent_tol, trend.decay_frac)
+                    radii, masses, omega, tol, decay_frac)
                 assert report.witnesses == witnesses
                 assert report.verdict == ("FAIL" if witnesses else "PASS")
                 flagged += len(witnesses)
-                fire_within += sum(span <= trend.decay_frac and exp is not None
-                                   and abs(exp - omega) <= trend.exponent_tol
+                fire_within += sum(span <= decay_frac and exp is not None
+                                   and abs(exp - omega) <= tol
                                    for span, exp, _ in probes)
     if name == "squared48":
         # rows whose constant decays while their exponent stays within
@@ -124,24 +126,24 @@ def _params(delta, omega, variant):
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
-def test_worst_chain_matches_the_per_leaf_oracle(name):
+def test_worst_chain_matches_the_per_leaf_oracle(name, monkeypatch):
     seen = set()
     for seed in SEEDS:
         cubes = system(name, seed)
         for omega in OMEGAS:
             for variant in ("homogeneous", "inhomogeneous"):
-                for trend in TRENDS:
-                    report = delta_necessity_test(cubes, _params(cubes.delta, omega, variant),
-                                                  trend=trend)
+                for decay_frac in DECAY_FRACS:
+                    monkeypatch.setattr(common, "DECAY_FRAC", decay_frac)
+                    report = delta_necessity_test(cubes, _params(cubes.delta, omega, variant))
                     if len(report.resolved_levels) < 2:
                         assert report.worst_chain is None
                         continue
                     worst, failing = brute_worst_chain(
                         cubes.assignment, cubes.cube_mass, cubes.delta, report.resolved_levels,
-                        omega, trend.exponent_tol, trend.decay_frac)
+                        omega, common.EXPONENT_TOL, decay_frac)
                     assert report.worst_chain == worst
                     assert report.verdict == ("FAIL" if failing else "PASS")
-                    if report.verdict == "PASS" and worst["span"] > trend.decay_frac:
+                    if report.verdict == "PASS" and worst["span"] > decay_frac:
                         seen.add("pass fitted apart")
                     seen.add(report.verdict)
     if name == "grid64":
