@@ -5,7 +5,10 @@ Commands: analyze, cubes, norms, embed-test, kernel-check, maximal, gallery.
 Reports are deterministic JSON (same config + seed => byte-identical) or a
 flattened CSV with one row per witness. Each command returns its own keys,
 result dataclasses included as they are; ``main`` adds the shared
-``schema``, ``command`` and ``config`` keys.
+``schema``, ``command`` and ``config`` keys. ``config`` echoes the options
+that hold a value: the flags given and the command's own defaults. The
+--gallery parameters have no CLI defaults (``GallerySpec`` holds them), so
+they appear only when given.
 
 Exit codes: 0 ok; 2 usage or input problems; 3 inadmissible dyadic
 constants; 4 characterization discrepancy; 5 internal invariant failure.
@@ -35,7 +38,7 @@ from homspace.dyadic import (
 from homspace.embed import EmbedParams, characterize
 from homspace.seqnorm import NormParams
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _count(text: str) -> int:
@@ -49,16 +52,23 @@ def _count(text: str) -> int:
     return value
 
 
+# --gallery parameters, by GallerySpec field: their defaults are
+# GallerySpec's, so a flag reaches the spec (and the config echo) only when
+# it is given
+GALLERY_FLAGS = {"n": "--n", "dim": "--dim", "depth": "--depth", "alpha": "--alpha",
+                 "beta": "--beta", "e": "--snowflake-e", "extent": "--extent"}
+
+
 def _add_space_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", help="path to a JSON space file")
     p.add_argument("--gallery", choices=gallery.KINDS, help="built-in space kind")
-    p.add_argument("--n", type=int, default=64, help="lattice points per axis")
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--depth", type=int, default=6, help="cantor depth")
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--snowflake-e", type=float, default=1.0, dest="e")
-    p.add_argument("--extent", type=float, default=1.0)
+    p.add_argument("--n", type=int, help="lattice points per axis")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--depth", type=int, help="cantor depth")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--snowflake-e", type=float, dest="e")
+    p.add_argument("--extent", type=float)
 
 
 def _add_cube_args(p: argparse.ArgumentParser) -> None:
@@ -159,13 +169,15 @@ def _resolve_space(args) -> space_mod.FiniteHomSpace:
     """The space of --space or --gallery; a --A0 becomes its declared A0."""
     if args.space and args.gallery:
         raise ValueError("pass either --space or --gallery, not both")
+    given = {name: getattr(args, name) for name in GALLERY_FLAGS
+             if getattr(args, name) is not None}
     if args.space:
+        if given:
+            raise ValueError(f"{GALLERY_FLAGS[next(iter(given))]} applies to --gallery, "
+                             "not to --space")
         sp = gallery.load_space(args.space)
     elif args.gallery:
-        sp = gallery.build(gallery.GallerySpec(
-            kind=args.gallery, n=args.n, dim=args.dim, depth=args.depth,
-            alpha=args.alpha, beta=args.beta, e=args.e, extent=args.extent,
-        ))
+        sp = gallery.build(gallery.GallerySpec(kind=args.gallery, **given))
     else:
         raise ValueError("a space is required: pass --space PATH or --gallery KIND")
     a0 = getattr(args, "A0", None)
@@ -257,7 +269,6 @@ def cmd_norms(args) -> dict:
         "p": args.p,
         "q": args.q,
         "variant": args.variant,
-        "include_zero_level": params.include_zero_level,
         "value": value,
     }
     if args.layer_cake:
@@ -273,9 +284,9 @@ def cmd_embed_test(args) -> dict:
     q2 = args.q2 if args.q2 is not None else args.q
     params = EmbedParams(
         source=NormParams(s=args.s2, p=args.p2, q=q2, delta=cubes.delta,
-                          omega=omega, variant=args.variant, family=args.family),
+                          variant=args.variant, family=args.family),
         target=NormParams(s=args.s1, p=args.p1, q=q1, delta=cubes.delta,
-                          omega=omega, variant=args.variant, family=args.family),
+                          variant=args.variant, family=args.family),
         omega=omega,
     )
     result = characterize(sp, cubes, params, n_sequences=args.n_sequences, seed=args.seed)
@@ -286,10 +297,8 @@ def cmd_embed_test(args) -> dict:
         witnesses.extend({"kind": "scan", **v} for v in result.scan.witnesses)
     return {
         "params": params,
-        "omega_used": omega,
         "sup_ratio": result.scan.sup_ratio if result.scan else None,
         "proof_constant": result.scan.proof_constant if result.scan else None,
-        "lower_bound": result.lower_bound,
         "result": result,
         "witnesses": witnesses,
         "verdict": result.verdict,

@@ -1,6 +1,7 @@
 """
 Shared plumbing: deterministic RNG streams, stable summation, log-log fits,
-trend thresholds, and deterministic report serialization.
+trend thresholds, the kernel model's regularity budget, and deterministic
+report serialization.
 """
 from __future__ import annotations
 
@@ -20,6 +21,10 @@ DEFAULT_SEED = 0xD1AD1C
 # blocks of whole rows under it, one row at least. The maximal operator's
 # row walk reads it as lanes: (point, function) pairs per block.
 BLOCK_ELEMENTS = 1 << 14
+
+# Regularity budget of the kernel model: a kernel's decay epsilon and each
+# side's |s - omega/p| of a Triebel-Lizorkin embedding stay below it.
+ETA = 1.0
 
 
 # Thresholds used to call a decaying-constant trend on finite data. On a

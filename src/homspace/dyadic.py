@@ -401,7 +401,6 @@ def build_cubes(net: NetSystem, space: FiniteHomSpace) -> CubeSystem:
 class AxiomReport:
     ok: bool
     violations: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
 
 
 def verify_cube_axioms(cubes: CubeSystem) -> AxiomReport:
@@ -416,7 +415,7 @@ def verify_cube_axioms(cubes: CubeSystem) -> AxiomReport:
     A cube's members are its slice of ``order[k]``. Violations come by
     axiom, then level (pair), then center id; a witness point is the lowest
     id. The open/closed interior-closure distinction is vacuous on a finite
-    point set and reported as not applicable.
+    point set, so it is not checked.
     """
     space = cubes.space
     net = cubes.net
@@ -507,11 +506,7 @@ def verify_cube_axioms(cubes: CubeSystem) -> AxiomReport:
                     })
     violations += [v for pair in containment.values() for v in pair]
 
-    return AxiomReport(
-        ok=not violations,
-        violations=violations,
-        notes={"interior_closure": "not applicable on a finite point set"},
-    )
+    return AxiomReport(ok=not violations, violations=violations)
 
 
 @dataclass

@@ -35,6 +35,7 @@ import numpy as np
 from homspace.common import (
     BLOCK_ELEMENTS,
     DEFAULT_SEED,
+    ETA,
     fit_loglog,
     reciprocal,
     rng_stream,
@@ -58,17 +59,18 @@ class EmbedParams:
     s1 - omega/p1 = s2 - omega/p2 (within 1e-9), s1 <= s2.
 
     Besov pairs share q; Triebel-Lizorkin pairs may differ in q but need
-    finite p on both sides and |s_i - omega/p_i| < eta (eta is the
-    regularity budget of the kernel model, default 1).
+    finite p on both sides and |s_i - omega/p_i| < ``common.ETA``, the
+    regularity budget of the kernel model.
     """
 
     source: NormParams          # (s2, p2, q2)
     target: NormParams          # (s1, p1, q1)
     omega: float
-    eta: float = 1.0
 
     def __post_init__(self):
         src, tgt = self.source, self.target
+        if math.isnan(self.omega):
+            raise ValueError("omega must be a number, got nan")
         if src.family != tgt.family:
             raise ValueError("source and target families must match")
         if src.variant != tgt.variant:
@@ -88,13 +90,9 @@ class EmbedParams:
                 and not (math.isinf(src.q) and math.isinf(tgt.q)):
             raise ValueError("besov embeddings share a single q")
         if src.family == "triebel_lizorkin":
-            if not (self.eta > 0):
-                raise ValueError("eta must be positive")
             for params in (src, tgt):
-                if abs(params.s - _ratio(self.omega, params.p)) >= self.eta:
-                    raise ValueError(
-                        "triebel_lizorkin pairs need |s - omega/p| < eta"
-                    )
+                if abs(params.s - _ratio(self.omega, params.p)) >= ETA:
+                    raise ValueError(f"triebel_lizorkin pairs need |s - omega/p| < ETA = {ETA}")
 
     @property
     def family(self) -> str:
@@ -116,8 +114,7 @@ def _ratio(omega: float, p: float) -> float:
 @dataclass
 class NecessityReport:
     verdict: str                     # "PASS" | "FAIL" | "VACUOUS"
-    min_constant: Optional[float]
-    witness: Optional[dict]
+    witness: Optional[dict]          # the least-constant fresh cube
     per_level_min: dict
     worst_chain: Optional[dict]
     constants: dict                  # "k:alpha" -> constant
@@ -137,7 +134,7 @@ def delta_necessity_test(cubes: CubeSystem, params: EmbedParams) -> NecessityRep
     """
     if abs(reciprocal(params.target.p) - reciprocal(params.source.p)) < 1e-15:
         return NecessityReport(
-            verdict="VACUOUS", min_constant=None, witness=None, per_level_min={},
+            verdict="VACUOUS", witness=None, per_level_min={},
             worst_chain=None, constants={}, resolved_levels=[],
             notes=["p1 = p2 forces s1 = s2 on the trace line: identity embedding"],
         )
@@ -148,7 +145,7 @@ def delta_necessity_test(cubes: CubeSystem, params: EmbedParams) -> NecessityRep
     levels, cube_ids, const = cubes.fresh_constants(omega, params.variant)
     if not const.size:
         return NecessityReport(
-            verdict="VACUOUS", min_constant=None, witness=None, per_level_min={},
+            verdict="VACUOUS", witness=None, per_level_min={},
             worst_chain=None, constants={}, resolved_levels=resolved,
             notes=["no fresh cubes in the variant window"],
         )
@@ -189,7 +186,6 @@ def delta_necessity_test(cubes: CubeSystem, params: EmbedParams) -> NecessityRep
 
     return NecessityReport(
         verdict="FAIL" if failing else "PASS",
-        min_constant=witness["constant"],
         witness=witness,
         per_level_min=per_level_min,
         worst_chain=worst_chain,

@@ -33,8 +33,9 @@ within a factor 2 of it. Both are scored by one call of
 probe (k, j, x); the one-sequence ``kernel_maximal_bound_check`` is a call
 of it.
 
-Admissibility gate: gamma * r - omega * (1 - r) > 0 and 0 < eps < eta,
-with r in (0, 1]; the canonical choice for a source integrability p2 is
+Admissibility gate: gamma * r - omega * (1 - r) > 0 and 0 < eps < ETA,
+with r in (0, 1] and ``common.ETA`` the regularity budget of the kernel
+model; the canonical choice for a source integrability p2 is
 r = p2 / (1 + p2).
 """
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from homspace.common import BLOCK_ELEMENTS, DEFAULT_SEED, rng_stream, stable_sum
+from homspace.common import BLOCK_ELEMENTS, DEFAULT_SEED, ETA, rng_stream, stable_sum
 from homspace.dyadic import CubeSystem
 from homspace.seqnorm import CoefSequence, SequenceBatch
 from homspace.space import FiniteHomSpace
@@ -58,11 +59,10 @@ class KernelParams:
     gamma: float
     r_exp: float
     omega: float
-    eta: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.epsilon < self.eta):
-            raise ValueError("need 0 < epsilon < eta")
+        if not (0 < self.epsilon < ETA):
+            raise ValueError(f"need 0 < epsilon < ETA = {ETA}")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if math.isnan(self.omega):

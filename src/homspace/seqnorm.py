@@ -14,7 +14,7 @@ while the Triebel-Lizorkin-style norm forms the pointwise l^q aggregate
 and takes its L^p integral over the space (exact on finite data: g is
 constant on cells). p = inf or q = inf replace the corresponding sum by a
 sup; empty aggregates evaluate to 0; the inhomogeneous variant keeps
-levels k >= 0 (a flag controls whether k = 0 itself counts, default yes).
+levels k >= 0.
 
 Every norm goes through one kernel, ``batch_norms``, which scores a whole
 ``SequenceBatch``: sequence i owns the entries offsets[i]:offsets[i + 1]
@@ -75,7 +75,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -94,10 +93,8 @@ class NormParams:
     p: float
     q: float
     delta: float
-    omega: Optional[float] = None
     variant: str = "homogeneous"
     family: str = "besov"
-    include_zero_level: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -106,8 +103,6 @@ class NormParams:
             raise ValueError(f"unknown variant {self.variant!r}")
         if math.isnan(self.s):
             raise ValueError("s must be a number, got nan")
-        if self.omega is not None and math.isnan(self.omega):
-            raise ValueError("omega must be a number, got nan")
         if not (self.p > 0):
             raise ValueError("p must be positive")
         if not (self.q > 0):
@@ -119,9 +114,7 @@ class NormParams:
 
     def level_in_window(self, k):
         """Whether level k counts; k may be an array of levels."""
-        if self.variant == "homogeneous":
-            return True
-        return k >= (0 if self.include_zero_level else 1)
+        return self.variant == "homogeneous" or k >= 0
 
 
 @dataclass

@@ -268,7 +268,6 @@ class LowerBoundReport:
     exponent_pooled: Optional[float]
     witnesses: list = field(default_factory=list)   # the flagged centers
     variant: str = "global"
-    scale_factor: float = 1.0
     warnings: list = field(default_factory=list)
     radii: list = field(default_factory=list)
 
@@ -319,13 +318,20 @@ def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None) -> 
     constant lies below ``space.quasi_triangle``, unless the table is
     asymmetric or the list is already full.
 
-    Raises ValueError("empty space") for n = 0 and
+    Raises ValueError("A0 must be a finite positive number") when the
+    declared or passed-in A0 is not one, before anything else is checked
+    and with no pass run; ValueError("empty space") for n = 0; and
     ValueError("invalid measure") for nonpositive or non-finite weights
     and for a total mass whose fourfold is not finite (the maximal operator
     adds four ball masses).
     Structural defects of the distance table are returned as violations,
     not raised, so callers can report all of them at once.
     """
+    a0_used = a0 if a0 is not None else space.declared_A0
+    if a0_used is not None:
+        a0_used = float(a0_used)
+        if not 0 < a0_used < math.inf:
+            raise ValueError(f"A0 must be a finite positive number, got {a0_used}")
     if space.n == 0:
         raise ValueError("empty space")
     if not np.all(np.isfinite(space.weight)) or np.any(space.weight <= 0):
@@ -368,12 +374,9 @@ def validate_quasi_metric(space: FiniteHomSpace, a0: Optional[float] = None) -> 
         + [{"kind": "identity", "pair": [i, j], "value": 0.0} for i, j in zero]
     )[:cap]
 
-    a0_used = a0 if a0 is not None else space.declared_A0
-    if a0_used is not None:
-        a0_used = float(a0_used)
-        if len(violations) < cap:
-            violations += islice(_triangle_violations(space, a0_used, bool(unequal)),
-                                 cap - len(violations))
+    if a0_used is not None and len(violations) < cap:
+        violations += islice(_triangle_violations(space, a0_used, bool(unequal)),
+                             cap - len(violations))
 
     return MetricValidation(
         ok=not violations,
@@ -396,7 +399,7 @@ def _triangle_violations(space: FiniteHomSpace, a0: float, asymmetric: bool):
     """Yield the triples that break the quasi-triangle inequality at
     ``a0``, in (x, z, y) order. A tiny relative slack absorbs roundoff
     only; nothing is scanned when ``a0`` is at least the space's own
-    constant (or is NaN)."""
+    constant."""
     limit = a0 * (1.0 + 1e-12)
     if space.n < 3 or asymmetric or not space.quasi_triangle.value > limit:
         return
@@ -608,14 +611,15 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
 
 
 def check_local_lower_bound(space: FiniteHomSpace, omega: float) -> LowerBoundReport:
-    """Lower-bound check restricted to r <= 1. For "below one diameter",
+    """Lower-bound check restricted to r <= 1; with r_floor >= 1 the window
+    is the one radius r_floor, with a warning. For "below one diameter",
     check ``space.scaled(dist_factor=1 / space.diameter)``."""
     r_min = space.r_floor
     if r_min < 1.0:
         return check_lower_bound(space, omega, r_min, 1.0, variant="local")
-    # Degenerate window: everything at or above scale 1. Report on the
-    # single admissible radius and warn.
-    report = check_lower_bound(space, omega, r_min * 0.5, 1.0, variant="local")
+    # asked from r_floor / 2, the check clips the window to r_floor and
+    # collapses it to that one radius, saying so in its warnings
+    report = check_lower_bound(space, omega, r_min * 0.5, r_min, variant="local")
     report.warnings.append("resolution floor at or above r = 1; local window degenerate")
     return report
 

@@ -212,8 +212,7 @@ def delta_sequence_norm(system, k0, alpha0, params):
     delta^{-k0 s} * mass^{1/p - 1/2}, 0 outside the variant window. The
     Besov and Triebel-Lizorkin values coincide (the indicator integrates to
     the cube mass)."""
-    lowest = 0 if params.include_zero_level else 1
-    if params.variant != "homogeneous" and k0 < lowest:
+    if params.variant != "homogeneous" and k0 < 0:
         return 0.0
     inv_p = 0.0 if math.isinf(params.p) else 1.0 / params.p
     return params.delta ** (-k0 * params.s) * system.mass(k0, alpha0) ** (inv_p - 0.5)

@@ -188,10 +188,8 @@ def test_criterion_4_delta_closed_form(grid64_system):
 
 def _besov_pair(delta, omega, s1, p1, s2, p2, q, variant="homogeneous"):
     return EmbedParams(
-        source=NormParams(s=s2, p=p2, q=q, delta=delta, omega=omega,
-                          variant=variant, family="besov"),
-        target=NormParams(s=s1, p=p1, q=q, delta=delta, omega=omega,
-                          variant=variant, family="besov"),
+        source=NormParams(s=s2, p=p2, q=q, delta=delta, variant=variant, family="besov"),
+        target=NormParams(s=s1, p=p1, q=q, delta=delta, variant=variant, family="besov"),
         omega=omega,
     )
 

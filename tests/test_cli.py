@@ -27,7 +27,7 @@ def test_analyze_writes_report(tmp_path):
                      "--n", "64", "--dim", "1", "--check-lower-bound", "--omega", "1.0")
     assert code == 0
     report = json.loads(text)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["n_points"] == 64
     assert 0.75 <= report["stats"]["omega_est"] <= 1.6
     assert report["lower_bound"]["verdict"] == "PASS"
@@ -137,6 +137,12 @@ BAD_PARAMETERS = {
     # norms the flag was echoed and did nothing (exit 0)
     "norms layer-cake besov": (["norms", *GRID16, "--seq", "seq.json", "--layer-cake"],
                                "--layer-cake needs --family triebel_lizorkin"),
+    # a gallery parameter next to --space was ignored and echoed in config
+    "cubes space with n": (["cubes", "--space", "one.json", "--n", "8"],
+                           "--n applies to --gallery, not to --space"),
+    "analyze space with snowflake-e": (["analyze", "--space", "one.json",
+                                        "--snowflake-e", "0.5"],
+                                       "--snowflake-e applies to --gallery, not to --space"),
     "cubes c0 nan": (["cubes", *GRID16, "--c0", "nan"], "c0 must be a finite positive number"),
     "cubes A0 nan": (["cubes", *GRID16, "--A0", "nan"], "A0 must be a finite positive number"),
     "cubes C0 inf": (["cubes", *GRID16, "--C0", "inf"], "C0 must be a finite positive number"),
@@ -156,8 +162,9 @@ BAD_PARAMETERS = {
     "norms powered overflow": (["norms", *GRID64, "--seq", "huge2.json", "--p", "1"],
                                "a besov norm (s=0.0, p=1.0, q=2.0) leaves the float range"),
 }
-# the sequence files the cases read
-SEQUENCE_FILES = {
+# the sequence and space files the cases read
+CASE_FILES = {
+    "one.json": {"points": [[0.0]], "weights": [1.0]},
     "seq.json": [{"k": 1, "alpha": 0, "value": 1.0}],
     "huge3.json": [{"k": 2, "alpha": a, "value": 1.2e154} for a in (1, 2, 4)],
     "huge2.json": [{"k": 2, "alpha": a, "value": 1e308} for a in (1, 2)],
@@ -167,8 +174,8 @@ SEQUENCE_FILES = {
 @pytest.mark.parametrize("case", BAD_PARAMETERS)
 def test_bad_parameters_exit_2_naming_them(tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)
-    for name, rows in SEQUENCE_FILES.items():
-        (tmp_path / name).write_text(json.dumps(rows))
+    for name, content in CASE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(content))
     argv, message = BAD_PARAMETERS[case]
     code, text = run(tmp_path, *argv)
     assert (code, text) == (2, "")
@@ -393,22 +400,22 @@ KERNEL_CASES = {
                     "--gamma", "8"],
     "cantor6 calibration 1": ["--gallery", "cantor", "--depth", "6", "--calibration", "1"],
 }
-# SHA-256 of the reports written by the one-sequence-at-a-time evaluation
-# that preceded the batched one
+# SHA-256 of the schema-2 reports; every value in them is the one the
+# one-sequence-at-a-time evaluation that preceded the batched one wrote
 KERNEL_DIGESTS = {
-    ("grid64 p2=1", "1"): "64fd4b292dc18d16998b91866e2e8e820c17e318414e374986de9d0dcc451c4f",
-    ("grid64 p2=1", "7"): "490d22fa5a11a7ebb041ecdfaf54e9df3e98e9a319e7581e8de2d58fbe4ccd81",
-    ("grid64 p2=2", "1"): "92b670a9dfc56878e4e77c430e807b9b85d8dd36fd0cf8db64fb32d0242b2cef",
-    ("grid64 p2=2", "7"): "f7d8f9b7e5a71ab5a6e6871c25c29ff90ca7b71f18293c9a99580db07dd3e051",
-    ("cantor6", "1"): "a3e890e30b2349fafc3f46f241ed486d6b7d98022f49281da7a0857efb803bf0",
-    ("cantor6", "7"): "d748fbd03badf0cbc190f6cacfce6b2fd7ebccfc3ece609e0e0d01403038463c",
-    ("weighted_grid65", "1"): "8a6d77bee5d29732987daa6f946e50772c1c4bb4eac662ed9f828a2be11d39ae",
-    ("weighted_grid65", "7"): "a9b404b9d00600393c4061fefa569dd6f6536d25b9ed4eb68d602a0270cfb6a0",
-    ("snowflake64", "1"): "e202f379f472f6ae04f5aa1082393942e7240c2d38c5f65b2a943ae60af69c24",
-    ("snowflake64", "7"): "891d5926cd28e1badf43fd7c30ab80c5a1839fd40affe7885e8fd56c58a60b49",
+    ("grid64 p2=1", "1"): "1dd50b8a9a6214d72654fca135905c8fb8ae7d4d3ae7222ac8c5e56244b0422f",
+    ("grid64 p2=1", "7"): "01b1bec62e00f265cabd90356a2dfcbf48afd2a6f6b3be024193353af1260e29",
+    ("grid64 p2=2", "1"): "45a381e90b3cffa44116cd89edbfffad7a65b7a586fc005633cfb27d54c9960d",
+    ("grid64 p2=2", "7"): "59a3d2a3e2d3c14117e33bafdf6744acdbe3bb713a00c33afb58f9bb79a39523",
+    ("cantor6", "1"): "525eaa7bd4485547a0e2f2b91ff1d5b317fbcf18c5e4eecce08bbcb3d52af7a7",
+    ("cantor6", "7"): "29805911976af382d584fdd54159e542626642b67372bfdea49d19decefb6dea",
+    ("weighted_grid65", "1"): "cb1f4de66e7baa8218ca7199c7a4d9ef3cc066203edd2bc890e08085b56ff021",
+    ("weighted_grid65", "7"): "3dbdfd77f60f01b233e3d3ece23b9a528489741df625cb4fef587f3d47e69a80",
+    ("snowflake64", "1"): "28b3a9f96693ff4958959d41e75c6c6d281f2742ee6c98ae997c3cd409962523",
+    ("snowflake64", "7"): "2b5c50bd78adb84fa39d24ef61233864b0d9c0380250803d4c9b77086e84c199",
     # a FAIL report: 12 witnesses in trial-major, probe-minor order
     ("cantor6 calibration 1", "1"):
-        "de070ccf735d50eb90c3f6788d07a98235412a4d16dcc77ebc153ca09f4dfd4f",
+        "45bc6d74f71464e673a0a26d6eb47e395efe1697c5e7578d3ff1bd4b2ce025af",
 }
 
 
@@ -486,81 +493,81 @@ REPORT_CASES = {
 # (exit code, SHA-256 of the report) per case and format
 REPORT_DIGESTS = {
     ('analyze grid32', 'csv'):
-        (0, '099d43344f20d02230d8aacf896d8dec39b02d0820c7e335d94ae191073914cc'),
+        (0, '1959306c2fd41455990982be77314cd9c0b166e577ec211a50a99165fd7f1b19'),
     ('analyze grid32', 'json'):
-        (0, '56798ccfc9ca3ae1ddd37164544a711e552bbab6e7373a684586e4cbd59f7952'),
+        (0, '3692bad4d2d6e5de2463cbfe790000c188a684e254ee710195579251586a2982'),
     ('analyze table', 'csv'):
-        (0, '0661dbc69d7d9a7ce2c634acb6661c5905c8ac65d49de27e396601ebddb87b06'),
+        (0, '7a9a57954b9dd1d245ea812b542df1b06698c0ae5be8f0e2ba941aa17e0bad7c'),
     ('analyze table', 'json'):
-        (0, '7bd2aae07a44777b4246878bde700bfa3bcdec4d9c776ab76bc4cec2053e8db4'),
+        (0, 'a930b43c66ef66c458e8fd1bc0e83cca409823812eaeb5c4bc0f55bd7f90bdda'),
     ('analyze weighted_grid65', 'csv'):
-        (0, 'a5e583c815989c609479a2cd19886a899e42b2ec4759e404d004c22df8d24102'),
+        (0, '2bcb2c39db2e9fa4059070a08bdbf837b20d395eafc7386810479cdb7cec4284'),
     ('analyze weighted_grid65', 'json'):
-        (0, '8b8580bbfe5759074f955f9a7fea791475b031d0bce57f23681452147dc614d4'),
+        (0, '5955e296a55fe9b19a95ab8ca4443c2023b908731c5a92905feca3cf34265f9d'),
     ('cubes cantor5', 'csv'):
-        (0, '4f1f36a5cf316088230c8ff638c4a08bc9356e21b18e55bf39acfebc49bc158d'),
+        (0, '15a98693d2970853acabb3e7454f88441615f20d1bce5c1c8259e5c792703265'),
     ('cubes cantor5', 'json'):
-        (0, 'e2b6667bc3e29955f958d049421a5dbccf733efb3b15f56a1eb2f2d3de1895ef'),
+        (0, '1cc43f7922b600984fed9dd7faa179c2b6e8ad7ae673bc6e8ebb463aa3fc82e0'),
     ('cubes grid32', 'csv'):
-        (0, '24924497ee984a5b65cb5a1798b39f2fb124cd06921766b094adeab4db75d40c'),
+        (0, '53052c36810d0d35017130b51c5a5206845d8a178b4358a39a8a7ecee704fd5f'),
     ('cubes grid32', 'json'):
-        (0, '18eb47a45d922d63128558fef95835cda31526491217f18e224288e1d47295e2'),
+        (0, 'bd70b6b95a9362c51b26f7e187190f2a34bddbe9fd02924c032cb8b02b8d838a'),
     ('embed-test besov pass', 'csv'):
-        (0, 'bb6a4149d630f9851111646d8b5314e6260be936dd76cbff0433df7e4ebc4d65'),
+        (0, 'b29da91a5b2779d49b42f792e563a0b38c81ec3dc78021c89731a64b9fc8a0a0'),
     ('embed-test besov pass', 'json'):
-        (0, 'd06c8b16d6e911e8cfcb00634ca6c04c7bbb3cd76b4a466638d60088d860d6f6'),
+        (0, 'bb58ac66d8f03c61c043a326e75d84696c43eaf29b8d5b1f73ccc2e70f9a2925'),
     ('embed-test inhomogeneous fail', 'csv'):
-        (0, '45c03f9c0ca81950035ef28aed242be692568ab4a2b5520ccdc573c52ec5cf69'),
+        (0, '89332e7b3aff6c67bdc6603d33ceb306863569e603f2713c3405dd022d276338'),
     ('embed-test inhomogeneous fail', 'json'):
-        (0, '8d0bfa78700019e0f76bc0ab70793397ab0edb049e3ffcfa36bcda5a211c2fb3'),
+        (0, 'ce221704ab8f066e1a3d94fceecdcea35ae646dcb5173c3815424d5542b4fbd9'),
     ('embed-test one point', 'csv'):
-        (0, '9c3212e91e23d9b89e4e24e6d41b3a2851092eee6a0e34e066f1b2cf9a4a25fe'),
+        (0, '4af9afc7c19db5a3071fbd379eb55de4789d63c12b256ad810ec6358fabb10d5'),
     ('embed-test one point', 'json'):
-        (0, '2e31ae7a10e820521746459d8ddd19e210a2fa3669f993a14ddeea94f8666114'),
+        (0, '754299ba5ced13c3b0c0bfff1160b9911b239d23b36d5fa6b1620bef380fba05'),
     ('embed-test tl', 'csv'):
-        (0, 'a2b5929b78aac2adaf389b5f75707efbc20a7bffef4e8f2493c03b5b77907374'),
+        (0, '33894d2067f21d48cc8faa4a6d619ed2fc7519e42ef624ccf975bb60d6d48bba'),
     ('embed-test tl', 'json'):
-        (0, 'bbfae4abd0aaf254c2dc048559d724e8dcf5f446ffb2f9e44c76f146a26b2462'),
+        (0, 'b72cacfd249b3332b50098ec2f57a99365d7d1095c8aa196cabc0d8d9c252969'),
     ('gallery table', 'csv'):
-        (0, 'ccd424fb8a5efdf82f6359ab18812622707f21df1399e9e1c11a6f208f4ee7d8'),
+        (0, '3059fd03d74d405d301f6950beb0265a4b0273d9ac76fee51f776e14b212a32b'),
     ('gallery table', 'json'):
-        (0, '86f3d3b43204b837bc41ae778d25a399ddecc541298f68c6e2aebfdca27f8c2d'),
+        (0, '93bee53934a8e1ac7afb76e2f2882be82de720b464a6e6b038d737766e1cd2b2'),
     ('kernel-check cantor6 calibration 1', 'csv'):
-        (0, '7028ec69b2e72c84e9157c67b93150550c1e64a923d1ce8a6d7ab56093db59b1'),
+        (0, 'a8712dfb4c83b15701ffd32366c839b1fb5aa7c54d5d9c232bb559b3981efeca'),
     ('kernel-check cantor6 calibration 1', 'json'):
-        (0, 'b4697c3d9f5272c36e2f425628a80eedf640611ef5b7a864cce31c050cc12431'),
+        (0, '07b44f550a748199a1aceea8aec8fe9ff67b28fa41151bd4495f633ffc4a107e'),
     ('maximal random', 'csv'):
-        (0, '8393ebb4e6ba330a93cfaaec1f8c6359a8f2a354c7e7020940d4022600318e54'),
+        (0, '30a34c0128d462febe15284ccdb73ce914f24bf4529a142d177427a9306cb6f6'),
     ('maximal random', 'json'):
-        (0, '91f7c7ef95b4f1132ff0eb26d066e89eff4e70515a75fc7ef3829e4aacdd2d3f'),
+        (0, 'f3949f412fbcb40bb530422dc01f450bff0cca37d79183b5a46583d18f312644'),
     ('maximal values', 'csv'):
-        (0, 'f8d554d58ba4005c723947d506b3e04e627fca02e08a13af1a83b7e91b6b4f9a'),
+        (0, '55d0f01afad2d5c8fc94b39e5de9cdccd7b1e7296019f5e08502f14a7fcd9b67'),
     ('maximal values', 'json'):
-        (0, 'ce72cabdbe659154f9c93b9ad237b43d992f9d9d7109517c76c7f7bab4419b11'),
+        (0, '546b67dc9dd001567c15d379f9898b95c01175f2569ee1b9636699b5739a3f1d'),
     ('norms besov', 'csv'):
-        (0, '39a7675c5f80f9856c6bcddafd73019196cd894a3012519a67f3dd3302a4a517'),
+        (0, '286485ac1317a22222c57a20c9a4e3f06f13ef625d5446b7ecf59cc20cc894ce'),
     ('norms besov', 'json'):
-        (0, '3eaafc2054f7db8773e3e1feded6bb7dd2eb41688b5650aeb336dfef11001224'),
+        (0, '6ad916bd37818d730217f981c22ebb0281f1b095262c8a89abc83d93351c8b2c'),
     ('norms tl layer-cake', 'csv'):
-        (0, '666824f7ac6ca77d150cc0e9d18971c9be8ee48fdfac8b4ebbc523404251f395'),
+        (0, 'a906654fa2b5d10ad542c1082251aefc4627a560e689abade57531fe4a94816b'),
     ('norms tl layer-cake', 'json'):
-        (0, '465a885bacbfa969405cb4903064c269bcde9b7586bd02b0fb1ccac06289031e'),
+        (0, '169b2fd107153180976411c7688119e91d049518265676c8c66386431fabd3d9'),
     ('analyze squared line', 'csv'):
-        (0, 'c706736c87a18457687776db2446fd028ca231df725bcec47935d1f595d63cce'),
+        (0, 'a10ab8514e4d010fb201ebd0b8d23a41c5956a91b9853849832e99dd39535139'),
     ('analyze squared line', 'json'):
-        (0, 'edd2ae476d7f49cdeaf0898700ff1d48a1fcbecb43f57c2314d8a4957894a7d9'),
+        (0, '6a429066c9b3b69a397bd5726734e7f11d27df994f9513c43d7ef2a6ce5b8798'),
     ('embed-test tail fail', 'csv'):
-        (0, '5362eefd71ace44e38649b91c79131ad50ea1fcd144a0766d33a70d84fa6d134'),
+        (0, 'c40382dcbdca70ab74a324c762a50056a286cc5dd3a648d6c67aa4efffa2340c'),
     ('embed-test tail fail', 'json'):
-        (0, 'd5c521f18bb3b322e282e7f3a10b2dd467cbadffadcd6c1554ae3941a4650fce'),
+        (0, 'd8a8037248c4f7d7deda8f4b479741afa8b974428a1aafe8f57e86557e5cfdd8'),
     ('cubes weighted_grid65', 'csv'):
-        (0, '88a29427bfc0e25559daed3784ca24ad987a8c261de437c42e2461569bc7a249'),
+        (0, '41276ed27096ad327b6c2588d62fdf32d6dcaf0e169e8b0d148c6c5e33ffa38c'),
     ('cubes weighted_grid65', 'json'):
-        (0, '3c1c58ff1fc79880064d3190b074d4e9c12f029f505253ba4a8573f9ae2c907a'),
+        (0, '62c46ce27d67bc9599f63ae868e7aba504148e687ac133c84f94a1de749a3285'),
     ('cubes weighted_grid17 atomic', 'csv'):
-        (0, '48666893f331f7f5ef92ac5aba4a83d128fa7d9295c75157e602400cbcfc5c7b'),
+        (0, 'bce96cd6243d2df3a5232eb8d1f706c85428093f621efc1cf07aa1ee2974f0b1'),
     ('cubes weighted_grid17 atomic', 'json'):
-        (0, 'de5c45859c9a1f42a0afef1c5ab11bbb7cd241eaa48b84af53f28ec749390798'),
+        (0, 'ded53eaea3d70c21c4fb6589b66b7b78a2c3fa7560344e310700b8ca9dc8f788'),
 }
 
 
@@ -586,22 +593,23 @@ GALLERY_CASES = {
                         "--snowflake-e", "0.5"],
     "snowflake e=1": ["--gallery", "snowflake", "--n", "16", "--snowflake-e", "1"],
 }
-# SHA-256 of each gallery report and of the bytes of its distance table, as
-# written when each kind built its own table
+# SHA-256 of each schema-2 gallery report and of the bytes of its distance
+# table; tables and points are those written when each kind built its own
+# table
 GALLERY_DIGESTS = {
-    'euclidean_grid 8x8': ('a1afd669c5333c77224aeeaae00352231389bfed6624304c7551b87085bd70d5',
+    'euclidean_grid 8x8': ('062ab244fb2ff509ceb29cf2d0b381ebf26e3a4846f0dd8ed6d446152f33c1ea',
         '059f76cded29d69df748097eb23a4af5a049b88b9d40b615e62950f00c0b724f'),
-    'weighted_grid 17': ('24af6669647910b639f4193a67eec8cfada1d461a92543c40a17692c479dcc92',
+    'weighted_grid 17': ('ccf036d789add5bac9c9b2c63e60d99ad0fbab2af29062f2b780ac79e043d597',
         'b01d9b782cc684bb331b0ab8dd6eff7649d938ebafe864e22bdb608b24cfa76e'),
-    'weighted_grid 9x9': ('bfc6c61540513d9f9c504ea4f5b3eea84f6fd37b2b0517e2399adbbf59089c6c',
+    'weighted_grid 9x9': ('ae7c39e75e10a64ec7e56bb4387d12561a5ec8e593d540e8e21e81898bd9d98e',
         '53d0b857febd681dffff12cae11303daf825f62a442af41873ad2fdcae9e35c5'),
-    'cantor 5': ('c52288ca7d455147021d300330937d10c339fc12a6905d7706740b13ea465633',
+    'cantor 5': ('18da0f2f63e19e0e350687b0f83528e0e3d47e019fd713a1809daebd12f03954',
         '583addc22545945a0b899fc8b90dd27d6cdb146a3cdc56c74c7d9ac3e79bd97f'),
-    'snowflake e=0.3': ('8f76d3e17cd785790a5edbc623de6a153c82e80e0f021486cc195501b54141f5',
+    'snowflake e=0.3': ('602df2eb3eab5dde3f7ee8bb29995d8ef50f257d42fc82698e81786fbe1a326d',
         'd124d03f97e62c35769e51f6f5a5ef09685723998ef9b8b713356173404feb5f'),
-    'snowflake e=0.5': ('97647fbfdc1d1c867ae47d899c1821bf8395ebd84a1b4f6071592262e3ae82a3',
+    'snowflake e=0.5': ('e638673c345525bc307e87a32159902fb6b7adc47e7952b5b4dbae52550ca363',
         '5213b47771b7a3e8cca954742127ae0f7ad0150c4622f8318778ee3b89b58d45'),
-    'snowflake e=1': ('a8a3aa7da4324c64f7c1d213479ae94cc5340a1597f79904c95f08c926589dae',
+    'snowflake e=1': ('f9a1bb436d5a7f328909cd3609bc206af04b48fbb776a7e2f58d2efe2eb54b3c',
         'a5fe01c90beb40c4116acd630321cf3c37caff8f90664de7f28d17bfd37b9891'),
 }
 
@@ -883,6 +891,51 @@ def test_one_a0_pass_per_command(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "cubes", "--space", declared, "--A0", "1.5")
     assert code == 0
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--check-local-lower-bound", "--omega", "1"],
+    ["embed-test", "--variant", "inhomogeneous", *EMBED_ARGS],
+], ids=["analyze", "embed-test"])
+def test_local_lower_bound_on_a_coarse_space(tmp_path, argv):
+    # the lattice step is 4, so r_floor = 4 and the local window is degenerate
+    code, text = run(tmp_path, *argv, "--gallery", "weighted_grid", "--n", "5",
+                     "--extent", "8")
+    assert code == 0
+    report = json.loads(text)
+    local = report["local_lower_bound"] if argv[0] == "analyze" else report["result"]["lower_bound"]
+    assert (local["r_min"], local["verdict"]) == (4.0, "PASS")
+
+
+@pytest.mark.parametrize("a0", ["-1", "0", "declared 0"])
+def test_nonpositive_a0_exits_2_before_any_pass(tmp_path, monkeypatch, capsys, a0):
+    # an explicit table's A0 needs the exact pass, which a nonpositive A0
+    # must not reach: it used to come out as a triangle violation after it
+    calls = _count_calls(monkeypatch, space_mod, "estimate_quasi_triangle_constant")
+    plane = _explicit_file(tmp_path, "plane24.json", np.random.default_rng(2).random((24, 2)))
+    if a0 == "declared 0":
+        argv = ["--space", _declaring_file(plane, 0)]
+    else:
+        argv = ["--space", plane, "--A0", a0]
+    code, text = run(tmp_path, "cubes", *argv)
+    assert (code, text) == (2, "")
+    assert "A0 must be a finite positive number" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "cubes"])
+def test_config_echoes_the_given_flags_and_the_command_defaults(tmp_path, command):
+    # GallerySpec holds the gallery defaults: config names a gallery
+    # parameter only when the command line sets it
+    plane = _explicit_file(tmp_path, "plane12.json", np.random.default_rng(1).random((12, 2)))
+    defaults = {"analyze": {"check_lower_bound": False, "check_local_lower_bound": False},
+                "cubes": {"c0": 1.0, "C0": 2.0, "seed": common.DEFAULT_SEED}}[command]
+    for argv, given in ((["--space", plane], {"space": plane}),
+                        (["--gallery", "cantor", "--depth", "4"],
+                         {"gallery": "cantor", "depth": 4})):
+        code, text = run(tmp_path, command, *argv)
+        assert code == 0
+        assert json.loads(text)["config"] == {**given, **defaults}
 
 
 def _declaring_file(path, a0):

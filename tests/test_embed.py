@@ -35,10 +35,8 @@ def sequence_ratio(seq, params):
 
 def besov_pair(delta, s1, p1, s2, p2, q=1.0, omega=1.0, variant="homogeneous"):
     return EmbedParams(
-        source=NormParams(s=s2, p=p2, q=q, delta=delta, omega=omega,
-                          variant=variant, family="besov"),
-        target=NormParams(s=s1, p=p1, q=q, delta=delta, omega=omega,
-                          variant=variant, family="besov"),
+        source=NormParams(s=s2, p=p2, q=q, delta=delta, variant=variant, family="besov"),
+        target=NormParams(s=s1, p=p1, q=q, delta=delta, variant=variant, family="besov"),
         omega=omega,
     )
 
@@ -76,13 +74,11 @@ def test_target_smoothness_cannot_exceed_source():
 
 
 def test_tl_pair_eta_gate():
-    kw = dict(delta=1 / 32, omega=1.0, family="triebel_lizorkin")
-    src = NormParams(s=2.0, p=1.0, q=1.0, **kw)     # s - omega/p = 1.0, at eta
+    kw = dict(delta=1 / 32, family="triebel_lizorkin")
+    src = NormParams(s=2.0, p=1.0, q=1.0, **kw)     # s - omega/p = 1.0, at ETA
     tgt = NormParams(s=1.5, p=2.0, q=2.0, **kw)
-    with pytest.raises(ValueError, match="eta"):
-        EmbedParams(source=src, target=tgt, omega=1.0, eta=1.0)
-    ok = EmbedParams(source=src, target=tgt, omega=1.0, eta=1.5)
-    assert ok.family == "triebel_lizorkin"
+    with pytest.raises(ValueError, match="ETA"):
+        EmbedParams(source=src, target=tgt, omega=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +94,6 @@ def test_implied_constants_match_brute(grid64_cubes):
         assert c == pytest.approx(
             grid64_cubes.mass(k, alpha) / grid64_cubes.delta ** k, rel=1e-12)
     brute_min = min(report.constants.values())
-    assert report.min_constant == pytest.approx(brute_min)
     assert report.witness["constant"] == pytest.approx(brute_min)
 
 
@@ -158,13 +153,6 @@ def test_scan_sound_on_uniform_grid(grid64_cubes):
     assert proof == pytest.approx(c_min ** (1 / 2 - 1 / 1))
 
 
-@pytest.fixture(scope="module")
-def singular_cubes():
-    sp = gallery.build(gallery.GallerySpec(kind="weighted_grid", n=129, dim=1,
-                                           alpha=2.0, beta=0.0, extent=2.0))
-    return build_system(sp)
-
-
 def test_zero_sequence_ratio_neutral(grid64_cubes):
     params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     index = grid64_cubes.index_cubes()
@@ -221,16 +209,15 @@ def test_scan_violations_keep_batch_order(grid64_cubes, monkeypatch):
     assert report.witnesses == expected
 
 
-def test_scan_asserts_a_vanishing_source(singular_cubes):
-    # the source leaves out level 0 and the target keeps it, so a delta at
-    # level 0 has a zero source norm and a nonzero target norm
-    params = besov_pair(singular_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0,
-                        variant="inhomogeneous")
-    params = EmbedParams(source=dataclasses.replace(params.source, include_zero_level=False),
-                         target=params.target, omega=params.omega)
-    assert any(k == 0 for k, _ in singular_cubes.index_cubes("inhomogeneous"))
+def test_scan_asserts_a_vanishing_source(grid64_cubes, monkeypatch):
+    # source and target norms share their support, so no norm family makes
+    # the source vanish alone: a kernel that zeroes the source norms does
+    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    kernel = embed.batch_norms
+    monkeypatch.setattr(embed, "batch_norms",
+                        lambda batch, norm: kernel(batch, norm) * (norm != params.source))
     with pytest.raises(AssertionError, match="source norm vanished"):
-        embedding_ratio_scan(singular_cubes, params, n_sequences=16)
+        embedding_ratio_scan(grid64_cubes, params, n_sequences=16)
 
 
 @pytest.mark.parametrize("n_sequences", [-5, 0, 3, None])
@@ -402,7 +389,7 @@ def test_scan_deterministic(grid64_cubes):
 
 
 def test_scan_tl_exploratory(grid64_cubes):
-    kw = dict(delta=grid64_cubes.delta, omega=1.0, family="triebel_lizorkin")
+    kw = dict(delta=grid64_cubes.delta, family="triebel_lizorkin")
     params = EmbedParams(
         source=NormParams(s=0.75, p=1.0, q=1.0, **kw),
         target=NormParams(s=0.25, p=2.0, q=2.0, **kw),

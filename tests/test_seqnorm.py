@@ -253,20 +253,18 @@ def cube_batches(draw, cubes):
 @given(data=st.data(), family=st.sampled_from(["besov", "triebel_lizorkin"]),
        s=st.sampled_from([-0.6, 0.0, 0.45]), p=st.sampled_from(EXPONENTS),
        q=st.sampled_from(EXPONENTS), variant=st.sampled_from(["homogeneous", "inhomogeneous"]),
-       include_zero_level=st.booleans(), dim=st.sampled_from([1, 2]))
+       dim=st.sampled_from([1, 2]))
 def test_batch_norms_match_brute_force(weighted_cubes, weighted_plane_cubes, data, family, s, p,
-                                       q, variant, include_zero_level, dim):
+                                       q, variant, dim):
     if family == "triebel_lizorkin" and math.isinf(p):
         p = 1.7
     cubes = weighted_cubes if dim == 1 else weighted_plane_cubes
     entries, batch = data.draw(cube_batches(cubes))
-    params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family=family, variant=variant,
-                        include_zero_level=include_zero_level)
+    params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family=family, variant=variant)
     norms = batch_norms(batch, params)
     assert norms.shape == (len(entries),)
     space = cubes.space
-    floor = 0 if include_zero_level else 1
-    level_ok = lambda k: variant == "homogeneous" or k >= floor
+    level_ok = lambda k: variant == "homogeneous" or k >= 0
     for seq, got in zip(entries, norms.tolist()):
         masses, members = oracle_data(cubes, seq)
         if family == "besov":
@@ -583,16 +581,12 @@ def test_pinned_norm_bits(grid64_cubes, cantor_cubes, system):
 
 def test_inhomogeneous_window(grid16_cubes):
     # grid16 levels are {-1, 0}: the k = -1 root is never fresh, so put
-    # coefficients at k = 0 and check the zero-level flag
+    # coefficients at k = 0, which the window keeps
     key = (0, int(fresh_at(grid16_cubes, 0)[0]))
     seq = CoefSequence(grid16_cubes, {key: 1.0})
-    with_zero = NormParams(s=0.5, p=2.0, q=1.0, delta=grid16_cubes.delta,
-                           family="besov", variant="inhomogeneous")
-    without = NormParams(s=0.5, p=2.0, q=1.0, delta=grid16_cubes.delta,
-                         family="besov", variant="inhomogeneous",
-                         include_zero_level=False)
-    assert besov_norm(seq, with_zero) > 0.0
-    assert besov_norm(seq, without) == 0.0
+    params = NormParams(s=0.5, p=2.0, q=1.0, delta=grid16_cubes.delta,
+                        family="besov", variant="inhomogeneous")
+    assert besov_norm(seq, params) > 0.0
 
 
 def test_inhomogeneous_ignores_negative_levels():

@@ -556,7 +556,6 @@ def test_local_lower_bound_rescaled_grid_passes():
     sp = unit_spaced_grid(64)
     report = check_local_lower_bound(sp.scaled(dist_factor=1 / sp.diameter), 1.0)
     assert report.variant == "local"
-    assert report.scale_factor == 1.0
     assert report.verdict == "PASS"
     assert report.r_max == 1.0
 
@@ -566,6 +565,19 @@ def test_local_lower_bound_saturated_single_scale():
     sp = unit_spaced_grid(2)
     report = check_local_lower_bound(sp.scaled(dist_factor=1 / sp.diameter), 1.0)
     assert report.verdict == "PASS"
+
+
+@pytest.mark.parametrize("r_floor", [1.0, 1.5, 4.0])
+def test_local_lower_bound_at_a_coarse_floor(r_floor):
+    # with r_floor >= 1 the window is the one radius r_floor, also from
+    # r_floor = 2 on, where the interval (r_floor / 2, 1) is empty
+    sp = unit_spaced_grid(8).scaled(dist_factor=r_floor)
+    assert sp.r_floor == r_floor
+    report = check_local_lower_bound(sp, 1.0)
+    assert report.verdict == "PASS"
+    assert (report.variant, report.r_min, report.r_max) == ("local", r_floor,
+                                                            r_floor * (1 + 1e-9))
+    assert any("degenerate" in w for w in report.warnings)
 
 
 def test_local_lower_bound_single_point_trivial():

@@ -120,8 +120,7 @@ def test_lower_bound_witnesses_match_the_per_center_oracle(name, monkeypatch):
 
 def _params(delta, omega, variant):
     def norm(s, p):
-        return NormParams(s=s, p=p, q=1.0, delta=delta, omega=omega, variant=variant,
-                          family="besov")
+        return NormParams(s=s, p=p, q=1.0, delta=delta, variant=variant, family="besov")
     return EmbedParams(source=norm(omega, 1.0), target=norm(omega / 2, 2.0), omega=omega)
 
 
