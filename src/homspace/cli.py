@@ -8,7 +8,7 @@ result dataclasses included as they are; ``main`` adds the shared
 ``schema``, ``command`` and ``config`` keys. ``config`` echoes the options
 that hold a value: the flags given and the command's own defaults. The
 --gallery parameters have no CLI defaults (``GallerySpec`` holds them), so
-they appear only when given.
+they appear only when given; one that the chosen kind does not read exits 2.
 
 Exit codes: 0 ok; 2 usage or input problems; 3 inadmissible dyadic
 constants; 4 characterization discrepancy; 5 internal invariant failure.
@@ -177,6 +177,10 @@ def _resolve_space(args) -> space_mod.FiniteHomSpace:
                              "not to --space")
         sp = gallery.load_space(args.space)
     elif args.gallery:
+        unread = [name for name in given if name not in gallery.KINDS[args.gallery]]
+        if unread:
+            raise ValueError(f"{GALLERY_FLAGS[unread[0]]} does not apply to "
+                             f"--gallery {args.gallery}")
         sp = gallery.build(gallery.GallerySpec(kind=args.gallery, **given))
     else:
         raise ValueError("a space is required: pass --space PATH or --gallery KIND")
@@ -312,10 +316,10 @@ def cmd_kernel_check(args) -> dict:
     r_exp = args.r_exp if args.r_exp is not None else maximal.default_r_exp(args.p2)
     params = maximal.KernelParams(epsilon=args.epsilon, gamma=args.gamma,
                                   r_exp=r_exp, omega=omega)
+    # the calibration and the trials are scored in one batch
     cal = maximal.calibrate_kernel_bound(cubes, params, n_sequences=args.calibration,
-                                         seed=args.seed)
-    batch = maximal.random_batch(cubes, rng_stream(args.seed, 0xF4E54), args.trials)
-    lhs, rhs = maximal.kernel_bound_batch(cubes, batch, cal.probes, params)
+                                         seed=args.seed, trials=args.trials)
+    lhs, rhs = cal.trial_lhs, cal.trial_rhs
     ratio = maximal.bound_ratio(lhs, rhs)
     failed = ~maximal.bound_holds(lhs, rhs, 2.0 * cal.c_report)
     failures = [{"trial": i, "level_pair": cal.probes[p][:2], "point": cal.probes[p][2],

@@ -31,7 +31,11 @@ import numpy as np
 from homspace.common import finite_number
 from homspace.space import ROW_BLOCK, FiniteHomSpace, metric_exponent, validate_quasi_metric
 
-KINDS = ("euclidean_grid", "weighted_grid", "cantor", "snowflake")
+# each kind and the GallerySpec fields it reads
+KINDS = {"euclidean_grid": ("n", "dim"),
+         "weighted_grid": ("n", "dim", "alpha", "beta", "extent"),
+         "cantor": ("depth",),
+         "snowflake": ("n", "dim", "e")}
 
 # Every structure is a dense n x n float64 table: 4096 points is 128 MiB
 # per table, and the sorted-row ball index adds 21 bytes per entry (int32

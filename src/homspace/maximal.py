@@ -28,10 +28,13 @@ mass(B(x, d(x,y))) + mass(B(y, d(x,y))) (the two orderings differ on
 quasi-metric data, so both are kept). The leading constant is treated as
 an empirical calibration: it is frozen as the largest observed
 lhs/rhs ratio on a seeded batch, and fresh draws are required to stay
-within a factor 2 of it. Both are scored by one call of
+within a factor 2 of it. The calibration batch and the trials come from
+their own streams and are scored together by one call of
 ``kernel_bound_batch``, which evaluates every sequence of a batch at every
-probe (k, j, x); the one-sequence ``kernel_maximal_bound_check`` is a call
-of it.
+probe (k, j, x), one level k at a time: the V terms of all the level's
+probes form one table, and M u is evaluated once, on the union of the
+level's probe balls. The one-sequence ``kernel_maximal_bound_check`` is a
+call of it.
 
 Admissibility gate: gamma * r - omega * (1 - r) > 0 and 0 < eps < ETA,
 with r in (0, 1] and ``common.ETA`` the regularity budget of the kernel
@@ -41,7 +44,7 @@ r = p2 / (1 + p2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
@@ -211,21 +214,26 @@ def _weighted_lp(g: np.ndarray, w: np.ndarray, p: float) -> float:
 # Almost-orthogonality kernel
 # ---------------------------------------------------------------------------
 
-def _v_denominators(space: FiniteHomSpace, alphas, tau: int, s: float) -> np.ndarray:
-    """V_s(x_a) + V_s(tau) + V(x_a, tau) for each x_a in ``alphas``, from ball masses."""
-    alphas = np.asarray(alphas, dtype=int)
-    d = space.dist[alphas, tau]
-    v_s = _ball_masses(space, np.append(alphas, tau), s)
-    v_a = _ball_masses(space, alphas, d)
-    v_t = _ball_masses(space, np.full(alphas.size, tau), d)
-    return v_s[:-1] + v_s[-1] + (v_a + v_t)
-
-
-def _ball_masses(space: FiniteHomSpace, centers: np.ndarray, radii) -> np.ndarray:
-    """mass(B(centers[i], radii[i])) for each i (one radius, or one per
-    center), read off the ball index without a loop over centers."""
-    inside = np.count_nonzero(space.dist[centers] < np.reshape(radii, (-1, 1)), axis=1)
-    return space.ball_index.cum_weight[centers, inside]
+def _v_table(space: FiniteHomSpace, alphas, scales, taus) -> np.ndarray:
+    """(alphas x probes) table of V_s(x_a) + V_s(tau) + V(x_a, tau), one
+    column per probe (s, tau). Every mass is read off the ball index: the
+    running weight at the count of sorted distances below the radius, one
+    ``searchsorted`` per row and no (alphas x n) temporary."""
+    index = space.ball_index
+    alphas, taus = np.asarray(alphas, dtype=int), np.asarray(taus, dtype=int)
+    scales = np.asarray(scales, dtype=float)
+    d = space.dist[np.ix_(alphas, taus)]
+    # each alpha's row at the probes' scales, then at its distances to the taus
+    radii = np.hstack([np.broadcast_to(scales, d.shape), d])
+    counts = np.array([index.dist[x].searchsorted(row) for x, row in zip(alphas.tolist(), radii)])
+    v_alpha = index.cum_weight[alphas[:, None], counts]
+    v_s, v_a = v_alpha[:, :taus.size], v_alpha[:, taus.size:]
+    v_tau = np.empty(taus.size)
+    v_t = np.empty(d.shape)
+    for p, (t, s) in enumerate(zip(taus.tolist(), scales.tolist())):
+        v_tau[p] = index.cum_weight[t, index.dist[t].searchsorted(s)]
+        v_t[:, p] = index.cum_weight[t, index.dist[t].searchsorted(d[:, p])]
+    return v_s + v_tau + (v_a + v_t)
 
 
 def almost_orth_kernel(cubes: CubeSystem, k: int, alpha: int, j: int, tau: int,
@@ -242,7 +250,7 @@ def almost_orth_kernel(cubes: CubeSystem, k: int, alpha: int, j: int, tau: int,
     x_t = int(tau)
     m_a = cubes.mass(k, alpha)
     m_t = cubes.mass(j, tau)
-    denom = _v_denominators(space, [x_a], x_t, s)[0]
+    denom = _v_table(space, [x_a], [s], [x_t])[0, 0]
     d = space.dist[x_a, x_t]
     decay = (s / (s + d)) ** params.gamma
     return (cubes.delta ** (abs(k - j) * params.epsilon)
@@ -280,14 +288,18 @@ def kernel_bound_batch(cubes: CubeSystem, batch: SequenceBatch, probes,
     B = B(x, delta^{min(k,j)}). The sum is 0 when x's level-j cube is not
     fresh.
 
-    Per probe, s, tau, the ball, the majorant's prefactor and each level-k
-    cube's kernel factor sqrt(m_a) / V * decay are computed once. Cubes of
-    one level are disjoint, so u is a gather of per-cube values through
-    assignment[k], one row per sequence, and a stacked ``hl_maximal`` call
-    reads it on the ball's rows, BLOCK_ELEMENTS // n sequences at a time.
-    The bits are those of a one-sequence, one-probe evaluation: the sums
-    are ``math.fsum``, and the powers of per-entry, per-cube and
-    per-sequence scalars are Python's ``**``.
+    The probes are scored one level k at a time. Each level-k cube's
+    kernel factor sqrt(m_a) / V * decay comes from one (cubes x probes)
+    table, and each probe's ball and majorant prefactor are found once.
+    Cubes of one level are disjoint, so u is a gather of per-cube values
+    through assignment[k], one row per sequence. One stacked
+    ``hl_maximal`` call per block of sequences (BLOCK_ELEMENTS // n, at
+    least 64) evaluates M u on the union of the level's probe balls, and
+    each probe takes its infimum from the columns of its own ball. M u at
+    a point is exact whatever else the call evaluates, so the bits are
+    those of a one-sequence, one-probe evaluation: the sums are
+    ``math.fsum``, and the powers of per-entry, per-cube and per-sequence
+    scalars are Python's ``**``.
     """
     space, delta, r = cubes.space, cubes.delta, params.r_exp
     probes = [(int(k), int(j), int(x)) for k, j, x in probes]
@@ -297,40 +309,50 @@ def kernel_bound_batch(cubes: CubeSystem, batch: SequenceBatch, probes,
     lhs = np.zeros((n_seq, len(probes)))
     rhs = np.zeros((n_seq, len(probes)))
     seq = np.repeat(np.arange(n_seq), np.diff(batch.offsets))
-    block = max(1, BLOCK_ELEMENTS // space.n)
+    # sequences per maximal-operator call: BLOCK_ELEMENTS // n, and at least
+    # BLOCK_ELEMENTS // 256 (64). A wide call walks the sorted rows and
+    # gathers one row of the (n, sequences) stack per step, so the rows must
+    # be long: at 4096 points, scoring 82 sequences took 15.3 s at 4 per
+    # call, 6.9 s at 16, 4.2 s at 32 and 3.8 s at 64 (2-core Xeon VM)
+    block = max(1, BLOCK_ELEMENTS // min(space.n, 256))
     for k in sorted({k for k, _, _ in probes}):
+        cols, js, xs = zip(*[(col, j, x) for col, (k_probe, j, x) in enumerate(probes)
+                             if k_probe == k])
+        scales = [delta ** min(k, j) for j in js]
+        taus = [cubes.point_cube(j, x) for j, x in zip(js, xs)]
+        balls = [space.ball(x, s) for x, s in zip(xs, scales)]
+        if any(ball.members.size == 0 for ball in balls):
+            raise ValueError("empty comparison ball; radius below resolution")
         # the nonzero level-k coefficients, sequence after sequence
         at = (batch.level == k) & (batch.value != 0.0)
         owner, alpha, a = seq[at], batch.alpha[at], np.abs(batch.value[at])
         cand, cube_of = np.unique(alpha, return_inverse=True)
         segments = np.searchsorted(owner, np.arange(n_seq + 1)).tolist()
         mass = cubes.cube_mass[k]
+        # the probes whose level-j cube is fresh, each with its (s, tau)
+        live = [i for i, (j, tau) in enumerate(zip(js, taus)) if cubes.is_index(j, tau)]
+        if cand.size and live:
+            s_live, tau_live = [scales[i] for i in live], [taus[i] for i in live]
+            d = space.dist[np.ix_(cand, tau_live)].T.tolist()
+            decay = np.array([[(s / (s + dd)) ** params.gamma for dd in row]
+                              for s, row in zip(s_live, d)]).T
+            factor = np.sqrt(mass[cand])[:, None] / _v_table(space, cand, s_live, tau_live) * decay
+            for i, terms in zip(live, (factor[cube_of] * a[:, None]).T.tolist()):
+                lhs[:, cols[i]] = [math.fsum(terms[lo:hi])
+                                   for lo, hi in zip(segments[:-1], segments[1:])]
         u_value = [m ** (-r / 2.0) * v ** r for m, v in zip(mass[alpha].tolist(), a.tolist())]
-        majorants = []
-        for col, (k_probe, j, x) in enumerate(probes):
-            if k_probe != k:
-                continue
-            s = delta ** min(k, j)
-            tau = cubes.point_cube(j, x)
-            if cand.size and cubes.is_index(j, tau):
-                decay = [(s / (s + d)) ** params.gamma for d in space.dist[cand, tau].tolist()]
-                factor = np.sqrt(mass[cand]) / _v_denominators(space, cand, tau, s) * decay
-                terms = (factor[cube_of] * a).tolist()
-                lhs[:, col] = [math.fsum(terms[lo:hi])
-                               for lo, hi in zip(segments[:-1], segments[1:])]
-            ball = space.ball(x, s)
-            if ball.members.size == 0:
-                raise ValueError("empty comparison ball; radius below resolution")
-            majorants.append((col, ball.members, delta ** (k * params.omega * (1 - 1.0 / r))
-                              * ball.mass ** (1.0 / r - 1.0)))
+        union = np.unique(np.concatenate([ball.members for ball in balls]))
+        where = [np.searchsorted(union, ball.members) for ball in balls]
+        prefactor = [delta ** (k * params.omega * (1 - 1.0 / r)) * ball.mass ** (1.0 / r - 1.0)
+                     for ball in balls]
         for first in range(0, n_seq, block):
             lo, hi = segments[first], segments[min(first + block, n_seq)]
             per_cube = np.zeros((min(block, n_seq - first), space.n))
             per_cube[owner[lo:hi] - first, alpha[lo:hi]] = u_value[lo:hi]
-            u = per_cube[:, cubes.assignment[k]]
-            for col, members, prefactor in majorants:
-                inf_m = hl_maximal(space, u, members).min(axis=1).tolist()
-                rhs[first:first + len(inf_m), col] = [prefactor * v ** (1.0 / r) for v in inf_m]
+            mu = hl_maximal(space, per_cube[:, cubes.assignment[k]], union)
+            for col, cells, pre in zip(cols, where, prefactor):
+                inf_m = mu[:, cells].min(axis=1).tolist()
+                rhs[first:first + len(inf_m), col] = [pre * v ** (1.0 / r) for v in inf_m]
     return lhs, rhs
 
 
@@ -371,7 +393,9 @@ class KernelCalibration:
     c_report: float
     n_samples: int
     cube_bound_constant: float     # measured min mass(Q) / delta^{k omega}
-    probes: list = field(default_factory=list)
+    probes: list
+    trial_lhs: np.ndarray          # trials x probes
+    trial_rhs: np.ndarray
 
 
 def _probe_points(cubes: CubeSystem, rng) -> list:
@@ -407,19 +431,28 @@ def random_batch(cubes: CubeSystem, rng, count: int) -> SequenceBatch:
 
 
 def calibrate_kernel_bound(cubes: CubeSystem, params: KernelParams, *,
-                           n_sequences: int = 64,
-                           seed: int = DEFAULT_SEED) -> KernelCalibration:
+                           n_sequences: int = 64, seed: int = DEFAULT_SEED,
+                           trials: int = 0) -> KernelCalibration:
     """Freeze the leading constant: the largest finite lhs/rhs ratio over a
     seeded batch of sequences at a fixed probe set. Also measures the
-    cube-mass lower-bound constant the majorant derivation assumes."""
+    cube-mass lower-bound constant the majorant derivation assumes.
+
+    ``trials`` more sequences, drawn from their own stream of ``seed``, are
+    scored in the same ``kernel_bound_batch`` call; their rows are
+    ``trial_lhs`` and ``trial_rhs``, which ``kernel-check`` holds to the
+    frozen constant."""
     rng = rng_stream(seed, 0xCA11B)
     probes = _probe_points(cubes, rng)
-    batch = random_batch(cubes, rng, n_sequences)
-    ratio = bound_ratio(*kernel_bound_batch(cubes, batch, probes, params))
+    batch = SequenceBatch.concat([random_batch(cubes, rng, n_sequences),
+                                  random_batch(cubes, rng_stream(seed, 0xF4E54), trials)])
+    lhs, rhs = kernel_bound_batch(cubes, batch, probes, params)
+    ratio = bound_ratio(lhs[:n_sequences], rhs[:n_sequences])
     consts = cubes.fresh_constants(params.omega, "homogeneous")[2]
     return KernelCalibration(
         c_report=float(ratio[np.isfinite(ratio)].max(initial=0.0)),
         n_samples=n_sequences * len(probes),
         cube_bound_constant=float(consts.min()) if consts.size else 0.0,
         probes=[list(p) for p in probes],
+        trial_lhs=lhs[n_sequences:],
+        trial_rhs=rhs[n_sequences:],
     )

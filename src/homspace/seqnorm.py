@@ -179,6 +179,19 @@ class SequenceBatch:
                    value=np.array([v for seq in seqs for v in seq.entries.values()],
                                   dtype=float))
 
+    @classmethod
+    def concat(cls, batches: list) -> "SequenceBatch":
+        """The sequences of ``batches``, in order, as one batch on the
+        system of the first."""
+        starts = np.cumsum([0] + [b.offsets[-1] for b in batches])
+        return cls(system=batches[0].system,
+                   labels=[label for b in batches for label in b.labels],
+                   offsets=np.concatenate([[0]] + [b.offsets[1:] + start
+                                                   for b, start in zip(batches, starts)]),
+                   level=np.concatenate([b.level for b in batches]),
+                   alpha=np.concatenate([b.alpha for b in batches]),
+                   value=np.concatenate([b.value for b in batches]))
+
 
 def _is_integer(x) -> bool:
     """A Python or numpy integer, not a bool."""

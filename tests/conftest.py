@@ -40,6 +40,17 @@ def grid64_cubes(grid64):
 
 
 @pytest.fixture(scope="session")
+def cantor6_cubes():
+    return build_system(gallery.build(gallery.GallerySpec(kind="cantor", depth=6)))
+
+
+@pytest.fixture(scope="session")
+def weighted_grid65_cubes():
+    # non-uniform weights: the density |x|^2 inside the unit ball
+    return build_system(gallery.build(gallery.GallerySpec(kind="weighted_grid", n=65, alpha=2.0)))
+
+
+@pytest.fixture(scope="session")
 def grid16_spaced():
     return unit_spaced_grid(16)
 

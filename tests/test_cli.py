@@ -143,6 +143,21 @@ BAD_PARAMETERS = {
     "analyze space with snowflake-e": (["analyze", "--space", "one.json",
                                         "--snowflake-e", "0.5"],
                                        "--snowflake-e applies to --gallery, not to --space"),
+    # a parameter the gallery kind does not read was echoed in config (exit 0)
+    "cubes cantor with n": (["cubes", "--gallery", "cantor", "--depth", "4", "--n", "8",
+                             "--alpha", "3"], "--n does not apply to --gallery cantor"),
+    "cubes cantor with dim": (["cubes", "--gallery", "cantor", "--dim", "2"],
+                              "--dim does not apply to --gallery cantor"),
+    "analyze euclidean_grid with alpha": (["analyze", *GRID16, "--alpha", "1"],
+                                          "--alpha does not apply to --gallery euclidean_grid"),
+    "analyze euclidean_grid with depth": (["analyze", *GRID16, "--depth", "3"],
+                                          "--depth does not apply to --gallery euclidean_grid"),
+    "analyze snowflake with extent": (["analyze", "--gallery", "snowflake", "--n", "8",
+                                       "--extent", "2"],
+                                      "--extent does not apply to --gallery snowflake"),
+    "cubes weighted_grid with snowflake-e": (["cubes", *WEIGHTED17, "--snowflake-e", "0.5"],
+                                             "--snowflake-e does not apply to "
+                                             "--gallery weighted_grid"),
     "cubes c0 nan": (["cubes", *GRID16, "--c0", "nan"], "c0 must be a finite positive number"),
     "cubes A0 nan": (["cubes", *GRID16, "--A0", "nan"], "A0 must be a finite positive number"),
     "cubes C0 inf": (["cubes", *GRID16, "--C0", "inf"], "C0 must be a finite positive number"),

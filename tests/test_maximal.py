@@ -21,7 +21,7 @@ from homspace.maximal import (
 from homspace.seqnorm import CoefSequence, SequenceBatch
 from homspace.space import FiniteHomSpace
 
-from conftest import fresh_at, random_sequence
+from conftest import build_system, fresh_at, random_sequence
 from helpers import brute_maximal, integer_grid_table, unit_spaced_grid
 
 
@@ -106,11 +106,19 @@ def test_maximal_at_points_equals_full_evaluation(table):
 def test_stacked_maximal_equals_row_by_row(table, budget, monkeypatch):
     dist, weight, f = table()
     sp = FiniteHomSpace(dist=dist, weight=weight)
+    extra = 300
     if budget is not None:      # one row of one function per block, then a few
         monkeypatch.setattr(maximal, "BLOCK_ELEMENTS", budget)
+    if budget == 1:
+        # the walk takes a step per (lane, sorted position) here: a short
+        # stack, which still walks from 64 lanes
+        monkeypatch.setattr(maximal, "WALK_LANES", 64)
+        extra = 7
     # more functions than one block of every row holds
-    fns = np.vstack([f, np.random.default_rng(5).standard_normal((300, sp.n))])
+    fns = np.vstack([f, np.random.default_rng(5).standard_normal((extra, sp.n))])
     assert fns.shape[0] > maximal.BLOCK_ELEMENTS // sp.n // sp.n
+    # the stacked calls on many points walk, the one-function calls take cumsum
+    assert fns.shape[0] * sp.n >= maximal.WALK_LANES > sp.n + 9
     rng = np.random.default_rng(6)
     for points in (None, np.r_[rng.permutation(sp.n), rng.integers(0, sp.n, 9)], [3], []):
         stacked = hl_maximal(sp, fns, points)
@@ -345,12 +353,17 @@ def _one_at_a_time(cubes, seq, k, j, x, params):
     return lhs, rhs
 
 
+@pytest.mark.parametrize("system", ["grid64_cubes", "cantor6_cubes", "weighted_grid65_cubes"])
 @pytest.mark.parametrize("p2", [1.0, 2.0])
-def test_kernel_batch_matches_one_at_a_time(grid64_cubes, p2):
-    cubes = grid64_cubes
+def test_kernel_batch_matches_one_at_a_time(request, system, p2):
+    cubes = request.getfixturevalue(system)
     params = kernel_params(p2=p2)
     rng = rng_stream(21, 4)
     probes = maximal._probe_points(cubes, rng)
+    # and at every level k a probe whose level-j cube is not fresh (lhs 0)
+    j = cubes.net.k_min + 1
+    x = next(x for x in range(cubes.space.n) if not cubes.is_index(j, cubes.point_cube(j, x)))
+    probes += [(k, j, x) for k in sorted({k for k, _, _ in probes})]
     seqs = [random_sequence(cubes, rng) for _ in range(6)]
     seqs.append(CoefSequence(cubes, {seqs[0].support()[0]: 0.0}))    # all zero
     lhs, rhs = kernel_bound_batch(cubes, SequenceBatch.of(seqs), probes, params)
@@ -370,6 +383,59 @@ def test_kernel_batch_blocks_give_the_same_bits(grid64_cubes, monkeypatch):
     for budget in (1, 3 * grid64_cubes.space.n):    # 1 and 3 sequences per block
         monkeypatch.setattr(maximal, "BLOCK_ELEMENTS", budget)
         parts = kernel_bound_batch(grid64_cubes, batch, probes, params)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, parts))
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 64])     # 3 sequences per block: 4 splits one
+def test_calibration_and_trials_in_one_call_give_the_bits_of_two(grid64_cubes, budget,
+                                                                 monkeypatch):
+    cubes = grid64_cubes
+    params = kernel_params()
+    if budget is not None:
+        monkeypatch.setattr(maximal, "BLOCK_ELEMENTS", budget)
+    rng = rng_stream(5, 0xCA11B)
+    probes = maximal._probe_points(cubes, rng)
+    calibration = random_batch(cubes, rng, 4)
+    trials = random_batch(cubes, rng_stream(5, 0xF4E54), 6)
+    apart = [kernel_bound_batch(cubes, b, probes, params) for b in (calibration, trials)]
+    lhs, rhs = kernel_bound_batch(cubes, SequenceBatch.concat([calibration, trials]),
+                                  probes, params)
+    assert np.array_equal(lhs, np.vstack([apart[0][0], apart[1][0]]))
+    assert np.array_equal(rhs, np.vstack([apart[0][1], apart[1][1]]))
+    cal = calibrate_kernel_bound(cubes, params, n_sequences=4, seed=5, trials=6)
+    ratio = maximal.bound_ratio(*apart[0])
+    assert cal.c_report == float(ratio[np.isfinite(ratio)].max())
+    assert cal.c_report == calibrate_kernel_bound(cubes, params, n_sequences=4, seed=5).c_report
+    assert cal.probes == [list(p) for p in probes]
+    assert np.array_equal(cal.trial_lhs, apart[1][0])
+    assert np.array_equal(cal.trial_rhs, apart[1][1])
+
+
+def test_kernel_batch_calls_the_maximal_operator_once_per_level_and_block(grid64_cubes,
+                                                                          monkeypatch):
+    stacks = []
+
+    def counting(space, f, points=None):
+        stacks.append(len(f))
+        return hl_maximal(space, f, points)
+
+    monkeypatch.setattr(maximal, "hl_maximal", counting)
+    grid512 = build_system(gallery.build(GallerySpec(kind="euclidean_grid", n=512)))
+    # 4 sequences per block on 64 points; on 512 points BLOCK_ELEMENTS // n
+    # is 32 and the floor of 64 holds
+    for cubes, budget, count, blocks in ((grid64_cubes, 4 * 64, 10, [4, 4, 2]),
+                                         (grid512, maximal.BLOCK_ELEMENTS, 70, [64, 6])):
+        monkeypatch.setattr(maximal, "BLOCK_ELEMENTS", budget)
+        rng = rng_stream(8, 2)
+        probes = maximal._probe_points(cubes, rng)
+        batch = random_batch(cubes, rng, count)
+        stacks.clear()
+        parts = kernel_bound_batch(cubes, batch, probes, kernel_params())
+        levels = {k for k, _, _ in probes}
+        assert len(levels) > 1
+        assert stacks == blocks * len(levels)
+        monkeypatch.setattr(maximal, "BLOCK_ELEMENTS", 1 << 30)       # one block
+        whole = kernel_bound_batch(cubes, batch, probes, kernel_params())
         assert all(np.array_equal(a, b) for a, b in zip(whole, parts))
 
 
