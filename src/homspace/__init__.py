@@ -24,9 +24,7 @@ from homspace.embed import (
 from homspace.gallery import GallerySpec, build, load_space
 from homspace.maximal import (
     KernelParams,
-    almost_orth_kernel,
     calibrate_kernel_bound,
-    fs_vector_maximal_check,
     hl_maximal,
     kernel_maximal_bound_check,
 )
@@ -84,8 +82,6 @@ __all__ = [
     "embedding_ratio_scan",
     "characterize",
     "hl_maximal",
-    "almost_orth_kernel",
     "kernel_maximal_bound_check",
     "calibrate_kernel_bound",
-    "fs_vector_maximal_check",
 ]

@@ -24,8 +24,7 @@ import sys
 import numpy as np
 
 from homspace import gallery, maximal, seqnorm, space as space_mod
-from homspace.common import (BLOCK_ELEMENTS, DEFAULT_SEED, dumps_report, finite_number,
-                             report_to_csv, rng_stream)
+from homspace.common import DEFAULT_SEED, dumps_report, finite_number, report_to_csv, rng_stream
 from homspace.dyadic import (
     VARIANTS,
     CubeConstructionError,
@@ -236,7 +235,6 @@ def cmd_analyze(args) -> dict:
     }
     if args.check_lower_bound or args.check_local_lower_bound:
         omega = _resolve_omega(args, sp)
-        report["omega_used"] = omega
         if args.check_lower_bound:
             report["lower_bound"] = space_mod.check_lower_bound(
                 sp, omega, sp.r_floor, max(sp.diameter, sp.r_floor * 2))
@@ -358,7 +356,7 @@ def cmd_maximal(args) -> dict:
         # one stacked call per chunk of functions; the (c, n) draw is the
         # stream of c single draws
         rng = rng_stream(args.seed, 0x3A2)
-        chunk = max(1, BLOCK_ELEMENTS // sp.n)
+        chunk = maximal.functions_per_call(sp.n)
         ratios = []
         for first in range(0, args.random, chunk):
             f = rng.standard_normal((min(chunk, args.random - first), sp.n))

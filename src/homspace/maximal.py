@@ -1,6 +1,6 @@
 """
-Hardy-Littlewood maximal operator on finite spaces, the almost-orthogonality
-kernel, and the maximal-function bound used in the embedding machinery.
+Hardy-Littlewood maximal operator on finite spaces, and the check of the
+almost-orthogonality kernel sum against its maximal-function majorant.
 
 On finite data the maximal function is exact: ball averages only change
 when the radius crosses a pairwise distance, so M f(x) is the maximum of
@@ -10,7 +10,8 @@ the space's cached ``ball_index``, so a call sorts nothing, and M f is
 evaluated only at the points asked for. A stack of functions is laid out
 with the functions on the contiguous axis, so every step of a block runs
 over all of its functions at once; each addition of a prefix sum happens
-in the same order as for one function alone, so stacking changes no bit.
+in the same order as for one function alone, so stacking changes no bit;
+``functions_per_call`` says how many functions a caller stacks.
 Narrow calls take the prefix sums of a block with ``cumsum``; calls of at
 least WALK_LANES (point, function) lanes walk the sorted rows, one vector
 add per sorted position over a whole block of lanes. The sums are added
@@ -32,9 +33,9 @@ within a factor 2 of it. The calibration batch and the trials come from
 their own streams and are scored together by one call of
 ``kernel_bound_batch``, which evaluates every sequence of a batch at every
 probe (k, j, x), one level k at a time: the V terms of all the level's
-probes form one table, and M u is evaluated once, on the union of the
-level's probe balls. The one-sequence ``kernel_maximal_bound_check`` is a
-call of it.
+cubes and probes are two ``space.ball_mass`` calls, and M u is evaluated
+once, on the union of the level's probe balls. The one-sequence
+``kernel_maximal_bound_check`` is a call of it.
 
 Admissibility gate: gamma * r - omega * (1 - r) > 0 and 0 < eps < ETA,
 with r in (0, 1] and ``common.ETA`` the regularity budget of the kernel
@@ -50,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from homspace.common import BLOCK_ELEMENTS, DEFAULT_SEED, ETA, rng_stream, stable_sum
+from homspace.common import BLOCK_ELEMENTS, DEFAULT_SEED, ETA, rng_stream
 from homspace.dyadic import CubeSystem
 from homspace.seqnorm import CoefSequence, SequenceBatch
 from homspace.space import FiniteHomSpace
@@ -173,98 +174,36 @@ def hl_maximal(space: FiniteHomSpace, f, points=None) -> np.ndarray:
     return out if f.ndim == 2 else out[0]
 
 
-def fs_vector_maximal_check(space: FiniteHomSpace, fns, p: float, q: float,
-                            r_exp: float) -> tuple:
-    """(lhs, rhs, ratio) for the vector-valued maximal inequality:
-    lhs = || (sum_k (M f_k)^q)^{1/q} ||_p against the same aggregate of the
-    raw |f_k|. Requires r_exp < min(p, q); the bound itself is a stability
-    statement checked statistically, not a proof."""
-    if not (0 < r_exp < min(p, q)):
-        raise ValueError("need 0 < r_exp < min(p, q)")
-    fns = [np.asarray(f, dtype=float) for f in fns]
-    if not fns:
-        raise ValueError("need at least one function")
-    for f in fns:
-        if f.shape != (space.n,):
-            raise ValueError("every f_k must assign one value per point")
-    mstack = hl_maximal(space, np.stack(fns))
-    fstack = np.abs(np.stack(fns))
-    if math.isinf(q):
-        gm = mstack.max(axis=0)
-        gf = fstack.max(axis=0)
-    else:
-        gm = (mstack**q).sum(axis=0) ** (1.0 / q)
-        gf = (fstack**q).sum(axis=0) ** (1.0 / q)
-    lhs = _weighted_lp(gm, space.weight, p)
-    rhs = _weighted_lp(gf, space.weight, p)
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
-    return lhs, rhs, ratio
-
-
-def _weighted_lp(g: np.ndarray, w: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(np.abs(g).max())
-    nz = g != 0
-    if not np.any(nz):
-        return 0.0
-    return float(stable_sum(w[nz] * np.abs(g[nz]) ** p) ** (1.0 / p))
-
-
-# ---------------------------------------------------------------------------
-# Almost-orthogonality kernel
-# ---------------------------------------------------------------------------
-
-def _v_table(space: FiniteHomSpace, alphas, scales, taus) -> np.ndarray:
-    """(alphas x probes) table of V_s(x_a) + V_s(tau) + V(x_a, tau), one
-    column per probe (s, tau). Every mass is read off the ball index: the
-    running weight at the count of sorted distances below the radius, one
-    ``searchsorted`` per row and no (alphas x n) temporary."""
-    index = space.ball_index
-    alphas, taus = np.asarray(alphas, dtype=int), np.asarray(taus, dtype=int)
-    scales = np.asarray(scales, dtype=float)
-    d = space.dist[np.ix_(alphas, taus)]
-    # each alpha's row at the probes' scales, then at its distances to the taus
-    radii = np.hstack([np.broadcast_to(scales, d.shape), d])
-    counts = np.array([index.dist[x].searchsorted(row) for x, row in zip(alphas.tolist(), radii)])
-    v_alpha = index.cum_weight[alphas[:, None], counts]
-    v_s, v_a = v_alpha[:, :taus.size], v_alpha[:, taus.size:]
-    v_tau = np.empty(taus.size)
-    v_t = np.empty(d.shape)
-    for p, (t, s) in enumerate(zip(taus.tolist(), scales.tolist())):
-        v_tau[p] = index.cum_weight[t, index.dist[t].searchsorted(s)]
-        v_t[:, p] = index.cum_weight[t, index.dist[t].searchsorted(d[:, p])]
-    return v_s + v_tau + (v_a + v_t)
-
-
-def almost_orth_kernel(cubes: CubeSystem, k: int, alpha: int, j: int, tau: int,
-                       params: KernelParams) -> float:
-    """Kernel bound (leading constant 1) for the cube pair (k, alpha), (j, tau).
-
-    Symmetric under swapping the two cubes: every factor, including the
-    symmetrized V term, is invariant."""
-    _require_fresh(cubes, k, alpha)
-    _require_fresh(cubes, j, tau)
-    space = cubes.space
-    s = cubes.delta ** min(k, j)
-    x_a = int(alpha)
-    x_t = int(tau)
-    m_a = cubes.mass(k, alpha)
-    m_t = cubes.mass(j, tau)
-    denom = _v_table(space, [x_a], [s], [x_t])[0, 0]
-    d = space.dist[x_a, x_t]
-    decay = (s / (s + d)) ** params.gamma
-    return (cubes.delta ** (abs(k - j) * params.epsilon)
-            * math.sqrt(m_t) * math.sqrt(m_a) / denom * decay)
-
-
-def _require_fresh(cubes: CubeSystem, k: int, alpha: int) -> None:
-    if not cubes.is_index(k, int(alpha)):
-        raise ValueError(f"(k={k}, alpha={int(alpha)}) is not a fresh cube of the system")
+def functions_per_call(n: int) -> int:
+    """Functions of an n-point space to stack in one ``hl_maximal`` call
+    when scoring many: BLOCK_ELEMENTS // n, and at least BLOCK_ELEMENTS //
+    256 (64). A wide call walks the sorted rows and gathers one row of the
+    (n, functions) stack per step, so the rows must be long: at 4096
+    points, scoring 82 kernel sequences took 15.3 s at 4 per call, 6.9 s at
+    16, 4.2 s at 32 and 3.8 s at 64, and the command ``maximal --random 64``
+    9.2 s in calls of 4 and 2.9 s in one call (2-core Xeon VM). Stacking
+    changes no bit."""
+    return max(1, BLOCK_ELEMENTS // min(n, 256))
 
 
 # ---------------------------------------------------------------------------
 # Kernel-sum maximal bound
 # ---------------------------------------------------------------------------
+
+def _v_table(space: FiniteHomSpace, alphas, scales, taus) -> np.ndarray:
+    """(alphas x probes) table of V_s(x_a) + V_s(tau) + V(x_a, tau), one
+    column per probe (s, tau), from two ``space.ball_mass`` calls: each
+    alpha's row at the probes' scales and then at its distances to the
+    taus, and each tau's row at its scale and then at its distances to the
+    alphas."""
+    alphas, taus = np.asarray(alphas, dtype=int), np.asarray(taus, dtype=int)
+    scales = np.asarray(scales, dtype=float)
+    d = space.dist[np.ix_(alphas, taus)]
+    v_alpha = space.ball_mass(alphas, np.hstack([np.broadcast_to(scales, d.shape), d]))
+    v_tau = space.ball_mass(taus, np.hstack([scales[:, None], d.T]))
+    v_s, v_a = v_alpha[:, :taus.size], v_alpha[:, taus.size:]
+    return v_s + v_tau[:, 0] + (v_a + v_tau[:, 1:].T)
+
 
 @dataclass
 class KernelBoundResult:
@@ -293,8 +232,8 @@ def kernel_bound_batch(cubes: CubeSystem, batch: SequenceBatch, probes,
     table, and each probe's ball and majorant prefactor are found once.
     Cubes of one level are disjoint, so u is a gather of per-cube values
     through assignment[k], one row per sequence. One stacked
-    ``hl_maximal`` call per block of sequences (BLOCK_ELEMENTS // n, at
-    least 64) evaluates M u on the union of the level's probe balls, and
+    ``hl_maximal`` call per block of ``functions_per_call(n)`` sequences
+    evaluates M u on the union of the level's probe balls, and
     each probe takes its infimum from the columns of its own ball. M u at
     a point is exact whatever else the call evaluates, so the bits are
     those of a one-sequence, one-probe evaluation: the sums are
@@ -309,12 +248,7 @@ def kernel_bound_batch(cubes: CubeSystem, batch: SequenceBatch, probes,
     lhs = np.zeros((n_seq, len(probes)))
     rhs = np.zeros((n_seq, len(probes)))
     seq = np.repeat(np.arange(n_seq), np.diff(batch.offsets))
-    # sequences per maximal-operator call: BLOCK_ELEMENTS // n, and at least
-    # BLOCK_ELEMENTS // 256 (64). A wide call walks the sorted rows and
-    # gathers one row of the (n, sequences) stack per step, so the rows must
-    # be long: at 4096 points, scoring 82 sequences took 15.3 s at 4 per
-    # call, 6.9 s at 16, 4.2 s at 32 and 3.8 s at 64 (2-core Xeon VM)
-    block = max(1, BLOCK_ELEMENTS // min(space.n, 256))
+    block = functions_per_call(space.n)
     for k in sorted({k for k, _, _ in probes}):
         cols, js, xs = zip(*[(col, j, x) for col, (k_probe, j, x) in enumerate(probes)
                              if k_probe == k])

@@ -31,10 +31,12 @@ at all. An asymmetric table is a validation violation and never reaches
 the pass.
 
 Ball masses and the maximal operator read one sorted-row index per space,
-``ball_index`` (built on first use, 21 bytes per table entry). Each
-ball-mass estimator makes one ``ball_mass`` call over its whole
-(center x radius) table; the growth estimators (doubling, reverse
-doubling and its exponent) read the table of ``_growth``.
+``ball_index`` (built on first use, 21 bytes per table entry), and
+``ball_mass`` is the one reader of masses off it: radii shared by every
+center, or one row of radii per center. Each ball-mass estimator makes
+one ``ball_mass`` call over its whole (center x radius) table; the growth
+estimators (doubling, reverse doubling and its exponent) read the table of
+``_growth``, and the kernel check's V terms (``maximal``) are two calls.
 
 Resolution contract: each point stands for a cell of an underlying
 continuum, so no scaling claim is evaluated below the resolution floor
@@ -132,13 +134,18 @@ class FiniteHomSpace:
         )
 
     def ball_mass(self, centers, radii) -> np.ndarray:
-        """Masses of B(x, r) for every center x and radius r: (c, r) table."""
+        """Masses of B(x, r), a (c, R) table: ``radii`` is (R,), shared by
+        every center, or (c, R), one row per center. One ``searchsorted``
+        per center."""
         centers = np.asarray(centers, dtype=int)
-        radii = np.asarray(radii, dtype=float)
+        radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        if radii.ndim == 2 and radii.shape[0] != centers.size:
+            raise ValueError(f"{radii.shape[0]} rows of radii for {centers.size} centers")
+        radii = np.broadcast_to(radii, (centers.size, radii.shape[-1]))
         index = self.ball_index
-        counts = np.empty((centers.size, radii.size), dtype=np.intp)
+        counts = np.empty(radii.shape, dtype=np.intp)
         for i, x in enumerate(centers):
-            counts[i] = index.dist[x].searchsorted(radii)   # #{y : d(x, y) < r}
+            counts[i] = index.dist[x].searchsorted(radii[i])   # #{y : d(x, y) < r}
         return index.cum_weight[centers[:, None], counts]
 
     def scaled(self, dist_factor: float = 1.0, weight_factor: float = 1.0) -> "FiniteHomSpace":

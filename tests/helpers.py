@@ -246,6 +246,25 @@ def brute_maximal(dist, weight, f):
     return np.array(out)
 
 
+def fs_vector_ratio(mf, f, weight, p, q):
+    """(lhs, rhs, ratio) of the vector-valued (Fefferman-Stein) maximal
+    inequality: lhs = || (sum_k (M f_k)^q)^{1/q} ||_p for the (m, n) stack
+    ``mf`` of the M f_k, against the same aggregate of the |f_k| of the
+    stack ``f``; L^p of the point weights."""
+    def aggregate(g):
+        g = np.abs(np.asarray(g, dtype=float))
+        return g.max(axis=0) if math.isinf(q) else (g ** q).sum(axis=0) ** (1.0 / q)
+
+    def norm(g):
+        if math.isinf(p):
+            return float(g.max())
+        return math.fsum((weight * g ** p).tolist()) ** (1.0 / p)
+
+    lhs, rhs = norm(aggregate(mf)), norm(aggregate(f))
+    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
+    return lhs, rhs, ratio
+
+
 def brute_reverse_doubling(dist, weight, kappa, n_radii=6, n_lambdas=6):
     """(c, (x, r, lam)): the least mu(B(x, lam r)) / (lam^kappa mu(B(x, r)))
     over radii r from just above the least positive distance to half the

@@ -17,13 +17,14 @@ from homspace.maximal import (
     KernelParams,
     calibrate_kernel_bound,
     default_r_exp,
-    fs_vector_maximal_check,
+    bound_holds,
     hl_maximal,
-    kernel_maximal_bound_check,
+    kernel_bound_batch,
 )
 from homspace.seqnorm import (
     CoefSequence,
     NormParams,
+    SequenceBatch,
     besov_norm,
     layer_cake_tl_norm,
     triebel_lizorkin_norm,
@@ -31,6 +32,7 @@ from homspace.seqnorm import (
 from homspace.space import check_lower_bound, fit_mass_exponent
 
 from conftest import random_sequence
+from helpers import fs_vector_ratio
 
 REL = 1e-12
 
@@ -279,8 +281,8 @@ def test_criterion_7_maximal_properties(grid64_system):
     ratios = []
     for seed in range(50):
         srng = rng_stream(seed, 0x75)
-        fns = [srng.standard_normal(space.n) for _ in range(4)]
-        _, _, ratio = fs_vector_maximal_check(space, fns, p=2.0, q=2.0, r_exp=0.5)
+        fns = np.stack([srng.standard_normal(space.n) for _ in range(4)])
+        _, _, ratio = fs_vector_ratio(hl_maximal(space, fns), fns, space.weight, p=2.0, q=2.0)
         ratios.append(ratio)
     med = float(np.median(ratios))
     if not (max(ratios) <= 2.0 * med and min(ratios) >= med / 2.0):
@@ -296,14 +298,10 @@ def test_criterion_8_kernel_bound_stability(grid64_system):
         params = KernelParams(epsilon=0.5, gamma=3.0, r_exp=default_r_exp(p2), omega=1.0)
         cal = calibrate_kernel_bound(cubes, params, n_sequences=32, seed=1000 + int(p2))
         rng = rng_stream(2000 + int(p2), 0x8)
-        violations = 0
-        for _ in range(100):
-            seq = random_sequence(cubes, rng)
-            for k, j, x in cal.probes:
-                res = kernel_maximal_bound_check(cubes, seq, k, j, x, params,
-                                                 c_report=2.0 * cal.c_report)
-                if res.verdict == "FAIL":
-                    violations += 1
+        seqs = SequenceBatch.of([random_sequence(cubes, rng) for _ in range(100)])
+        lhs, rhs = kernel_bound_batch(cubes, seqs, cal.probes, params)
+        # a NEUTRAL pair (both sides 0) holds
+        violations = int(np.count_nonzero(~bound_holds(lhs, rhs, 2.0 * cal.c_report)))
         if violations:
             ok = False
             print(f"  p2={p2}: {violations} ratios above 2x calibration {cal.c_report}")

@@ -508,17 +508,17 @@ REPORT_CASES = {
 # (exit code, SHA-256 of the report) per case and format
 REPORT_DIGESTS = {
     ('analyze grid32', 'csv'):
-        (0, '1959306c2fd41455990982be77314cd9c0b166e577ec211a50a99165fd7f1b19'),
+        (0, 'f8b0f9bc57dd229945285a481cefe2f4808f7c0e771a8b5030ffaba6d0de1ccc'),
     ('analyze grid32', 'json'):
-        (0, '3692bad4d2d6e5de2463cbfe790000c188a684e254ee710195579251586a2982'),
+        (0, '46d22e25e79cd0c0fbd7e5172e294527df08fa91d3b4b1bb2223081854c4bc09'),
     ('analyze table', 'csv'):
-        (0, '7a9a57954b9dd1d245ea812b542df1b06698c0ae5be8f0e2ba941aa17e0bad7c'),
+        (0, '3674f9631581db77ffe87485e9619ec4124a3eda7abbee633ec38d1c361ba74a'),
     ('analyze table', 'json'):
-        (0, 'a930b43c66ef66c458e8fd1bc0e83cca409823812eaeb5c4bc0f55bd7f90bdda'),
+        (0, 'bdccf4391ab8ed62056119070ba5359a539043cf7c1ce29de58a83a588c77b8a'),
     ('analyze weighted_grid65', 'csv'):
-        (0, '2bcb2c39db2e9fa4059070a08bdbf837b20d395eafc7386810479cdb7cec4284'),
+        (0, 'd1818b34ae1c09a167115fc8e69ad1c71f4995b41e247e107cd3aced0b186aac'),
     ('analyze weighted_grid65', 'json'):
-        (0, '5955e296a55fe9b19a95ab8ca4443c2023b908731c5a92905feca3cf34265f9d'),
+        (0, '4790929f9d3c0363126e4396eeb745625c476ee2ee3152a0e4b5dd5c2b150d1a'),
     ('cubes cantor5', 'csv'):
         (0, '15a98693d2970853acabb3e7454f88441615f20d1bce5c1c8259e5c792703265'),
     ('cubes cantor5', 'json'):
@@ -568,9 +568,9 @@ REPORT_DIGESTS = {
     ('norms tl layer-cake', 'json'):
         (0, '169b2fd107153180976411c7688119e91d049518265676c8c66386431fabd3d9'),
     ('analyze squared line', 'csv'):
-        (0, 'a10ab8514e4d010fb201ebd0b8d23a41c5956a91b9853849832e99dd39535139'),
+        (0, '537a89e77e16bb8c3083fd10f746210940508745792a49380e1915c82312be42'),
     ('analyze squared line', 'json'):
-        (0, '6a429066c9b3b69a397bd5726734e7f11d27df994f9513c43d7ef2a6ce5b8798'),
+        (0, '4b4eb8ab4214ab8797efb3b7d60930864142e40da53daa082855234cb6976a51'),
     ('embed-test tail fail', 'csv'):
         (0, 'c40382dcbdca70ab74a324c762a50056a286cc5dd3a648d6c67aa4efffa2340c'),
     ('embed-test tail fail', 'json'):
@@ -714,7 +714,7 @@ def test_analyze_reverse_doubling_alone_needs_no_omega(tmp_path):
     assert code == 0
     report = json.loads(text)
     assert report["reverse_doubling"]["verdict"] == "NOT_APPLICABLE"
-    assert "omega_used" not in report
+    assert "lower_bound" not in report and "local_lower_bound" not in report
 
 
 def test_maximal_random_mode(tmp_path):
@@ -727,7 +727,7 @@ def test_maximal_random_mode(tmp_path):
 
 
 def test_maximal_random_chunks_match_one_function_at_a_time(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 10 * 16)    # chunks of 10 functions
+    monkeypatch.setattr(maximal, "BLOCK_ELEMENTS", 10 * 16)    # chunks of 10 functions
     code, text = run(tmp_path, *MAXIMAL, "--random", "37", "--seed", "4")
     assert code == 0
     sp = gallery.build(gallery.GallerySpec(kind="euclidean_grid", n=16))

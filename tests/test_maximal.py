@@ -9,10 +9,9 @@ from homspace.common import rng_stream, stable_sum
 from homspace.gallery import GallerySpec
 from homspace.maximal import (
     KernelParams,
-    almost_orth_kernel,
+    bound_holds,
     calibrate_kernel_bound,
     default_r_exp,
-    fs_vector_maximal_check,
     hl_maximal,
     kernel_bound_batch,
     kernel_maximal_bound_check,
@@ -22,7 +21,7 @@ from homspace.seqnorm import CoefSequence, SequenceBatch
 from homspace.space import FiniteHomSpace
 
 from conftest import build_system, fresh_at, random_sequence
-from helpers import brute_maximal, integer_grid_table, unit_spaced_grid
+from helpers import brute_maximal, fs_vector_ratio, integer_grid_table, unit_spaced_grid
 
 
 def kernel_params(omega=1.0, gamma=3.0, eps=0.5, p2=1.0):
@@ -222,16 +221,23 @@ def test_default_r_exp():
     assert default_r_exp(2.0) == pytest.approx(2.0 / 3.0)
 
 
+def _one_coefficient_batch(cubes, keys):
+    """One sequence per (k, alpha) key, each with the single coefficient 1."""
+    return SequenceBatch.of([CoefSequence(cubes, {key: 1.0}) for key in keys])
+
+
 def test_kernel_diagonal_bound(grid64_cubes):
     params = kernel_params()
     k = grid64_cubes.net.k_min + 1
-    for alpha in fresh_at(grid64_cubes, k)[:5]:
-        value = almost_orth_kernel(grid64_cubes, k, int(alpha), k, int(alpha), params)
-        s = grid64_cubes.delta ** k
-        v = grid64_cubes.space.ball(int(alpha), s).mass
-        assert value <= grid64_cubes.mass(k, int(alpha)) / v + 1e-15
-        # with the symmetrized V vanishing at zero distance the value is m / 2V
-        assert value == pytest.approx(grid64_cubes.mass(k, int(alpha)) / (2 * v))
+    alphas = [int(a) for a in fresh_at(grid64_cubes, k)[:5]]
+    # sequence i probed at its own cube's center: zero distance
+    lhs, _ = kernel_bound_batch(grid64_cubes, _one_coefficient_batch(
+        grid64_cubes, [(k, a) for a in alphas]), [(k, k, a) for a in alphas], params)
+    for i, alpha in enumerate(alphas):
+        m = grid64_cubes.mass(k, alpha)
+        v = grid64_cubes.space.ball(alpha, grid64_cubes.delta ** k).mass
+        # the symmetrized V vanishes at zero distance, so the factor is sqrt(m) / 2V
+        assert lhs[i, i] == pytest.approx(math.sqrt(m) / (2 * v), rel=1e-12)
 
 
 def test_kernel_decays_with_distance(grid64_cubes):
@@ -240,28 +246,36 @@ def test_kernel_decays_with_distance(grid64_cubes):
     fresh = [int(a) for a in fresh_at(grid64_cubes, k)]
     base = fresh[0]
     others = sorted(fresh[1:], key=lambda a: grid64_cubes.space.dist[base, a])
-    near = almost_orth_kernel(grid64_cubes, k, base, k, others[0], params)
-    far = almost_orth_kernel(grid64_cubes, k, base, k, others[-1], params)
-    assert far < 0.5 * near
+    lhs, _ = kernel_bound_batch(grid64_cubes, _one_coefficient_batch(grid64_cubes, [(k, base)]),
+                                [(k, k, others[0]), (k, k, others[-1])], params)
+    near, far = lhs[0]
+    assert 0 < far < 0.5 * near
 
 
 def test_kernel_symmetric(grid64_cubes):
+    # the batch leaves out the probe cube's sqrt(m_t); with it, swapping the
+    # two cubes of a level pair leaves the kernel as it is
     params = kernel_params()
     levels = [k for k in grid64_cubes.levels if k != grid64_cubes.net.k_min]
     k, j = levels[0], levels[-1]
     a = int(fresh_at(grid64_cubes, k)[1])
     t = int(fresh_at(grid64_cubes, j)[-1])
-    assert almost_orth_kernel(grid64_cubes, k, a, j, t, params) == \
-        almost_orth_kernel(grid64_cubes, j, t, k, a, params)
+    batch = _one_coefficient_batch(grid64_cubes, [(k, a), (j, t)])
+    lhs, _ = kernel_bound_batch(grid64_cubes, batch, [(k, j, t), (j, k, a)], params)
+    assert lhs[0, 0] > 0
+    assert lhs[0, 0] * math.sqrt(grid64_cubes.mass(j, t)) == pytest.approx(
+        lhs[1, 1] * math.sqrt(grid64_cubes.mass(k, a)), rel=1e-14)
 
 
 def test_kernel_rejects_non_fresh(grid64_cubes):
+    # the coarsest level carries no fresh cubes, in either slot of a probe
     params = kernel_params()
     root_level = grid64_cubes.net.k_min
-    root = int(grid64_cubes.cubes(root_level)[0])
-    with pytest.raises(ValueError, match="fresh"):
-        almost_orth_kernel(grid64_cubes, root_level, root, root_level + 1,
-                           int(fresh_at(grid64_cubes, root_level + 1)[0]), params)
+    batch = _one_coefficient_batch(grid64_cubes,
+                                   [(root_level + 1, int(fresh_at(grid64_cubes, root_level + 1)[0]))])
+    for probe in ((root_level, root_level + 1, 0), (root_level + 1, root_level, 0)):
+        with pytest.raises(ValueError, match="fresh"):
+            kernel_bound_batch(grid64_cubes, batch, [probe], params)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +330,9 @@ def test_kernel_bound_calibration_stability(grid64_cubes):
     assert cal.c_report > 0
     assert cal.cube_bound_constant > 0
     rng = rng_stream(33, 7)
-    for _ in range(12):
-        seq = random_sequence(grid64_cubes, rng)
-        for k, j, x in cal.probes[:8]:
-            res = kernel_maximal_bound_check(grid64_cubes, seq, k, j, x, params,
-                                             c_report=2.0 * cal.c_report)
-            assert res.verdict in ("PASS", "NEUTRAL")
+    seqs = SequenceBatch.of([random_sequence(grid64_cubes, rng) for _ in range(12)])
+    lhs, rhs = kernel_bound_batch(grid64_cubes, seqs, cal.probes[:8], params)
+    assert np.all(bound_holds(lhs, rhs, 2.0 * cal.c_report))     # PASS or NEUTRAL (0, 0)
 
 
 def _one_at_a_time(cubes, seq, k, j, x, params):
@@ -498,49 +509,17 @@ def test_kernel_bound_rejects_root_level(grid64_cubes):
 
 
 # ---------------------------------------------------------------------------
-# vector-valued maximal check
+# vector-valued maximal aggregate
 # ---------------------------------------------------------------------------
-
-def test_fs_single_constant_ratio_one(grid64):
-    lhs, rhs, ratio = fs_vector_maximal_check(grid64, [np.ones(grid64.n)],
-                                              p=2.0, q=2.0, r_exp=0.5)
-    assert ratio == pytest.approx(1.0, rel=1e-12)
-
 
 def test_fs_indicator_family_matches_brute(grid16_cubes):
     space = grid16_cubes.space
     k = grid16_cubes.net.k_max
-    ids = [int(a) for a in grid16_cubes.cubes(k)[:3]]
-    fns = []
-    for alpha in ids:
-        f = np.zeros(space.n)
-        f[grid16_cubes.members(k, alpha)] = 1.0
-        fns.append(f)
-    p = q = 2.0
-    lhs, rhs, ratio = fs_vector_maximal_check(space, fns, p=p, q=q, r_exp=0.5)
-    mstack = np.stack([brute_maximal(space.dist, space.weight, f) for f in fns])
-    gm = np.sqrt((mstack**2).sum(axis=0))
-    gf = np.sqrt((np.stack(fns) ** 2).sum(axis=0))
-    lhs_b = stable_sum(space.weight * gm**2) ** 0.5
-    rhs_b = stable_sum(space.weight[gf > 0] * gf[gf > 0] ** 2) ** 0.5
-    assert lhs == pytest.approx(lhs_b, rel=1e-10)
-    assert rhs == pytest.approx(rhs_b, rel=1e-10)
-    assert ratio >= 1.0
-
-
-def test_fs_parameter_gate(grid64):
-    with pytest.raises(ValueError, match="min"):
-        fs_vector_maximal_check(grid64, [np.ones(grid64.n)], p=1.0, q=2.0, r_exp=1.0)
-    with pytest.raises(ValueError, match="one function"):
-        fs_vector_maximal_check(grid64, [], p=2.0, q=2.0, r_exp=0.5)
-
-
-def test_fs_ratio_stability_over_seeds(grid64):
-    ratios = []
-    for seed in range(20):
-        rng = rng_stream(seed, 0xF5)
-        fns = [rng.standard_normal(grid64.n) for _ in range(4)]
-        _, _, ratio = fs_vector_maximal_check(grid64, fns, p=2.0, q=2.0, r_exp=0.5)
-        ratios.append(ratio)
-    med = float(np.median(ratios))
-    assert max(ratios) <= 2.0 * med
+    fns = np.zeros((3, space.n))
+    for row, alpha in zip(fns, grid16_cubes.cubes(k)[:3]):
+        row[grid16_cubes.members(k, int(alpha))] = 1.0
+    brute = np.stack([brute_maximal(space.dist, space.weight, f) for f in fns])
+    lhs, rhs, ratio = fs_vector_ratio(hl_maximal(space, fns), fns, space.weight, p=2.0, q=2.0)
+    assert lhs == pytest.approx(fs_vector_ratio(brute, fns, space.weight, p=2.0, q=2.0)[0],
+                                rel=1e-10)
+    assert rhs > 0 and ratio >= 1.0

@@ -475,6 +475,51 @@ def test_ball_mass_matches_brute_force_with_ties():
     assert np.array_equal(sp.ball_mass(centers, radii), masses[centers])
 
 
+@pytest.mark.parametrize("spec", [
+    gallery.GallerySpec(kind="euclidean_grid", n=8, dim=2),
+    gallery.GallerySpec(kind="cantor", depth=5),
+    gallery.GallerySpec(kind="snowflake", n=24, dim=1, e=0.5),
+    gallery.GallerySpec(kind="weighted_grid", n=33, dim=1, alpha=2.0, extent=2.0),
+], ids=lambda spec: spec.kind)
+def test_ball_mass_per_center_radii_match_brute_force(spec):
+    sp = gallery.build(spec)
+    assert set(gallery.KINDS) == {"euclidean_grid", "cantor", "snowflake", "weighted_grid"}
+    rng = np.random.default_rng(4)
+    centers = np.r_[rng.permutation(sp.n)[:10], 3, 3]
+    # per center: 0, radii that equal entries of its own row and of another
+    # row (strict balls leave a sphere out), random ones and one above the diameter
+    radii = np.column_stack([
+        np.zeros(centers.size),
+        sp.dist[centers, rng.integers(0, sp.n, centers.size)],
+        sp.dist[centers[::-1], rng.integers(0, sp.n, centers.size)],
+        sp.dist[centers, rng.integers(0, sp.n, (4, centers.size))].T,
+        rng.uniform(0, sp.diameter, (centers.size, 3)),
+        np.full(centers.size, 1.5 * sp.diameter),
+    ])
+    masses = sp.ball_mass(centers, radii)
+    brute = [[brute_ball_mass(sp.dist, sp.weight, x, r) for r in row]
+             for x, row in zip(centers.tolist(), radii.tolist())]
+    assert masses.shape == radii.shape
+    np.testing.assert_allclose(masses, brute, rtol=1e-12, atol=0)
+
+
+def test_ball_mass_shared_radii_equal_the_broadcast_rows():
+    sp = gallery.build(gallery.GallerySpec(kind="weighted_grid", n=33, dim=1, alpha=2.0))
+    centers = [5, 0, 5, sp.n - 1]
+    radii = np.r_[0.0, np.unique(sp.dist[5])[:6], sp.diameter, 2 * sp.diameter]
+    shared = sp.ball_mass(centers, radii)
+    assert np.array_equal(shared, sp.ball_mass(centers, np.tile(radii, (4, 1))))
+    assert np.array_equal(shared[:, 2], sp.ball_mass(centers, radii[2])[:, 0])   # a scalar radius
+
+
+def test_ball_mass_rejects_a_row_count_other_than_the_centers():
+    sp = unit_spaced_grid(6)
+    for rows in (1, 2, 4):
+        with pytest.raises(ValueError, match="rows of radii for 3 centers"):
+            sp.ball_mass([0, 1, 2], np.ones((rows, 5)))
+    assert sp.ball_mass([], np.ones((0, 5))).shape == (0, 5)
+
+
 def test_ball_index_marks_the_end_of_every_tie_group():
     dist, weight = integer_grid_table(9, seed=2)     # 81 points: two row blocks
     index = explicit_space(dist, weights=weight).ball_index
