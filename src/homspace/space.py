@@ -22,13 +22,15 @@ its A0 (``declared_A0``; the CLI's --A0 installs one after checking it).
 When the coordinates generate the table as a Euclidean metric or a
 snowflake d^e with 0 < e <= 1, A0 = 1 is a theorem and no pass runs
 (source "analytic"); ``scaled`` keeps such coordinates generating the
-table. Any other table gets one exact min-plus pass (O(n^3) time, source
-"exact") over the upper triangle of the symmetric table, in blocks of
-A0_BLOCK_X rows x and A0_BLOCK_Z rows z, so its working block stays in
-cache. Validation checks the structure of the table and compares a
-declared or passed-in A0 with the cached one; with neither, it needs no A0
-at all. An asymmetric table is a validation violation and never reaches
-the pass.
+table. Any other table gets one exact min-plus pass (source "exact") over
+the upper triangle of the symmetric table in A0_TILE x A0_TILE tiles of
+pairs (x, y). It is O(n^3) at worst, but a tile reads only the z that the
+lens bound leaves it: to raise the ratio, d(x,z) + d(z,y) must lie below
+d(x,y) over the best ratio found so far, so a pruned z can never be
+taken, and value and witness are those of the full pass. Validation
+checks the structure of the table and compares a declared or passed-in A0
+with the cached one; with neither, it needs no A0 at all. An asymmetric
+table is a validation violation and never reaches the pass.
 
 Ball masses and the maximal operator read one sorted-row index per space,
 ``ball_index`` (built on first use, 21 bytes per table entry), and
@@ -431,11 +433,20 @@ def _triangle_violations(space: FiniteHomSpace, a0: float, asymmetric: bool):
 # Constant estimators
 # ---------------------------------------------------------------------------
 
-# The exact A0 pass takes A0_BLOCK_X rows x at a time and reads the table
-# A0_BLOCK_Z rows z at a time: its one temporary holds
-# A0_BLOCK_Z x A0_BLOCK_X x n two-hop lengths (1 MiB at n = 1024).
-A0_BLOCK_X = 8
-A0_BLOCK_Z = 16
+# The exact A0 pass works on A0_TILE x A0_TILE tiles of pairs (x, y). Its
+# table of column minima has n / A0_TILE rows (n^2 / 2 bytes at 16: 115 KB
+# at 480 points, 8 MiB at 4096). A tile adds and takes the minimum over at
+# most 2 * A0_TILE^2 = 512 z at a time, in one 1 MiB buffer: on a 2-core
+# Xeon VM the dense 2048-point pass took 6.5 s with 512 z, 7.2 s with 256
+# and 6.3 s with all z (an 8 MiB buffer at 4096 points). Each tile costs a
+# fixed number of numpy calls, so 16 x 16 tiles beat 8 x 8 once pruning is
+# on: 0.21 s against 0.52 s on the 1024-point squared line. A tile gathers
+# the z that survive pruning unless more than A0_WHOLE_ROWS of them do,
+# and then reads whole rows: with random survivors a gathered tile cost
+# 0.92 (1024 points) and 1.09 (2048) of a whole-row tile at one half, and
+# 0.35 and 0.39 at one fifth.
+A0_TILE = 16
+A0_WHOLE_ROWS = 0.5
 
 
 def estimate_quasi_triangle_constant(space: FiniteHomSpace) -> TriangleEstimate:
@@ -444,16 +455,30 @@ def estimate_quasi_triangle_constant(space: FiniteHomSpace) -> TriangleEstimate:
     which is checked ROW_BLOCK rows at a time against the matching column
     block, with no n x n mask.
 
-    One min-plus pass over the upper triangle: for each block of
-    A0_BLOCK_X rows from x0, m[x, y] = min_z d(z,x) + d(z,y) for y >= x0,
-    taken over blocks of A0_BLOCK_Z rows z, and the block's best ratio is
-    the first largest d(x,y) / m[x, y] in row-major order. By symmetry
-    d(z,x) + d(z,y) is the same float as d(x,z) + d(z,y), and the ratio
+    One min-plus pass over the upper triangle in A0_TILE x A0_TILE tiles:
+    for the tile of rows x from x0 and rows y from y0 >= x0,
+    m[x, y] = min_z d(x,z) + d(y,z) along contiguous rows, and each block
+    of rows x keeps one ratio buffer over y >= x0 whose first largest
+    d(x,y) / m[x, y] in row-major order is its best ratio, taken only when
+    strictly larger than the best of earlier blocks. By symmetry
+    d(x,z) + d(y,z) is the same float as d(x,z) + d(z,y), and the ratio
     table is symmetric, so the first pair of largest ratio in row-major
     order over the whole table has y >= x: value and witness are those of
     a row-by-row pass over every (x, y). Letting z range over {x, y} only
     adds ratios of 1, which the clamp absorbs; pairs with m = 0 are
-    skipped. The witness z is the first argmin of d(x,z) + d(z,y). Use
+    skipped. The witness z is the first argmin of d(x,z) + d(z,y).
+
+    The lens bound prunes z without changing a bit. With ``low[b, z]`` the
+    least entry of column z over row block b, the tile of row blocks X
+    and Y keeps only the z with low[X, z] + low[Y, z] <= T, where T is the
+    float quotient of the tile's largest d(x,y) by the best ratio of
+    earlier blocks. A ratio that can be taken exceeds that best, so the
+    float sum s = d(x,z) + d(y,z) of its z lies below the exact quotient
+    d(x,y) / best, and is then at most T, the float nearest to a number
+    no smaller; as rounding is monotone, low[X, z] + low[Y, z] <= s, and
+    z survives. So every entry of the ratio buffer that can be taken is
+    exact, and the others stay at most that best. A tile where no z
+    survives is skipped. Use
     ``space.quasi_triangle`` for the cached value, which skips the pass
     where A0 = 1 is a theorem.
     """
@@ -467,22 +492,36 @@ def estimate_quasi_triangle_constant(space: FiniteHomSpace) -> TriangleEstimate:
 
     best = 1.0
     witness = None
+    low = np.minimum.reduceat(d, np.arange(0, n, A0_TILE), axis=0)
+    chunk = 2 * A0_TILE**2
     # flat buffers, each block a contiguous view of their heads
-    hops = np.empty(A0_BLOCK_Z * A0_BLOCK_X * n)
-    bufs = np.empty((3, A0_BLOCK_X * n))
-    for x0 in range(0, n, A0_BLOCK_X):
-        xs = slice(x0, x0 + A0_BLOCK_X)
-        shape = (min(A0_BLOCK_X, n - x0), n - x0)      # rows x, columns y >= x0
-        size = shape[0] * shape[1]
-        m, low, ratios = (buf[:size].reshape(shape) for buf in bufs)
+    sums = np.empty(A0_TILE * A0_TILE * min(chunk, n))
+    buf = np.empty(A0_TILE * n)
+    for x0 in range(0, n, A0_TILE):
+        xs = d[x0:x0 + A0_TILE]
+        shape = (xs.shape[0], n - x0)      # rows x, columns y >= x0
+        m = buf[:shape[0] * shape[1]].reshape(shape)
         m.fill(np.inf)
-        for z0 in range(0, n, A0_BLOCK_Z):
-            zs = slice(z0, z0 + A0_BLOCK_Z)
-            block = hops[:min(A0_BLOCK_Z, n - z0) * size].reshape(-1, *shape)
-            np.add(d[zs, xs, None], d[zs, None, x0:], out=block)     # d(z,x) + d(z,y)
-            np.minimum(m, np.minimum.reduce(block, axis=0, out=low), out=m)
-        ratios.fill(0.0)
-        np.divide(d[xs, x0:], m, out=ratios, where=m > 0)
+        # T of each tile: its largest d(x, y) over the best of earlier blocks
+        tops = np.maximum.reduceat(xs[:, x0:], np.arange(0, n - x0, A0_TILE), axis=1)
+        for y0, bound in zip(range(x0, n, A0_TILE), (tops.max(axis=0) / best).tolist()):
+            ys = d[y0:y0 + A0_TILE]
+            lens = low[x0 // A0_TILE] + low[y0 // A0_TILE] <= bound
+            k = np.count_nonzero(lens)
+            if k == 0:
+                continue
+            if k <= A0_WHOLE_ROWS * n:
+                xs_z, ys_z = xs.compress(lens, axis=1), ys.compress(lens, axis=1)
+            else:
+                xs_z, ys_z, k = xs, ys, n
+            tile = m[:, y0 - x0:y0 - x0 + ys.shape[0]]
+            for z0 in range(0, k, chunk):
+                zs = slice(z0, z0 + chunk)
+                block = sums[:tile.size * min(chunk, k - z0)].reshape(*tile.shape, -1)
+                np.add(xs_z[:, None, zs], ys_z[None, :, zs], out=block)     # d(x,z) + d(y,z)
+                np.minimum(tile, block.min(axis=2), out=tile)
+        # the ratios replace m; an entry with m <= 0 keeps it and is never taken
+        ratios = np.divide(xs[:, x0:], m, out=m, where=m > 0)
         i, j = divmod(int(np.argmax(ratios)), shape[1])
         if ratios[i, j] > best:
             best = float(ratios[i, j])

@@ -3,13 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homspace import gallery
 from homspace import space as space_module
 from homspace.common import rng_stream
 from homspace.space import (
-    A0_BLOCK_X,
-    A0_BLOCK_Z,
+    A0_TILE,
     ROW_BLOCK,
     FiniteHomSpace,
     check_local_lower_bound,
@@ -276,15 +276,15 @@ def _lone_witness_table(n):
     return dist
 
 
-@pytest.mark.parametrize("n", [3, 4, A0_BLOCK_X, A0_BLOCK_X + 1, A0_BLOCK_Z, A0_BLOCK_Z + 1,
-                               2 * A0_BLOCK_Z + A0_BLOCK_X + 3, 64, 65, 130])
+@pytest.mark.parametrize("n", [3, 4, 8, 9, A0_TILE - 1, A0_TILE, A0_TILE + 1, 2 * A0_TILE + 3,
+                               43, 64, 65, 130])
 def test_a0_blocked_pass_matches_brute_witness(n):
-    # n at, past and across the edges of the x and z blocks of the pass;
-    # the witness must be the first pair in row-major order and the first
-    # z of least two-hop length. The
-    # reversed table moves the witnesses into the last blocks, the tied
-    # table pins the tie-breaks, and the lone witness z lies in the last z
-    # block (in the first once reversed).
+    # n inside one tile, at, past and across the edges of the tiles of the
+    # pass; the witness must be the first pair in row-major order and the
+    # first z of least two-hop length. The reversed table moves the
+    # witnesses into the last blocks, the tied table pins the tie-breaks,
+    # and the lone witness z lies in the last tile (in the first once
+    # reversed).
     rng = rng_stream(n, 0xB10C)
     raw = rng.uniform(0.01, 5.0, (n, n))
     dist = np.triu(raw, 1) + np.triu(raw, 1).T
@@ -297,6 +297,111 @@ def test_a0_blocked_pass_matches_brute_witness(n):
         assert est.witness == witness
     assert estimate_quasi_triangle_constant(explicit_space(tied)).value == 1.5
     assert estimate_quasi_triangle_constant(explicit_space(lone)).witness == (0, 1, n - 1)
+
+
+def _sorted_line(n):
+    pts = np.sort(rng_stream(n, 0x11E).uniform(0, 10, n))
+    return np.abs(pts[:, None] - pts[None, :])
+
+
+def _stretched_table(late, legs=(1.0, 1.0), early=1.5):
+    """80 points (five tiles) at distances in (1.1, 1.2) and three
+    stretched pairs, each through one z: d(1, 50) = 2 * early through
+    z = 30 and d(2, 20) = 2 * early through z = 60, at distance 1 from
+    both ends (ratio ``early``, in the first block of rows x), and
+    d(55, 75) = ``late`` through z = 5, at distances ``legs`` from 55 and
+    75 (rows 48-63 against rows 64-79). Once the first block has set the
+    best ratio to ``early``, every later tile without a stretched pair
+    has largest entry 1.2 and no z survives, and z = 5 survives only in
+    the tile of (55, 75)."""
+    rng = rng_stream(80, 0x2A0)
+    raw = rng.uniform(1.1, 1.2, (80, 80))
+    dist = np.triu(raw, 1) + np.triu(raw, 1).T
+    for x, y, z, d_xy, (d_xz, d_zy) in ((1, 50, 30, 2 * early, (1.0, 1.0)),
+                                        (2, 20, 60, 2 * early, (1.0, 1.0)),
+                                        (55, 75, 5, late, legs)):
+        dist[x, y] = dist[y, x] = d_xy
+        dist[x, z] = dist[z, x] = d_xz
+        dist[y, z] = dist[z, y] = d_zy
+    return dist
+
+
+@pytest.mark.parametrize("table, witness", [
+    pytest.param(_sorted_line(100) ** 2, None, id="squared line"),
+    *(pytest.param(_sorted_line(97) ** p, None, id=f"line^{p}") for p in (1.25, 2.5, 3)),
+    pytest.param((gallery.cantor_points(7)[:, None] - gallery.cantor_points(7)) ** 2, None,
+                 id="squared cantor midpoints"),
+    # a tie at 1.5: (1, 50) comes before (2, 20) and (55, 75) in row-major order
+    pytest.param(_stretched_table(3.0), (1, 50, 30), id="early and late maximum"),
+    pytest.param(_stretched_table(3.2), (55, 75, 5), id="lone late witness"),
+    # the late ratio one float above 1.5: its z survives with no slack
+    pytest.param(_stretched_table(np.nextafter(3.0, 4.0)), (55, 75, 5),
+                 id="late maximum by one ulp"),
+    # z = 5 far from the rows of one side of the tile and near the other:
+    # only the sum of both sides' column minima keeps it
+    pytest.param(_stretched_table(3.2, (1.9, 0.1)), (55, 75, 5), id="late witness near y"),
+    pytest.param(_stretched_table(3.2, (0.1, 1.9)), (55, 75, 5), id="late witness near x"),
+    # T = d(55, 75) / early rounds down, z = 5's column minima add up to T
+    # exactly, and its ratio d(55, 75) / T still rounds above ``early``
+    pytest.param(_stretched_table(3.1716931289126897, (1.0396578297181713,) * 2,
+                                  early=1.5253543224757258), (55, 75, 5),
+                 id="late witness on the bound"),
+])
+def test_a0_pruned_pass_matches_brute_witness(table, witness):
+    # tables on which the lens bound prunes z in most tiles (the sorted
+    # line tables keep only z near the middle of x and y once the first
+    # block has set the best ratio) and skips tiles with no survivor
+    est = estimate_quasi_triangle_constant(explicit_space(table))
+    assert (est.value, est.witness) == brute_a0_witness(table)
+    if witness is not None:
+        assert est.witness == witness
+
+
+@pytest.mark.parametrize("tile", [2, 3, 5])
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_a0_small_tiles_match_brute_witness(tile, data):
+    # small tiles make 3-40 points span many of them: heavy ties from a
+    # four-letter alphabet, and squared (e = 1) and snowflaked squared
+    # (e < 1) line sets, sorted or not
+    n = data.draw(st.integers(3, 40), label="n")
+    if data.draw(st.booleans(), label="alphabet"):
+        upper = data.draw(st.lists(st.integers(1, 4), min_size=n * (n - 1) // 2,
+                                   max_size=n * (n - 1) // 2), label="upper")
+        dist = np.zeros((n, n))
+        dist[np.triu_indices(n, 1)] = upper
+        dist += dist.T
+    else:
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        pts = np.random.default_rng(seed).uniform(0, 10, n)
+        if data.draw(st.booleans(), label="sorted"):
+            pts = np.sort(pts)
+        e = data.draw(st.sampled_from([1.0]) | st.floats(0.25, 1.0), label="e")
+        dist = np.abs(pts[:, None] - pts[None, :]) ** (2 * e)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_module, "A0_TILE", tile)
+        est = estimate_quasi_triangle_constant(explicit_space(dist))
+    assert (est.value, est.witness) == brute_a0_witness(dist)
+
+
+@pytest.mark.parametrize("kind", ["squared line", "plane"])
+def test_a0_pass_allocates_under_a_quarter_of_the_table(kind):
+    # the plane keeps every z in every tile (whole rows), the squared line
+    # gathers its survivors
+    n = 1024
+    if kind == "plane":
+        pts = rng_stream(n, 0xA110C).uniform(0, 1, (n, 2))
+        dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
+    else:
+        dist = _sorted_line(n) ** 2
+    sp = explicit_space(dist)
+    tracemalloc.start()
+    try:
+        estimate_quasi_triangle_constant(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dist.nbytes / 4
 
 
 def test_a0_symmetry_check_reads_row_blocks():
