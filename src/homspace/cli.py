@@ -237,7 +237,7 @@ def cmd_analyze(args) -> dict:
         omega = _resolve_omega(args, sp)
         if args.check_lower_bound:
             report["lower_bound"] = space_mod.check_lower_bound(
-                sp, omega, sp.r_floor, max(sp.diameter, sp.r_floor * 2))
+                sp, omega, *space_mod.lower_bound_window(sp))
         if args.check_local_lower_bound:
             report["local_lower_bound"] = space_mod.check_local_lower_bound(sp, omega)
     if args.check_reverse_doubling is not None:

@@ -48,6 +48,7 @@ from homspace.space import (
     LowerBoundReport,
     check_local_lower_bound,
     check_lower_bound,
+    lower_bound_window,
 )
 
 TRACE_TOL = 1e-9
@@ -427,7 +428,7 @@ def characterize(space: FiniteHomSpace, cubes: CubeSystem, params: EmbedParams, 
     if params.variant == "inhomogeneous":
         lb = check_local_lower_bound(space, omega)
     else:
-        lb = check_lower_bound(space, omega, space.r_floor, max(space.diameter, space.r_floor * 2))
+        lb = check_lower_bound(space, omega, *lower_bound_window(space))
     necessity = delta_necessity_test(cubes, params)
     scan = embedding_ratio_scan(cubes, params, n_sequences=n_sequences, seed=seed,
                                 lower_bound_holds=(lb.verdict == "PASS"))

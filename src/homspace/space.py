@@ -32,13 +32,24 @@ checks the structure of the table and compares a declared or passed-in A0
 with the cached one; with neither, it needs no A0 at all. An asymmetric
 table is a validation violation and never reaches the pass.
 
-Ball masses and the maximal operator read one sorted-row index per space,
-``ball_index`` (built on first use, 21 bytes per table entry), and
-``ball_mass`` is the one reader of masses off it: radii shared by every
-center, or one row of radii per center. Each ball-mass estimator makes
-one ``ball_mass`` call over its whole (center x radius) table; the growth
-estimators (doubling, reverse doubling and its exponent) read the table of
-``_growth``, and the kernel check's V terms (``maximal``) are two calls.
+The mass of B(x, r) is the running sum of the weights in (distance, id)
+order up to the count #{y : d(x, y) < r}, and ``ball_mass`` is its one
+reader: radii shared by every center, or one row of radii per center.
+Shared radii are read off a per-space (n x R) mass table. Its first use
+fills it with one pass over the rows for the radius grids of every
+estimator here (``_mass_pool``; each grid is a function its estimator also
+reads), and a radius outside it adds its column with one more pass. A
+pass counts each row's distances per radius and reads the sums off the
+one vector cumsum(full(n, w)) when every weight is the same float w, else
+off a stable argsort of the row block, dropped after the block; a mass
+does not depend on the radii it is found with. Rows of radii per center
+(the kernel check's V terms) and the maximal operator read the sorted-row
+index ``ball_index``, built on first use (13 bytes per table entry, and 8
+more for per-row running sums of a non-uniform measure). Each ball-mass
+estimator makes one ``ball_mass`` call over its whole (center x radius)
+table; the growth estimators (doubling, reverse doubling and its exponent)
+read the table of ``_growth``, and the kernel check's V terms
+(``maximal``) are two calls.
 
 Resolution contract: each point stands for a cell of an underlying
 continuum, so no scaling claim is evaluated below the resolution floor
@@ -125,6 +136,21 @@ class FiniteHomSpace:
         """The sorted-row ball index, built on first use."""
         return build_ball_index(self)
 
+    @cached_property
+    def uniform_cum_weight(self) -> Optional[np.ndarray]:
+        """(n + 1,) running sums [0, w, w + w, ...] when every weight is the
+        same float w, else None: then the weight of the c nearest points of
+        any center is entry c, whatever their order."""
+        if not np.all(self.weight == self.weight[:1]):
+            return None
+        return np.r_[0.0, np.cumsum(np.full(self.n, self.weight[0] if self.n else 0.0))]
+
+    @cached_property
+    def _mass_table(self) -> dict:
+        """The masses of every ball found with shared radii, keyed by the
+        bits of the radius (so that a NaN finds itself): (n,) each."""
+        return {}
+
     def ball(self, center: int, radius: float) -> "Ball":
         row = self.dist[center]
         members = np.flatnonzero(row < radius)
@@ -137,13 +163,28 @@ class FiniteHomSpace:
 
     def ball_mass(self, centers, radii) -> np.ndarray:
         """Masses of B(x, r), a (c, R) table: ``radii`` is (R,), shared by
-        every center, or (c, R), one row per center. One ``searchsorted``
-        per center."""
+        every center, or (c, R), one row per center. Shared radii are read
+        off the mass table, which a radius it lacks joins with one
+        ``_mass_pass`` (on first use, with the whole ``_mass_pool``); rows
+        of radii take one ``searchsorted`` per center in the ball index.
+        Both give the same bits."""
         centers = np.asarray(centers, dtype=int)
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        if radii.ndim == 2 and radii.shape[0] != centers.size:
+        if radii.ndim == 1:
+            table = self._mass_table
+            wanted = radii.view(np.int64).tolist()
+            missing = set(wanted).difference(table)
+            if missing:
+                if not table:
+                    missing.update(_mass_pool(self).view(np.int64).tolist())
+                new = np.sort(np.array(list(missing)).view(float))
+                table.update(zip(new.view(np.int64).tolist(), _mass_pass(self, new).T))
+            out = np.empty((centers.size, len(wanted)))
+            for i, key in enumerate(wanted):
+                out[:, i] = table[key][centers]
+            return out
+        if radii.shape[0] != centers.size:
             raise ValueError(f"{radii.shape[0]} rows of radii for {centers.size} centers")
-        radii = np.broadcast_to(radii, (centers.size, radii.shape[-1]))
         index = self.ball_index
         counts = np.empty(radii.shape, dtype=np.intp)
         for i, x in enumerate(centers):
@@ -209,11 +250,12 @@ class BallIndex(NamedTuple):
 
     order: np.ndarray         # (n, n) int32: order[x] = argsort of dist[x]
     dist: np.ndarray          # (n, n): dist[x][order[x]]
-    cum_weight: np.ndarray    # (n, n + 1): [x, c] = weight of the c nearest, so [x, 0] = 0
+    cum_weight: np.ndarray    # (n, n + 1): [x, c] = weight of the c nearest, so [x, 0] = 0;
+                              # a read-only broadcast of uniform_cum_weight when there is one
     ends: np.ndarray          # (n, n) bool: [x, c] when the c + 1 nearest are a ball (a tie group ends)
 
 
-# Rows sorted (or read, in the triangle-violation scan) per
+# Rows sorted or counted (or read, in the triangle-violation scan) per
 # block: temporaries stay at a few ROW_BLOCK x n arrays instead of n x n.
 ROW_BLOCK = 64
 
@@ -221,15 +263,44 @@ ROW_BLOCK = 64
 def build_ball_index(space: FiniteHomSpace) -> BallIndex:
     """Sort the rows of ``space.dist``; ``space.ball_index`` caches the result."""
     n = space.n
-    index = BallIndex(np.empty((n, n), dtype=np.int32), np.empty((n, n)), np.zeros((n, n + 1)),
+    uniform = space.uniform_cum_weight
+    index = BallIndex(np.empty((n, n), dtype=np.int32), np.empty((n, n)),
+                      np.zeros((n, n + 1)) if uniform is None else np.broadcast_to(uniform, (n, n + 1)),
                       np.empty((n, n), dtype=bool))
     for lo in range(0, n, ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
         index.order[rows] = np.argsort(space.dist[rows], axis=1, kind="stable")
         index.dist[rows] = np.take_along_axis(space.dist[rows], index.order[rows], axis=1)
-        np.cumsum(space.weight[index.order[rows]], axis=1, out=index.cum_weight[rows, 1:])
+        if uniform is None:
+            np.cumsum(space.weight[index.order[rows]], axis=1, out=index.cum_weight[rows, 1:])
         np.not_equal(np.diff(index.dist[rows], axis=1, append=np.inf), 0, out=index.ends[rows])
     return index
+
+
+def _mass_pass(space: FiniteHomSpace, radii: np.ndarray) -> np.ndarray:
+    """(n, R) masses of B(x, r) for every center x and the sorted
+    ``radii``, ROW_BLOCK rows at a time: the masses the ball index gives,
+    without building it. A distance d falls in bin #{r : r <= d}, so the
+    count #{y : d(x, y) < r_i} is the running count of bins 0..i. A
+    uniform measure reads the weight of that many nearest points off
+    ``uniform_cum_weight``; any other sorts the row block stably and sums
+    its weights in that order, as the index does."""
+    n, size = space.n, radii.size
+    uniform = space.uniform_cum_weight
+    out = np.empty((n, size))
+    for lo in range(0, n, ROW_BLOCK):
+        block = space.dist[lo:lo + ROW_BLOCK]
+        bins = np.searchsorted(radii, block, side="right")
+        bins += (size + 1) * np.arange(block.shape[0])[:, None]     # one run of bins per row
+        counts = np.bincount(bins.ravel(), minlength=(size + 1) * block.shape[0])
+        counts = counts.reshape(-1, size + 1)[:, :size].cumsum(axis=1)
+        if uniform is not None:
+            out[lo:lo + ROW_BLOCK] = uniform[counts]
+        else:
+            cum = np.zeros((block.shape[0], n + 1))
+            np.cumsum(space.weight[np.argsort(block, axis=1, kind="stable")], axis=1, out=cum[:, 1:])
+            out[lo:lo + ROW_BLOCK] = np.take_along_axis(cum, counts, axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -534,8 +605,13 @@ def _growth(space: FiniteHomSpace, radii: np.ndarray, lams: np.ndarray) -> tuple
     """Masses of B(x, r) and B(x, lam r) for every center x, radius
     r = radii[i] and dilation lam in lams[i], from one ``ball_mass`` call:
     ``base`` (n, R) and ``grown`` (n, R, L)."""
-    masses = space.ball_mass(np.arange(space.n), np.r_[radii, (lams * radii[:, None]).ravel()])
+    masses = space.ball_mass(np.arange(space.n), _growth_radii(radii, lams))
     return masses[:, :radii.size], masses[:, radii.size:].reshape(space.n, *lams.shape)
+
+
+def _growth_radii(radii: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """The radii r and lam r that ``_growth`` reads."""
+    return np.r_[radii, (lams * radii[:, None]).ravel()]
 
 
 def _radii(space: FiniteHomSpace, r_hi: float, count: int) -> np.ndarray:
@@ -556,7 +632,7 @@ def estimate_doubling(space: FiniteHomSpace, radii) -> DoublingEstimate:
         raise ValueError("radii list is empty")
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
-    base, grown = _growth(space, np.array(radii), np.full((len(radii), 1), 2.0))
+    base, grown = _growth(space, np.array(radii), _doubling_lams(len(radii)))
     ratios = grown[..., 0] / base  # denominators are positive: balls contain their center
     ci, rj = np.unravel_index(np.argmax(ratios), ratios.shape)
     c = max(float(ratios[ci, rj]), 1.0)
@@ -566,6 +642,15 @@ def estimate_doubling(space: FiniteHomSpace, radii) -> DoublingEstimate:
         witness=(int(ci), radii[rj]),
         radii=radii,
     )
+
+
+def _doubling_lams(count: int) -> np.ndarray:
+    return np.full((count, 1), 2.0)
+
+
+def _stats_doubling_radii(space: FiniteHomSpace) -> np.ndarray:
+    """The radii of the doubling estimate in ``space_stats``."""
+    return _radii(space, space.diameter / 4, 8)
 
 
 # Radii sampled (on a geometric grid) by the mass-exponent fit and the
@@ -580,6 +665,15 @@ REVERSE_PASS = 0.1
 GROWTH_N_RADII = 5
 
 
+def _fit_radii(space: FiniteHomSpace) -> np.ndarray:
+    """The radii of ``fit_mass_exponent``: none when its window is empty."""
+    r_min = space.r_floor
+    r_max = max(space.diameter / 4, min(space.diameter, 8.0 * r_min))
+    if r_max <= r_min or space.n < 2:
+        return np.empty(0)
+    return np.geomspace(r_min * (1 + 1e-9), r_max, N_RADII)
+
+
 def fit_mass_exponent(space: FiniteHomSpace) -> Optional[float]:
     """Pooled log-log slope of ball mass against radius (measured dimension).
 
@@ -587,13 +681,32 @@ def fit_mass_exponent(space: FiniteHomSpace) -> Optional[float]:
     balls saturate against the boundary and flatten the slope), and spans
     at least most of a decade above r_floor, capped at the diameter.
     """
-    r_min = space.r_floor
-    r_max = max(space.diameter / 4, min(space.diameter, 8.0 * r_min))
-    if r_max <= r_min or space.n < 2:
+    radii = _fit_radii(space)
+    if not radii.size:
         return None
-    radii = np.geomspace(r_min * (1 + 1e-9), r_max, N_RADII)
     fit = fit_loglog(radii, space.ball_mass(np.arange(space.n), radii))
     return None if fit is None else fit[0]
+
+
+def lower_bound_window(space: FiniteHomSpace) -> tuple:
+    """(r_min, r_max) of the global lower-bound check that ``analyze`` and
+    ``embed-test`` run: r_floor to the diameter, and at least to 2 r_floor."""
+    return space.r_floor, max(space.diameter, space.r_floor * 2)
+
+
+def _lower_bound_radii(space: FiniteHomSpace, r_min: float, r_max: float) -> tuple:
+    """(r_min, r_max, radii, warnings): the window clipped to r_floor, its
+    N_RADII radii and what the clipping did."""
+    warnings = []
+    if r_min < space.r_floor:
+        warnings.append(
+            f"r_min {r_min:g} below resolution floor {space.r_floor:g}; clipped"
+        )
+        r_min = space.r_floor
+        if r_min >= r_max:
+            warnings.append("radius window collapsed at the resolution floor")
+            r_max = r_min * (1 + 1e-9)
+    return r_min, r_max, np.geomspace(r_min * (1 + 1e-12), r_max, N_RADII), warnings
 
 
 def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: float, *,
@@ -614,17 +727,7 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
     if not omega > 0:
         raise ValueError("omega must be positive")
 
-    warnings = []
-    if r_min < space.r_floor:
-        warnings.append(
-            f"r_min {r_min:g} below resolution floor {space.r_floor:g}; clipped"
-        )
-        r_min = space.r_floor
-        if r_min >= r_max:
-            warnings.append("radius window collapsed at the resolution floor")
-            r_max = r_min * (1 + 1e-9)
-
-    radii = np.geomspace(r_min * (1 + 1e-12), r_max, N_RADII)
+    r_min, r_max, radii, warnings = _lower_bound_radii(space, r_min, r_max)
     masses = space.ball_mass(np.arange(space.n), radii)
     consts = masses / radii ** omega
     ci, rj = np.unravel_index(np.argmin(consts), consts.shape)
@@ -656,18 +759,36 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
     )
 
 
+def _local_window(space: FiniteHomSpace) -> tuple:
+    """(r_min, r_max) of the local check: r_floor to 1; with r_floor >= 1,
+    from r_floor / 2 to r_floor, which the check clips and collapses to
+    that one radius, saying so in its warnings."""
+    r_min = space.r_floor
+    return (r_min, 1.0) if r_min < 1.0 else (r_min * 0.5, r_min)
+
+
 def check_local_lower_bound(space: FiniteHomSpace, omega: float) -> LowerBoundReport:
     """Lower-bound check restricted to r <= 1; with r_floor >= 1 the window
     is the one radius r_floor, with a warning. For "below one diameter",
     check ``space.scaled(dist_factor=1 / space.diameter)``."""
-    r_min = space.r_floor
-    if r_min < 1.0:
-        return check_lower_bound(space, omega, r_min, 1.0, variant="local")
-    # asked from r_floor / 2, the check clips the window to r_floor and
-    # collapses it to that one radius, saying so in its warnings
-    report = check_lower_bound(space, omega, r_min * 0.5, r_min, variant="local")
-    report.warnings.append("resolution floor at or above r = 1; local window degenerate")
+    report = check_lower_bound(space, omega, *_local_window(space), variant="local")
+    if space.r_floor >= 1.0:
+        report.warnings.append("resolution floor at or above r = 1; local window degenerate")
     return report
+
+
+def _reverse_radii(space: FiniteHomSpace) -> tuple:
+    """(radii, lams) of ``check_reverse_doubling``: radii below half the
+    diameter, REVERSE_N_LAMBDAS dilations 1 <= lam < diam / (2r) each."""
+    diam, r_lo = space.diameter, space.r_floor
+    r_hi = diam / 2
+    if r_hi <= r_lo:
+        r_hi = r_lo * (1 + 1e-9)
+    radii = np.geomspace(r_lo * (1 + 1e-12), r_hi, REVERSE_N_RADII)
+    radii = radii[diam / (2 * radii) > 1.0]
+    lams = np.array([np.geomspace(1.0, diam / (2 * r) * (1 - 1e-12), REVERSE_N_LAMBDAS)
+                     for r in radii]).reshape(radii.size, REVERSE_N_LAMBDAS)
+    return radii, lams
 
 
 def check_reverse_doubling(space: FiniteHomSpace, kappa: float) -> ReverseDoublingReport:
@@ -681,28 +802,19 @@ def check_reverse_doubling(space: FiniteHomSpace, kappa: float) -> ReverseDoubli
     """
     if not kappa > 0:
         raise ValueError("kappa must be positive")
-    diam = space.diameter
-    if space.n < 2 or diam <= 0:
+    if space.n < 2 or space.diameter <= 0:
         return ReverseDoublingReport(
             verdict="NOT_APPLICABLE", c_emp=0.0, kappa=kappa, worst=None,
             atomic_like=True,
             warnings=["atomic-like space: balls cannot grow, reverse doubling is vacuous"],
         )
-
-    r_lo = space.r_floor
-    r_hi = diam / 2
-    if r_hi <= r_lo:
-        r_hi = r_lo * (1 + 1e-9)
-    radii = np.geomspace(r_lo * (1 + 1e-12), r_hi, REVERSE_N_RADII)
-    radii = radii[diam / (2 * radii) > 1.0]
+    radii, lams = _reverse_radii(space)
     if not radii.size:
         return ReverseDoublingReport(
             verdict="NOT_APPLICABLE", c_emp=0.0, kappa=kappa, worst=None,
             atomic_like=True,
             warnings=["atomic-like space: no admissible (r, lambda) window"],
         )
-    lams = np.array([np.geomspace(1.0, diam / (2 * r) * (1 - 1e-12), REVERSE_N_LAMBDAS)
-                     for r in radii])
     base, grown = _growth(space, radii, lams)
     ratios = (grown / (lams ** kappa * base[..., None])).transpose(1, 0, 2)    # (r, x, lam)
     ri, ci, lj = np.unravel_index(np.argmin(ratios), ratios.shape)
@@ -713,28 +825,47 @@ def check_reverse_doubling(space: FiniteHomSpace, kappa: float) -> ReverseDoubli
     )
 
 
+def _growth_exponent_radii(space: FiniteHomSpace) -> tuple:
+    """(radii, lams) of ``estimate_reverse_doubling_exponent``: the base
+    radii whose widest dilation lam = diam / (2r) exceeds 1.5."""
+    radii = _radii(space, space.diameter / 4, GROWTH_N_RADII)
+    lams = space.diameter / (2 * radii)
+    return radii[lams > 1.5], lams[lams > 1.5]
+
+
 def estimate_reverse_doubling_exponent(space: FiniteHomSpace) -> Optional[float]:
     """Weakest observed ball-growth exponent
     min log(mass(B(x, lam r)) / mass(B(x, r))) / log(lam) at the widest
     admissible lam = diam / (2r) per base radius, where lam > 1.5. None on
     atomic-like spaces and when no radius admits such a lam."""
-    diam = space.diameter
-    if space.n < 2 or diam <= 0:
+    if space.n < 2 or space.diameter <= 0:
         return None
-    radii = _radii(space, diam / 4, GROWTH_N_RADII)
-    lams = diam / (2 * radii)
-    radii, lams = radii[lams > 1.5], lams[lams > 1.5]
+    radii, lams = _growth_exponent_radii(space)
     if not radii.size:
         return None
     base, grown = _growth(space, radii, lams[:, None])
     return float((np.log(grown[..., 0] / base) / np.log(lams)).min())
 
 
+def _mass_pool(space: FiniteHomSpace) -> np.ndarray:
+    """Every shared radius the estimators here read at their default
+    windows, so that one pass fills the mass table for all of them."""
+    pool = [_lower_bound_radii(space, *window)[2]
+            for window in (lower_bound_window(space), _local_window(space))]
+    if space.n >= 2 and space.diameter > 0:
+        doubling = _stats_doubling_radii(space)
+        growth, lams = _growth_exponent_radii(space)
+        pool += [_growth_radii(doubling, _doubling_lams(doubling.size)),
+                 _growth_radii(growth, lams[:, None]), _growth_radii(*_reverse_radii(space)),
+                 _fit_radii(space)]
+    return np.concatenate(pool)
+
+
 def space_stats(space: FiniteHomSpace) -> SpaceStats:
     """Bundle the constant estimates used by reports and the CLI."""
     tri = space.quasi_triangle
     if space.n >= 2 and space.diameter > 0:
-        doubling = estimate_doubling(space, _radii(space, space.diameter / 4, 8))
+        doubling = estimate_doubling(space, _stats_doubling_radii(space))
     else:
         doubling = DoublingEstimate(c_doubling=1.0, omega_est=0.0, witness=(0, 1.0), radii=[1.0])
     kappa_est = estimate_reverse_doubling_exponent(space)

@@ -1045,13 +1045,45 @@ def test_index_set_built_once_per_system(tmp_path, monkeypatch):
     assert [key for key in builds if key[0] == "fresh_index"] == [("fresh_index", "homogeneous")]
 
 
+# each command, and how many times it sorts the rows of its space: only
+# the maximal operator and the kernel's per-center radii read the ball index
+INDEX_BUILDS = [
+    (["analyze", "--gallery", "weighted_grid", "--n", "17", "--check-lower-bound",
+      "--check-local-lower-bound", "--check-reverse-doubling", "1"], 0),
+    (["analyze", *GRID16, "--check-lower-bound"], 0),
+    (["embed-test", *GRID16, "--s1", "0.5", "--p1", "2", "--s2", "1", "--p2", "1",
+      "--q", "1", "--n-sequences", "8"], 0),
+    (["cubes", *GRID16], 0),
+    (["norms", *GRID16, "--seq", "seq.json"], 0),
+    (["gallery", "--gallery", "cantor", "--depth", "4"], 0),
+    (["maximal", *GRID16, "--random", "2"], 1),
+    (["kernel-check", *GRID16, "--omega", "1.0", "--p2", "1", "--calibration", "4",
+      "--trials", "4"], 1),
+]
+
+
 def test_ball_index_built_once_per_space(tmp_path, monkeypatch):
+    (tmp_path / "seq.json").write_text(json.dumps([{"k": 1, "alpha": 0, "value": 1.0}]))
+    monkeypatch.chdir(tmp_path)
     calls = _count_calls(monkeypatch, space_mod, "build_ball_index")
-    code, _ = run(tmp_path, "kernel-check", "--gallery", "euclidean_grid",
-                  "--n", "16", "--omega", "1.0", "--p2", "1",
-                  "--calibration", "4", "--trials", "4")
-    assert code == 0
-    assert len(calls) == 1
+    for argv, builds in INDEX_BUILDS:
+        calls.clear()
+        code, _ = run(tmp_path, *argv)
+        assert (argv[0], code, len(calls)) == (argv[0], 0, builds)
+
+
+@pytest.mark.parametrize("space", [["--gallery", "weighted_grid", "--n", "33", "--alpha", "2"],
+                                   ["--gallery", "cantor", "--depth", "5"]])
+def test_analyze_blocks_do_not_depend_on_the_other_checks(tmp_path, space):
+    # every check reads masses off one table; which checks run must not
+    # move a bit of the others
+    reports = []
+    for extra in ([], ["--check-local-lower-bound", "--check-reverse-doubling", "1"]):
+        code, text = run(tmp_path, "analyze", *space, "--check-lower-bound", *extra)
+        assert code == 0
+        reports.append(json.loads(text))
+    for block in ("stats", "lower_bound"):
+        assert json.dumps(reports[0][block]) == json.dumps(reports[1][block])
 
 
 def test_cubes_verifies_axioms_once(tmp_path, monkeypatch):

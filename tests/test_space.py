@@ -636,6 +636,99 @@ def test_ball_index_marks_the_end_of_every_tie_group():
         assert np.count_nonzero(index.ends[x]) == np.unique(row).size
 
 
+def _sorted_sums(dist, weight, x, r):
+    """The mass of B(x, r) by definition: the weights of the
+    #{y : d(x, y) < r} nearest points, added in (distance, id) order."""
+    order = sorted(range(len(weight)), key=lambda y: (dist[x][y], y))
+    total = 0.0
+    for y in order[:int(np.count_nonzero(dist[x] < r))]:
+        total += weight[y]
+    return total
+
+
+MASS_SPACES = {
+    "euclidean_grid": lambda: gallery.build(gallery.GallerySpec(kind="euclidean_grid", n=9, dim=2)),
+    "cantor": lambda: gallery.build(gallery.GallerySpec(kind="cantor", depth=5)),
+    "snowflake": lambda: gallery.build(gallery.GallerySpec(kind="snowflake", n=40, dim=1, e=0.5)),
+    "weighted_grid": lambda: gallery.build(gallery.GallerySpec(
+        kind="weighted_grid", n=9, dim=2, alpha=0.5, beta=0.3, extent=2.0)),
+    "ties uniform": lambda: explicit_space(integer_grid_table(9, seed=1)[0]),   # two row blocks
+    "ties uneven": lambda: explicit_space(*integer_grid_table(9, seed=1)),
+    "one point": lambda: explicit_space([[0.0]], weights=[0.7]),
+    "two points": lambda: explicit_space([[0.0, 3.0], [3.0, 0.0]], weights=[0.7, 1.3]),
+}
+
+
+@pytest.mark.parametrize("make", MASS_SPACES.values(), ids=MASS_SPACES.keys())
+def test_mass_pass_equals_the_index_bit_for_bit(make):
+    sp = make()
+    assert set(gallery.KINDS) <= set(MASS_SPACES)
+    # 0, below r_floor, every pairwise distance (exact ties), the pool of
+    # the estimators' grids, above the diameter, and a repeat
+    radii = np.r_[0.0, sp.r_floor / 2, np.unique(sp.dist), space_module._mass_pool(sp),
+                  1.5 * sp.diameter + 1.0, sp.dist[0, -1]]
+    masses = sp.ball_mass(np.arange(sp.n), radii)
+    assert "ball_index" not in vars(sp)            # shared radii sort no row for good
+    index = sp.ball_index
+    counts = np.count_nonzero(sp.dist[:, :, None] < radii, axis=1)
+    assert np.array_equal(masses, index.cum_weight[np.arange(sp.n)[:, None], counts])
+    some = np.random.default_rng(2).choice(radii.size, 12)
+    assert np.array_equal(masses[:, some], [[_sorted_sums(sp.dist, sp.weight, x, r)
+                                             for r in radii[some]] for x in range(sp.n)])
+    np.testing.assert_allclose(
+        masses[:, some], [[brute_ball_mass(sp.dist, sp.weight, x, r) for r in radii[some]]
+                          for x in range(sp.n)], rtol=1e-12, atol=0)
+    assert np.all(masses[:, 0] == 0.0) and np.array_equal(masses[:, 1], sp.weight)
+    # -0.0 and NaN (which the index counts past every distance) are radii too
+    odd = np.array([np.nan, -0.0, sp.diameter])
+    assert np.array_equal(sp.ball_mass(np.arange(sp.n), odd),
+                          sp.ball_mass(np.arange(sp.n), np.tile(odd, (sp.n, 1))))
+
+
+@pytest.mark.parametrize("make", [MASS_SPACES["weighted_grid"], MASS_SPACES["ties uneven"],
+                                  MASS_SPACES["ties uniform"]], ids=["weighted", "uneven", "uniform"])
+def test_mass_pass_bits_do_not_depend_on_the_pool(make):
+    sp = make()
+    centers = np.arange(sp.n)
+    pool = space_module._mass_pool(sp)
+    others = np.r_[pool, sp.dist[0], np.geomspace(sp.r_floor / 3, sp.diameter * 2, 40)]
+    for r in np.r_[pool[::5], sp.dist[0, 1:4], sp.r_floor / 2, 2 * sp.diameter]:
+        alone = space_module._mass_pass(sp, np.array([r]))[:, 0]
+        after = make()
+        after.ball_mass(centers, pool[:3])             # fills the table with the pool
+        late = after.ball_mass(centers, [r])[:, 0]     # a pass of its own unless r is in it
+        grid = np.sort(np.r_[others, r, r])                # repeats are allowed
+        inside = space_module._mass_pass(sp, grid)[:, np.searchsorted(grid, r)]
+        assert np.array_equal(alone, late) and np.array_equal(alone, inside)
+
+
+def test_mass_table_makes_one_pass_for_the_pool_and_one_per_new_radius(monkeypatch):
+    sp = gallery.build(gallery.GallerySpec(kind="weighted_grid", n=33, dim=1, alpha=2.0))
+    passes = []
+    original = space_module._mass_pass
+    monkeypatch.setattr(space_module, "_mass_pass",
+                        lambda space, radii: passes.append(radii.size) or original(space, radii))
+    space_stats(sp)
+    fit_mass_exponent(sp)
+    check_lower_bound(sp, 1.0, *space_module.lower_bound_window(sp))
+    check_local_lower_bound(sp, 1.0)
+    check_reverse_doubling(sp, 1.0)
+    assert passes == [np.unique(space_module._mass_pool(sp)).size]
+    sp.ball_mass([0, 4], [0.3, sp.r_floor * (1 + 1e-9)])       # the last one is pooled
+    sp.ball_mass([1], [0.3, 0.3])
+    assert passes[1:] == [1]
+
+
+def test_uniform_ball_index_shares_one_row_of_running_sums():
+    sp = gallery.build(gallery.GallerySpec(kind="euclidean_grid", n=8, dim=2))
+    cum = sp.ball_index.cum_weight
+    assert cum.shape == (sp.n, sp.n + 1) and cum.strides[0] == 0 and not cum.flags.writeable
+    assert np.array_equal(cum[5], np.r_[0.0, np.cumsum(sp.weight)])
+    weighted = gallery.build(gallery.GallerySpec(kind="weighted_grid", n=33, dim=1, alpha=2.0))
+    assert weighted.uniform_cum_weight is None
+    assert weighted.ball_index.cum_weight.strides[0] > 0
+
+
 # ---------------------------------------------------------------------------
 # lower bound
 # ---------------------------------------------------------------------------
