@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from homspace import gallery, maximal, seqnorm, space as space_mod
-from homspace.common import DEFAULT_SEED, dumps_report, finite_number, report_to_csv, rng_stream
+from homspace.common import (DEFAULT_SEED, dumps_report, finite_number, read_json, report_to_csv,
+                             rng_stream)
 from homspace.dyadic import (
     VARIANTS,
     CubeConstructionError,
@@ -334,8 +335,7 @@ def cmd_kernel_check(args) -> dict:
 
 def _load_values(path: str, n: int) -> np.ndarray:
     """The --values file: a flat JSON array of n finite numbers."""
-    with open(path) as fh:
-        values = json.load(fh)
+    values = read_json(path)
     if not isinstance(values, list):
         raise ValueError(f"{path}: --values must be a JSON array of {n} numbers")
     for i, v in enumerate(values):

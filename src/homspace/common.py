@@ -1,7 +1,7 @@
 """
 Shared plumbing: deterministic RNG streams, stable summation, log-log fits,
-trend thresholds, the kernel model's regularity budget, and deterministic
-report serialization.
+trend thresholds, the kernel model's regularity budget, JSON input reading
+and deterministic report serialization.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from dataclasses import fields, is_dataclass
 from itertools import chain
 
 import numpy as np
+import orjson
 
 # Default seed for every sampled scan; the CLI --seed flag overrides it.
 DEFAULT_SEED = 0xD1AD1C
@@ -78,6 +79,30 @@ def finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def read_json(path: str):
+    """The parsed JSON file at ``path``, read by orjson.
+
+    orjson refuses what RFC 8259 does (NaN and Infinity, numbers past the
+    float range, a BOM, invalid UTF-8, lone surrogates, nesting past 1024);
+    only then is the file parsed again as text by ``json.load``, which gives
+    those inputs their verdicts and messages. orjson reads an integer outside
+    [-2^63, 2^64) as the nearest float. A decoding error or nesting too deep
+    for ``json`` raises ValueError naming the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        del raw
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def reciprocal(p: float) -> float:
@@ -177,6 +202,8 @@ def _float_list_format(width: int, indent: int) -> str:
 
 
 def _encode(obj, indent: int) -> str:
+    # a container's joined body is wrapped by one f-string, which copies it
+    # once; a chain of + would copy a table's megabytes at every step
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
     if obj is None:
@@ -196,18 +223,20 @@ def _encode(obj, indent: int) -> str:
             f"{pad_in}{json.dumps(str(k))}: {_encode(v, indent + 1)}"
             for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
         ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        body = ",\n".join(items)
+        return f"{{\n{body}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if _float_table(obj):
             row_fmt = _float_list_format(len(obj[0]), indent + 1)
             body = (",\n" + pad_in).join([row_fmt % tuple(row) for row in obj])
-            return "[\n" + pad_in + body + "\n" + pad + "]"
+            return f"[\n{pad_in}{body}\n{pad}]"
         if _plain_floats(obj) and all(map(math.isfinite, obj)):
             return _float_list_format(len(obj), indent) % tuple(obj)
         items = [f"{pad_in}{_encode(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        body = ",\n".join(items)
+        return f"[\n{body}\n{pad}]"
     raise TypeError(f"unserializable report value of type {type(obj)!r}")
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from homspace.common import finite_number
+from homspace.common import finite_number, read_json
 from homspace.space import ROW_BLOCK, FiniteHomSpace, metric_exponent, validate_quasi_metric
 
 # each kind and the GallerySpec fields it reads
@@ -46,7 +46,13 @@ KINDS = {"euclidean_grid": ("n", "dim"),
 # table still needs the exact pass on first use of A0, O(n^3) when its lens
 # prunes nothing: on a 2-core VM, 0.9 s at 1024 points, 7.3 s at 2048 and
 # 58 s at 4096 for a planar Euclidean table, and 0.22 s, 1.1 s and 5.6 s
-# for a sorted squared line.
+# for a sorted squared line. Reading that squared line's JSON table in a
+# fresh process takes 0.17-0.24 s and peaks at 127 MB at 1024 points (a
+# 22 MB file), 0.78-0.85 s and 423 MB at 2048 (89 MB) and 3.4-3.7 s and
+# 1605 MB at 4096 (355 MB): orjson holds about 1.7 times the file's size
+# more than json did (0.38 s / 90 MB, 1.5-1.6 s / 277 MB, 6.9-7.2 s /
+# 1010 MB). Writing the table back (``gallery --space``) peaks at 522 MB
+# at 2048 points and 2001 MB at 4096.
 MAX_POINTS = 4096
 
 
@@ -212,11 +218,10 @@ def load_space(path: str) -> FiniteHomSpace:
     "metric": "euclidean" | "snowflake:<e>" | "explicit",
     "declared_A0": optional, "declared_omega": optional}.
     """
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+    try:
+        data = read_json(path)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: space file must be a JSON object")
 

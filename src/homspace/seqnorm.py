@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from homspace.common import BLOCK_ELEMENTS, finite_number, reciprocal, stable_sum
+from homspace.common import BLOCK_ELEMENTS, finite_number, read_json, reciprocal, stable_sum
 from homspace.dyadic import VARIANTS, CubeSystem
 
 FAMILIES = ("besov", "triebel_lizorkin")
@@ -201,8 +201,7 @@ def _is_integer(x) -> bool:
 def load_sequence(path: str, system: CubeSystem) -> CoefSequence:
     """Read a JSON list of {"k": int, "alpha": int, "value": real}: k and
     alpha JSON integers (not booleans), the value a finite number."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, list):
         raise ValueError(f"{path}: sequence file must be a JSON list")
     entries: dict = {}

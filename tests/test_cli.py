@@ -247,6 +247,18 @@ def test_norms_rejects_index_outside_the_system(tmp_path, grid64_cubes, capsys):
         assert "is not a fresh cube" in capsys.readouterr().err
 
 
+def test_norms_integer_past_64_bits_is_read_as_a_float(tmp_path, capsys):
+    # JSON integers outside [-2^63, 2^64) parse as the nearest float, so a
+    # k of 10^20 is refused for its type, not as an index off the system
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text('[{"k": 100000000000000000000, "alpha": 0, "value": 1.0}]')
+    code, text = run(tmp_path, "norms", *GRID16, "--seq", str(seq_path))
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {seq_path}: entry 0 must carry integer k and alpha and a finite real value, "
+        'got {"k": 1e+20, "alpha": 0, "value": 1.0}\n')
+
+
 @pytest.mark.parametrize("row", [
     {"k": 1.7, "alpha": 0, "value": 1.0},
     {"k": "1", "alpha": 0, "value": 1.0},
@@ -764,6 +776,19 @@ EMBED = ["embed-test", "--gallery", "euclidean_grid", "--n", "16",
 KERNEL = ["kernel-check", "--gallery", "euclidean_grid", "--n", "16"]
 MAXIMAL = ["maximal", "--gallery", "euclidean_grid", "--n", "16"]
 MAXIMAL_VALUES = [*MAXIMAL, "--values", "values.json"]     # excludes --random
+
+
+@pytest.mark.parametrize("argv", [
+    ["gallery", "--space", "{path}"],
+    [*MAXIMAL, "--values", "{path}"],
+    ["norms", *GRID16, "--seq", "{path}"],
+], ids=["space", "values", "seq"])
+def test_deeply_nested_input_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, text = run(tmp_path, *[arg.format(path=path) for arg in argv])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to parse\n"
 
 
 @pytest.mark.parametrize("argv,flag,value", [

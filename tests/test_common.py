@@ -1,11 +1,15 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homspace import common
-from homspace.common import dumps_report, stable_sum
+from homspace import cli, common
+from homspace.common import dumps_report, read_json, stable_sum
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,3 +140,91 @@ def test_float_table_of_a_numpy_table():
 def test_other_lists_take_the_generic_path(rows, depth):
     assert not common._float_table(common.sanitize(rows))
     assert dumps_report(_nested(rows, depth)) == _expected(rows, depth)
+
+
+# JSON documents shaped like space files, as literal text: finite doubles
+# written three ways, integers within 64 bits, booleans, null, strings and
+# nested lists and objects
+_float_literals = st.builds(lambda x, fmt: fmt(x), _bits,
+                            st.sampled_from([repr, "%.17g".__mod__, "%.20e".__mod__]))
+_strings = st.builds(json.dumps, st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+                     ensure_ascii=st.booleans())
+_documents = st.recursive(
+    _float_literals | st.integers(-2**63, 2**64 - 1).map(str) | _strings
+    | st.sampled_from(["true", "false", "null"]),
+    lambda inner: (st.lists(inner, max_size=6).map(lambda v: "[" + ", ".join(v) + "]")
+                   | st.dictionaries(_strings, inner, max_size=4).map(
+                       lambda d: "{" + ", ".join(f"{k}: {v}" for k, v in d.items()) + "}")),
+    max_leaves=40)
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types all the way down, floats bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_read_json_parses_like_json(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    path.write_bytes(text.encode())
+    expected = json.loads(text)
+    # orjson itself accepts every such document, so read_json returns its parse
+    assert _same(orjson.loads(path.read_bytes()), expected)
+    assert _same(read_json(str(path)), expected)
+
+
+def test_read_json_reads_valid_input_without_json(tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text('{"weights": [1, 0.5], "points": [[0.25], [1e-3]]}')
+    monkeypatch.setattr(common.json, "load", None)
+    assert read_json(str(path)) == {"weights": [1, 0.5], "points": [[0.25], [0.001]]}
+
+
+def _space(literal: bytes) -> bytes:
+    return b'{"weights": [1, 1], "points": [[0.5], [' + literal + b']]}'
+
+
+# inputs orjson refuses, with the exit code and message of ``gallery
+# --space`` that the stdlib parser alone gave them; only "invalid-utf8"
+# (which now names its file) and "depth-100000" (which raised RecursionError)
+# read differently
+REFUSED = {
+    "nan": (_space(b"NaN"), "{path}: non-finite entry in 'points' at [1, 0]: nan"),
+    "infinity": (_space(b"Infinity"), "{path}: non-finite entry in 'points' at [1, 0]: inf"),
+    "-infinity": (_space(b"-Infinity"), "{path}: non-finite entry in 'points' at [1, 0]: -inf"),
+    "1e400": (_space(b"1e400"), "{path}: non-finite entry in 'points' at [1, 0]: inf"),
+    "400-digit-int": (_space(b"1" + b"0" * 400),
+                      "{path}: 'points' must be a regular array of numbers"),
+    "bom": (b"\xef\xbb\xbf" + _space(b"1.5"),
+            "{path}: malformed JSON at line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "invalid-utf8": (_space(b"1.5") + b" \xff",
+                     "{path}: 'utf-8' codec can't decode byte 0xff in position 46: "
+                     "invalid start byte"),
+    "trailing-comma": (b'{"weights": [1, 1,], "points": [[0.5], [1.5]]}',
+                       "{path}: malformed JSON at line 1: Expecting value"),
+    "lone-surrogate": (b'{"weights": [1, 1], "points": [[0.5], [1.5]], "metric": "\\ud800"}',
+                       "{path}: unknown metric '\\ud800'"),
+    "depth-100000": (b"[" * 100_000, "{path}: JSON nested too deeply to parse"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED))
+def test_refused_inputs_keep_their_verdicts(tmp_path, name):
+    raw, message = REFUSED[name]
+    path = tmp_path / "space.json"
+    path.write_bytes(raw)
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(raw)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["gallery", "--space", str(path), "--out", str(tmp_path / "out.json")])
+    assert (code, err.getvalue()) == (2, "error: " + message.format(path=path) + "\n")
