@@ -257,12 +257,6 @@ class CubeSystem:
     def mass(self, k: int, alpha: int) -> float:
         return float(self.cube_mass[k][int(alpha)])
 
-    def parent(self, k: int, alpha: int) -> int:
-        """Id of the level-(k-1) cube containing cube (k, alpha)."""
-        if k <= self.net.k_min:
-            raise KeyError("coarsest level has no parent")
-        return int(self.assignment[k - 1][int(alpha)])
-
     def children(self, k: int, alpha: int) -> list:
         """Ids of the level-(k+1) cubes contained in cube (k, alpha)."""
         if k >= self.net.k_max:
@@ -727,7 +721,7 @@ def ball_lower_bound_from_cubes(cubes: CubeSystem, space: FiniteHomSpace,
 
     certified = C * (alpha_shrink / cubes.C1) ** omega * r**omega
     cube_sum = len(meeting) * C * net.delta ** (level * omega)
-    actual = stable_sum(space.weight[big])
+    actual = float(space.ball_mass([x], [r])[0, 0])
     verdict = "PASS" if containment_ok and certified <= actual * (1 + 1e-12) else "FAIL"
     return BallBoundReport(
         verdict=verdict,

@@ -40,8 +40,8 @@ KINDS = {"euclidean_grid": ("n", "dim"),
 # Every structure is a dense n x n float64 table: 4096 points is 128 MiB
 # per table. Ball masses at shared radii come from an (n x R) table, and
 # only ``maximal`` and ``kernel-check`` build the sorted-row ball index:
-# 13 bytes per entry (int32 order, float64 dist and bool ends), and 8 more
-# (float64 cum_weight) for a non-uniform measure.
+# 5 bytes per entry (int32 order and bool ends), and 8 more (float64
+# cum_weight) for a non-uniform measure.
 # Gallery spaces are metrics, so building one runs no A0 pass; an explicit
 # table still needs the exact pass on first use of A0, O(n^3) when its lens
 # prunes nothing: on a 2-core VM, 0.9 s at 1024 points, 7.3 s at 2048 and

@@ -33,9 +33,10 @@ within a factor 2 of it. The calibration batch and the trials come from
 their own streams and are scored together by one call of
 ``kernel_bound_batch``, which evaluates every sequence of a batch at every
 probe (k, j, x), one level k at a time: the V terms of all the level's
-cubes and probes are two ``space.ball_mass`` calls, and M u is evaluated
-once, on the union of the level's probe balls. The one-sequence
-``kernel_maximal_bound_check`` is a call of it.
+cubes and probes are two ``space.ball_mass`` calls, the masses of the
+level's probe balls a third, and M u is evaluated once, on the union of
+those balls. The one-sequence ``kernel_maximal_bound_check`` is a call of
+it.
 
 Admissibility gate: gamma * r - omega * (1 - r) > 0 and 0 < eps < ETA,
 with r in (0, 1] and ``common.ETA`` the regularity budget of the kernel
@@ -229,7 +230,8 @@ def kernel_bound_batch(cubes: CubeSystem, batch: SequenceBatch, probes,
 
     The probes are scored one level k at a time. Each level-k cube's
     kernel factor sqrt(m_a) / V * decay comes from one (cubes x probes)
-    table, and each probe's ball and majorant prefactor are found once.
+    table, and each probe's ball, its mass (one ``space.ball_mass`` call
+    per level) and majorant prefactor are found once.
     Cubes of one level are disjoint, so u is a gather of per-cube values
     through assignment[k], one row per sequence. One stacked
     ``hl_maximal`` call per block of ``functions_per_call(n)`` sequences
@@ -277,8 +279,9 @@ def kernel_bound_batch(cubes: CubeSystem, batch: SequenceBatch, probes,
         u_value = [m ** (-r / 2.0) * v ** r for m, v in zip(mass[alpha].tolist(), a.tolist())]
         union = np.unique(np.concatenate([ball.members for ball in balls]))
         where = [np.searchsorted(union, ball.members) for ball in balls]
-        prefactor = [delta ** (k * params.omega * (1 - 1.0 / r)) * ball.mass ** (1.0 / r - 1.0)
-                     for ball in balls]
+        volumes = space.ball_mass(xs, np.array(scales)[:, None])[:, 0].tolist()
+        prefactor = [delta ** (k * params.omega * (1 - 1.0 / r)) * v ** (1.0 / r - 1.0)
+                     for v in volumes]
         for first in range(0, n_seq, block):
             lo, hi = segments[first], segments[min(first + block, n_seq)]
             per_cube = np.zeros((min(block, n_seq - first), space.n))

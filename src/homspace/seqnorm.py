@@ -139,9 +139,6 @@ class CoefSequence:
             clean[(k, alpha)] = float(value)
         self.entries = dict(sorted(clean.items()))
 
-    def support(self):
-        return list(self.entries.keys())
-
     def scaled(self, c: float) -> "CoefSequence":
         return CoefSequence(
             system=self.system,

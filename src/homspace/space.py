@@ -43,13 +43,14 @@ pass counts each row's distances per radius and reads the sums off the
 one vector cumsum(full(n, w)) when every weight is the same float w, else
 off a stable argsort of the row block, dropped after the block; a mass
 does not depend on the radii it is found with. Rows of radii per center
-(the kernel check's V terms) and the maximal operator read the sorted-row
-index ``ball_index``, built on first use (13 bytes per table entry, and 8
-more for per-row running sums of a non-uniform measure). Each ball-mass
-estimator makes one ``ball_mass`` call over its whole (center x radius)
-table; the growth estimators (doubling, reverse doubling and its exponent)
-read the table of ``_growth``, and the kernel check's V terms
-(``maximal``) are two calls.
+(the kernel check's V terms and probe balls) and the maximal operator read
+the sorted-row index ``ball_index``, built on first use (5 bytes per table
+entry, and 8 more for per-row running sums of a non-uniform measure).
+Each ball-mass estimator makes one ``ball_mass`` call over its whole
+(center x radius) table; the growth estimators (doubling, reverse doubling
+and its exponent) read the table of ``_growth``, and the kernel check
+(``maximal``) makes three calls per level: two for its V terms and one for
+its probe balls.
 
 Resolution contract: each point stands for a cell of an underlying
 continuum, so no scaling claim is evaluated below the resolution floor
@@ -152,22 +153,16 @@ class FiniteHomSpace:
         return {}
 
     def ball(self, center: int, radius: float) -> "Ball":
-        row = self.dist[center]
-        members = np.flatnonzero(row < radius)
-        return Ball(
-            center=int(center),
-            radius=float(radius),
-            members=members,
-            mass=stable_sum(self.weight[members]),
-        )
+        members = np.flatnonzero(self.dist[center] < radius)
+        return Ball(center=int(center), radius=float(radius), members=members)
 
     def ball_mass(self, centers, radii) -> np.ndarray:
         """Masses of B(x, r), a (c, R) table: ``radii`` is (R,), shared by
         every center, or (c, R), one row per center. Shared radii are read
         off the mass table, which a radius it lacks joins with one
         ``_mass_pass`` (on first use, with the whole ``_mass_pool``); rows
-        of radii take one ``searchsorted`` per center in the ball index.
-        Both give the same bits."""
+        of radii take one ``searchsorted`` per center, in its row sorted
+        through the ball index's order. Both give the same bits."""
         centers = np.asarray(centers, dtype=int)
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
         if radii.ndim == 1:
@@ -188,7 +183,8 @@ class FiniteHomSpace:
         index = self.ball_index
         counts = np.empty(radii.shape, dtype=np.intp)
         for i, x in enumerate(centers):
-            counts[i] = index.dist[x].searchsorted(radii[i])   # #{y : d(x, y) < r}
+            # #{y : d(x, y) < r}, searched in the row sorted through the index
+            counts[i] = self.dist[x, index.order[x]].searchsorted(radii[i])
         return index.cum_weight[centers[:, None], counts]
 
     def scaled(self, dist_factor: float = 1.0, weight_factor: float = 1.0) -> "FiniteHomSpace":
@@ -249,7 +245,6 @@ class BallIndex(NamedTuple):
     """Each row of a space's table sorted once (stable, ties by ascending id)."""
 
     order: np.ndarray         # (n, n) int32: order[x] = argsort of dist[x]
-    dist: np.ndarray          # (n, n): dist[x][order[x]]
     cum_weight: np.ndarray    # (n, n + 1): [x, c] = weight of the c nearest, so [x, 0] = 0;
                               # a read-only broadcast of uniform_cum_weight when there is one
     ends: np.ndarray          # (n, n) bool: [x, c] when the c + 1 nearest are a ball (a tie group ends)
@@ -261,19 +256,21 @@ ROW_BLOCK = 64
 
 
 def build_ball_index(space: FiniteHomSpace) -> BallIndex:
-    """Sort the rows of ``space.dist``; ``space.ball_index`` caches the result."""
+    """Sort the rows of ``space.dist``; ``space.ball_index`` caches the
+    result. The sorted distances of a row block are a temporary of the
+    block, dropped once its tie-group ends are marked."""
     n = space.n
     uniform = space.uniform_cum_weight
-    index = BallIndex(np.empty((n, n), dtype=np.int32), np.empty((n, n)),
+    index = BallIndex(np.empty((n, n), dtype=np.int32),
                       np.zeros((n, n + 1)) if uniform is None else np.broadcast_to(uniform, (n, n + 1)),
                       np.empty((n, n), dtype=bool))
     for lo in range(0, n, ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
         index.order[rows] = np.argsort(space.dist[rows], axis=1, kind="stable")
-        index.dist[rows] = np.take_along_axis(space.dist[rows], index.order[rows], axis=1)
+        ordered = np.take_along_axis(space.dist[rows], index.order[rows], axis=1)
         if uniform is None:
             np.cumsum(space.weight[index.order[rows]], axis=1, out=index.cum_weight[rows, 1:])
-        np.not_equal(np.diff(index.dist[rows], axis=1, append=np.inf), 0, out=index.ends[rows])
+        np.not_equal(np.diff(ordered, axis=1, append=np.inf), 0, out=index.ends[rows])
     return index
 
 
@@ -305,12 +302,12 @@ def _mass_pass(space: FiniteHomSpace, radii: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ball:
-    """Open ball: members = {y : d(center, y) < radius} (strict)."""
+    """Open ball: members = {y : d(center, y) < radius} (strict), in
+    ascending order. Its mass is ``ball_mass``'s."""
 
     center: int
     radius: float
     members: np.ndarray
-    mass: float
 
 
 @dataclass

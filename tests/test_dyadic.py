@@ -193,7 +193,7 @@ def test_assignment_chain_consistency(grid64_cubes):
     for k in levels[1:]:
         for x in range(grid64_cubes.space.n):
             child = grid64_cubes.point_cube(k, x)
-            assert grid64_cubes.parent(k, child) == grid64_cubes.point_cube(k - 1, x)
+            assert grid64_cubes.assignment[k - 1][child] == grid64_cubes.point_cube(k - 1, x)
 
 
 def squared_line(m, seed):

@@ -235,7 +235,7 @@ def test_kernel_diagonal_bound(grid64_cubes):
         grid64_cubes, [(k, a) for a in alphas]), [(k, k, a) for a in alphas], params)
     for i, alpha in enumerate(alphas):
         m = grid64_cubes.mass(k, alpha)
-        v = grid64_cubes.space.ball(alpha, grid64_cubes.delta ** k).mass
+        v = grid64_cubes.space.ball_mass([alpha], [grid64_cubes.delta ** k])[0, 0]
         # the symmetrized V vanishes at zero distance, so the factor is sqrt(m) / 2V
         assert lhs[i, i] == pytest.approx(math.sqrt(m) / (2 * v), rel=1e-12)
 
@@ -307,18 +307,16 @@ def test_kernel_bound_delta_sequence_closed_form(grid64_cubes):
     tau = cubes.point_cube(k, x)
     lhs = 0.0
     if tau in set(int(a) for a in fresh_at(cubes, k)):
-        va = space.ball(alpha, s).mass
-        vt = space.ball(tau, s).mass
+        va, vt = space.ball_mass([alpha, tau], [s])[:, 0]
         d = space.dist[alpha, tau]
-        vxy = 0.0 if d == 0 else space.ball(alpha, d).mass + space.ball(tau, d).mass
+        vxy = 0.0 if d == 0 else space.ball_mass([alpha, tau], [d])[:, 0].sum()
         lhs = math.sqrt(cubes.mass(k, alpha)) / (va + vt + vxy) * (s / (s + d)) ** params.gamma
     r = params.r_exp
     u = np.zeros(space.n)
     u[cubes.members(k, alpha)] = cubes.mass(k, alpha) ** (-r / 2)
-    ball = space.ball(x, s)
-    inf_m = hl_maximal(space, u)[ball.members].min()
+    inf_m = hl_maximal(space, u)[space.ball(x, s).members].min()
     rhs = (cubes.delta ** (k * params.omega * (1 - 1 / r))
-           * ball.mass ** (1 / r - 1) * inf_m ** (1 / r))
+           * space.ball_mass([x], [s])[0, 0] ** (1 / r - 1) * inf_m ** (1 / r))
     assert res.lhs == pytest.approx(lhs, rel=1e-12)
     assert res.rhs == pytest.approx(rhs, rel=1e-12)
     assert math.isfinite(res.ratio)
@@ -357,10 +355,10 @@ def _one_at_a_time(cubes, seq, k, j, x, params):
     u = np.zeros(space.n)
     for alpha, value in level_k:
         u[cubes.members(k, alpha)] += cubes.mass(k, alpha) ** (-r / 2.0) * abs(value) ** r
-    ball = space.ball(x, s)
-    inf_m = float(hl_maximal(space, u, ball.members).min())
+    inf_m = float(hl_maximal(space, u, space.ball(x, s).members).min())
+    mass = float(space.ball_mass([x], [s])[0, 0])
     rhs = (cubes.delta ** (k * params.omega * (1 - 1.0 / r))
-           * ball.mass ** (1.0 / r - 1.0) * inf_m ** (1.0 / r))
+           * mass ** (1.0 / r - 1.0) * inf_m ** (1.0 / r))
     return lhs, rhs
 
 
@@ -376,7 +374,7 @@ def test_kernel_batch_matches_one_at_a_time(request, system, p2):
     x = next(x for x in range(cubes.space.n) if not cubes.is_index(j, cubes.point_cube(j, x)))
     probes += [(k, j, x) for k in sorted({k for k, _, _ in probes})]
     seqs = [random_sequence(cubes, rng) for _ in range(6)]
-    seqs.append(CoefSequence(cubes, {seqs[0].support()[0]: 0.0}))    # all zero
+    seqs.append(CoefSequence(cubes, {next(iter(seqs[0].entries)): 0.0}))    # all zero
     lhs, rhs = kernel_bound_batch(cubes, SequenceBatch.of(seqs), probes, params)
     assert lhs.shape == rhs.shape == (len(seqs), len(probes))
     for i, seq in enumerate(seqs):

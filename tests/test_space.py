@@ -551,15 +551,16 @@ def test_ball_monotonicity():
     pts = np.sort(rng.uniform(0, 5, 20))
     sp = explicit_space(np.abs(pts[:, None] - pts[None, :]),
                         weights=rng.uniform(0.5, 2.0, 20))
+    radii = np.linspace(0.1, 6.0, 12)
     for x in range(0, 20, 3):
         prev_members = set()
         prev_mass = 0.0
-        for r in np.linspace(0.1, 6.0, 12):
-            ball = sp.ball(x, r)
-            members = set(int(i) for i in ball.members)
+        for r, mass in zip(radii, sp.ball_mass([x], radii)[0]):
+            members = set(int(i) for i in sp.ball(x, r).members)
             assert prev_members <= members
-            assert ball.mass >= prev_mass - 1e-15
-            prev_members, prev_mass = members, ball.mass
+            assert mass == pytest.approx(brute_ball_mass(sp.dist, sp.weight, x, r), rel=1e-12)
+            assert mass >= prev_mass - 1e-15
+            prev_members, prev_mass = members, mass
 
 
 def test_ball_mass_matches_brute_force_with_ties():
@@ -679,6 +680,10 @@ def test_mass_pass_equals_the_index_bit_for_bit(make):
         masses[:, some], [[brute_ball_mass(sp.dist, sp.weight, x, r) for r in radii[some]]
                           for x in range(sp.n)], rtol=1e-12, atol=0)
     assert np.all(masses[:, 0] == 0.0) and np.array_equal(masses[:, 1], sp.weight)
+    # per-center radii: each center's own row, so a radius at every tie
+    ties = np.unique(sp.dist)
+    assert np.array_equal(sp.ball_mass(np.arange(sp.n), sp.dist), np.take_along_axis(
+        masses[:, 2:2 + ties.size], np.searchsorted(ties, sp.dist), axis=1))
     # -0.0 and NaN (which the index counts past every distance) are radii too
     odd = np.array([np.nan, -0.0, sp.diameter])
     assert np.array_equal(sp.ball_mass(np.arange(sp.n), odd),
@@ -727,6 +732,29 @@ def test_uniform_ball_index_shares_one_row_of_running_sums():
     weighted = gallery.build(gallery.GallerySpec(kind="weighted_grid", n=33, dim=1, alpha=2.0))
     assert weighted.uniform_cum_weight is None
     assert weighted.ball_index.cum_weight.strides[0] > 0
+
+
+def test_ball_index_holds_no_copy_of_the_table():
+    assert space_module.BallIndex._fields == ("order", "cum_weight", "ends")
+
+
+@pytest.mark.parametrize("spec,bound", [
+    (gallery.GallerySpec(kind="euclidean_grid", n=32, dim=2), 8),
+    (gallery.GallerySpec(kind="weighted_grid", n=32, dim=2, alpha=0.5, extent=2.0), 16),
+], ids=["uniform", "weighted"])
+def test_ball_index_build_bytes_per_entry(spec, bound):
+    # int32 order and bool ends are 5 bytes per entry, the running sums of
+    # a non-uniform measure 8 more; the sorted distances of a row block
+    # are a temporary of the block
+    sp = gallery.build(spec)
+    sp.uniform_cum_weight                                   # cached outside the trace
+    tracemalloc.start()
+    try:
+        space_module.build_ball_index(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / sp.n ** 2 < bound
 
 
 # ---------------------------------------------------------------------------
