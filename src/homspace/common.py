@@ -17,10 +17,10 @@ import orjson
 DEFAULT_SEED = 0xD1AD1C
 
 # Most entries one block of a batched temporary holds (128 KiB of float64):
-# the Triebel-Lizorkin accumulator, the scan's random keys, the maximal
-# operator's cumsum gathers and ``maximal --random``'s functions go in
-# blocks of whole rows under it, one row at least. The maximal operator's
-# row walk reads it as lanes: (point, function) pairs per block.
+# the Triebel-Lizorkin accumulator, the scan's random keys and ``maximal
+# --random``'s functions go in blocks of whole rows under it, one row at
+# least. The maximal operator's row walk reads it as lanes: (point,
+# function) pairs per block.
 BLOCK_ELEMENTS = 1 << 14
 
 # Regularity budget of the kernel model: a kernel's decay epsilon and each

@@ -7,15 +7,13 @@ when the radius crosses a pairwise distance, so M f(x) is the maximum of
 the prefix averages of |f| along the distance-sorted point list (the
 singleton prefix makes M f >= |f| pointwise). Those lists are the rows of
 the space's cached ``ball_index``, so a call sorts nothing, and M f is
-evaluated only at the points asked for. A stack of functions is laid out
-with the functions on the contiguous axis, so every step of a block runs
-over all of its functions at once; each addition of a prefix sum happens
-in the same order as for one function alone, so stacking changes no bit;
+evaluated only at the points asked for. Every call walks the sorted rows,
+one vector add per sorted position over a whole block of (point,
+function) lanes. A stack of functions is laid out with the functions on
+the contiguous axis, so every step of a block runs over all of its
+functions at once; each addition of a prefix sum happens in the same
+order as for one function alone, so stacking changes no bit;
 ``functions_per_call`` says how many functions a caller stacks.
-Narrow calls take the prefix sums of a block with ``cumsum``; calls of at
-least WALK_LANES (point, function) lanes walk the sorted rows, one vector
-add per sorted position over a whole block of lanes. The sums are added
-in the same order on both paths, so the path changes no bit either.
 
 The kernel value mirrors the almost-orthogonality bound for wavelet pairs
 at cubes (k, alpha), (j, tau) with centers x_a, x_t:
@@ -46,6 +44,7 @@ r = p2 / (1 + p2).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -92,14 +91,16 @@ def default_r_exp(p2: float) -> float:
 # Maximal operator
 # ---------------------------------------------------------------------------
 
-# Lanes ((point, function) pairs) from which ``hl_maximal`` walks the
-# sorted rows instead of taking cumsum blocks. The walk pays a few ufunc
-# calls per step of a row, so narrow calls favour the cumsum. Cumsum time
-# over walk time, measured on a 2-core Xeon VM with numpy 2.4 on gallery
-# spaces of 64 to 1024 points (every point, or 8 points and more functions):
-# 256 lanes 0.46-0.90x, 512 lanes 0.54-1.5x, 1024 lanes 0.95-1.8x,
-# 2048 lanes 1.7-2.0x, 4096 lanes 1.4-2.5x, 16 384 lanes 2.1-3.0x.
-WALK_LANES = 2048
+def _point_ids(points, n: int) -> np.ndarray:
+    """``points`` as an array of point ids, integers in 0..n-1; ValueError
+    naming the first entry that is not one (or ``points``, if none is)."""
+    ids = np.asarray(points)
+    if ids.ndim == 1 and (ids.size == 0 or ids.dtype.kind in "iu" and 0 <= ids.min()
+                          and ids.max() < n):
+        return ids.astype(np.intp, copy=False)
+    bad = next((p for p in np.ravel(np.asarray(points, dtype=object))
+                if not (isinstance(p, numbers.Integral) and 0 <= p < n)), points)
+    raise ValueError(f"points must be a list of point ids in 0..{n - 1}; got {bad!r}")
 
 
 def hl_maximal(space: FiniteHomSpace, f, points=None) -> np.ndarray:
@@ -110,67 +111,51 @@ def hl_maximal(space: FiniteHomSpace, f, points=None) -> np.ndarray:
     ``f`` is one function (n,) or a stack of them (m, n); the result is
     (len(points),) or (m, len(points)). The weighted functions are laid out
     (n, m), functions on the contiguous axis, and every (point, function)
-    pair is a lane. Narrow calls, under WALK_LANES lanes, gather a
-    (rows, n, functions) block of at most BLOCK_ELEMENTS entries and take
-    its prefix sums, averages and masked maxima at once. Wider calls walk
-    the sorted rows instead: step k adds the k-th term of every lane of a
-    block of at most BLOCK_ELEMENTS lanes to a running total and folds the
-    average into a running best, so the state is a few arrays of one block
-    and each ufunc call runs over the whole block. Both add each lane's
-    terms in the same order, so the two give the same bits."""
+    pair is a lane. The call walks the sorted rows: step k adds the k-th
+    term of every lane of a block of at most BLOCK_ELEMENTS lanes to a
+    running total and folds the average into a running best, so the state
+    is a few arrays of one block and each ufunc call runs over the whole
+    block. Each lane's terms are added in row order whatever the block, so
+    stacking changes no bit."""
     f = np.asarray(f, dtype=float)
     if f.ndim not in (1, 2) or f.shape[-1] != space.n:
         raise ValueError("f must assign one value per point")
-    points = np.arange(space.n) if points is None else np.asarray(points, dtype=int)
+    points = np.arange(space.n) if points is None else _point_ids(points, space.n)
     af = np.abs(np.atleast_2d(f))
     m, n = af.shape
     weighted = np.ascontiguousarray((space.weight * af).T)
     index = space.ball_index
     out = np.empty((m, points.size))
-    if points.size * m < WALK_LANES:
-        fns = max(1, min(m, BLOCK_ELEMENTS // n))
-        step = max(1, BLOCK_ELEMENTS // (n * fns))
-        for first in range(0, m, fns):
-            for lo in range(0, points.size, step):
-                rows = points[lo:lo + step]
-                # prefix averages of each function along each row, then the
-                # largest one that ends a tie group
-                averages = weighted[index.order[rows], first:first + fns]
-                np.cumsum(averages, axis=1, out=averages)
-                np.divide(averages, index.cum_weight[rows, 1:, None], out=averages)
-                out[first:first + fns, lo:lo + step] = averages.max(
-                    axis=1, where=index.ends[rows, :, None], initial=0.0).T
-    else:
-        fns = min(m, BLOCK_ELEMENTS)
-        # at most BLOCK_ELEMENTS // 16 rows, so that a column block of the
-        # index reads at least 16 entries (a 64-byte line of order) per row
-        step = max(1, BLOCK_ELEMENTS // max(fns, 16))
-        with np.errstate(invalid="ignore"):        # inf / inf off the tie-group ends
-            for first, lo in product(range(0, m, fns), range(0, points.size, step)):
-                terms = weighted[:, first:first + fns]
-                rows = points[lo:lo + step]
-                lanes = (rows.size, terms.shape[1])
-                if 0 <= rows[0] and rows[-1] < n and np.all(np.diff(rows) == 1):
-                    # a run of points: views of the index
-                    rows = slice(rows[0], rows[-1] + 1)
-                total, best, average = np.zeros(lanes), np.zeros(lanes), np.empty(lanes)
-                cols = max(1, BLOCK_ELEMENTS // lanes[0])
-                for c in range(0, n, cols):
-                    # a column block of the rows, at most BLOCK_ELEMENTS
-                    # entries; a position that ends no tie group divides
-                    # by inf, so its average is 0 (NaN from an infinite
-                    # total) and fmax keeps the best as a masked max would
-                    order = index.order[rows, c:c + cols].astype(np.intp).T
-                    divisor = np.where(index.ends[rows, c:c + cols],
-                                       index.cum_weight[rows, c + 1:c + cols + 1], np.inf).T
-                    for k in range(order.shape[0]):
-                        total += terms[order[k]]
-                        np.divide(total, divisor[k, :, None], out=average)
-                        np.fmax(best, average, out=best)
-                # the whole row, always a ball, once more with NaN carried
-                # as the masked max carries it
-                np.maximum(best, average, out=best)
-                out[first:first + fns, lo:lo + step] = best.T
+    fns = max(1, min(m, BLOCK_ELEMENTS))
+    # at most BLOCK_ELEMENTS // 16 rows, so that a column block of the
+    # index reads at least 16 entries (a 64-byte line of order) per row
+    step = max(1, BLOCK_ELEMENTS // max(fns, 16))
+    with np.errstate(invalid="ignore"):        # inf / inf off the tie-group ends
+        for first, lo in product(range(0, m, fns), range(0, points.size, step)):
+            terms = weighted[:, first:first + fns]
+            rows = points[lo:lo + step]
+            lanes = (rows.size, terms.shape[1])
+            if np.all(np.diff(rows) == 1):
+                # a run of points: views of the index
+                rows = slice(rows[0], rows[-1] + 1)
+            total, best, average = np.zeros(lanes), np.zeros(lanes), np.empty(lanes)
+            cols = max(1, BLOCK_ELEMENTS // lanes[0])
+            for c in range(0, n, cols):
+                # a column block of the rows, at most BLOCK_ELEMENTS
+                # entries; a position that ends no tie group divides
+                # by inf, so its average is 0 (NaN from an infinite
+                # total) and fmax keeps the best as a masked max would
+                order = index.order[rows, c:c + cols].astype(np.intp).T
+                divisor = np.where(index.ends[rows, c:c + cols],
+                                   index.cum_weight[rows, c + 1:c + cols + 1], np.inf).T
+                for k in range(order.shape[0]):
+                    total += terms[order[k]]
+                    np.divide(total, divisor[k, :, None], out=average)
+                    np.fmax(best, average, out=best)
+            # the whole row, always a ball, once more with NaN carried
+            # as a masked max carries it
+            np.maximum(best, average, out=best)
+            out[first:first + fns, lo:lo + step] = best.T
     out = np.maximum(out, af[:, points])   # the singleton ball average, exactly
     return out if f.ndim == 2 else out[0]
 
@@ -178,12 +163,12 @@ def hl_maximal(space: FiniteHomSpace, f, points=None) -> np.ndarray:
 def functions_per_call(n: int) -> int:
     """Functions of an n-point space to stack in one ``hl_maximal`` call
     when scoring many: BLOCK_ELEMENTS // n, and at least BLOCK_ELEMENTS //
-    256 (64). A wide call walks the sorted rows and gathers one row of the
-    (n, functions) stack per step, so the rows must be long: at 4096
-    points, scoring 82 kernel sequences took 15.3 s at 4 per call, 6.9 s at
-    16, 4.2 s at 32 and 3.8 s at 64, and the command ``maximal --random 64``
-    9.2 s in calls of 4 and 2.9 s in one call (2-core Xeon VM). Stacking
-    changes no bit."""
+    256 (64). A call gathers one row of the (n, functions) stack per step
+    of its walk, so the rows must be long: at 4096 points, scoring 82
+    kernel sequences took 15.3 s at 4 per call, 6.9 s at 16, 4.2 s at 32
+    and 3.8 s at 64, and the command ``maximal --random 64`` 9.2 s in
+    calls of 4 and 2.9 s in one call (2-core Xeon VM). Stacking changes no
+    bit."""
     return max(1, BLOCK_ELEMENTS // min(n, 256))
 
 

@@ -139,12 +139,6 @@ class CoefSequence:
             clean[(k, alpha)] = float(value)
         self.entries = dict(sorted(clean.items()))
 
-    def scaled(self, c: float) -> "CoefSequence":
-        return CoefSequence(
-            system=self.system,
-            entries={key: c * value for key, value in self.entries.items()},
-        )
-
 
 @dataclass(frozen=True)
 class SequenceBatch:

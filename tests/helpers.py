@@ -228,15 +228,16 @@ def delta_ratio(cubes, k0, alpha0, params):
 
 
 def brute_maximal(dist, weight, f):
-    """M f by scanning a radius just above every pairwise distance."""
+    """M f by scanning a radius just above every pairwise distance: the
+    next float up, so that distances apart by roundoff alone are balls of
+    their own, as they are to ``hl_maximal``."""
     n = dist.shape[0]
     out = []
     for x in range(n):
         radii = sorted(set(dist[x])) + [dist[x].max() + 1.0]
         best = 0.0
         for r0 in radii:
-            r = r0 * (1 + 1e-12) + 1e-300
-            members = brute_ball_members(dist, x, r)
+            members = brute_ball_members(dist, x, np.nextafter(r0, np.inf))
             if not members:
                 continue
             num = sum(weight[j] * abs(f[j]) for j in members)

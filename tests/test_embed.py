@@ -180,7 +180,7 @@ def test_scan_witness_is_first_maximum(grid64_cubes):
     top = ratios.index(best)
     # the winner again at the end, under another label, and a copy of it
     # scaled: equal ratios must not move the witness off the first one
-    seqs += [seqs[top], seqs[top].scaled(3.0)]
+    seqs += [seqs[top], CoefSequence(grid64_cubes, {index[top]: 3.0})]
     labels = [f"s{i}" for i in range(len(seqs))]
     report = scan_batch(dataclasses.replace(SequenceBatch.of(seqs), labels=labels), params)
     assert report.witness_id == f"s{top}"

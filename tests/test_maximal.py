@@ -109,15 +109,11 @@ def test_stacked_maximal_equals_row_by_row(table, budget, monkeypatch):
     if budget is not None:      # one row of one function per block, then a few
         monkeypatch.setattr(maximal, "BLOCK_ELEMENTS", budget)
     if budget == 1:
-        # the walk takes a step per (lane, sorted position) here: a short
-        # stack, which still walks from 64 lanes
-        monkeypatch.setattr(maximal, "WALK_LANES", 64)
+        # the walk takes a step per (lane, sorted position) here: a short stack
         extra = 7
     # more functions than one block of every row holds
     fns = np.vstack([f, np.random.default_rng(5).standard_normal((extra, sp.n))])
     assert fns.shape[0] > maximal.BLOCK_ELEMENTS // sp.n // sp.n
-    # the stacked calls on many points walk, the one-function calls take cumsum
-    assert fns.shape[0] * sp.n >= maximal.WALK_LANES > sp.n + 9
     rng = np.random.default_rng(6)
     for points in (None, np.r_[rng.permutation(sp.n), rng.integers(0, sp.n, 9)], [3], []):
         stacked = hl_maximal(sp, fns, points)
@@ -128,13 +124,8 @@ def test_stacked_maximal_equals_row_by_row(table, budget, monkeypatch):
     assert np.allclose(hl_maximal(sp, fns[:4]), brute, rtol=1e-12)
 
 
-def _paths(space, f, points, monkeypatch):
-    """hl_maximal by the row walk (every call wide), then by cumsum blocks."""
-    results = []
-    for lanes in (0, 1 << 62):
-        monkeypatch.setattr(maximal, "WALK_LANES", lanes)
-        results.append(hl_maximal(space, f, points))
-    return results
+def _row_by_row(space, fns, points):
+    return np.stack([hl_maximal(space, g, points) for g in fns])
 
 
 @pytest.mark.parametrize("space", [
@@ -143,28 +134,39 @@ def _paths(space, f, points, monkeypatch):
     lambda: gallery.build(GallerySpec(kind="cantor", depth=6)),
     lambda: gallery.build(GallerySpec(kind="snowflake", n=12, dim=2, e=0.5)),
 ], ids=["grid16x16", "integer_grid", "cantor", "snowflake"])
-def test_walk_and_cumsum_paths_agree_bit_for_bit(space, monkeypatch):
+def test_stacked_and_one_function_calls_agree_bit_for_bit(space):
     sp = space()
     rng = np.random.default_rng(7)
     many = maximal.BLOCK_ELEMENTS // sp.n + 2          # every point: more than one block
-    for f in (rng.standard_normal(sp.n), rng.standard_normal((3, sp.n)),
-              rng.standard_normal((many, sp.n))):
+    for fns in (rng.standard_normal((3, sp.n)), rng.standard_normal((many, sp.n))):
         for points in (None, np.arange(3, sp.n - 2), np.r_[rng.permutation(sp.n), [0, 0, 5]],
                        [4], []):
-            walk, cumsum = _paths(sp, f, points, monkeypatch)
-            assert walk.shape == cumsum.shape
-            assert np.array_equal(walk, cumsum)
-    # an infinite entry, a NaN and a total that overflows give the same bits too
-    f = rng.standard_normal((3, sp.n))
-    f[0, 3], f[1, 5], f[2, :2] = np.inf, np.nan, 1e308
+            stacked = hl_maximal(sp, fns, points)
+            assert stacked.shape == (fns.shape[0], sp.n if points is None else len(points))
+            assert np.array_equal(stacked, _row_by_row(sp, fns, points))
+    brute = np.stack([brute_maximal(sp.dist, sp.weight, g) for g in fns[:2]])
+    assert np.allclose(hl_maximal(sp, fns[:2]), brute, rtol=1e-12)
+
+
+def test_maximal_of_non_finite_entries():
+    # an infinite entry makes every ball that holds it, the whole space
+    # among them, average inf; a NaN entry is carried as a masked max
+    # carries it, so both reach every point, stacked or one at a time
+    sp = gallery.build(GallerySpec(kind="euclidean_grid", n=16, dim=2))
+    f = np.random.default_rng(10).standard_normal((3, sp.n))
+    f[0, 3], f[1, 5] = np.inf, np.nan
+    for mf in (hl_maximal(sp, f), _row_by_row(sp, f, None)):
+        assert np.all(mf[0] == np.inf)
+        assert np.all(np.isnan(mf[1]))
+        assert np.all(np.isfinite(mf[2]))
+    # a total that overflows gives the same bits stacked and one at a time
+    f[2, :2] = 1e308
     with np.errstate(over="ignore"):
-        walk, cumsum = _paths(sp, f, None, monkeypatch)
-    assert np.array_equal(walk, cumsum, equal_nan=True)
+        assert np.array_equal(hl_maximal(sp, f), _row_by_row(sp, f, None), equal_nan=True)
 
 
-def test_walk_matches_brute_force(monkeypatch):
+def test_walk_matches_brute_force():
     dist, weight, f = _tied_grid()
-    monkeypatch.setattr(maximal, "WALK_LANES", 0)
     fns = np.vstack([f, np.random.default_rng(8).standard_normal((3, f.size))])
     brute = np.stack([brute_maximal(dist, weight, g) for g in fns])
     assert np.allclose(hl_maximal(FiniteHomSpace(dist=dist, weight=weight), fns), brute,
@@ -172,13 +174,12 @@ def test_walk_matches_brute_force(monkeypatch):
 
 
 def test_walk_memory_stays_within_blocks():
-    # 16 functions on 1024 points is 16 384 lanes: the walk. Beyond the
-    # (n, m) weighted copy and the output, the call holds a few blocks of
-    # lanes and of index columns, never rows x n of the ball index (4 MiB
-    # of order and 8 MiB of cum_weight for these rows)
+    # 16 functions on 1024 points is 16 384 lanes. Beyond the (n, m)
+    # weighted copy and the output, the call holds a few blocks of lanes
+    # and of index columns, never rows x n of the ball index (4 MiB of
+    # order and 8 MiB of cum_weight for these rows)
     sp = gallery.build(GallerySpec(kind="euclidean_grid", n=32, dim=2))
     f = np.random.default_rng(9).standard_normal((16, sp.n))
-    assert f.size >= maximal.WALK_LANES
     sp.ball_index                                           # cached outside the trace
     tracemalloc.start()
     try:
@@ -199,6 +200,16 @@ def test_maximal_rejects_bad_shapes(grid64):
     for f in (np.ones(grid64.n - 1), np.ones((2, grid64.n + 1)), np.ones((1, 1, grid64.n))):
         with pytest.raises(ValueError, match="one value per point"):
             hl_maximal(grid64, f)
+
+
+def test_maximal_rejects_points_that_are_not_ids():
+    sp = unit_spaced_grid(16)
+    f = np.random.default_rng(11).standard_normal(sp.n)
+    # once read as point 15 (a negative index) and point 1 (truncated)
+    for points, bad in (([-1], "-1"), ([1.7], "1.7"), ([2, 16], "16")):
+        with pytest.raises(ValueError, match=rf"point ids in 0\.\.15; got {bad}$"):
+            hl_maximal(sp, f, points)
+    assert hl_maximal(sp, f, []).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
