@@ -5,10 +5,10 @@ and deterministic report serialization.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import fields, is_dataclass
-from itertools import chain
 
 import numpy as np
 import orjson
@@ -141,27 +141,14 @@ def _plain_floats(obj) -> bool:
     return type(obj) is list and bool(obj) and set(map(type, obj)) == {float}
 
 
-class _FloatRows(list):
-    """A nonempty list of equally long lists of plain ``float``, as
-    ``sanitize`` found it: the encoder checks only that its entries are
-    finite before writing it one format per row."""
-
-
-def _float_table(obj) -> bool:
-    """True for a sanitized table that ``_encode`` writes one format per row:
-    float rows of one width whose entries are all finite."""
-    return type(obj) is _FloatRows and all(map(math.isfinite, chain.from_iterable(obj)))
-
-
 _PLAIN_SCALARS = frozenset({int, float, str, bool, type(None)})
 
 
 def sanitize(obj):
-    """Convert numpy containers/scalars to plain Python for serialization.
-    A plain scalar or a list of plain floats is returned as it is, a list of
-    equally long plain-float lists as ``_FloatRows``, and a dataclass
-    instance becomes the dict of its fields, so a report's keys are its
-    fields."""
+    """Convert numpy containers/scalars to plain Python for serialization:
+    the result holds only dicts, lists and plain scalars. A plain scalar or
+    a list of plain floats is returned as it is, and a dataclass instance
+    becomes the dict of its fields, so a report's keys are its fields."""
     if type(obj) in _PLAIN_SCALARS:
         return obj
     if isinstance(obj, dict):
@@ -169,8 +156,6 @@ def sanitize(obj):
     if _plain_floats(obj):
         return obj
     if isinstance(obj, (list, tuple)):
-        if obj and all(map(_plain_floats, obj)) and len(set(map(len, obj))) == 1:
-            return _FloatRows(obj)
         return [sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return sanitize(obj.tolist())
@@ -193,15 +178,18 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+@functools.lru_cache(maxsize=64)
 def _float_list_format(width: int, indent: int) -> str:
     """A %-format string that writes a list of ``width`` finite floats at
     ``indent`` as the generic path of ``_encode`` writes it, element by
-    element."""
+    element; the rows of a table share one."""
     pad_in = "  " * (indent + 1)
     return "[\n" + pad_in + (",\n" + pad_in).join(["%.17g"] * width) + "\n" + "  " * indent + "]"
 
 
 def _encode(obj, indent: int) -> str:
+    if _plain_floats(obj) and all(map(math.isfinite, obj)):
+        return _float_list_format(len(obj), indent) % tuple(obj)
     # a container's joined body is wrapped by one f-string, which copies it
     # once; a chain of + would copy a table's megabytes at every step
     pad = "  " * indent
@@ -228,15 +216,8 @@ def _encode(obj, indent: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if _float_table(obj):
-            row_fmt = _float_list_format(len(obj[0]), indent + 1)
-            body = (",\n" + pad_in).join([row_fmt % tuple(row) for row in obj])
-            return f"[\n{pad_in}{body}\n{pad}]"
-        if _plain_floats(obj) and all(map(math.isfinite, obj)):
-            return _float_list_format(len(obj), indent) % tuple(obj)
-        items = [f"{pad_in}{_encode(v, indent + 1)}" for v in obj]
-        body = ",\n".join(items)
-        return f"[\n{body}\n{pad}]"
+        body = (",\n" + pad_in).join([_encode(v, indent + 1) for v in obj])
+        return f"[\n{pad_in}{body}\n{pad}]"
     raise TypeError(f"unserializable report value of type {type(obj)!r}")
 
 
@@ -259,6 +240,18 @@ def flatten_scalars(obj, prefix="") -> dict:
     return out
 
 
+def _csv_cell(value) -> str:
+    """One CSV cell: a float as ``_fmt_float`` writes it, anything else as
+    ``str``, quoted with its quotes doubled (RFC 4180) when it holds a
+    comma, a quote, CR or LF."""
+    if isinstance(value, float):
+        return _fmt_float(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def report_to_csv(report) -> str:
     """Flatten a report to CSV: one row per witness dict, else one row."""
     report = sanitize(report)
@@ -273,14 +266,6 @@ def report_to_csv(report) -> str:
     else:
         rows.append(base)
     cols = sorted({k for row in rows for k in row})
-    lines = [",".join(cols)]
-    for row in rows:
-        cells = []
-        for c in cols:
-            v = row.get(c, "")
-            if isinstance(v, float):
-                cells.append(_fmt_float(v))
-            else:
-                cells.append(json.dumps(v) if isinstance(v, str) and ("," in v or '"' in v) else str(v))
-        lines.append(",".join(cells))
+    lines = [",".join(map(_csv_cell, cols))]
+    lines.extend(",".join(_csv_cell(row.get(c, "")) for c in cols) for row in rows)
     return "\n".join(lines) + "\n"

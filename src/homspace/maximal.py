@@ -11,9 +11,11 @@ evaluated only at the points asked for. Every call walks the sorted rows,
 one vector add per sorted position over a whole block of (point,
 function) lanes. A stack of functions is laid out with the functions on
 the contiguous axis, so every step of a block runs over all of its
-functions at once; each addition of a prefix sum happens in the same
-order as for one function alone, so stacking changes no bit;
-``functions_per_call`` says how many functions a caller stacks.
+functions at once (a stack wider than BLOCK_ELEMENTS walks one row of
+lanes per block); each addition of a prefix sum happens in the same
+order as for one function alone, so stacking changes no bit.
+``functions_per_call`` is the one stacking rule: it says how many
+functions a caller stacks.
 
 The kernel value mirrors the almost-orthogonality bound for wavelet pairs
 at cubes (k, alpha), (j, tau) with centers x_a, x_t:
@@ -46,7 +48,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -111,12 +112,14 @@ def hl_maximal(space: FiniteHomSpace, f, points=None) -> np.ndarray:
     ``f`` is one function (n,) or a stack of them (m, n); the result is
     (len(points),) or (m, len(points)). The weighted functions are laid out
     (n, m), functions on the contiguous axis, and every (point, function)
-    pair is a lane. The call walks the sorted rows: step k adds the k-th
-    term of every lane of a block of at most BLOCK_ELEMENTS lanes to a
+    pair is a lane. The call walks the sorted rows of whatever stack it is
+    given: step k adds the k-th term of every lane of a block of rows to a
     running total and folds the average into a running best, so the state
     is a few arrays of one block and each ufunc call runs over the whole
-    block. Each lane's terms are added in row order whatever the block, so
-    stacking changes no bit."""
+    block. A block holds at most BLOCK_ELEMENTS lanes, or one row of lanes
+    for a stack wider than that; ``functions_per_call`` keeps every
+    caller's stack within it. Each lane's terms are added in row order
+    whatever the block, so stacking changes no bit."""
     f = np.asarray(f, dtype=float)
     if f.ndim not in (1, 2) or f.shape[-1] != space.n:
         raise ValueError("f must assign one value per point")
@@ -126,15 +129,13 @@ def hl_maximal(space: FiniteHomSpace, f, points=None) -> np.ndarray:
     weighted = np.ascontiguousarray((space.weight * af).T)
     index = space.ball_index
     out = np.empty((m, points.size))
-    fns = max(1, min(m, BLOCK_ELEMENTS))
     # at most BLOCK_ELEMENTS // 16 rows, so that a column block of the
     # index reads at least 16 entries (a 64-byte line of order) per row
-    step = max(1, BLOCK_ELEMENTS // max(fns, 16))
+    step = max(1, BLOCK_ELEMENTS // max(m, 16))
     with np.errstate(invalid="ignore"):        # inf / inf off the tie-group ends
-        for first, lo in product(range(0, m, fns), range(0, points.size, step)):
-            terms = weighted[:, first:first + fns]
+        for lo in range(0, points.size, step):
             rows = points[lo:lo + step]
-            lanes = (rows.size, terms.shape[1])
+            lanes = (rows.size, m)
             if np.all(np.diff(rows) == 1):
                 # a run of points: views of the index
                 rows = slice(rows[0], rows[-1] + 1)
@@ -149,13 +150,13 @@ def hl_maximal(space: FiniteHomSpace, f, points=None) -> np.ndarray:
                 divisor = np.where(index.ends[rows, c:c + cols],
                                    index.cum_weight[rows, c + 1:c + cols + 1], np.inf).T
                 for k in range(order.shape[0]):
-                    total += terms[order[k]]
+                    total += weighted[order[k]]
                     np.divide(total, divisor[k, :, None], out=average)
                     np.fmax(best, average, out=best)
             # the whole row, always a ball, once more with NaN carried
             # as a masked max carries it
             np.maximum(best, average, out=best)
-            out[first:first + fns, lo:lo + step] = best.T
+            out[:, lo:lo + step] = best.T
     out = np.maximum(out, af[:, points])   # the singleton ball average, exactly
     return out if f.ndim == 2 else out[0]
 

@@ -723,6 +723,8 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
         raise ValueError("need 0 < r_min < r_max")
     if not omega > 0:
         raise ValueError("omega must be positive")
+    if math.isinf(omega):
+        raise ValueError("omega must be finite")
 
     r_min, r_max, radii, warnings = _lower_bound_radii(space, r_min, r_max)
     masses = space.ball_mass(np.arange(space.n), radii)
@@ -799,6 +801,8 @@ def check_reverse_doubling(space: FiniteHomSpace, kappa: float) -> ReverseDoubli
     """
     if not kappa > 0:
         raise ValueError("kappa must be positive")
+    if math.isinf(kappa):
+        raise ValueError("kappa must be finite")
     if space.n < 2 or space.diameter <= 0:
         return ReverseDoublingReport(
             verdict="NOT_APPLICABLE", c_emp=0.0, kappa=kappa, worst=None,

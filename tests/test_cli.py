@@ -125,6 +125,12 @@ BAD_PARAMETERS = {
                                        "--omega", "nan"], "omega must be positive"),
     "analyze reverse doubling nan": (["analyze", *GRID16, "--check-reverse-doubling", "nan"],
                                      "kappa must be positive"),
+    # an infinite exponent passed both checks (exit 0): c_est Infinity and
+    # PASS for omega, c_emp 0 and FAIL for kappa
+    "analyze lower bound omega inf": (["analyze", *GRID16, "--check-lower-bound",
+                                       "--omega", "inf"], "omega must be finite"),
+    "analyze reverse doubling inf": (["analyze", *GRID16, "--check-reverse-doubling", "inf"],
+                                     "kappa must be finite"),
     "kernel-check omega nan": (["kernel-check", *GRID16, "--omega", "nan"],
                                "omega must be a number"),
     "kernel-check gamma nan": (["kernel-check", *GRID16, "--omega", "1", "--gamma", "nan"],

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -113,7 +114,6 @@ _bits = st.floats(allow_nan=False, allow_infinity=False)
                                                     min_size=1, max_size=6)),
        st.integers(0, 2))
 def test_float_tables_and_lists_match_per_element_encoding(rows, depth):
-    assert common._float_table(common.sanitize(rows))
     assert dumps_report(_nested(rows, depth)) == _expected(rows, depth)
     assert dumps_report(_nested(rows[0], depth)) == _expected(rows[0], depth)
 
@@ -138,8 +138,19 @@ def test_float_table_of_a_numpy_table():
 ], ids=["ragged", "nan", "inf", "-inf", "ints", "empty", "mixed", "int-row", "big-int"])
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_other_lists_take_the_generic_path(rows, depth):
-    assert not common._float_table(common.sanitize(rows))
     assert dumps_report(_nested(rows, depth)) == _expected(rows, depth)
+
+
+def test_csv_cells_read_back_through_csv_reader():
+    # a comma, a quote, CR or LF in a cell or a column name is quoted with
+    # its quotes doubled (RFC 4180), so csv.reader gives the value back
+    for value in ['a,"b.json', 'say "hi"', 'back\\slash "q"', "cr\rhere", "lf\nhere",
+                  "crlf\r\nhere", '",\r\n', "plain", ""]:
+        report = {"config": {"space": value, "odd,key": value, "x": 0.1},
+                  "witnesses": [{"label": value}, {"label": "w"}]}
+        header, *rows = csv.reader(io.StringIO(common.report_to_csv(report), newline=""))
+        assert header == ["config.odd,key", "config.space", "config.x", "witness.label"]
+        assert rows == [[value, value, "0.10000000000000001", label] for label in (value, "w")]
 
 
 # JSON documents shaped like space files, as literal text: finite doubles
@@ -175,6 +186,8 @@ def _same(a, b) -> bool:
 @given(_documents)
 def test_read_json_parses_like_json(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "doc.json"
+    # a fresh file per example: truncating the last one can take tens of ms
+    path.unlink(missing_ok=True)
     path.write_bytes(text.encode())
     expected = json.loads(text)
     # orjson itself accepts every such document, so read_json returns its parse

@@ -191,7 +191,7 @@ def test_walk_memory_stays_within_blocks():
 
 
 def test_stacked_maximal_of_no_functions(grid64):
-    # no functions: no block at all, and the (0, len(points)) shape
+    # no functions: zero-lane blocks, and the (0, len(points)) shape
     assert hl_maximal(grid64, np.empty((0, grid64.n))).shape == (0, grid64.n)
     assert hl_maximal(grid64, np.empty((0, grid64.n)), [3, 5]).shape == (0, 2)
 
