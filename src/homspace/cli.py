@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cube_args(p)
     _add_common(p)
     p.add_argument("--omega", type=float)
-    p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--gamma", type=float, default=3.0)
     p.add_argument("--p2", type=float, default=1.0,
                    help="source integrability fixing r = p2/(1+p2)")
@@ -263,8 +262,7 @@ def cmd_norms(args) -> dict:
     sp = _resolve_space(args)
     cubes = _resolve_cubes(args, sp)
     seq = seqnorm.load_sequence(args.seq, cubes)
-    params = NormParams(s=args.s, p=args.p, q=args.q, delta=cubes.delta,
-                        variant=args.variant, family=args.family)
+    params = NormParams(s=args.s, p=args.p, q=args.q, variant=args.variant, family=args.family)
     value = seqnorm.sequence_norm(seq, params)
     report = {
         "family": args.family,
@@ -286,10 +284,10 @@ def cmd_embed_test(args) -> dict:
     q1 = args.q1 if args.q1 is not None else args.q
     q2 = args.q2 if args.q2 is not None else args.q
     params = EmbedParams(
-        source=NormParams(s=args.s2, p=args.p2, q=q2, delta=cubes.delta,
-                          variant=args.variant, family=args.family),
-        target=NormParams(s=args.s1, p=args.p1, q=q1, delta=cubes.delta,
-                          variant=args.variant, family=args.family),
+        source=NormParams(s=args.s2, p=args.p2, q=q2, variant=args.variant,
+                          family=args.family),
+        target=NormParams(s=args.s1, p=args.p1, q=q1, variant=args.variant,
+                          family=args.family),
         omega=omega,
     )
     result = characterize(sp, cubes, params, n_sequences=args.n_sequences, seed=args.seed)
@@ -313,8 +311,7 @@ def cmd_kernel_check(args) -> dict:
     omega = _resolve_omega(args, sp)
     cubes = _resolve_cubes(args, sp)
     r_exp = args.r_exp if args.r_exp is not None else maximal.default_r_exp(args.p2)
-    params = maximal.KernelParams(epsilon=args.epsilon, gamma=args.gamma,
-                                  r_exp=r_exp, omega=omega)
+    params = maximal.KernelParams(gamma=args.gamma, r_exp=r_exp, omega=omega)
     # the calibration and the trials are scored in one batch
     cal = maximal.calibrate_kernel_bound(cubes, params, n_sequences=args.calibration,
                                          seed=args.seed, trials=args.trials)

@@ -23,8 +23,8 @@ DEFAULT_SEED = 0xD1AD1C
 # function) pairs per block.
 BLOCK_ELEMENTS = 1 << 14
 
-# Regularity budget of the kernel model: a kernel's decay epsilon and each
-# side's |s - omega/p| of a Triebel-Lizorkin embedding stay below it.
+# Regularity budget of the kernel model: each side's |s - omega/p| of a
+# Triebel-Lizorkin embedding stays below it (the one gate that reads it).
 ETA = 1.0
 
 

@@ -76,8 +76,6 @@ class EmbedParams:
             raise ValueError("source and target families must match")
         if src.variant != tgt.variant:
             raise ValueError("source and target variants must match")
-        if abs(src.delta - tgt.delta) > 1e-12:
-            raise ValueError("source and target deltas must match")
         if tgt.s > src.s:
             raise ValueError("target smoothness s1 must not exceed source s2")
         lhs = tgt.s - _ratio(self.omega, tgt.p)

@@ -12,9 +12,9 @@ while the Triebel-Lizorkin-style norm forms the pointwise l^q aggregate
     g(x) = { sum_{k,a} d^{-ksq} ( m(Q)^{-1/2} |lam| 1_Q(x) )^q }^{1/q}
 
 and takes its L^p integral over the space (exact on finite data: g is
-constant on cells). p = inf or q = inf replace the corresponding sum by a
-sup; empty aggregates evaluate to 0; the inhomogeneous variant keeps
-levels k >= 0.
+constant on cells), with d the scale base delta of the cube system.
+p = inf or q = inf replace the corresponding sum by a sup; empty
+aggregates evaluate to 0; the inhomogeneous variant keeps levels k >= 0.
 
 Every norm goes through one kernel, ``batch_norms``, which scores a whole
 ``SequenceBatch``: sequence i owns the entries offsets[i]:offsets[i + 1]
@@ -87,12 +87,12 @@ FAMILIES = ("besov", "triebel_lizorkin")
 @dataclass(frozen=True)
 class NormParams:
     """Norm parametrization: smoothness s, integrability p, summability q,
-    the scale base delta of the backing system, and the variant window."""
+    the variant window and the family. The scale base delta is the backing
+    cube system's: a norm reads it from the system of its sequences."""
 
     s: float
     p: float
     q: float
-    delta: float
     variant: str = "homogeneous"
     family: str = "besov"
 
@@ -109,8 +109,6 @@ class NormParams:
             raise ValueError("q must be positive")
         if self.family == "triebel_lizorkin" and math.isinf(self.p):
             raise ValueError("triebel_lizorkin requires p < inf")
-        if not (0 < self.delta < 1):
-            raise ValueError("delta must lie in (0, 1)")
 
     def level_in_window(self, k):
         """Whether level k counts; k may be an array of levels."""
@@ -206,14 +204,6 @@ def load_sequence(path: str, system: CubeSystem) -> CoefSequence:
     return CoefSequence(system=system, entries=entries)
 
 
-def _check_backing(delta: float, params: NormParams) -> None:
-    if abs(params.delta - delta) > 1e-12:
-        raise ValueError(
-            f"params.delta = {params.delta!r} does not match the backing "
-            f"system's delta = {delta!r}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # The batch kernel
 # ---------------------------------------------------------------------------
@@ -224,13 +214,12 @@ def batch_norms(batch: SequenceBatch, params: NormParams) -> np.ndarray:
     Raises ValueError when a norm leaves the float range: a power or an
     fsum overflows, or a norm comes out inf or nan."""
     system = batch.system
-    _check_backing(system.delta, params)
     entries = _counted(batch, params)
     try:
         # an overflow in numpy shows as an inf or nan norm
         with np.errstate(over="ignore", invalid="ignore"):
             if params.family == "besov":
-                out = _besov(len(batch), *entries, params, system.cube_mass)
+                out = _besov(system, len(batch), *entries, params)
             else:
                 out = _triebel_lizorkin(system, len(batch), entries, params)
         finite = bool(np.isfinite(out).all())
@@ -329,13 +318,13 @@ def _segment_lp(values, starts, p: float) -> np.ndarray:
     return _root(sums.tolist(), p)
 
 
-def _besov(n_seq, seq, level, alpha, a, params: NormParams, cube_mass) -> np.ndarray:
-    s, p, q, delta = params.s, params.p, params.q, params.delta
+def _besov(system: CubeSystem, n_seq, seq, level, alpha, a, params: NormParams) -> np.ndarray:
+    s, p, q, delta = params.s, params.p, params.q, system.delta
     out = np.zeros(n_seq)
     if not a.size:
         return out
     expo = reciprocal(p) - 0.5
-    terms = _per_cube(level, alpha, cube_mass, expo) * a
+    terms = _per_cube(level, alpha, system.cube_mass, expo) * a
     inner = _segment_starts(seq, level)
     per_level = (_per_level(level[inner], lambda k: delta ** (-k * s))
                  * _segment_lp(terms, inner, p))
@@ -352,7 +341,7 @@ def _tl_functions(system: CubeSystem, n_seq, seq, level, alpha, a, params: NormP
     entries cover, and g holds the pointwise l^q aggregate on those cells.
     A point left out has g = 0: no entry covers it, or every term it got
     was 0.0."""
-    s, q, delta = params.s, params.q, params.delta
+    s, q, delta = params.s, params.q, system.delta
     cube_mass, order, bounds = system.cube_mass, system.order, system.bounds
     n_points = system.space.n
     per_cube = _per_cube(level, alpha, cube_mass, -0.5)
@@ -440,7 +429,6 @@ def layer_cake_tl_norm(seq: CoefSequence, params: NormParams) -> float:
     if params.family != "triebel_lizorkin":
         raise ValueError("params.family must be 'triebel_lizorkin'")
     system = seq.system
-    _check_backing(system.delta, params)
     entries = _counted(SequenceBatch.of([seq]), params)
     _, _, cells, values = next(_tl_functions(system, 1, *entries, params))
     g = np.zeros(system.space.n)

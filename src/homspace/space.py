@@ -706,6 +706,15 @@ def _lower_bound_radii(space: FiniteHomSpace, r_min: float, r_max: float) -> tup
     return r_min, r_max, np.geomspace(r_min * (1 + 1e-12), r_max, N_RADII), warnings
 
 
+def _in_float_range(consts: np.ndarray, name: str, value: float) -> np.ndarray:
+    """``consts`` when each is a positive finite float; else ValueError
+    naming the exponent that took them out of that range."""
+    if not (np.isfinite(consts) & (consts > 0)).all():
+        raise ValueError(f"{name} = {value!r} takes the constants out of the float range "
+                         "on this space")
+    return consts
+
+
 def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: float, *,
                       variant: str = "global") -> LowerBoundReport:
     """Empirical lower-bound constant C = min mu(B(x,r)) / r^omega with a
@@ -728,7 +737,8 @@ def check_lower_bound(space: FiniteHomSpace, omega: float, r_min: float, r_max: 
 
     r_min, r_max, radii, warnings = _lower_bound_radii(space, r_min, r_max)
     masses = space.ball_mass(np.arange(space.n), radii)
-    consts = masses / radii ** omega
+    with np.errstate(all="ignore"):
+        consts = _in_float_range(masses / radii ** omega, "omega", omega)
     ci, rj = np.unravel_index(np.argmin(consts), consts.shape)
 
     if np.all(masses == masses[:, :1]):
@@ -817,7 +827,9 @@ def check_reverse_doubling(space: FiniteHomSpace, kappa: float) -> ReverseDoubli
             warnings=["atomic-like space: no admissible (r, lambda) window"],
         )
     base, grown = _growth(space, radii, lams)
-    ratios = (grown / (lams ** kappa * base[..., None])).transpose(1, 0, 2)    # (r, x, lam)
+    with np.errstate(all="ignore"):
+        ratios = _in_float_range(grown / (lams ** kappa * base[..., None]), "kappa", kappa)
+    ratios = ratios.transpose(1, 0, 2)    # (r, x, lam)
     ri, ci, lj = np.unravel_index(np.argmin(ratios), ratios.shape)
     best = float(ratios[ri, ci, lj])
     return ReverseDoublingReport(

@@ -215,7 +215,7 @@ def delta_sequence_norm(system, k0, alpha0, params):
     if params.variant != "homogeneous" and k0 < 0:
         return 0.0
     inv_p = 0.0 if math.isinf(params.p) else 1.0 / params.p
-    return params.delta ** (-k0 * params.s) * system.mass(k0, alpha0) ** (inv_p - 0.5)
+    return system.delta ** (-k0 * params.s) * system.mass(k0, alpha0) ** (inv_p - 0.5)
 
 
 def delta_ratio(cubes, k0, alpha0, params):

@@ -129,26 +129,25 @@ def test_criterion_3_norm_identities(grid64_system):
     space, cubes = grid64_system
     start = time.time()
     batch = _random_batch(cubes, 100, seed=42)
-    delta = cubes.delta
     ok = True
 
     pq = [(0.3, 1.4), (0.0, 2.0), (-0.5, 0.7)]
     for s, p in pq:
-        pb = NormParams(s=s, p=p, q=p, delta=delta, family="besov")
-        pt = NormParams(s=s, p=p, q=p, delta=delta, family="triebel_lizorkin")
+        pb = NormParams(s=s, p=p, q=p, family="besov")
+        pt = NormParams(s=s, p=p, q=p, family="triebel_lizorkin")
         for seq in batch:
             b, t = besov_norm(seq, pb), triebel_lizorkin_norm(seq, pt)
             if abs(b - t) > REL * max(b, t):
                 ok = False
 
-    pt = NormParams(s=0.4, p=1.7, q=1.2, delta=delta, family="triebel_lizorkin")
+    pt = NormParams(s=0.4, p=1.7, q=1.2, family="triebel_lizorkin")
     for seq in batch:
         t = triebel_lizorkin_norm(seq, pt)
         lc = layer_cake_tl_norm(seq, pt)
         if abs(t - lc) > REL * max(t, lc, 1e-300):
             ok = False
 
-    pb = NormParams(s=0.4, p=1.7, q=1.2, delta=delta, family="besov")
+    pb = NormParams(s=0.4, p=1.7, q=1.2, family="besov")
     for c in (-3.0, 0.5, 7.0):
         for seq in batch[:40]:
             times_c = CoefSequence(seq.system, {key: c * v for key, v in seq.entries.items()})
@@ -159,8 +158,8 @@ def test_criterion_3_norm_identities(grid64_system):
                     ok = False
 
     for q_small, q_big in ((0.6, 1.3), (1.3, 2.6), (2.6, math.inf)):
-        lo_p = NormParams(s=0.4, p=1.7, q=q_big, delta=delta, family="triebel_lizorkin")
-        hi_p = NormParams(s=0.4, p=1.7, q=q_small, delta=delta, family="triebel_lizorkin")
+        lo_p = NormParams(s=0.4, p=1.7, q=q_big, family="triebel_lizorkin")
+        hi_p = NormParams(s=0.4, p=1.7, q=q_small, family="triebel_lizorkin")
         for seq in batch:
             if triebel_lizorkin_norm(seq, lo_p) > triebel_lizorkin_norm(seq, hi_p) * (1 + REL):
                 ok = False
@@ -177,7 +176,7 @@ def test_criterion_4_delta_closed_form(grid64_system):
     index = cubes.index_cubes()
     picks = rng.choice(len(index), size=50, replace=True)
     s, p, q = 0.65, 1.3, 2.1
-    params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family="besov")
+    params = NormParams(s=s, p=p, q=q, family="besov")
     ok = True
     for i in picks:
         k0, a0 = index[i]
@@ -189,10 +188,10 @@ def test_criterion_4_delta_closed_form(grid64_system):
     _verdict(4, "delta-sequence closed form (50 random cubes)", ok)
 
 
-def _besov_pair(delta, omega, s1, p1, s2, p2, q, variant="homogeneous"):
+def _besov_pair(omega, s1, p1, s2, p2, q, variant="homogeneous"):
     return EmbedParams(
-        source=NormParams(s=s2, p=p2, q=q, delta=delta, variant=variant, family="besov"),
-        target=NormParams(s=s1, p=p1, q=q, delta=delta, variant=variant, family="besov"),
+        source=NormParams(s=s2, p=p2, q=q, variant=variant, family="besov"),
+        target=NormParams(s=s1, p=p1, q=q, variant=variant, family="besov"),
         omega=omega,
     )
 
@@ -211,7 +210,7 @@ def test_criterion_5_characterization_equivalence():
         if omega is None:
             omega = fit_mass_exponent(space)
         cubes = _system(space, 0xD1AD1C)
-        params = _besov_pair(cubes.delta, omega, s1=omega / 2, p1=2.0,
+        params = _besov_pair(omega, s1=omega / 2, p1=2.0,
                              s2=omega, p2=1.0, q=1.0)
         report = characterize(space, cubes, params, n_sequences=128)
         pass_cases.append((spec.kind, report))
@@ -228,7 +227,7 @@ def test_criterion_5_characterization_equivalence():
     ]:
         space = gallery.build(spec)
         cubes = _system(space, 0xD1AD1C)
-        params = _besov_pair(cubes.delta, 1.0, s1=0.5, p1=2.0, s2=1.0, p2=1.0,
+        params = _besov_pair(1.0, s1=0.5, p1=2.0, s2=1.0, p2=1.0,
                              q=1.0, variant=variant)
         report = characterize(space, cubes, params, n_sequences=128)
         fail_cases.append((spec, report))
@@ -256,7 +255,7 @@ def test_criterion_6_proof_constant_soundness(grid64_system):
         dict(s1=0.0, p1=math.inf, s2=1.0, p2=1.0, q=2.0),
     ]
     for kw in pairs:
-        params = _besov_pair(cubes.delta, 1.0, **kw)
+        params = _besov_pair(1.0, **kw)
         report = embedding_ratio_scan(cubes, params, n_sequences=256,
                                       lower_bound_holds=True)
         if report.witnesses or report.verdict != "OK":
@@ -296,7 +295,7 @@ def test_criterion_8_kernel_bound_stability(grid64_system):
     space, cubes = grid64_system
     ok = True
     for p2 in (1.0, 2.0):
-        params = KernelParams(epsilon=0.5, gamma=3.0, r_exp=default_r_exp(p2), omega=1.0)
+        params = KernelParams(gamma=3.0, r_exp=default_r_exp(p2), omega=1.0)
         cal = calibrate_kernel_bound(cubes, params, n_sequences=32, seed=1000 + int(p2))
         rng = rng_stream(2000 + int(p2), 0x8)
         seqs = SequenceBatch.of([random_sequence(cubes, rng) for _ in range(100)])

@@ -131,12 +131,28 @@ BAD_PARAMETERS = {
                                        "--omega", "inf"], "omega must be finite"),
     "analyze reverse doubling inf": (["analyze", *GRID16, "--check-reverse-doubling", "inf"],
                                      "kappa must be finite"),
+    # a finite exponent whose powers leave the floats passed too (exit 0), with
+    # numpy warnings: FAIL at omega 1000, PASS with c_est 0.9375 at omega
+    # 1e308 and c_emp 0 at kappa 2000
+    "analyze lower bound omega 1000": (["analyze", *GRID16, "--check-lower-bound",
+                                        "--omega", "1000"],
+                                       "omega = 1000.0 takes the constants out of the "
+                                       "float range"),
+    "analyze local lower bound omega 1e308": (["analyze", *GRID16, "--check-local-lower-bound",
+                                               "--omega", "1e308"],
+                                              "omega = 1e+308 takes the constants out of the "
+                                              "float range"),
+    "analyze reverse doubling 2000": (["analyze", *GRID16, "--check-reverse-doubling", "2000"],
+                                      "kappa = 2000.0 takes the constants out of the float range"),
     "kernel-check omega nan": (["kernel-check", *GRID16, "--omega", "nan"],
                                "omega must be a number"),
     "kernel-check gamma nan": (["kernel-check", *GRID16, "--omega", "1", "--gamma", "nan"],
                                "gamma must be positive"),
     "kernel-check p2 nan": (["kernel-check", *GRID16, "--omega", "1", "--p2", "nan"],
                             "p2 must be positive"),
+    # r = p2 / (1 + p2) is nan at p2 = inf, and the error named --r-exp
+    "kernel-check p2 inf": (["kernel-check", *GRID16, "--omega", "1", "--p2", "inf"],
+                            "p2 must be finite"),
     "norms s nan": (["norms", *GRID16, "--seq", "seq.json", "--s", "nan"],
                     "s must be a number"),
     # the cross-check exists for Triebel-Lizorkin norms only: with Besov
@@ -237,8 +253,7 @@ def test_norms_command_matches_library(tmp_path, grid64_cubes):
     assert code == 0
     report = json.loads(text)
     seq = CoefSequence(grid64_cubes, {(r["k"], r["alpha"]): r["value"] for r in rows})
-    expected = besov_norm(seq, NormParams(s=0.5, p=2.0, q=1.0,
-                                          delta=grid64_cubes.delta, family="besov"))
+    expected = besov_norm(seq, NormParams(s=0.5, p=2.0, q=1.0, family="besov"))
     assert report["value"] == pytest.approx(expected, rel=1e-12)
 
 
@@ -436,19 +451,19 @@ KERNEL_CASES = {
 # SHA-256 of the schema-2 reports; every value in them is the one the
 # one-sequence-at-a-time evaluation that preceded the batched one wrote
 KERNEL_DIGESTS = {
-    ("grid64 p2=1", "1"): "1dd50b8a9a6214d72654fca135905c8fb8ae7d4d3ae7222ac8c5e56244b0422f",
-    ("grid64 p2=1", "7"): "01b1bec62e00f265cabd90356a2dfcbf48afd2a6f6b3be024193353af1260e29",
-    ("grid64 p2=2", "1"): "45a381e90b3cffa44116cd89edbfffad7a65b7a586fc005633cfb27d54c9960d",
-    ("grid64 p2=2", "7"): "59a3d2a3e2d3c14117e33bafdf6744acdbe3bb713a00c33afb58f9bb79a39523",
-    ("cantor6", "1"): "525eaa7bd4485547a0e2f2b91ff1d5b317fbcf18c5e4eecce08bbcb3d52af7a7",
-    ("cantor6", "7"): "29805911976af382d584fdd54159e542626642b67372bfdea49d19decefb6dea",
-    ("weighted_grid65", "1"): "cb1f4de66e7baa8218ca7199c7a4d9ef3cc066203edd2bc890e08085b56ff021",
-    ("weighted_grid65", "7"): "3dbdfd77f60f01b233e3d3ece23b9a528489741df625cb4fef587f3d47e69a80",
-    ("snowflake64", "1"): "28b3a9f96693ff4958959d41e75c6c6d281f2742ee6c98ae997c3cd409962523",
-    ("snowflake64", "7"): "2b5c50bd78adb84fa39d24ef61233864b0d9c0380250803d4c9b77086e84c199",
+    ("grid64 p2=1", "1"): "f3e97df0337077827a52e4040c3be572d108787be29f8e12419c7d5ed478f9f5",
+    ("grid64 p2=1", "7"): "11092f9e295ba3cb2ceb4554ab64e1c92ba26702a3f9338f66989b5157eecc63",
+    ("grid64 p2=2", "1"): "05373db00a326fac732d3a36a71bd47f26a4036ad2e019e33f60bf385ccef929",
+    ("grid64 p2=2", "7"): "70048bab5ff8ba5d6463bc667b6baf4fe2faee43b6e0938394b3c87cf5b075a9",
+    ("cantor6", "1"): "2337c4268f2d009f6dd31209c28bd190b55afbf59959f6983adcf0a24c3f6d32",
+    ("cantor6", "7"): "e81c375e75142af4e9acea2fa8a8b4e1c95001dacd3d2d1584d620161aa83f22",
+    ("weighted_grid65", "1"): "56989937e81934ae271ff68b9c2258f4076ab8578eea33f5ac8c65745de61369",
+    ("weighted_grid65", "7"): "df8d38216c5e52397dfd4dcb9ee9b7adc43bb6d30951a1cf95bcb57b1fc13a6d",
+    ("snowflake64", "1"): "7778f1f558c114f39e1f80fab10309769158a61e7e4fed6751be4fb2864c7bef",
+    ("snowflake64", "7"): "c8bc83bb7b92b720f75edaedc6c0f06ec035b1a7f12e939b5e591427fc970617",
     # a FAIL report: 12 witnesses in trial-major, probe-minor order
     ("cantor6 calibration 1", "1"):
-        "45bc6d74f71464e673a0a26d6eb47e395efe1697c5e7578d3ff1bd4b2ce025af",
+        "16afaf8e8041e8afd11acc511b866c42bfd063e27a86d1f66f0f3012abe7a5f9",
 }
 
 
@@ -546,29 +561,29 @@ REPORT_DIGESTS = {
     ('cubes grid32', 'json'):
         (0, 'bd70b6b95a9362c51b26f7e187190f2a34bddbe9fd02924c032cb8b02b8d838a'),
     ('embed-test besov pass', 'csv'):
-        (0, 'b29da91a5b2779d49b42f792e563a0b38c81ec3dc78021c89731a64b9fc8a0a0'),
+        (0, 'c6244f1e470f3e7f8564cb50a69ec4105ae7b290c3852e68eafe9626c64b9f66'),
     ('embed-test besov pass', 'json'):
-        (0, 'bb58ac66d8f03c61c043a326e75d84696c43eaf29b8d5b1f73ccc2e70f9a2925'),
+        (0, '77814d2844c819f75493a5ea3e0d5b6d68af19abc9dd048ba378ce23fbe6d3b9'),
     ('embed-test inhomogeneous fail', 'csv'):
-        (0, '89332e7b3aff6c67bdc6603d33ceb306863569e603f2713c3405dd022d276338'),
+        (0, 'e19446bb3d594e9849163e90451bfb7a069934533d29748a4990a84e1e7c8b67'),
     ('embed-test inhomogeneous fail', 'json'):
-        (0, 'ce221704ab8f066e1a3d94fceecdcea35ae646dcb5173c3815424d5542b4fbd9'),
+        (0, '16e4fa0735943dad5b587f1f44f322a1646afaac2c8646bd7cb4c28c82dfba7e'),
     ('embed-test one point', 'csv'):
-        (0, '4af9afc7c19db5a3071fbd379eb55de4789d63c12b256ad810ec6358fabb10d5'),
+        (0, '6849c946efe032b38ac065c7368deea6f627a3bbb23a578a2ccd1a301202328b'),
     ('embed-test one point', 'json'):
-        (0, '754299ba5ced13c3b0c0bfff1160b9911b239d23b36d5fa6b1620bef380fba05'),
+        (0, '50def9a361ace6abf3e1a93f36fb3724fd89d0b64f83969cd1ecf5780a2a2fb5'),
     ('embed-test tl', 'csv'):
-        (0, '33894d2067f21d48cc8faa4a6d619ed2fc7519e42ef624ccf975bb60d6d48bba'),
+        (0, '3bb9d6b016a4255e3c52d514c051582a0b868a82877674cc037dc59e5fe972b6'),
     ('embed-test tl', 'json'):
-        (0, 'b72cacfd249b3332b50098ec2f57a99365d7d1095c8aa196cabc0d8d9c252969'),
+        (0, 'c5a8b4f8fe6a513fbc02722f5872ede8f46ba7bfd72546ce52d0cd85da738cc0'),
     ('gallery table', 'csv'):
         (0, '3059fd03d74d405d301f6950beb0265a4b0273d9ac76fee51f776e14b212a32b'),
     ('gallery table', 'json'):
         (0, '93bee53934a8e1ac7afb76e2f2882be82de720b464a6e6b038d737766e1cd2b2'),
     ('kernel-check cantor6 calibration 1', 'csv'):
-        (0, 'a8712dfb4c83b15701ffd32366c839b1fb5aa7c54d5d9c232bb559b3981efeca'),
+        (0, 'c87f9b5b4564b6396c03e5a3b6c394eb0a5333d7efa856141a712d1e584e32eb'),
     ('kernel-check cantor6 calibration 1', 'json'):
-        (0, '07b44f550a748199a1aceea8aec8fe9ff67b28fa41151bd4495f633ffc4a107e'),
+        (0, '8eafadba409af2c0402058f56b5f72cc689959ec7d5a2fbf84cb2e8ad601d5a9'),
     ('maximal random', 'csv'):
         (0, '30a34c0128d462febe15284ccdb73ce914f24bf4529a142d177427a9306cb6f6'),
     ('maximal random', 'json'):
@@ -590,9 +605,9 @@ REPORT_DIGESTS = {
     ('analyze squared line', 'json'):
         (0, '4b4eb8ab4214ab8797efb3b7d60930864142e40da53daa082855234cb6976a51'),
     ('embed-test tail fail', 'csv'):
-        (0, 'c40382dcbdca70ab74a324c762a50056a286cc5dd3a648d6c67aa4efffa2340c'),
+        (0, 'f854260cce01b415965d4c977bef6e56bdf25b45a1d913e1a9e2224840a473b3'),
     ('embed-test tail fail', 'json'):
-        (0, 'd8a8037248c4f7d7deda8f4b479741afa8b974428a1aafe8f57e86557e5cfdd8'),
+        (0, 'c3f726f782c9a269e5f38755f99cd6eb23ec6e84c3d9e30bcd0c887d684b2306'),
     ('cubes weighted_grid65', 'csv'):
         (0, '41276ed27096ad327b6c2588d62fdf32d6dcaf0e169e8b0d148c6c5e33ffa38c'),
     ('cubes weighted_grid65', 'json'):

@@ -33,10 +33,10 @@ def sequence_ratio(seq, params):
     return None if src == tgt == 0.0 else float(tgt / src)
 
 
-def besov_pair(delta, s1, p1, s2, p2, q=1.0, omega=1.0, variant="homogeneous"):
+def besov_pair(s1, p1, s2, p2, q=1.0, omega=1.0, variant="homogeneous"):
     return EmbedParams(
-        source=NormParams(s=s2, p=p2, q=q, delta=delta, variant=variant, family="besov"),
-        target=NormParams(s=s1, p=p1, q=q, delta=delta, variant=variant, family="besov"),
+        source=NormParams(s=s2, p=p2, q=q, variant=variant, family="besov"),
+        target=NormParams(s=s1, p=p1, q=q, variant=variant, family="besov"),
         omega=omega,
     )
 
@@ -47,34 +47,33 @@ def besov_pair(delta, s1, p1, s2, p2, q=1.0, omega=1.0, variant="homogeneous"):
 
 def test_trace_line_enforced():
     with pytest.raises(ValueError, match="trace-line"):
-        besov_pair(1 / 32, s1=0.4, p1=2.0, s2=1.0, p2=1.0)  # 0.4 - 0.5 != 0
+        besov_pair(s1=0.4, p1=2.0, s2=1.0, p2=1.0)  # 0.4 - 0.5 != 0
 
 
 def test_family_and_variant_must_match():
-    src = NormParams(s=1.0, p=1.0, q=1.0, delta=1 / 32, family="besov")
-    tgt = NormParams(s=0.5, p=2.0, q=1.0, delta=1 / 32, family="triebel_lizorkin")
+    src = NormParams(s=1.0, p=1.0, q=1.0, family="besov")
+    tgt = NormParams(s=0.5, p=2.0, q=1.0, family="triebel_lizorkin")
     with pytest.raises(ValueError, match="families"):
         EmbedParams(source=src, target=tgt, omega=1.0)
-    tgt2 = NormParams(s=0.5, p=2.0, q=1.0, delta=1 / 32, family="besov",
-                      variant="inhomogeneous")
+    tgt2 = NormParams(s=0.5, p=2.0, q=1.0, family="besov", variant="inhomogeneous")
     with pytest.raises(ValueError, match="variants"):
         EmbedParams(source=src, target=tgt2, omega=1.0)
 
 
 def test_besov_requires_shared_q():
-    src = NormParams(s=1.0, p=1.0, q=1.0, delta=1 / 32, family="besov")
-    tgt = NormParams(s=0.5, p=2.0, q=2.0, delta=1 / 32, family="besov")
+    src = NormParams(s=1.0, p=1.0, q=1.0, family="besov")
+    tgt = NormParams(s=0.5, p=2.0, q=2.0, family="besov")
     with pytest.raises(ValueError, match="single q"):
         EmbedParams(source=src, target=tgt, omega=1.0)
 
 
 def test_target_smoothness_cannot_exceed_source():
     with pytest.raises(ValueError, match="smoothness"):
-        besov_pair(1 / 32, s1=1.0, p1=1.0, s2=0.5, p2=2.0)
+        besov_pair(s1=1.0, p1=1.0, s2=0.5, p2=2.0)
 
 
 def test_tl_pair_eta_gate():
-    kw = dict(delta=1 / 32, family="triebel_lizorkin")
+    kw = dict(family="triebel_lizorkin")
     src = NormParams(s=2.0, p=1.0, q=1.0, **kw)     # s - omega/p = 1.0, at ETA
     tgt = NormParams(s=1.5, p=2.0, q=2.0, **kw)
     with pytest.raises(ValueError, match="ETA"):
@@ -86,7 +85,7 @@ def test_tl_pair_eta_gate():
 # ---------------------------------------------------------------------------
 
 def test_implied_constants_match_brute(grid64_cubes):
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     report = delta_necessity_test(grid64_cubes, params)
     assert report.verdict == "PASS"
     for key, c in report.constants.items():
@@ -98,7 +97,7 @@ def test_implied_constants_match_brute(grid64_cubes):
 
 
 def test_necessity_vacuous_when_p_equal(grid64_cubes):
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=0.5, p2=2.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=0.5, p2=2.0)
     report = delta_necessity_test(grid64_cubes, params)
     assert report.verdict == "VACUOUS"
 
@@ -107,8 +106,7 @@ def test_necessity_fails_on_singular_weight():
     sp = gallery.build(gallery.GallerySpec(kind="weighted_grid", n=129, dim=1,
                                            alpha=2.0, beta=0.0, extent=2.0))
     cubes = build_system(sp)
-    params = besov_pair(cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0,
-                        variant="inhomogeneous")
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0, variant="inhomogeneous")
     report = delta_necessity_test(cubes, params)
     assert report.verdict == "FAIL"
     assert report.worst_chain["flagged"]
@@ -118,7 +116,7 @@ def test_necessity_fails_on_singular_weight():
 def test_ratio_rearrangement_recovers_constant(grid64_cubes):
     # embedding with constant C on deltas forces mass >= C' delta^{k omega}:
     # invert ratio = c^{1/p1 - 1/p2} per cube and compare
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     expo = 1.0 / 2.0 - 1.0 / 1.0
     for k, alpha in grid64_cubes.index_cubes()[::7]:
         ratio = delta_ratio(grid64_cubes, k, alpha, params)
@@ -132,7 +130,7 @@ def test_ratio_rearrangement_recovers_constant(grid64_cubes):
 # ---------------------------------------------------------------------------
 
 def test_scan_delta_ratios_match_closed_form(grid64_cubes):
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     index = grid64_cubes.index_cubes()
     for k, alpha in index[::9]:
         seq = CoefSequence(grid64_cubes, {(k, alpha): 1.0})
@@ -143,7 +141,7 @@ def test_scan_delta_ratios_match_closed_form(grid64_cubes):
 
 
 def test_scan_sound_on_uniform_grid(grid64_cubes):
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     report = embedding_ratio_scan(grid64_cubes, params, n_sequences=128)
     assert report.verdict == "OK"
     assert not report.witnesses
@@ -154,7 +152,7 @@ def test_scan_sound_on_uniform_grid(grid64_cubes):
 
 
 def test_zero_sequence_ratio_neutral(grid64_cubes):
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     index = grid64_cubes.index_cubes()
     zero = CoefSequence(grid64_cubes, {index[0]: 0.0})
     live = CoefSequence(grid64_cubes, {index[0]: 2.0})
@@ -172,7 +170,7 @@ def test_zero_sequence_ratio_neutral(grid64_cubes):
 
 
 def test_scan_witness_is_first_maximum(grid64_cubes):
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     index = grid64_cubes.index_cubes()
     seqs = [CoefSequence(grid64_cubes, {key: 1.0}) for key in index[:12]]
     ratios = [sequence_ratio(seq, params) for seq in seqs]
@@ -192,7 +190,7 @@ def test_scan_violations_keep_batch_order(grid64_cubes, monkeypatch):
     # median ratio: the violations are then the sequences above it
     from homspace import embed
 
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     batch = generate_batch(grid64_cubes, params.variant, 96, seed=3)
     entries = np.split(np.stack([batch.level, batch.alpha, batch.value], axis=1),
                        batch.offsets[1:-1])
@@ -212,7 +210,7 @@ def test_scan_violations_keep_batch_order(grid64_cubes, monkeypatch):
 def test_scan_asserts_a_vanishing_source(grid64_cubes, monkeypatch):
     # source and target norms share their support, so no norm family makes
     # the source vanish alone: a kernel that zeroes the source norms does
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     kernel = embed.batch_norms
     monkeypatch.setattr(embed, "batch_norms",
                         lambda batch, norm: kernel(batch, norm) * (norm != params.source))
@@ -229,7 +227,7 @@ def test_short_batches_keep_every_delta(grid64_cubes, n_sequences):
     assert batch.offsets.tolist() == list(range(len(index) + 1))
     assert list(zip(batch.level.tolist(), batch.alpha.tolist())) == index
     assert batch.value.tolist() == [1.0] * len(index)
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     report = embedding_ratio_scan(grid64_cubes, params, n_sequences=n_sequences)
     assert report.n_sequences == report.n_nonzero == len(index)
 
@@ -371,8 +369,7 @@ def pass_system(name):
 def test_scan_on_a_lower_bound_pass_stays_below_the_constant(name, variant, seed):
     space, cubes = pass_system(name)
     omega = PASS_SPACES[name][1]
-    params = besov_pair(cubes.delta, s1=omega / 2, p1=2.0, s2=omega, p2=1.0, omega=omega,
-                        variant=variant)
+    params = besov_pair(s1=omega / 2, p1=2.0, s2=omega, p2=1.0, omega=omega, variant=variant)
     report = characterize(space, cubes, params, n_sequences=2048, seed=seed)
     assert report.lower_bound.verdict == "PASS"
     scan = report.scan
@@ -382,14 +379,14 @@ def test_scan_on_a_lower_bound_pass_stays_below_the_constant(name, variant, seed
 
 
 def test_scan_deterministic(grid64_cubes):
-    params = besov_pair(grid64_cubes.delta, s1=0.0, p1=math.inf, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.0, p1=math.inf, s2=1.0, p2=1.0)
     a = embedding_ratio_scan(grid64_cubes, params, n_sequences=64, seed=42)
     b = embedding_ratio_scan(grid64_cubes, params, n_sequences=64, seed=42)
     assert dumps_report(a) == dumps_report(b)
 
 
 def test_scan_tl_exploratory(grid64_cubes):
-    kw = dict(delta=grid64_cubes.delta, family="triebel_lizorkin")
+    kw = dict(family="triebel_lizorkin")
     params = EmbedParams(
         source=NormParams(s=0.75, p=1.0, q=1.0, **kw),
         target=NormParams(s=0.25, p=2.0, q=2.0, **kw),
@@ -406,7 +403,7 @@ def test_scan_tl_exploratory(grid64_cubes):
 # ---------------------------------------------------------------------------
 
 def test_characterize_uniform_pass(grid64, grid64_cubes):
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     report = characterize(grid64, grid64_cubes, params, n_sequences=96)
     assert report.verdict == "PASS"
     assert report.lower_bound.verdict == "PASS"
@@ -418,8 +415,7 @@ def test_characterize_singular_weight_fails():
     sp = gallery.build(gallery.GallerySpec(kind="weighted_grid", n=129, dim=1,
                                            alpha=2.0, beta=0.0, extent=2.0))
     cubes = build_system(sp)
-    params = besov_pair(cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0,
-                        variant="inhomogeneous")
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0, variant="inhomogeneous")
     report = characterize(sp, cubes, params, n_sequences=64)
     assert report.verdict == "FAIL"
     assert report.lower_bound.verdict == "FAIL"
@@ -432,7 +428,7 @@ def test_characterize_vacuous_necessity_takes_the_lower_bound_verdict(grid64, gr
                                                  alpha=2.0, beta=0.0, extent=2.0))
     for sp, cubes, verdict in ((grid64, grid64_cubes, "PASS"),
                                (singular, build_system(singular), "FAIL")):
-        params = besov_pair(cubes.delta, s1=0.5, p1=2.0, s2=0.5, p2=2.0)
+        params = besov_pair(s1=0.5, p1=2.0, s2=0.5, p2=2.0)
         report = characterize(sp, cubes, params, n_sequences=32)
         assert report.necessity.verdict == "VACUOUS"
         assert report.lower_bound.verdict == report.verdict == verdict
@@ -445,7 +441,7 @@ def test_characterize_bound_violation_on_a_passing_space_is_a_discrepancy(
     real = embed.proof_constant_besov
     monkeypatch.setattr(embed, "proof_constant_besov",
                         lambda cubes, params: (real(cubes, params)[0], 1e-6))
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     report = characterize(grid64, grid64_cubes, params, n_sequences=32)
     assert (report.lower_bound.verdict, report.necessity.verdict) == ("PASS", "PASS")
     assert report.scan.verdict == "BOUND_VIOLATED"
@@ -462,7 +458,7 @@ def test_characterize_atomic_space():
 
 
 def test_characterize_deterministic(grid64, grid64_cubes):
-    params = besov_pair(grid64_cubes.delta, s1=0.5, p1=2.0, s2=1.0, p2=1.0)
+    params = besov_pair(s1=0.5, p1=2.0, s2=1.0, p2=1.0)
     a = characterize(grid64, grid64_cubes, params, n_sequences=48, seed=7)
     b = characterize(grid64, grid64_cubes, params, n_sequences=48, seed=7)
     assert dumps_report(a) == dumps_report(b)

@@ -24,8 +24,8 @@ from conftest import build_system, fresh_at, random_sequence
 from helpers import brute_maximal, fs_vector_ratio, integer_grid_table, unit_spaced_grid
 
 
-def kernel_params(omega=1.0, gamma=3.0, eps=0.5, p2=1.0):
-    return KernelParams(epsilon=eps, gamma=gamma, r_exp=default_r_exp(p2), omega=omega)
+def kernel_params(omega=1.0, gamma=3.0, p2=1.0):
+    return KernelParams(gamma=gamma, r_exp=default_r_exp(p2), omega=omega)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +218,11 @@ def test_maximal_rejects_points_that_are_not_ids():
 
 def test_kernel_params_admissibility_gate():
     with pytest.raises(ValueError, match="inadmissible"):
-        KernelParams(epsilon=0.5, gamma=0.5, r_exp=0.5, omega=1.0)  # 0.25 - 0.5 < 0
+        KernelParams(gamma=0.5, r_exp=0.5, omega=1.0)  # 0.25 - 0.5 < 0
     with pytest.raises(ValueError):
-        KernelParams(epsilon=1.5, gamma=3.0, r_exp=0.5, omega=1.0)  # eps >= eta
+        KernelParams(gamma=-1.0, r_exp=0.5, omega=1.0)
     with pytest.raises(ValueError):
-        KernelParams(epsilon=0.5, gamma=-1.0, r_exp=0.5, omega=1.0)
-    with pytest.raises(ValueError):
-        KernelParams(epsilon=0.5, gamma=3.0, r_exp=0.0, omega=1.0)
+        KernelParams(gamma=3.0, r_exp=0.0, omega=1.0)
 
 
 def test_default_r_exp():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from homspace import gallery, seqnorm
 from homspace.common import rng_stream
+from homspace.dyadic import build_cubes, build_nets
 from homspace.embed import generate_batch
 from homspace.seqnorm import (
     CoefSequence,
@@ -73,7 +74,7 @@ def test_delta_sequence_closed_form_besov(grid64_cubes, s, p, q):
     for i in rng.choice(len(index), size=8, replace=False):
         k0, a0 = index[i]
         seq = CoefSequence(cubes, {(k0, a0): 1.0})
-        params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family="besov")
+        params = NormParams(s=s, p=p, q=q, family="besov")
         expected = cubes.delta ** (-k0 * s) * cubes.mass(k0, a0) ** (
             (0.0 if math.isinf(p) else 1.0 / p) - 0.5)
         assert besov_norm(seq, params) == pytest.approx(expected, rel=1e-12)
@@ -85,17 +86,17 @@ def test_delta_sequence_tl_equals_besov(grid64_cubes, s, p, q):
     cubes = grid64_cubes
     k0, a0 = cubes.index_cubes()[3]
     seq = CoefSequence(cubes, {(k0, a0): 1.0})
-    b = besov_norm(seq, NormParams(s=s, p=p, q=q, delta=cubes.delta, family="besov"))
+    b = besov_norm(seq, NormParams(s=s, p=p, q=q, family="besov"))
     t = triebel_lizorkin_norm(
-        seq, NormParams(s=s, p=p, q=q, delta=cubes.delta, family="triebel_lizorkin"))
+        seq, NormParams(s=s, p=p, q=q, family="triebel_lizorkin"))
     assert t == pytest.approx(b, rel=1e-12)
 
 
 def test_zero_sequence_all_norms(grid64_cubes):
     key = grid64_cubes.index_cubes()[0]
     seq = CoefSequence(grid64_cubes, {key: 0.0})
-    pb = NormParams(s=0.5, p=1.5, q=2.0, delta=grid64_cubes.delta, family="besov")
-    pt = NormParams(s=0.5, p=1.5, q=2.0, delta=grid64_cubes.delta, family="triebel_lizorkin")
+    pb = NormParams(s=0.5, p=1.5, q=2.0, family="besov")
+    pt = NormParams(s=0.5, p=1.5, q=2.0, family="triebel_lizorkin")
     assert besov_norm(seq, pb) == 0.0
     assert triebel_lizorkin_norm(seq, pt) == 0.0
     assert layer_cake_tl_norm(seq, pt) == 0.0
@@ -110,7 +111,7 @@ def test_two_cube_hand_value(four_point_cubes):
     for key in fresh[:2]:
         assert cubes.mass(*key) == pytest.approx(0.25)
     seq = CoefSequence(cubes, {fresh[0]: 1.0, fresh[1]: 1.0})
-    params = NormParams(s=0.0, p=2.0, q=2.0, delta=cubes.delta, family="besov")
+    params = NormParams(s=0.0, p=2.0, q=2.0, family="besov")
     assert besov_norm(seq, params) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
@@ -121,16 +122,16 @@ def test_two_cube_hand_value(four_point_cubes):
 @pytest.mark.parametrize("s,p", [(0.0, 2.0), (0.6, 1.3), (-0.5, 0.7)])
 def test_p_equals_q_collapse(grid64_cubes, s, p):
     for seq in random_sequences(grid64_cubes, 10, seed=int(10 * p)):
-        b = besov_norm(seq, NormParams(s=s, p=p, q=p, delta=grid64_cubes.delta, family="besov"))
+        b = besov_norm(seq, NormParams(s=s, p=p, q=p, family="besov"))
         t = triebel_lizorkin_norm(
-            seq, NormParams(s=s, p=p, q=p, delta=grid64_cubes.delta, family="triebel_lizorkin"))
+            seq, NormParams(s=s, p=p, q=p, family="triebel_lizorkin"))
         assert t == pytest.approx(b, rel=1e-12)
 
 
 @pytest.mark.parametrize("s,p,q", [(0.0, 2.0, 2.0), (0.7, 1.5, 0.8),
                                    (0.3, 2.5, INF), (-0.2, 0.8, 1.7)])
 def test_layer_cake_agreement(grid64_cubes, s, p, q):
-    params = NormParams(s=s, p=p, q=q, delta=grid64_cubes.delta, family="triebel_lizorkin")
+    params = NormParams(s=s, p=p, q=q, family="triebel_lizorkin")
     for seq in random_sequences(grid64_cubes, 8, seed=77):
         t = triebel_lizorkin_norm(seq, params)
         lc = layer_cake_tl_norm(seq, params)
@@ -138,8 +139,7 @@ def test_layer_cake_agreement(grid64_cubes, s, p, q):
 
 
 def test_layer_cake_riemann_oracle(grid64_cubes):
-    params = NormParams(s=0.4, p=1.7, q=1.2, delta=grid64_cubes.delta,
-                        family="triebel_lizorkin")
+    params = NormParams(s=0.4, p=1.7, q=1.2, family="triebel_lizorkin")
     seq = random_sequences(grid64_cubes, 1, seed=5, max_support=20)[0]
     masses, members = oracle_data(grid64_cubes, seq.entries)
     space = grid64_cubes.space
@@ -154,12 +154,11 @@ def test_brute_force_oracle(grid64_cubes, s, p, q):
     level_ok = lambda k: True
     for seq in random_sequences(grid64_cubes, 4, seed=abs(hash((s, p, q))) % 2**31):
         masses, members = oracle_data(grid64_cubes, seq.entries)
-        pb = NormParams(s=s, p=p, q=q, delta=grid64_cubes.delta, family="besov")
+        pb = NormParams(s=s, p=p, q=q, family="besov")
         expected = brute_besov(seq.entries, masses, grid64_cubes.delta, s, p, q, level_ok)
         assert besov_norm(seq, pb) == pytest.approx(expected, rel=1e-10, abs=1e-300)
         if not math.isinf(p):
-            pt = NormParams(s=s, p=p, q=q, delta=grid64_cubes.delta,
-                            family="triebel_lizorkin")
+            pt = NormParams(s=s, p=p, q=q, family="triebel_lizorkin")
             space = grid64_cubes.space
             expected_tl = brute_tl(seq.entries, masses, members, space.weight,
                                    space.n, grid64_cubes.delta, s, p, q, level_ok)
@@ -168,8 +167,8 @@ def test_brute_force_oracle(grid64_cubes, s, p, q):
 
 @pytest.mark.parametrize("c", [-3.0, 0.5, 7.0])
 def test_absolute_homogeneity(grid64_cubes, c):
-    pb = NormParams(s=0.3, p=1.4, q=2.2, delta=grid64_cubes.delta, family="besov")
-    pt = NormParams(s=0.3, p=1.4, q=2.2, delta=grid64_cubes.delta, family="triebel_lizorkin")
+    pb = NormParams(s=0.3, p=1.4, q=2.2, family="besov")
+    pt = NormParams(s=0.3, p=1.4, q=2.2, family="triebel_lizorkin")
     for seq in random_sequences(grid64_cubes, 6, seed=901):
         scaled = CoefSequence(seq.system, {key: c * v for key, v in seq.entries.items()})
         assert besov_norm(scaled, pb) == pytest.approx(
@@ -183,15 +182,13 @@ def test_q_monotonicity(grid64_cubes, q_pair):
     q_small, q_big = q_pair
     for seq in random_sequences(grid64_cubes, 8, seed=313):
         for family, fn in (("besov", besov_norm), ("triebel_lizorkin", triebel_lizorkin_norm)):
-            lo = fn(seq, NormParams(s=0.2, p=1.8, q=q_big, delta=grid64_cubes.delta,
-                                    family=family))
-            hi = fn(seq, NormParams(s=0.2, p=1.8, q=q_small, delta=grid64_cubes.delta,
-                                    family=family))
+            lo = fn(seq, NormParams(s=0.2, p=1.8, q=q_big, family=family))
+            hi = fn(seq, NormParams(s=0.2, p=1.8, q=q_small, family=family))
             assert lo <= hi * (1 + 1e-12)
 
 
 def test_support_monotonicity(grid64_cubes):
-    params = NormParams(s=0.4, p=1.1, q=0.9, delta=grid64_cubes.delta, family="besov")
+    params = NormParams(s=0.4, p=1.1, q=0.9, family="besov")
     index = grid64_cubes.index_cubes()
     base = CoefSequence(grid64_cubes, {index[0]: 0.7, index[4]: -1.1})
     bigger = CoefSequence(grid64_cubes, {**base.entries, index[9]: 0.3})
@@ -261,7 +258,7 @@ def test_batch_norms_match_brute_force(weighted_cubes, weighted_plane_cubes, dat
         p = 1.7
     cubes = weighted_cubes if dim == 1 else weighted_plane_cubes
     entries, batch = data.draw(cube_batches(cubes))
-    params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family=family, variant=variant)
+    params = NormParams(s=s, p=p, q=q, family=family, variant=variant)
     norms = batch_norms(batch, params)
     assert norms.shape == (len(entries),)
     space = cubes.space
@@ -283,7 +280,7 @@ def test_batch_norms_empty_and_zero_sequences(grid64_cubes, family):
     live = CoefSequence(cubes, {index[0]: 0.0, index[3]: -1.5, index[-1]: 0.25})
     seqs = [CoefSequence(cubes, {}), CoefSequence(cubes, {index[2]: 0.0, index[5]: 0.0}), live,
             CoefSequence(cubes, {})]
-    params = NormParams(s=0.3, p=1.7, q=0.5, delta=cubes.delta, family=family)
+    params = NormParams(s=0.3, p=1.7, q=0.5, family=family)
     norms = batch_norms(SequenceBatch.of(seqs), params)
     assert norms.tolist() == [0.0, 0.0, sequence_norm(live, params), 0.0]
     assert batch_norms(SequenceBatch.of(seqs[:1]), params).tolist() == [0.0]
@@ -296,7 +293,7 @@ def test_tl_blocks_give_the_same_bits(grid64_cubes, monkeypatch, q, rows):
     # rows leave a partial last block
     cubes = grid64_cubes
     seqs = random_sequences(cubes, 40, seed=606)
-    params = NormParams(s=0.2, p=0.8, q=q, delta=cubes.delta, family="triebel_lizorkin")
+    params = NormParams(s=0.2, p=0.8, q=q, family="triebel_lizorkin")
     whole = batch_norms(SequenceBatch.of(seqs), params)
     monkeypatch.setattr(seqnorm, "BLOCK_ELEMENTS", rows * cubes.space.n + cubes.space.n // 2)
     assert batch_norms(SequenceBatch.of(seqs), params).tolist() == whole.tolist()
@@ -320,7 +317,7 @@ def test_tl_norms_match_the_dense_reference_bits(request, system, q, p):
     # over every point, so an uncovered point must add exactly nothing
     cubes = request.getfixturevalue(f"{system}_cubes")
     seqs = random_sequences(cubes, 24, seed=4242, max_support=20)
-    params = NormParams(s=0.3, p=p, q=q, delta=cubes.delta, family="triebel_lizorkin")
+    params = NormParams(s=0.3, p=p, q=q, family="triebel_lizorkin")
     assert batch_norms(SequenceBatch.of(seqs), params).tolist() == \
         dense_reference(cubes, seqs, params)
 
@@ -354,8 +351,7 @@ def assert_bits_match_one_segment_at_a_time(batch, family, variant, s):
     ps, qs = BIT_EXPONENTS[family]
     for p in ps:
         for q in qs:
-            params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family=family,
-                                variant=variant)
+            params = NormParams(s=s, p=p, q=q, family=family, variant=variant)
             if family == "besov":
                 want = [segment_besov_norm(seq, masses, cubes.delta, s, p, q,
                                            params.level_in_window) for seq in seqs]
@@ -414,7 +410,7 @@ def test_batch_norms_bits_on_short_segments_and_ties(four_point_cubes, family, v
     assert_bits_match_one_segment_at_a_time(batch, family, variant, s=0.0)
     if family == "besov" and variant == "homogeneous":
         # an l^1 sum adding the pair first would lose the 2 of 2^53 + 2
-        params = NormParams(s=0.0, p=1.0, q=1.0, delta=four_point_cubes.delta)
+        params = NormParams(s=0.0, p=1.0, q=1.0)
         assert batch_norms(batch, params)[:5].tolist() == \
             [0.0, 2.0**53, 2.0**53, 2.0**53 + 2, 2.0**53 + 2]
 
@@ -432,7 +428,7 @@ def test_norms_out_of_float_range_raise(four_point_cubes, family, p, q, values):
                           offsets=np.array([0, len(values)]),
                           level=np.zeros(len(values), dtype=int),
                           alpha=np.arange(len(values)), value=np.array(values))
-    params = NormParams(s=0.0, p=p, q=q, delta=four_point_cubes.delta, family=family)
+    params = NormParams(s=0.0, p=p, q=q, family=family)
     with pytest.raises(ValueError, match="leaves the float range"):
         batch_norms(batch, params)
 
@@ -442,7 +438,7 @@ def test_norms_near_the_float_range_keep_their_bits(four_point_cubes):
     batch = SequenceBatch(system=four_point_cubes, labels=[None], offsets=np.array([0, 2]),
                           level=np.array([0, 0]), alpha=np.array([0, 1]),
                           value=np.array([1e308, -1e308]))
-    params = NormParams(s=0.0, p=1.0, q=1.0, delta=four_point_cubes.delta)
+    params = NormParams(s=0.0, p=1.0, q=1.0)
     assert batch_norms(batch, params).tolist() == [1e308]
 
 
@@ -453,7 +449,7 @@ def test_tl_terms_that_underflow_drop_out(weighted_cubes):
     tiny = {index[0]: 1e-200, index[-1]: 1e-200}
     live = {index[3]: 0.8, index[-2]: -1.2}
     seqs = [CoefSequence(cubes, entries) for entries in (tiny, {**tiny, **live}, live)]
-    params = NormParams(s=0.4, p=1.5, q=2.0, delta=cubes.delta, family="triebel_lizorkin")
+    params = NormParams(s=0.4, p=1.5, q=2.0, family="triebel_lizorkin")
     norms = batch_norms(SequenceBatch.of(seqs), params).tolist()
     assert norms[0] == 0.0
     assert norms[1] == norms[2] > 0.0
@@ -471,7 +467,7 @@ def test_tl_blocks_that_cover_no_point(grid64_cubes, monkeypatch, q, rows):
     zero = CoefSequence(cubes, {cubes.index_cubes()[1]: 0.0})
     empty = CoefSequence(cubes, {})
     seqs = [live[0], zero, empty, zero, live[1], empty]
-    params = NormParams(s=-0.2, p=0.7, q=q, delta=cubes.delta, family="triebel_lizorkin")
+    params = NormParams(s=-0.2, p=0.7, q=q, family="triebel_lizorkin")
     whole = batch_norms(SequenceBatch.of(seqs), params).tolist()
     monkeypatch.setattr(seqnorm, "BLOCK_ELEMENTS", rows * cubes.space.n)
     assert batch_norms(SequenceBatch.of(seqs), params).tolist() == whole
@@ -485,7 +481,7 @@ def test_layer_cake_reads_the_dense_function(weighted_cubes, q):
     cubes = weighted_cubes
     space = cubes.space
     index = cubes.index_cubes()
-    params = NormParams(s=0.3, p=1.3, q=q, delta=cubes.delta, family="triebel_lizorkin")
+    params = NormParams(s=0.3, p=1.3, q=q, family="triebel_lizorkin")
     seqs = random_sequences(cubes, 6, seed=909) + [
         CoefSequence(cubes, {index[0]: 1e-200, index[2]: 0.6})]
     for seq in seqs:
@@ -569,7 +565,7 @@ def test_pinned_norm_bits(grid64_cubes, cantor_cubes, system):
     for (name, family, s, p, q), want in PINNED.items():
         if name != system:
             continue
-        params = NormParams(s=s, p=p, q=q, delta=cubes.delta, family=family)
+        params = NormParams(s=s, p=p, q=q, family=family)
         assert [repr(v) for v in batch_norms(batch, params).tolist()] == want
         assert [repr(sequence_norm(seq, params)) for seq in seqs] == want
         checked += 1
@@ -585,8 +581,7 @@ def test_inhomogeneous_window(grid16_cubes):
     # coefficients at k = 0, which the window keeps
     key = (0, int(fresh_at(grid16_cubes, 0)[0]))
     seq = CoefSequence(grid16_cubes, {key: 1.0})
-    params = NormParams(s=0.5, p=2.0, q=1.0, delta=grid16_cubes.delta,
-                        family="besov", variant="inhomogeneous")
+    params = NormParams(s=0.5, p=2.0, q=1.0, family="besov", variant="inhomogeneous")
     assert besov_norm(seq, params) > 0.0
 
 
@@ -600,8 +595,7 @@ def test_inhomogeneous_ignores_negative_levels():
     neg = [key for key in cubes.index_cubes() if key[0] < 0]
     assert neg
     seq = CoefSequence(cubes, {neg[0]: 2.5})
-    params = NormParams(s=0.5, p=2.0, q=1.0, delta=cubes.delta,
-                        family="besov", variant="inhomogeneous")
+    params = NormParams(s=0.5, p=2.0, q=1.0, family="besov", variant="inhomogeneous")
     assert besov_norm(seq, params) == 0.0
 
 
@@ -619,27 +613,43 @@ def test_invalid_index_rejected(grid64_cubes):
             CoefSequence(grid64_cubes, {key: 1.0})
 
 
-def test_delta_mismatch_rejected(grid64_cubes):
-    seq = CoefSequence(grid64_cubes, {grid64_cubes.index_cubes()[0]: 1.0})
-    params = NormParams(s=0.0, p=2.0, q=2.0, delta=0.25, family="besov")
-    with pytest.raises(ValueError, match="delta"):
-        besov_norm(seq, params)
+def test_norms_read_delta_from_the_system(grid64, grid64_cubes):
+    # one NormParams per family scores one sequence on two systems over the
+    # grid, at its default delta = 1/32 and at delta = 1/64: each norm takes
+    # the delta of its own system
+    fine = build_cubes(build_nets(grid64, 1 / 64, 1.0, 2.0, seed=0xD1AD1C), grid64)
+    assert (grid64_cubes.delta, fine.delta) == (1 / 32, 1 / 64)
+    shared = sorted(set(grid64_cubes.index_cubes()) & set(fine.index_cubes()))[:4]
+    assert all(k != 0 for k, _ in shared)       # so that delta^(-ks) is not 1
+    entries = dict(zip(shared, (1.0, -2.5, 0.75, 3.0)))
+    s, p, q = 0.5, 1.5, 2.0
+    values = []
+    for cubes in (grid64_cubes, fine):
+        seq = CoefSequence(cubes, entries)
+        masses, members = oracle_data(cubes, entries)
+        space = cubes.space
+        besov = besov_norm(seq, NormParams(s=s, p=p, q=q, family="besov"))
+        tl = triebel_lizorkin_norm(seq, NormParams(s=s, p=p, q=q, family="triebel_lizorkin"))
+        assert besov == pytest.approx(
+            brute_besov(entries, masses, cubes.delta, s, p, q, lambda k: True), rel=1e-12)
+        assert tl == pytest.approx(brute_tl(entries, masses, members, space.weight, space.n,
+                                            cubes.delta, s, p, q, lambda k: True), rel=1e-12)
+        values.append((besov, tl))
+    assert values[0] != values[1]
 
 
 def test_tl_requires_finite_p():
     with pytest.raises(ValueError, match="p < inf"):
-        NormParams(s=0.0, p=INF, q=2.0, delta=0.5, family="triebel_lizorkin")
+        NormParams(s=0.0, p=INF, q=2.0, family="triebel_lizorkin")
 
 
 def test_bad_params_rejected():
     with pytest.raises(ValueError):
-        NormParams(s=0.0, p=0.0, q=2.0, delta=0.5)
+        NormParams(s=0.0, p=0.0, q=2.0)
     with pytest.raises(ValueError):
-        NormParams(s=0.0, p=2.0, q=-1.0, delta=0.5)
+        NormParams(s=0.0, p=2.0, q=-1.0)
     with pytest.raises(ValueError):
-        NormParams(s=0.0, p=2.0, q=2.0, delta=1.5)
-    with pytest.raises(ValueError):
-        NormParams(s=0.0, p=2.0, q=2.0, delta=0.5, family="weird")
+        NormParams(s=0.0, p=2.0, q=2.0, family="weird")
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +663,7 @@ def test_load_sequence_roundtrip(tmp_path, grid64_cubes):
     path.write_text(__import__("json").dumps(rows))
     seq = load_sequence(str(path), grid64_cubes)
     assert len(seq.entries) == 4
-    params = NormParams(s=0.2, p=2.0, q=2.0, delta=grid64_cubes.delta, family="besov")
+    params = NormParams(s=0.2, p=2.0, q=2.0, family="besov")
     assert sequence_norm(seq, params) > 0
 
 

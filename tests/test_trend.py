@@ -118,9 +118,9 @@ def test_lower_bound_witnesses_match_the_per_center_oracle(name, monkeypatch):
         assert fire_within > 0 and flagged > 0
 
 
-def _params(delta, omega, variant):
+def _params(omega, variant):
     def norm(s, p):
-        return NormParams(s=s, p=p, q=1.0, delta=delta, variant=variant, family="besov")
+        return NormParams(s=s, p=p, q=1.0, variant=variant, family="besov")
     return EmbedParams(source=norm(omega, 1.0), target=norm(omega / 2, 2.0), omega=omega)
 
 
@@ -133,7 +133,7 @@ def test_worst_chain_matches_the_per_leaf_oracle(name, monkeypatch):
             for variant in ("homogeneous", "inhomogeneous"):
                 for decay_frac in DECAY_FRACS:
                     monkeypatch.setattr(common, "DECAY_FRAC", decay_frac)
-                    report = delta_necessity_test(cubes, _params(cubes.delta, omega, variant))
+                    report = delta_necessity_test(cubes, _params(omega, variant))
                     if len(report.resolved_levels) < 2:
                         assert report.worst_chain is None
                         continue
